@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: ci vet build test race chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard
+.PHONY: ci vet build test race chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard oblxbench
 
 # bench-check is a required gate: the sparse eval plans bought a large
 # ns/eval margin over the committed baseline, so the 15% regression
@@ -121,3 +121,11 @@ telemetry-guard:
 	$(GO) run ./cmd/benchjson -filter Table2Eval -check BENCH_oblx.json -max-regress 2.0 < $$tmp; \
 	rc=$$?; rm -f $$tmp; exit $$rc
 	$(GO) test -run 'TestBatchZeroAlloc|TestWorkspaceZeroAlloc|TestTraceOffZeroAlloc' -count=1 ./internal/bench
+
+# oblxbench runs the end-to-end benchmark declared in BENCHMARK.json
+# (synth-nominal, synth-corners, serve-mixed) as many times as the
+# committed baseline has runs, and fails when a median moved past its
+# bound. It takes about 30 minutes, so it stays out of ci; run it before
+# and after a change that could move synthesis or serving throughput.
+oblxbench:
+	bash cmd/oblxbench/run.sh -check BENCHMARK.json

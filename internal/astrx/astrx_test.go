@@ -107,7 +107,9 @@ func TestCompileDivider(t *testing.T) {
 	}
 
 	// KCL-correct point: R2 = 1k → v(out) = 0.5.
-	st := c.Evaluate([]float64{1000, 0.5})
+	ws := c.NewWorkspace()
+	cb1 := ws.CostDetail([]float64{1000, 0.5})
+	st := ws.State()
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -119,12 +121,11 @@ func TestCompileDivider(t *testing.T) {
 	}
 
 	// Off-balance point has a residual and a higher cost.
-	st2 := c.Evaluate([]float64{1000, 0.9})
+	cb2 := ws.CostDetail([]float64{1000, 0.9})
+	st2 := ws.State()
 	if math.Abs(st2.KCL["out"]) < 1e-6 {
 		t.Error("off-balance KCL residual should be significant")
 	}
-	cb1 := c.CostFromState(st)
-	cb2 := c.CostFromState(st2)
 	if cb2.DC <= cb1.DC {
 		t.Errorf("DC penalty: balanced %g vs off %g", cb1.DC, cb2.DC)
 	}
@@ -161,7 +162,7 @@ func TestCompileDiffAmp(t *testing.T) {
 		}
 	}
 
-	st := evalDiffAmp(t, c)
+	_, st, cb := evalDiffAmp(t, c)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -189,7 +190,6 @@ func TestCompileDiffAmp(t *testing.T) {
 		t.Errorf("area = %g, want > 0", st.SpecVals["area"])
 	}
 
-	cb := c.CostFromState(st)
 	if cb.Failed {
 		t.Fatal("cost evaluation failed")
 	}
@@ -198,9 +198,10 @@ func TestCompileDiffAmp(t *testing.T) {
 	}
 }
 
-// evalDiffAmp builds a plausible starting state: variables at their
-// starting values, node voltages at rough hand-picked values.
-func evalDiffAmp(t *testing.T, c *Compiled) *EvalState {
+// evalDiffAmp evaluates a plausible starting state on a fresh
+// workspace — variables at their starting values, node voltages at rough
+// hand-picked values — and returns the workspace, its state and cost.
+func evalDiffAmp(t *testing.T, c *Compiled) (*EvalWorkspace, *EvalState, CostBreakdown) {
 	t.Helper()
 	x := make([]float64, len(c.VarList))
 	for i, v := range c.VarList {
@@ -227,7 +228,9 @@ func evalDiffAmp(t *testing.T, c *Compiled) *EvalState {
 			x[i] = -1.2
 		}
 	}
-	return c.Evaluate(x)
+	ws := c.NewWorkspace()
+	cb := ws.CostDetail(x)
+	return ws, ws.State(), cb
 }
 
 func TestStatsTable1Shape(t *testing.T) {
@@ -369,7 +372,7 @@ vb in 0 1
 func TestCostFailurePath(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
 	// Wrong length vector → failed evaluation → FailCost.
-	cb := c.CostDetail([]float64{1})
+	cb := c.NewWorkspace().CostDetail([]float64{1})
 	if !cb.Failed || cb.Total != c.Opt.FailCost {
 		t.Errorf("bad-length cost = %+v", cb)
 	}
@@ -417,11 +420,10 @@ func TestAdaptiveWeights(t *testing.T) {
 
 func TestRegionPenalty(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
+	ws, st, _ := evalDiffAmp(t, c)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	cb := c.CostFromState(st)
 	// Build a state that forces m1 deep into triode by collapsing its
 	// drain voltage; penalty must not decrease.
 	x := make([]float64, len(c.VarList))
@@ -431,12 +433,10 @@ func TestRegionPenalty(t *testing.T) {
 	for i := c.NUser; i < len(c.VarList); i++ {
 		x[i] = -2.4 // everything at the bottom rail
 	}
-	st2 := c.Evaluate(x)
-	if st2.Err != nil {
-		t.Fatal(st2.Err)
+	cb2 := ws.CostDetail(x)
+	if err := ws.Err(); err != nil {
+		t.Fatal(err)
 	}
-	cb2 := c.CostFromState(st2)
-	_ = cb
 	if cb2.Dev < 0 {
 		t.Error("region penalty must be nonnegative")
 	}
@@ -444,10 +444,15 @@ func TestRegionPenalty(t *testing.T) {
 
 func TestSpecEnvDeviceParams(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	env := &specEnv{st: st}
+	ws, st, _ := evalDiffAmp(t, c)
+	env := &wsSpecEnv{ws: ws}
+	// The plan precompiles every dotted path a spec reads (the sr spec
+	// reads xamp.m1.cdb); mosParam is the table behind each one.
+	if v, ok := env.Var("xamp.m1.cdb"); !ok || v != st.MOSOps["xamp.m1"].Caps.Cdb {
+		t.Errorf("xamp.m1.cdb = %g, %v; want the operating point's Cdb", v, ok)
+	}
 	for _, p := range []string{"gm", "gds", "id", "vth", "vdsat", "vgs", "vds", "cgs", "cdb", "region", "vov"} {
-		if _, ok := env.Var("xamp.m1." + p); !ok {
+		if _, ok := mosParam(st.MOSOps["xamp.m1"], p); !ok {
 			t.Errorf("device param %s not resolvable", p)
 		}
 	}
@@ -483,7 +488,7 @@ func TestSpecEnvDeviceParams(t *testing.T) {
 	}
 	// Math fallthrough still works.
 	if got, err := env.Call("abs", []expr.Arg{{Value: -3}}); err != nil || got != 3 {
-		t.Errorf("abs via specEnv = %g, %v", got, err)
+		t.Errorf("abs via the spec env = %g, %v", got, err)
 	}
 }
 
@@ -531,7 +536,7 @@ r3 in out R
 	for i, v := range c.VarList {
 		x[i] = v.Start()
 	}
-	st := c.Evaluate(x)
+	st := c.NewWorkspace().Evaluate(x)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -542,7 +547,13 @@ r3 in out R
 
 func TestEvaluateBiasLightweight(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.EvaluateBias([]float64{1000, 0.5})
+	ws := c.NewWorkspace()
+	// A full evaluation first: the bias-only state that follows must not
+	// report its transfer functions or specs.
+	if st := ws.Evaluate([]float64{1000, 0.5}); len(st.TFs) == 0 || len(st.SpecVals) == 0 {
+		t.Fatal("Evaluate must run AWE and specs")
+	}
+	st := ws.EvaluateBias([]float64{1000, 0.5})
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -553,14 +564,14 @@ func TestEvaluateBiasLightweight(t *testing.T) {
 		t.Errorf("KCL = %g", st.KCL["out"])
 	}
 	// Wrong length.
-	if st := c.EvaluateBias([]float64{1}); st.Err == nil {
+	if st := ws.EvaluateBias([]float64{1}); st.Err == nil {
 		t.Error("short vector must error")
 	}
 }
 
 func TestJigNetlistExported(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
+	_, st, _ := evalDiffAmp(t, c)
 	nl, jig, err := st.JigNetlist("main")
 	if err != nil || nl == nil || jig == nil {
 		t.Fatalf("JigNetlist: %v", err)
@@ -577,8 +588,8 @@ func TestPowerWithStackedSources(t *testing.T) {
 	// The diff-amp deck stacks vb on the vdd node inside the module;
 	// power() must peel the source currents rather than erroring.
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	env := st.Env()
+	ws, _, _ := evalDiffAmp(t, c)
+	env := &wsSpecEnv{ws: ws}
 	v, err := env.Call("power", nil)
 	if err != nil {
 		t.Fatalf("power(): %v", err)

@@ -142,7 +142,7 @@ func (bw *BatchWorkspace) RerunLane(i int, x []float64) error {
 
 // Run evaluates the candidates xs (len(xs) ≤ K) without computing costs
 // or touching the compiled problem's adaptive-weight statistics — the
-// batch analogue of Compiled.Evaluate. A nil xs[i] skips lane i for
+// batch analogue of EvalWorkspace.Evaluate. A nil xs[i] skips lane i for
 // this call (its Err reports the skip) — how corner batches avoid
 // paying for quarantined corners. Per-lane results are read via
 // Lane(i).State and Lane(i).Err.

@@ -27,6 +27,7 @@ import (
 	"astrx/internal/anneal"
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
+	"astrx/internal/expr"
 	"astrx/internal/netlist"
 )
 
@@ -279,15 +280,15 @@ func (b *BiasCkt) voltageBounds(c *Compiled) (lo, hi float64) {
 
 // midpointEnv builds an expression environment with every design variable
 // at its starting value (used only for compile-time estimation).
-func midpointEnv(c *Compiled) exprEnv {
-	vals := make(map[string]float64, c.NUser+len(c.Deck.Consts))
+func midpointEnv(c *Compiled) expr.MapEnv {
+	vals := make(expr.MapEnv, c.NUser+len(c.Deck.Consts))
 	for i := 0; i < c.NUser; i++ {
 		vals[c.VarList[i].Name] = c.VarList[i].Start()
 	}
 	for k, v := range c.Deck.Consts {
 		vals[k] = v
 	}
-	return exprEnv{vals: vals}
+	return vals
 }
 
 // Stats produces the Table-1 report for this compilation.

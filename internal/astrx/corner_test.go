@@ -151,7 +151,7 @@ func TestCornerBatchMatchesScalar(t *testing.T) {
 	bw.Run(xs)
 
 	for i := 0; i < set.K(); i++ {
-		ref := set.Lane(i).Evaluate(xs[i])
+		ref := set.Lane(i).NewWorkspace().Evaluate(xs[i])
 		lane := bw.Lane(i)
 		if (lane.Err() == nil) != (ref.Err == nil) {
 			t.Fatalf("lane %s: batch err %v, scalar err %v", set.LaneName(i), lane.Err(), ref.Err)
@@ -171,8 +171,8 @@ func TestCornerBatchMatchesScalar(t *testing.T) {
 	// Corners genuinely differ from the nominal: the slow corner's vdd
 	// and thresholds moved, so at the same point at least one spec value
 	// must change.
-	nom := set.Lane(0).Evaluate(xs[0])
-	slow := set.Lane(1).Evaluate(xs[1])
+	nom := set.Lane(0).NewWorkspace().Evaluate(xs[0])
+	slow := set.Lane(1).NewWorkspace().Evaluate(xs[1])
 	if nom.Err == nil && slow.Err == nil {
 		same := true
 		for name, v := range nom.SpecVals {

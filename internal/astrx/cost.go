@@ -1,8 +1,6 @@
 package astrx
 
 import (
-	"math"
-
 	"astrx/internal/anneal"
 	"astrx/internal/netlist"
 )
@@ -135,112 +133,13 @@ type CostBreakdown struct {
 	Total     float64
 }
 
-// Cost evaluates C(x) (implements anneal.Problem together with Vars).
-// It runs on the compiled-plan workspace — the annealer's allocation-free
-// hot path; CostDetail below keeps the map-based evaluator so the two
-// implementations can be checked against each other.
+// Cost evaluates C(x) (implements anneal.Problem together with Vars) on
+// the compiled problem's shared workspace — the annealer's
+// allocation-free hot path. Reporting code that must not disturb the
+// annealer's workspace evaluates through its own NewWorkspace.
 func (c *Compiled) Cost(x []float64) float64 {
 	return c.Workspace().Cost(x)
 }
 
 // Vars implements anneal.Problem.
 func (c *Compiled) Vars() []anneal.VarSpec { return c.VarList }
-
-// CostDetail evaluates the full state and itemizes the cost.
-func (c *Compiled) CostDetail(x []float64) CostBreakdown {
-	st := c.Evaluate(x)
-	return c.CostFromState(st)
-}
-
-// CostFromState assembles C(x) from an evaluated state, updating the
-// adaptive-weight statistics as a side effect.
-func (c *Compiled) CostFromState(st *EvalState) CostBreakdown {
-	var out CostBreakdown
-	w := c.Weights
-	if st.Err != nil {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-		return out
-	}
-
-	// C^obj and C^perf.
-	for _, s := range c.Deck.Specs {
-		val := st.SpecVals[s.Name]
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			// Unevaluatable spec: treat as far beyond "bad".
-			out.Perf += w.Spec[s.Name] * specFailUnits
-			if !s.Objective {
-				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
-			}
-			continue
-		}
-		u := Normalize(s, val)
-		if s.Objective {
-			// Keep optimizing past "good", but gently, so objectives
-			// cannot drown the penalty terms.
-			term := u
-			if u < 0 {
-				term = 0.05 * u
-			}
-			out.Objective += w.Spec[s.Name] * term
-		} else {
-			viol := math.Max(0, u)
-			out.Perf += w.Spec[s.Name] * viol
-			w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
-		}
-	}
-
-	// C^dev: operating-region constraints.
-	regViol := 0.0
-	for _, r := range c.Deck.Regions {
-		op, ok := st.MOSOps[r.Device]
-		if !ok {
-			continue // BJT region constraints not defined
-		}
-		v := 0.0
-		switch r.Region {
-		case "sat":
-			v = math.Max(0, op.Vdsat+r.Margin-op.Vds)
-		case "triode":
-			v = math.Max(0, op.Vds-(op.Vdsat-r.Margin))
-		case "on":
-			v = math.Max(0, op.Vth+r.Margin-op.Vgs)
-		}
-		regViol += v // volts of violation
-	}
-	out.Dev = w.Region * regViol
-	w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
-
-	// C^dc: the relaxed-dc KCL penalties of eq. (3), normalized by the
-	// current magnitude flowing through each node.
-	kclViol := 0.0
-	for _, n := range c.Bias.FreeNodes {
-		res := math.Abs(st.KCL[n])
-		if res <= c.Opt.KCLTolAbs {
-			continue
-		}
-		kclViol += (res - c.Opt.KCLTolAbs) / (st.KCLFlow[n] + 1e-6)
-	}
-	out.DC = w.KCL * kclViol
-	w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
-
-	out.Total = out.Objective + out.Perf + out.Dev + out.DC
-	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-	}
-	return out
-}
-
-// MaxKCLError returns the worst relative KCL residual of a state — the
-// quantity Fig. 2 tracks along the optimization.
-func (st *EvalState) MaxKCLError() float64 {
-	worst := 0.0
-	for _, n := range st.C.Bias.FreeNodes {
-		rel := math.Abs(st.KCL[n]) / (st.KCLFlow[n] + 1e-12)
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}

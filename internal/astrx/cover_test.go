@@ -67,7 +67,8 @@ func TestCompileBJTStage(t *testing.T) {
 	// tied to vss so pick Vbias ≈ -1.85 for vbe ≈ 0.65. Range is
 	// 0.4..1 though, so the BJT will be hard on; the evaluation must
 	// still complete (limexp guards overflow).
-	st := c.Evaluate(x)
+	ws := c.NewWorkspace()
+	st := ws.Evaluate(x)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -78,10 +79,16 @@ func TestCompileBJTStage(t *testing.T) {
 	if math.IsNaN(op.Ic) || math.IsInf(op.Ic, 0) {
 		t.Errorf("Ic = %g", op.Ic)
 	}
-	// The spec env resolves BJT dotted params.
-	env := &specEnv{st: st}
-	for _, p := range []string{"ic", "ib", "gm", "gpi", "go", "cpi", "cmu", "vbe", "vbc"} {
+	// The spec env resolves the BJT dotted params the specs read;
+	// bjtParam is the table behind each one.
+	env := &wsSpecEnv{ws: ws}
+	for _, p := range []string{"ic", "ib"} {
 		if _, ok := env.Var(q.Name + "." + p); !ok {
+			t.Errorf("bjt param %s unresolved", p)
+		}
+	}
+	for _, p := range []string{"ic", "ib", "gm", "gpi", "go", "cpi", "cmu", "vbe", "vbc"} {
+		if _, ok := bjtParam(op, p); !ok {
 			t.Errorf("bjt param %s unresolved", p)
 		}
 	}
@@ -103,11 +110,11 @@ func TestCompileBJTStage(t *testing.T) {
 
 func TestSpecEnvMoreFunctions(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.Evaluate([]float64{9000, 0.9})
-	if st.Err != nil {
+	ws := c.NewWorkspace()
+	if st := ws.Evaluate([]float64{9000, 0.9}); st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	env := st.Env()
+	env := &wsSpecEnv{ws: ws}
 	for _, call := range []struct {
 		fn   string
 		args []expr.Arg
@@ -144,11 +151,10 @@ func TestRegionVariants(t *testing.T) {
 	src = strings.Replace(src,
 		".region xamp.m3 sat", ".region xamp.m3 on margin=0.2", 1)
 	c := compileDeck(t, src)
-	st := evalDiffAmp(t, c)
+	_, st, cb := evalDiffAmp(t, c)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	cb := c.CostFromState(st)
 	if cb.Failed {
 		t.Fatal("cost failed")
 	}
@@ -195,9 +201,10 @@ func TestDCProblemWrongSizes(t *testing.T) {
 
 func TestNormalizeAndSpecFail(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.Evaluate([]float64{1000, 0.5})
-	st.SpecVals["gain"] = math.NaN()
-	cb := c.CostFromState(st)
+	ws := c.NewWorkspace()
+	ws.run([]float64{1000, 0.5}, true)
+	ws.specVals[0] = math.NaN() // "gain", the deck's only spec
+	cb := ws.costFromRun()
 	if cb.Perf <= 0 {
 		t.Error("NaN spec must incur a penalty")
 	}

@@ -8,41 +8,6 @@ import (
 	"astrx/internal/linalg"
 )
 
-// EvaluateBias is the light-weight evaluation used inside Newton
-// iterations: node voltages, device operating points, and KCL residuals
-// only — no AWE, no specs.
-func (c *Compiled) EvaluateBias(x []float64) *EvalState {
-	st := &EvalState{
-		C:       c,
-		Vals:    make(map[string]float64, c.NUser+len(c.Deck.Consts)),
-		NodeV:   make(map[string]float64),
-		MOSOps:  make(map[string]devices.MOSOp, len(c.Bias.DevOrder)),
-		BJTOps:  make(map[string]devices.BJTOp),
-		KCL:     make(map[string]float64, len(c.Bias.FreeNodes)),
-		KCLFlow: make(map[string]float64, len(c.Bias.FreeNodes)),
-	}
-	if len(x) != len(c.VarList) {
-		st.Err = fmt.Errorf("astrx: state has %d values, want %d", len(x), len(c.VarList))
-		return st
-	}
-	for i := 0; i < c.NUser; i++ {
-		st.Vals[c.VarList[i].Name] = x[i]
-	}
-	for k, v := range c.Deck.Consts {
-		st.Vals[k] = v
-	}
-	st.solveNodeVoltages(x)
-	if st.Err != nil {
-		return st
-	}
-	st.evalDevices()
-	if st.Err != nil {
-		return st
-	}
-	st.evalKCL()
-	return st
-}
-
 // DCProblem adapts the compiled bias circuit to dcsolve.Problem: the
 // unknowns are the free node voltages, the user design variables are
 // frozen at the values carried in the prefix of x. It runs on the

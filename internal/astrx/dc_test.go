@@ -28,7 +28,7 @@ func TestDCProblemJacobianMatchesFD(t *testing.T) {
 	// The analytic Jacobian must match finite differences of the
 	// residual — including MOS rows with possible source/drain swaps.
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
+	_, st, _ := evalDiffAmp(t, c)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -96,7 +96,7 @@ func TestDCProblemSolvesDiffAmpBias(t *testing.T) {
 
 	// Inject the solved voltages and check the full state.
 	copy(x[c.NUser:], r.V)
-	st := c.Evaluate(x)
+	st := c.NewWorkspace().Evaluate(x)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}

@@ -3,36 +3,18 @@ package astrx
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"astrx/internal/awe"
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
 	"astrx/internal/expr"
-	"astrx/internal/mna"
 )
-
-// exprEnv is the basic expression environment: named values plus the
-// shared math built-ins.
-type exprEnv struct {
-	vals map[string]float64
-}
-
-// Var looks up a named value.
-func (e exprEnv) Var(name string) (float64, bool) {
-	v, ok := e.vals[name]
-	return v, ok
-}
-
-// Call dispatches to the math built-ins.
-func (e exprEnv) Call(fn string, args []expr.Arg) (float64, error) {
-	return expr.MathCall(fn, args)
-}
 
 // EvalState is the full evaluation of one candidate design x: node
 // voltages, device operating points, KCL residuals, transfer functions,
-// and spec values. OBLX calls Evaluate once per annealing move; the
-// verification and reporting code reuses it to inspect finished designs.
+// and spec values. EvalWorkspace.State projects the workspace's last
+// evaluation into this name-keyed form for the verification and
+// reporting code that inspects finished designs.
 type EvalState struct {
 	C *Compiled
 
@@ -55,183 +37,110 @@ type EvalState struct {
 	Err error
 }
 
-// Evaluate computes the full state for the variable vector x.
-func (c *Compiled) Evaluate(x []float64) *EvalState {
-	st := &EvalState{
-		C:        c,
-		Vals:     make(map[string]float64, c.NUser+len(c.Deck.Consts)),
-		NodeV:    make(map[string]float64),
-		MOSOps:   make(map[string]devices.MOSOp, len(c.Bias.DevOrder)),
-		BJTOps:   make(map[string]devices.BJTOp),
-		KCL:      make(map[string]float64, len(c.Bias.FreeNodes)),
-		KCLFlow:  make(map[string]float64, len(c.Bias.FreeNodes)),
-		TFs:      make(map[string]*awe.TF),
-		SpecVals: make(map[string]float64, len(c.Deck.Specs)),
-	}
-	if len(x) != len(c.VarList) {
-		st.Err = fmt.Errorf("astrx: state has %d values, want %d", len(x), len(c.VarList))
-		return st
-	}
-	for i := 0; i < c.NUser; i++ {
-		st.Vals[c.VarList[i].Name] = x[i]
-	}
-	for k, v := range c.Deck.Consts {
-		st.Vals[k] = v
-	}
-
-	st.solveNodeVoltages(x)
-	if st.Err != nil {
-		return st
-	}
-	st.evalDevices()
-	if st.Err != nil {
-		return st
-	}
-	st.evalKCL()
-	st.evalTFs()
-	st.evalSpecs()
-	return st
-}
-
-// solveNodeVoltages fills NodeV: ground, determined chain, free nodes
-// from the tail of x.
-func (st *EvalState) solveNodeVoltages(x []float64) {
-	c := st.C
-	env := exprEnv{vals: st.Vals}
-	st.NodeV[circuit.Ground] = 0
-	// Free nodes first: determined chains rooted at a floating-source
-	// representative read the representative's (free) voltage.
-	for i, n := range c.Bias.FreeNodes {
-		st.NodeV[n] = x[c.NUser+i]
-	}
-	for _, step := range c.Bias.Determined {
-		base := 0.0
-		if step.From != "" {
-			base = st.NodeV[step.From]
-		}
-		val, err := step.Src.EvalValue(env)
-		if err != nil {
-			st.Err = fmt.Errorf("astrx: source %s: %w", step.Src.Name, err)
-			return
-		}
-		st.NodeV[step.Node] = base + step.Sign*val
-	}
-}
-
-// geometry evaluates a MOS instance's geometry expressions.
-func (st *EvalState) geometry(e *circuit.Element) (devices.MOSGeom, error) {
-	env := exprEnv{vals: st.Vals}
-	w, err := e.EvalParam("w", 0, env)
-	if err != nil {
-		return devices.MOSGeom{}, err
-	}
-	l, err := e.EvalParam("l", 0, env)
-	if err != nil {
-		return devices.MOSGeom{}, err
-	}
-	m, err := e.EvalParam("m", 1, env)
-	if err != nil {
-		return devices.MOSGeom{}, err
-	}
-	if w <= 0 || l <= 0 {
-		return devices.MOSGeom{}, fmt.Errorf("astrx: device %s: nonpositive geometry w=%g l=%g", e.Name, w, l)
-	}
-	return devices.MOSGeom{W: w, L: l, M: m}, nil
-}
-
-// evalDevices computes the operating point of every device.
-func (st *EvalState) evalDevices() {
-	env := exprEnv{vals: st.Vals}
-	for _, name := range st.C.Bias.DevOrder {
-		d := st.C.Bias.Devices[name]
-		switch d.Kind {
-		case DevMOS:
-			g, err := st.geometry(d.Elem)
-			if err != nil {
-				st.Err = err
-				return
-			}
-			r := d.MOS
-			op := devices.EvalMOS(r.Model, g,
-				st.NodeV[r.D], st.NodeV[r.G], st.NodeV[r.S], st.NodeV[r.B])
-			st.MOSOps[name] = op
-		case DevBJT:
-			area, err := d.Elem.EvalParam("area", 1, env)
-			if err != nil {
-				st.Err = err
-				return
-			}
-			r := d.BJT
-			op := devices.EvalBJT(r.Model, area,
-				st.NodeV[r.C], st.NodeV[r.B], st.NodeV[r.E])
-			st.BJTOps[name] = op
-		}
-	}
-}
-
-// evalKCL accumulates the DC current residual at every free node.
-func (st *EvalState) evalKCL() {
-	res := make(map[string]float64)
-	flow := make(map[string]float64)
-	add := func(node string, leaving float64) {
-		if circuit.IsGround(node) {
-			return
-		}
-		res[node] += leaving
-		flow[node] += math.Abs(leaving)
-	}
-	env := exprEnv{vals: st.Vals}
-
-	for _, e := range st.C.Bias.Net.Elements {
-		switch e.Kind {
-		case circuit.KindR:
-			r, err := e.EvalValue(env)
-			if err != nil || r == 0 {
-				st.Err = fmt.Errorf("astrx: bias resistor %s: bad value (%v)", e.Name, err)
-				return
-			}
-			i := (st.NodeV[e.Nodes[0]] - st.NodeV[e.Nodes[1]]) / r
-			add(e.Nodes[0], i)
-			add(e.Nodes[1], -i)
-		case circuit.KindI:
-			v, err := e.EvalValue(env)
-			if err != nil {
-				st.Err = fmt.Errorf("astrx: bias source %s: %w", e.Name, err)
-				return
-			}
-			add(e.Nodes[0], v)
-			add(e.Nodes[1], -v)
-		case circuit.KindG:
-			gm, err := e.EvalValue(env)
-			if err != nil {
-				st.Err = fmt.Errorf("astrx: bias vccs %s: %w", e.Name, err)
-				return
-			}
-			i := gm * (st.NodeV[e.Nodes[2]] - st.NodeV[e.Nodes[3]])
-			add(e.Nodes[0], i)
-			add(e.Nodes[1], -i)
-		case circuit.KindM:
-			op := st.MOSOps[e.Name]
-			// Terminals were rewritten to the channel nodes.
-			add(e.Nodes[0], op.Ids)
-			add(e.Nodes[2], -op.Ids)
-		case circuit.KindQ:
-			op := st.BJTOps[e.Name]
-			add(e.Nodes[0], op.Ic)
-			add(e.Nodes[1], op.Ib)
-			add(e.Nodes[2], -(op.Ic + op.Ib))
-		}
-		// V sources absorb any current: no residual at their nodes —
-		// handled by only reading free nodes below. C: open at DC.
-	}
+// MaxKCLError returns the worst relative KCL residual of a state — the
+// quantity Fig. 2 tracks along the optimization.
+func (st *EvalState) MaxKCLError() float64 {
+	worst := 0.0
 	for _, n := range st.C.Bias.FreeNodes {
-		st.KCL[n] = res[n]
-		st.KCLFlow[n] = flow[n]
+		rel := math.Abs(st.KCL[n]) / (st.KCLFlow[n] + 1e-12)
+		if rel > worst {
+			worst = rel
+		}
 	}
+	return worst
 }
 
-// smallSignalNetlist builds the linearized AWE circuit for a jig at the
-// current operating point.
+// TFBackend measures transfer-function quantities. The default backend
+// reads the AWE reduced models; package verify substitutes one backed by
+// direct AC sweeps so the same spec expressions yield the "/ Simulation"
+// columns of Tables 2-3.
+type TFBackend interface {
+	// Measure handles fn(tfName, extra...); handled=false defers to the
+	// default backend.
+	Measure(fn, tfName string, extra []expr.Arg) (val float64, handled bool, err error)
+}
+
+// mosParam exposes MOS operating-point fields to expressions.
+func mosParam(op devices.MOSOp, p string) (float64, bool) {
+	switch p {
+	case "id", "ids":
+		return op.Ids, true
+	case "gm":
+		return op.Gm, true
+	case "gds":
+		return op.Gds, true
+	case "gmbs", "gmb":
+		return op.Gmbs, true
+	case "vth":
+		return op.Vth, true
+	case "vdsat":
+		return op.Vdsat, true
+	case "vgs":
+		return op.Vgs, true
+	case "vds":
+		return op.Vds, true
+	case "vbs":
+		return op.Vbs, true
+	case "vov":
+		return op.Vgs - op.Vth, true
+	case "cgs":
+		return op.Caps.Cgs, true
+	case "cgd":
+		return op.Caps.Cgd, true
+	case "cgb":
+		return op.Caps.Cgb, true
+	case "cdb", "cd":
+		return op.Caps.Cdb, true
+	case "csb", "cs":
+		return op.Caps.Csb, true
+	case "region":
+		return float64(op.Region), true
+	}
+	return 0, false
+}
+
+// bjtParam exposes BJT operating-point fields to expressions.
+func bjtParam(op devices.BJTOp, p string) (float64, bool) {
+	switch p {
+	case "ic":
+		return op.Ic, true
+	case "ib":
+		return op.Ib, true
+	case "gm":
+		return op.Gm, true
+	case "gpi":
+		return op.Gpi, true
+	case "go":
+		return op.Go, true
+	case "cpi":
+		return op.Cpi, true
+	case "cmu":
+		return op.Cmu, true
+	case "vbe":
+		return op.Vbe, true
+	case "vbc":
+		return op.Vbc, true
+	}
+	return 0, false
+}
+
+// JigNetlist builds the linearized small-signal netlist for the named
+// jig at this state's operating point (exported for package verify and
+// the experiment harnesses).
+func (st *EvalState) JigNetlist(name string) (*circuit.Netlist, *JigCkt, error) {
+	for _, j := range st.C.Jigs {
+		if j.Name == name {
+			nl, err := st.smallSignalNetlist(j)
+			return nl, j, err
+		}
+	}
+	return nil, nil, fmt.Errorf("astrx: unknown jig %q", name)
+}
+
+// smallSignalNetlist builds the linearized circuit for a jig at the
+// state's operating point. It is the netlist form of the stamp program
+// the workspace replays (plan.go), kept so package verify can run its
+// independent AC sweep on the same linearization.
 func (st *EvalState) smallSignalNetlist(j *JigCkt) (*circuit.Netlist, error) {
 	elems := make([]*circuit.Element, 0, len(j.Linear)+6*len(j.Devices)+len(j.AllNodes))
 
@@ -313,476 +222,4 @@ func (st *EvalState) smallSignalNetlist(j *JigCkt) (*circuit.Netlist, error) {
 	nl := &circuit.Netlist{Title: j.Name, Elements: elems}
 	nl.BuildIndex()
 	return nl, nil
-}
-
-// evalTFs runs AWE on every jig.
-func (st *EvalState) evalTFs() {
-	for _, j := range st.C.Jigs {
-		nl, err := st.smallSignalNetlist(j)
-		if err != nil {
-			st.Err = err
-			return
-		}
-		sys, err := mna.Build(nl, exprEnv{vals: st.Vals})
-		if err != nil {
-			st.Err = fmt.Errorf("astrx: jig %s: %w", j.Name, err)
-			return
-		}
-		an, err := awe.NewAnalyzer(sys)
-		if err != nil {
-			st.Err = fmt.Errorf("astrx: jig %s: %w", j.Name, err)
-			return
-		}
-		for _, req := range j.TFs {
-			tf, err := an.TransferFunction(req.Src, req.OutPos, req.OutNeg, st.C.Opt.AWEOrder)
-			if err != nil {
-				st.Err = fmt.Errorf("astrx: jig %s tf %s: %w", j.Name, req.Name, err)
-				return
-			}
-			st.TFs[req.Name] = tf
-		}
-	}
-}
-
-// evalSpecs computes every spec expression. A spec whose expression
-// cannot be evaluated at this design point (e.g. pole(tf,3) on a dead
-// circuit with no poles) is recorded as NaN — the cost assembly turns
-// that into a large penalty instead of aborting, so the annealer can
-// climb out of such states.
-func (st *EvalState) evalSpecs() {
-	env := &specEnv{st: st}
-	for _, s := range st.C.Deck.Specs {
-		v, err := s.Expr.Eval(env)
-		if err != nil {
-			st.SpecVals[s.Name] = math.NaN()
-			continue
-		}
-		st.SpecVals[s.Name] = v
-	}
-}
-
-// ---------------------------------------------------------------------------
-// specEnv: the rich environment spec expressions evaluate in.
-
-// TFBackend measures transfer-function quantities. The default backend
-// reads the AWE reduced models; package verify substitutes one backed by
-// direct AC sweeps so the same spec expressions yield the "/ Simulation"
-// columns of Tables 2-3.
-type TFBackend interface {
-	// Measure handles fn(tfName, extra...); handled=false defers to the
-	// default backend.
-	Measure(fn, tfName string, extra []expr.Arg) (val float64, handled bool, err error)
-}
-
-// EnvWith returns a spec-expression environment whose transfer-function
-// measurements are served by backend first, falling back to the AWE
-// models for anything unhandled.
-func (st *EvalState) EnvWith(backend TFBackend) expr.Env {
-	return &specEnv{st: st, backend: backend}
-}
-
-// Env returns the default (AWE-backed) spec environment.
-func (st *EvalState) Env() expr.Env { return &specEnv{st: st} }
-
-type specEnv struct {
-	st      *EvalState
-	backend TFBackend
-}
-
-// tfFuncs lists the measurement functions that take a transfer-function
-// name as their first argument.
-var tfFuncs = map[string]bool{
-	"dc_gain": true, "ugf": true, "phase_margin": true, "bw3db": true,
-	"pole": true, "zero": true, "gain_at": true,
-}
-
-// Var resolves design variables, constants, and dotted device-parameter
-// paths such as "xamp.m1.gm".
-func (e *specEnv) Var(name string) (float64, bool) {
-	if v, ok := e.st.Vals[name]; ok {
-		return v, true
-	}
-	// Device parameter path: <device>.<param>
-	if i := strings.LastIndex(name, "."); i > 0 {
-		dev, param := strings.ToLower(name[:i]), strings.ToLower(name[i+1:])
-		if op, ok := e.st.MOSOps[dev]; ok {
-			if v, ok2 := mosParam(op, param); ok2 {
-				return v, true
-			}
-		}
-		if op, ok := e.st.BJTOps[dev]; ok {
-			if v, ok2 := bjtParam(op, param); ok2 {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// Call resolves measurement functions over transfer functions and the
-// bias circuit, falling back to the math built-ins.
-func (e *specEnv) Call(fn string, args []expr.Arg) (float64, error) {
-	st := e.st
-	if e.backend != nil && tfFuncs[fn] && len(args) >= 1 && args[0].IsName {
-		v, handled, err := e.backend.Measure(fn, args[0].Name, args[1:])
-		if err != nil {
-			return 0, err
-		}
-		if handled {
-			return v, nil
-		}
-	}
-	tfArg := func() (*awe.TF, error) {
-		if len(args) < 1 || !args[0].IsName {
-			return nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
-		}
-		tf, ok := st.TFs[args[0].Name]
-		if !ok {
-			return nil, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
-		}
-		// Unstable models (awe.ErrUnstable) are measured anyway — the fit
-		// already preferred stable orders, and the workspace counter plus
-		// FailureStats.Unstable surface the event to operators.
-		return tf, nil
-	}
-	switch fn {
-	case "dc_gain":
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		return tf.DCGain(), nil
-	case "ugf": // unity-gain frequency in Hz
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		return tf.UGF() / (2 * math.Pi), nil
-	case "phase_margin":
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		return tf.PhaseMarginDeg(), nil
-	case "bw3db": // -3 dB bandwidth in Hz
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		return tf.BW3dB() / (2 * math.Pi), nil
-	case "pole": // magnitude of i-th slowest pole, Hz (1-based)
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		if len(args) != 2 {
-			return 0, fmt.Errorf("astrx: pole(tf, i) needs an index")
-		}
-		return nthRootMag(tf.Poles, int(args[1].Value))
-	case "zero":
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		if len(args) != 2 {
-			return 0, fmt.Errorf("astrx: zero(tf, i) needs an index")
-		}
-		return nthRootMag(tf.Zeros, int(args[1].Value))
-	case "gain_at": // |H| at frequency f (Hz)
-		tf, err := tfArg()
-		if err != nil {
-			return 0, err
-		}
-		if len(args) != 2 {
-			return 0, fmt.Errorf("astrx: gain_at(tf, hz) needs a frequency")
-		}
-		return tf.GainMagAt(2 * math.Pi * args[1].Value), nil
-	case "v": // bias-circuit node voltage
-		if len(args) != 1 || !args[0].IsName {
-			return 0, fmt.Errorf("astrx: v(node) needs a node name")
-		}
-		node := strings.ToLower(args[0].Name)
-		val, ok := st.NodeV[node]
-		if !ok {
-			return 0, fmt.Errorf("astrx: v(%s): unknown bias node", node)
-		}
-		return val, nil
-	case "active_area": // total gate area of all MOS devices, m²
-		return st.activeArea()
-	case "power": // total supply power of the bias circuit, W
-		return st.power()
-	}
-	return expr.MathCall(fn, args)
-}
-
-// nthRootMag returns |root_i| / 2π for the i-th smallest-magnitude root.
-func nthRootMag(roots []complex128, i int) (float64, error) {
-	if i < 1 || i > len(roots) {
-		return 0, fmt.Errorf("astrx: root index %d out of range (have %d)", i, len(roots))
-	}
-	mags := make([]float64, len(roots))
-	for k, r := range roots {
-		mags[k] = math.Hypot(real(r), imag(r))
-	}
-	for a := 0; a < len(mags); a++ {
-		for b := a + 1; b < len(mags); b++ {
-			if mags[b] < mags[a] {
-				mags[a], mags[b] = mags[b], mags[a]
-			}
-		}
-	}
-	return mags[i-1] / (2 * math.Pi), nil
-}
-
-// activeArea sums W·L·M over all MOS devices.
-func (st *EvalState) activeArea() (float64, error) {
-	tot := 0.0
-	for _, name := range st.C.Bias.DevOrder {
-		d := st.C.Bias.Devices[name]
-		if d.Kind != DevMOS {
-			continue
-		}
-		g, err := st.geometry(d.Elem)
-		if err != nil {
-			return 0, err
-		}
-		tot += g.W * g.L * g.Mult()
-	}
-	return tot, nil
-}
-
-// power sums |V·I| over the bias circuit's independent voltage sources.
-// Source branch currents are reconstructed by iterative peeling: a
-// source's current is known once every other source sharing one of its
-// nodes is known, starting from nodes touched by a single source. This
-// handles bias-voltage generators stacked on the supply nodes.
-func (st *EvalState) power() (float64, error) {
-	env := exprEnv{vals: st.Vals}
-	srcs := st.C.Bias.VSources
-	known := make(map[*circuit.Element]float64, len(srcs)) // branch current, + → −
-	for progress := true; progress && len(known) < len(srcs); {
-		progress = false
-		for _, s := range srcs {
-			if _, ok := known[s]; ok {
-				continue
-			}
-			for ni, node := range s.Nodes {
-				if circuit.IsGround(node) {
-					continue
-				}
-				// All other sources at this node known?
-				ready := true
-				otherV := 0.0
-				for _, o := range srcs {
-					if o == s {
-						continue
-					}
-					io, ok := known[o]
-					touches, sign := vTouch(o, node)
-					if !touches {
-						continue
-					}
-					if !ok {
-						ready = false
-						break
-					}
-					otherV += sign * io
-				}
-				if !ready {
-					continue
-				}
-				rest, err := st.currentInto(node, s)
-				if err != nil {
-					return 0, err
-				}
-				// KCL: rest + otherV + (±I_s) = 0.
-				if ni == 0 {
-					known[s] = -(rest + otherV)
-				} else {
-					known[s] = rest + otherV
-				}
-				progress = true
-				break
-			}
-		}
-	}
-	if len(known) < len(srcs) {
-		return 0, fmt.Errorf("astrx: power(): voltage-source loop prevents current recovery")
-	}
-	tot := 0.0
-	for _, s := range srcs {
-		v, err := s.EvalValue(env)
-		if err != nil {
-			return 0, err
-		}
-		tot += math.Abs(v * known[s])
-	}
-	return tot, nil
-}
-
-// vTouch reports whether a V source touches node and the sign its branch
-// current (+→−) contributes to current leaving that node.
-func vTouch(e *circuit.Element, node string) (bool, float64) {
-	if e.Nodes[0] == node {
-		return true, 1
-	}
-	if e.Nodes[1] == node {
-		return true, -1
-	}
-	return false, 0
-}
-
-// currentInto sums the current leaving `node` into all non-V-source
-// elements except `skip`.
-func (st *EvalState) currentInto(node string, skip *circuit.Element) (float64, error) {
-	env := exprEnv{vals: st.Vals}
-	tot := 0.0
-	for _, e := range st.C.Bias.Net.Elements {
-		if e == skip {
-			continue
-		}
-		touches := -1
-		for k, n := range e.Nodes {
-			if n == node {
-				touches = k
-				break
-			}
-		}
-		if touches < 0 {
-			continue
-		}
-		switch e.Kind {
-		case circuit.KindV:
-			continue // handled by the peeling loop in power()
-		case circuit.KindR:
-			r, err := e.EvalValue(env)
-			if err != nil || r == 0 {
-				return 0, fmt.Errorf("astrx: power(): resistor %s: %v", e.Name, err)
-			}
-			i := (st.NodeV[e.Nodes[0]] - st.NodeV[e.Nodes[1]]) / r
-			if touches == 0 {
-				tot += i
-			} else {
-				tot -= i
-			}
-		case circuit.KindI:
-			v, err := e.EvalValue(env)
-			if err != nil {
-				return 0, err
-			}
-			if touches == 0 {
-				tot += v
-			} else {
-				tot -= v
-			}
-		case circuit.KindG:
-			gm, err := e.EvalValue(env)
-			if err != nil {
-				return 0, err
-			}
-			i := gm * (st.NodeV[e.Nodes[2]] - st.NodeV[e.Nodes[3]])
-			switch touches {
-			case 0:
-				tot += i
-			case 1:
-				tot -= i
-			}
-		case circuit.KindM:
-			op := st.MOSOps[e.Name]
-			switch touches {
-			case 0:
-				tot += op.Ids
-			case 2:
-				tot -= op.Ids
-			}
-		case circuit.KindQ:
-			op := st.BJTOps[e.Name]
-			switch touches {
-			case 0:
-				tot += op.Ic
-			case 1:
-				tot += op.Ib
-			case 2:
-				tot -= op.Ic + op.Ib
-			}
-		}
-	}
-	return tot, nil
-}
-
-// mosParam exposes MOS operating-point fields to expressions.
-func mosParam(op devices.MOSOp, p string) (float64, bool) {
-	switch p {
-	case "id", "ids":
-		return op.Ids, true
-	case "gm":
-		return op.Gm, true
-	case "gds":
-		return op.Gds, true
-	case "gmbs", "gmb":
-		return op.Gmbs, true
-	case "vth":
-		return op.Vth, true
-	case "vdsat":
-		return op.Vdsat, true
-	case "vgs":
-		return op.Vgs, true
-	case "vds":
-		return op.Vds, true
-	case "vbs":
-		return op.Vbs, true
-	case "vov":
-		return op.Vgs - op.Vth, true
-	case "cgs":
-		return op.Caps.Cgs, true
-	case "cgd":
-		return op.Caps.Cgd, true
-	case "cgb":
-		return op.Caps.Cgb, true
-	case "cdb", "cd":
-		return op.Caps.Cdb, true
-	case "csb", "cs":
-		return op.Caps.Csb, true
-	case "region":
-		return float64(op.Region), true
-	}
-	return 0, false
-}
-
-// bjtParam exposes BJT operating-point fields to expressions.
-func bjtParam(op devices.BJTOp, p string) (float64, bool) {
-	switch p {
-	case "ic":
-		return op.Ic, true
-	case "ib":
-		return op.Ib, true
-	case "gm":
-		return op.Gm, true
-	case "gpi":
-		return op.Gpi, true
-	case "go":
-		return op.Go, true
-	case "cpi":
-		return op.Cpi, true
-	case "cmu":
-		return op.Cmu, true
-	case "vbe":
-		return op.Vbe, true
-	case "vbc":
-		return op.Vbc, true
-	}
-	return 0, false
-}
-
-// JigNetlist builds the linearized small-signal netlist for the named
-// jig at this state's operating point (exported for package verify and
-// the experiment harnesses).
-func (st *EvalState) JigNetlist(name string) (*circuit.Netlist, *JigCkt, error) {
-	for _, j := range st.C.Jigs {
-		if j.Name == name {
-			nl, err := st.smallSignalNetlist(j)
-			return nl, j, err
-		}
-	}
-	return nil, nil, fmt.Errorf("astrx: unknown jig %q", name)
 }

@@ -18,17 +18,20 @@ import (
 // decision, and matrix coordinate is resolved once at Compile time; the
 // per-move hot path (workspace.go) only reads it.
 //
-// Equivalence with the map-based evaluator (eval.go) is bit-exact, which
-// requires replaying the legacy code's floating-point operations in the
-// same order, including its quirks: conductances stamped as 1/(1/g)
-// (the legacy path emitted a resistor with value 1/g and mna recomputed
-// the conductance), element skip rules (zero-valued stamps and
-// self-capacitances are not emitted), and the map-literal overwrite
-// semantics of the BJT Jacobian when terminals are tied.
+// The plan reproduces internal/bench/testdata/eval_golden.json, values
+// recorded from the string-keyed map evaluator it replaced. Matching them
+// to 1e-12 requires replaying that evaluator's floating-point operations
+// in the same order, including its quirks: conductances stamped as
+// 1/(1/g) (the recorded path emitted a resistor with value 1/g and mna
+// recomputed the conductance), element skip rules (zero-valued stamps
+// and self-capacitances are not emitted), and the map-literal overwrite
+// semantics of the BJT Jacobian when terminals are tied. Comments that
+// cite the golden file mark the places this ordering constraint binds.
 
 // constInit writes one .const value into the workspace value table. It
 // is applied after the design vector prefix each evaluation so a const
-// that shadows a design variable wins, as in the legacy map fill order.
+// that shadows a design variable wins, as the golden file's fill order
+// requires.
 type constInit struct {
 	idx int
 	v   float64
@@ -56,10 +59,10 @@ type devPlan struct {
 }
 
 // qjacSel selects one surviving column of the BJT Jacobian stamp. The
-// legacy code built map literals keyed by terminal node name in the
-// order base, emitter, collector; a duplicate key (tied terminals)
-// keeps the last coefficient. coef selects position 0/1/2 in that
-// literal order.
+// golden-file evaluator built map literals keyed by terminal node name
+// in the order base, emitter, collector; a duplicate key (tied
+// terminals) keeps the last coefficient. coef selects position 0/1/2 in
+// that literal order.
 type qjacSel struct {
 	col  int // node slot
 	coef int
@@ -71,7 +74,7 @@ type kclOp struct {
 	e    *circuit.Element
 	n    [4]int
 	// dev indexes mosOps (KindM) or bjtOps (KindQ); -1 reads a zero
-	// operating point, matching the legacy zero-value map read.
+	// operating point, as in the golden file.
 	dev int
 	// qsel is the Jacobian column-selection program for KindQ.
 	qsel []qjacSel
@@ -91,8 +94,8 @@ type powerOther struct {
 }
 
 // powerContrib is one element's current contribution in the power()
-// peeling (the currentInto cases). touches is the first terminal index
-// matching the candidate node, as in the legacy first-match scan.
+// peeling. touches is the first terminal index matching the candidate
+// node, the first-match scan the golden file was recorded with.
 type powerContrib struct {
 	kind    circuit.Kind
 	e       *circuit.Element
@@ -117,7 +120,7 @@ type linOp struct {
 	br   int // own branch row (V/E/H/L), else -1
 	cb   int // controlling branch row (F/H), else -1
 	// err surfaces a compile-detected problem (unknown controlling
-	// source) at evaluation time, where the legacy path reported it.
+	// source) at evaluation time, where the golden file records it.
 	err error
 }
 
@@ -181,7 +184,7 @@ type evalPlan struct {
 	regions []int
 
 	// devRefs resolves dotted spec identifiers; vIdx resolves v(node)
-	// reads with legacy NodeV membership semantics (ground + free +
+	// reads with the golden file's NodeV membership (ground + free +
 	// determined nodes only; -1 reads 0).
 	devRefs map[string]devParamRef
 	vIdx    map[string]int
@@ -202,8 +205,8 @@ type devIdxEntry struct {
 }
 
 // buildPlan compiles the evaluation plan for a compiled problem. It
-// never fails: deck conditions the legacy evaluator only detected at
-// evaluation time are recorded in the plan and surfaced per evaluation.
+// never fails: deck conditions that only show at evaluation time in the
+// golden file are recorded in the plan and surfaced per evaluation.
 func buildPlan(c *Compiled) *evalPlan {
 	p := &evalPlan{
 		valIdx:  make(map[string]int, c.NUser+len(c.Deck.Consts)),
@@ -216,7 +219,7 @@ func buildPlan(c *Compiled) *evalPlan {
 
 	// Value table: user variables by position, then consts (a const
 	// sharing a variable's name reuses its slot and overwrites it each
-	// evaluation, matching the legacy map fill order).
+	// evaluation, matching the golden file's fill order).
 	for i := 0; i < c.NUser; i++ {
 		p.valIdx[c.VarList[i].Name] = i
 	}
@@ -361,7 +364,7 @@ func buildPlan(c *Compiled) *evalPlan {
 		})
 	}
 
-	// v(node) membership: exactly the keys the legacy NodeV map carried.
+	// v(node) membership: exactly the NodeV keys of the golden file.
 	p.vIdx[circuit.Ground] = -1
 	for i, n := range c.Bias.FreeNodes {
 		p.vIdx[n] = p.freeIdx[i]
@@ -371,7 +374,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	}
 
 	// Transfer-function slots, in jig declaration order (a duplicate
-	// name resolves to the last request, like the legacy map).
+	// name resolves to the last request, as in the golden file).
 	for _, j := range c.Jigs {
 		for _, req := range j.TFs {
 			p.tfIdx[req.Name] = p.nTFs
@@ -390,7 +393,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	return p
 }
 
-// qJacSelection replicates the legacy BJT Jacobian map literals keyed
+// qJacSelection replicates the golden-file BJT Jacobian map literals keyed
 // (base, emitter, collector): duplicate keys keep the last coefficient;
 // surviving entries are emitted in first-occurrence order (stamp order
 // between distinct matrix cells does not affect the accumulated sums).
@@ -432,7 +435,7 @@ func walkVarNames(n expr.Node, fn func(string)) {
 	}
 }
 
-// buildPowerPlan simulates the legacy power() peeling loop, which is
+// buildPowerPlan simulates the golden-file power() peeling loop, which is
 // purely structural: which sources share nodes decides the recovery
 // order, never the element values. The step sequence is recorded so the
 // evaluation replays only the arithmetic.
@@ -484,10 +487,23 @@ func (p *evalPlan) buildPowerPlan(c *Compiled, slot func(string) int, devIdx map
 	}
 }
 
-// powerContribs records the currentInto contributions at node for the
-// peeling step of source skip. Elements whose legacy case evaluates an
+// vTouch reports whether a V source touches node and the sign its branch
+// current (+→−) contributes to current leaving that node.
+func vTouch(e *circuit.Element, node string) (bool, float64) {
+	if e.Nodes[0] == node {
+		return true, 1
+	}
+	if e.Nodes[1] == node {
+		return true, -1
+	}
+	return false, 0
+}
+
+// powerContribs records the element current contributions at node for
+// the peeling step of source skip. Elements whose case evaluates an
 // expression are kept even when they contribute no current (a VCCS
-// touched only through its control nodes still surfaces value errors).
+// touched only through its control nodes still surfaces value errors,
+// as in the golden file).
 func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(string) int, devIdx map[string]devIdxEntry) []powerContrib {
 	var out []powerContrib
 	for _, e := range c.Bias.Net.Elements {
@@ -536,7 +552,7 @@ func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(st
 // buildJigPlan compiles one jig's stamp program. Node slots are
 // positions in j.AllNodes; branch rows follow in Linear declaration
 // order, exactly as mna.Build assigns them for the gmin-first netlist
-// that smallSignalNetlist now emits.
+// that smallSignalNetlist emits.
 func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot *int) *jigPlan {
 	jp := &jigPlan{name: j.Name, nNodes: len(j.AllNodes)}
 	jp.gstamp = 1 / (1 / c.Opt.Gmin)
@@ -608,8 +624,8 @@ func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot 
 		*tfSlot++
 		if req.OutNeg != "" && req.OutNeg != "0" {
 			if circuit.IsGround(req.OutNeg) {
-				// Legacy: NodeUnknown rejects ground aliases at
-				// evaluation time.
+				// As in the golden file: NodeUnknown rejects ground
+				// aliases at evaluation time.
 				tp.err = fmt.Errorf("awe: output node %q unknown or ground", req.OutNeg)
 			} else {
 				tp.in = nslot(req.OutNeg)

@@ -65,8 +65,9 @@ func TestUnstableFitCountedNotRejected(t *testing.T) {
 		t.Fatal("expected the high-Q ladder fit to register as unstable")
 	}
 
-	// The slow path agrees: the DC gain is still measured, not blanked.
-	st := c.Evaluate(x)
+	// The reported state agrees: the DC gain is still measured, not
+	// blanked.
+	st := c.NewWorkspace().Evaluate(x)
 	if st.Err != nil {
 		t.Fatalf("Evaluate: %v", st.Err)
 	}

@@ -17,15 +17,16 @@ import (
 // EvalWorkspace evaluates the compiled cost function by replaying the
 // precompiled plan (plan.go) into persistent, index-addressed storage:
 // matrices are re-stamped in place, LU factors and AWE scratch are
-// reused, and all name-keyed maps of the legacy evaluator are replaced
-// by slices addressed through compile-time index tables. After warm-up
-// a steady-state evaluation performs no heap allocation and no string
-// work, which is what makes the annealer's move loop cheap.
+// reused, and every name lookup goes through a compile-time index
+// table into a slice. After warm-up a steady-state evaluation performs
+// no heap allocation and no string work, which is what makes the
+// annealer's move loop cheap.
 //
 // A workspace is single-goroutine state, like the adaptive weights it
-// updates; every annealing run owns one via Compiled.Workspace. Results
-// are bit-identical to Compiled.Evaluate/CostDetail: the plan replays
-// the same floating-point operations in the same order.
+// updates; every annealing run owns one via Compiled.Workspace, and
+// reporting code that must not disturb the annealer's counters and
+// clock evaluates through its own NewWorkspace. Results are pinned by
+// internal/bench/testdata/eval_golden.json.
 type EvalWorkspace struct {
 	c    *Compiled
 	plan *evalPlan
@@ -39,6 +40,10 @@ type EvalWorkspace struct {
 	specVals []float64
 	tfs      []awe.TF
 	err      error
+	// full records whether the last run reached the spec expressions;
+	// State leaves TFs and spec values out after a bias-only or failed
+	// run.
+	full bool
 	// unstable counts transfer-function fits that produced a model with
 	// right-half-plane poles (see awe.ErrUnstable). The model is still
 	// measured; the count surfaces how often the fit degraded.
@@ -198,8 +203,8 @@ func (ws *EvalWorkspace) bjtOpAt(i int) devices.BJTOp {
 	return ws.bjtOps[i]
 }
 
-// wsValEnv is the plain value environment (design variables and consts
-// plus math built-ins) — the workspace counterpart of exprEnv.
+// wsValEnv is the plain value environment: design variables and consts
+// plus the math built-ins.
 type wsValEnv struct{ ws *EvalWorkspace }
 
 func (e *wsValEnv) Var(name string) (float64, bool) {
@@ -221,6 +226,7 @@ func (e *wsValEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
 // and the spec expressions.
 func (ws *EvalWorkspace) run(x []float64, full bool) {
 	ws.err = nil
+	ws.full = false
 	c, p := ws.c, ws.plan
 	if len(x) != len(c.VarList) {
 		ws.err = fmt.Errorf("astrx: state has %d values, want %d", len(x), len(c.VarList))
@@ -233,7 +239,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	env := &ws.valEnv
 
 	// Node voltages: free nodes from the x tail, then determined chains.
-	// Slots that are neither stay 0, like the legacy map misses.
+	// Slots that are neither stay 0, like the golden file's map misses.
 	for i, slot := range p.freeIdx {
 		ws.nodeV[slot] = x[c.NUser+i]
 	}
@@ -307,10 +313,11 @@ func (ws *EvalWorkspace) evalSpecs() {
 		}
 		ws.specVals[i] = v
 	}
+	ws.full = true
 	ws.clock.Mark(telemetry.StageSpecs)
 }
 
-// geometry is the workspace counterpart of EvalState.geometry.
+// geometry evaluates a MOS instance's geometry expressions.
 func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
 	env := &ws.valEnv
 	w, err := e.EvalParam("w", 0, env)
@@ -332,8 +339,7 @@ func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
 }
 
 // evalKCL accumulates the DC current residuals by replaying the KCL
-// program in element order (identical accumulation order to the legacy
-// map-based loop).
+// program in element order (the accumulation order of the golden file).
 func (ws *EvalWorkspace) evalKCL() error {
 	p := ws.plan
 	for i := range ws.kclRes {
@@ -516,8 +522,9 @@ func (ws *EvalWorkspace) stampJig(jp *jigPlan, jw *jigWS) error {
 			if op.Swapped {
 				dn, sn = sn, dn
 			}
-			// Conductances stamp as 1/(1/g): the legacy path emitted a
-			// resistor of value 1/g and mna recomputed the conductance.
+			// Conductances stamp as 1/(1/g): the golden file's path
+			// emitted a resistor of value 1/g and mna recomputed the
+			// conductance.
 			if op.Gm != 0 {
 				st.VCCS(dn, sn, d.g, sn, op.Gm)
 			}
@@ -574,9 +581,24 @@ func (ws *EvalWorkspace) Cost(x []float64) float64 {
 	return ws.CostDetail(x).Total
 }
 
+// Evaluate runs the full plan for x and returns the state. Unlike Cost
+// and CostDetail it leaves the adaptive weights untouched.
+func (ws *EvalWorkspace) Evaluate(x []float64) *EvalState {
+	ws.run(x, true)
+	return ws.State()
+}
+
+// EvaluateBias runs only the bias part of the plan — node voltages,
+// device operating points and KCL residuals, no AWE and no specs — and
+// returns the state, whose TFs and SpecVals stay empty.
+func (ws *EvalWorkspace) EvaluateBias(x []float64) *EvalState {
+	ws.run(x, false)
+	return ws.State()
+}
+
 // CostDetail evaluates the full state in the workspace and itemizes the
-// cost, updating the compiled problem's adaptive-weight statistics
-// exactly as Compiled.CostDetail does.
+// cost, updating the compiled problem's adaptive-weight statistics as a
+// side effect.
 func (ws *EvalWorkspace) CostDetail(x []float64) CostBreakdown {
 	ws.clock.Begin()
 	ws.run(x, true)
@@ -585,8 +607,8 @@ func (ws *EvalWorkspace) CostDetail(x []float64) CostBreakdown {
 	return out
 }
 
-// costFromRun mirrors CostFromState's arithmetic over the workspace
-// slices, including the adaptive-weight EMA side effects.
+// costFromRun assembles C(x) from the last run, updating the
+// adaptive-weight EMAs as a side effect.
 func (ws *EvalWorkspace) costFromRun() CostBreakdown {
 	var out CostBreakdown
 	c := ws.c
@@ -600,6 +622,7 @@ func (ws *EvalWorkspace) costFromRun() CostBreakdown {
 	for i, s := range c.Deck.Specs {
 		val := ws.specVals[i]
 		if math.IsNaN(val) || math.IsInf(val, 0) {
+			// Unevaluatable spec: treat as far beyond "bad".
 			out.Perf += w.Spec[s.Name] * specFailUnits
 			if !s.Objective {
 				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
@@ -608,6 +631,8 @@ func (ws *EvalWorkspace) costFromRun() CostBreakdown {
 		}
 		u := Normalize(s, val)
 		if s.Objective {
+			// Keep optimizing past "good", but gently, so objectives
+			// cannot drown the penalty terms.
 			term := u
 			if u < 0 {
 				term = 0.05 * u
@@ -675,12 +700,11 @@ func (ws *EvalWorkspace) kclViolation() float64 {
 	return kclViol
 }
 
-// State projects the workspace's last evaluation into a map-based
+// State projects the workspace's last evaluation into a name-keyed
 // EvalState for inspection and verification code. The maps are freshly
 // allocated, but TF pointers alias workspace storage: they are valid
 // only until the next evaluation. Contents are meaningful when Err is
-// nil; after a failed run they are best-effort, like the legacy
-// partially filled state.
+// nil; after a failed run they are best-effort, partially filled.
 func (ws *EvalWorkspace) State() *EvalState {
 	c, p := ws.c, ws.plan
 	st := &EvalState{
@@ -713,6 +737,9 @@ func (ws *EvalWorkspace) State() *EvalState {
 		st.KCL[n] = ws.kclRes[p.freeIdx[i]]
 		st.KCLFlow[n] = ws.kclFlow[p.freeIdx[i]]
 	}
+	if !ws.full {
+		return st
+	}
 	for _, jp := range p.jigs {
 		for i := range jp.tfs {
 			tp := &jp.tfs[i]
@@ -725,10 +752,32 @@ func (ws *EvalWorkspace) State() *EvalState {
 	return st
 }
 
-// ---------------------------------------------------------------------------
-// wsSpecEnv: the workspace counterpart of specEnv.
+// MeasureSpec evaluates a spec expression against the last evaluation.
+// Transfer-function measurements go to backend first; anything it
+// leaves unhandled reads the AWE models. Package verify uses this to
+// re-measure the specs with direct AC sweeps.
+func (ws *EvalWorkspace) MeasureSpec(e expr.Node, backend TFBackend) (float64, error) {
+	ws.resetArgs()
+	return e.Eval(&wsSpecEnv{ws: ws, backend: backend})
+}
 
-type wsSpecEnv struct{ ws *EvalWorkspace }
+// ---------------------------------------------------------------------------
+// wsSpecEnv: the rich environment spec expressions evaluate in.
+
+// wsSpecEnv resolves spec identifiers and measurement calls over the
+// workspace state. backend is the optional TFBackend hook; it is nil on
+// the annealer's path.
+type wsSpecEnv struct {
+	ws      *EvalWorkspace
+	backend TFBackend
+}
+
+// tfFuncs lists the measurement functions that take a transfer-function
+// name as their first argument.
+var tfFuncs = map[string]bool{
+	"dc_gain": true, "ugf": true, "phase_margin": true, "bw3db": true,
+	"pole": true, "zero": true, "gain_at": true,
+}
 
 func (e *wsSpecEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
 
@@ -748,11 +797,19 @@ func (e *wsSpecEnv) Var(name string) (float64, bool) {
 	return 0, false
 }
 
-// Call resolves the measurement functions over the workspace state,
-// falling back to the math built-ins — the same dispatch as
-// specEnv.Call without the (verification-only) backend hook.
+// Call resolves the measurement functions over the workspace state and
+// the bias circuit, falling back to the math built-ins.
 func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 	ws := e.ws
+	if e.backend != nil && tfFuncs[fn] && len(args) >= 1 && args[0].IsName {
+		v, handled, err := e.backend.Measure(fn, args[0].Name, args[1:])
+		if err != nil {
+			return 0, err
+		}
+		if handled {
+			return v, nil
+		}
+	}
 	tfArg := func() (*awe.TF, error) {
 		if len(args) < 1 || !args[0].IsName {
 			return nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
@@ -776,7 +833,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, err
 		}
 		return tf.DCGain(), nil
-	case "ugf":
+	case "ugf": // unity-gain frequency in Hz
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -788,13 +845,13 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, err
 		}
 		return tf.PhaseMarginDeg(), nil
-	case "bw3db":
+	case "bw3db": // -3 dB bandwidth in Hz
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		return tf.BW3dB() / (2 * math.Pi), nil
-	case "pole":
+	case "pole": // magnitude of i-th slowest pole, Hz (1-based)
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -812,7 +869,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: zero(tf, i) needs an index")
 		}
 		return ws.nthRootMag(tf.Zeros, int(args[1].Value))
-	case "gain_at":
+	case "gain_at": // |H| at frequency f (Hz)
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -821,7 +878,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: gain_at(tf, hz) needs a frequency")
 		}
 		return tf.GainMagAt(2 * math.Pi * args[1].Value), nil
-	case "v":
+	case "v": // bias-circuit node voltage
 		if len(args) != 1 || !args[0].IsName {
 			return 0, fmt.Errorf("astrx: v(node) needs a node name")
 		}
@@ -831,16 +888,16 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: v(%s): unknown bias node", node)
 		}
 		return ws.nv(slot), nil
-	case "active_area":
+	case "active_area": // total gate area of all MOS devices, m²
 		return ws.activeArea()
-	case "power":
+	case "power": // total supply power of the bias circuit, W
 		return ws.power()
 	}
 	return expr.MathCall(fn, args)
 }
 
-// nthRootMag is the workspace counterpart of the package-level
-// nthRootMag, with reusable magnitude scratch.
+// nthRootMag returns |root_i| / 2π for the i-th smallest-magnitude root,
+// sorting in reusable magnitude scratch.
 func (ws *EvalWorkspace) nthRootMag(roots []complex128, i int) (float64, error) {
 	if i < 1 || i > len(roots) {
 		return 0, fmt.Errorf("astrx: root index %d out of range (have %d)", i, len(roots))
@@ -862,8 +919,8 @@ func (ws *EvalWorkspace) nthRootMag(roots []complex128, i int) (float64, error) 
 	return mags[i-1] / (2 * math.Pi), nil
 }
 
-// activeArea sums W·L·M over all MOS devices (device order matches the
-// legacy DevOrder walk).
+// activeArea sums W·L·M over all MOS devices in DevOrder, the
+// summation order of the golden file.
 func (ws *EvalWorkspace) activeArea() (float64, error) {
 	tot := 0.0
 	for i := range ws.plan.devs {
@@ -880,9 +937,11 @@ func (ws *EvalWorkspace) activeArea() (float64, error) {
 	return tot, nil
 }
 
-// power replays the precompiled peeling schedule: each step recovers
-// one voltage source's branch current from the already known ones and
-// the non-source element currents at the chosen node.
+// power sums |V·I| over the bias circuit's independent voltage sources.
+// It replays the precompiled peeling schedule: each step recovers one
+// voltage source's branch current from the already known ones and the
+// non-source element currents at the chosen node, which handles
+// bias-voltage generators stacked on the supply nodes.
 func (ws *EvalWorkspace) power() (float64, error) {
 	p := ws.plan
 	if p.powerErr != nil {

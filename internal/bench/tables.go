@@ -245,8 +245,8 @@ func FormatFig2(trace []oblx.TraceSample) string {
 		fmt.Fprintf(&b, "%8d %12.3e %12.4g %s\n", tp.Move, tp.MaxKCLError, tp.Cost, bar)
 	}
 	if len(trace) > 1 {
-		first, last := trace[1].MaxKCLError, trace[len(trace)-1].MaxKCLError
-		fmt.Fprintf(&b, "KCL discrepancy: %.3e (early) -> %.3e (frozen)\n", first, last)
+		early, last := oblx.EarlyKCLError(trace), trace[len(trace)-1].MaxKCLError
+		fmt.Fprintf(&b, "KCL discrepancy: %.3e (early, max over the first quarter) -> %.3e (frozen)\n", early, last)
 	}
 	return b.String()
 }

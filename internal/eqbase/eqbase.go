@@ -189,7 +189,7 @@ func Evaluate(d *Design) (*Evaluation, error) {
 		}
 		x[i] = 0 // node voltages: let the reference Newton solve find them
 	}
-	st := comp.Evaluate(x)
+	st := comp.NewWorkspace().Evaluate(x)
 	rep, err := verify.Design(comp, x, st.SpecVals)
 	if err != nil {
 		return nil, fmt.Errorf("eqbase: reference simulation: %w", err)

@@ -309,7 +309,8 @@ func (rf *RootFinder) Roots(c []complex128) ([]complex128, error) {
 // Per-segment radii start each root near its own magnitude scale, so
 // the Aberth sweep converges in a handful of iterations regardless of
 // spread. The construction is a pure function of the coefficients,
-// keeping Roots deterministic for the equivalence suite.
+// keeping Roots deterministic for the golden eval values
+// (internal/bench/testdata/eval_golden.json).
 func (rf *RootFinder) initialGuesses(coef []complex128, roots []complex128, deg int) {
 	hx := rf.hullX[:0]
 	hy := rf.hullY[:0]

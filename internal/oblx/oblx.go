@@ -215,6 +215,25 @@ type TraceSample struct {
 	MaxKCLError float64
 }
 
+// EarlyKCLError is Fig. 2's "early" discrepancy: the largest MaxKCLError
+// over the samples with Move ≤ last.Move/4, the weight-adaptation
+// stretch of the run. A single early sample can land on a KCL-correct
+// point by chance; the maximum shows how far the relaxed-dc search
+// roamed.
+func EarlyKCLError(trace []TraceSample) float64 {
+	if len(trace) == 0 {
+		return 0
+	}
+	limit := trace[len(trace)-1].Move / 4
+	worst := 0.0
+	for _, s := range trace {
+		if s.Move <= limit {
+			worst = math.Max(worst, s.MaxKCLError)
+		}
+	}
+	return worst
+}
+
 // FailureStats counts the numerical failures a run absorbed. A healthy
 // run reports zeros everywhere; fault-injected and near-singular
 // problems reports how much trouble the hardened evaluation path ate.
@@ -526,6 +545,20 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
 
+	// The run's reporting workspace serves the Fig. 2 trace, the
+	// progress hook and the final nominal report. It must never be the
+	// annealer's c.Workspace(): that one's unstable counter feeds
+	// Failures.Unstable and the checkpoint, and its clock feeds the stage
+	// timers. It is created on first use, so setup time stays Compile
+	// plus the first Cost.
+	var repWS *astrx.EvalWorkspace
+	report := func() *astrx.EvalWorkspace {
+		if repWS == nil {
+			repWS = c.NewWorkspace()
+		}
+		return repWS
+	}
+
 	var trace []TraceSample
 	weightFreeze := opt.MaxMoves / 4
 	tracer := func(tp anneal.TracePoint) {
@@ -536,7 +569,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			c.Weights.Adapt(deck)
 		}
 		if opt.RecordTrace {
-			st := c.EvaluateBias(nomX(tp.X))
+			st := report().EvaluateBias(nomX(tp.X))
 			kcl := 0.0
 			if st.Err == nil {
 				kcl = st.MaxKCLError()
@@ -575,7 +608,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 					ev.Hustin[moveNames[i]] = q
 				}
 			}
-			if st := c.Evaluate(nomX(tp.X)); st.Err == nil {
+			if st := report().Evaluate(nomX(tp.X)); st.Err == nil {
 				ev.MaxKCLError = st.MaxKCLError()
 				ev.SpecVals = finiteSpecVals(st.SpecVals)
 				ev.WorstSpec, ev.WorstSpecU = worstSpec(c, st)
@@ -649,8 +682,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		st = ce.bw.Lane(0).State()
 	} else {
 		best, dcOK = polishDC(context.WithoutCancel(ctx), c, opt.Faults, best)
-		st = c.Evaluate(best)
-		cost = c.CostFromState(st)
+		rw := report()
+		cost = rw.CostDetail(best)
+		st = rw.State()
 	}
 	out := &Result{
 		Compiled:  c,

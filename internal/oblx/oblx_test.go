@@ -143,7 +143,7 @@ func TestSynthesizeDiffAmp(t *testing.T) {
 	if len(res.Trace) < 5 {
 		t.Fatalf("trace too short: %d", len(res.Trace))
 	}
-	early := res.Trace[1].MaxKCLError
+	early := EarlyKCLError(res.Trace)
 	late := res.Trace[len(res.Trace)-1].MaxKCLError
 	if late > early && late > 1e-3 {
 		t.Errorf("KCL error did not decay: early %g late %g", early, late)
@@ -179,5 +179,25 @@ func TestRunErrors(t *testing.T) {
 	d := parse(t, ".jig j\nr1 a 0 1\nvin a 0 0 ac 1\n.pz tf v(a) vin\n.ends\n")
 	if _, err := Run(context.Background(), d, Options{}); err == nil {
 		t.Error("deck without bias must error")
+	}
+}
+
+func TestEarlyKCLError(t *testing.T) {
+	// The sample right after move 0 can land on a KCL-correct point; the
+	// early figure is the worst over the first quarter of the run.
+	trace := []TraceSample{
+		{Move: 0, MaxKCLError: 1},
+		{Move: 100, MaxKCLError: 7e-14},
+		{Move: 250, MaxKCLError: 0.5},
+		{Move: 400, MaxKCLError: 1e-13},
+	}
+	if got := EarlyKCLError(trace); got != 1 {
+		t.Errorf("EarlyKCLError = %g, want 1 (move 0, inside the first quarter)", got)
+	}
+	if got := EarlyKCLError(trace[1:]); got != 7e-14 {
+		t.Errorf("EarlyKCLError = %g, want 7e-14 (move 250 is past 400/4)", got)
+	}
+	if got := EarlyKCLError(nil); got != 0 {
+		t.Errorf("EarlyKCLError(nil) = %g, want 0", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,16 +313,53 @@ func TestQueueFullSheds429(t *testing.T) {
 
 // flakyFS makes the state directory unwritable on demand: CreateTemp —
 // the first step of every atomic write — fails while the switch is on.
+// holdNextSync parks the next created file's fsync instead.
 type flakyFS struct {
 	durable.FS
 	fail atomic.Bool
+
+	mu            sync.Mutex
+	release, held chan struct{} // armed by holdNextSync
 }
 
 func (f *flakyFS) CreateTemp(dir, pattern string) (durable.File, error) {
 	if f.fail.Load() {
 		return nil, errors.New("injected: state dir unwritable")
 	}
-	return f.FS.CreateTemp(dir, pattern)
+	file, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	release, held := f.release, f.held
+	f.release, f.held = nil, nil
+	f.mu.Unlock()
+	if release == nil {
+		return file, nil
+	}
+	return &heldFile{File: file, release: release, held: held}, nil
+}
+
+// holdNextSync arms the next write: its fsync closes held, then blocks
+// until release is closed.
+func (f *flakyFS) holdNextSync() (release, held chan struct{}) {
+	release, held = make(chan struct{}), make(chan struct{})
+	f.mu.Lock()
+	f.release, f.held = release, held
+	f.mu.Unlock()
+	return release, held
+}
+
+// heldFile is a temp file whose Sync waits for the test to release it.
+type heldFile struct {
+	durable.File
+	release, held chan struct{}
+}
+
+func (h *heldFile) Sync() error {
+	close(h.held)
+	<-h.release
+	return h.File.Sync()
 }
 
 // TestDegradedModeFlipsAndHeals: persist failures flip the daemon into
@@ -376,6 +414,44 @@ func TestDegradedModeFlipsAndHeals(t *testing.T) {
 	}
 
 	m.Cancel(long)
+}
+
+// TestDegradedModeIgnoresStaleHeal: a write that began before the state
+// directory broke must not clear degraded mode when it finally succeeds;
+// only a write that starts after the failure proves the directory healed.
+func TestDegradedModeIgnoresStaleHeal(t *testing.T) {
+	ffs := &flakyFS{FS: durable.OS}
+	// ExternalExec: no local workers, so the only writes are this test's.
+	m := newTestManager(t, Options{ExternalExec: true, StateDir: t.TempDir(), FS: ffs})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release, held := ffs.holdNextSync()
+	slow := make(chan error, 1)
+	go func() { slow <- m.persist(j) }()
+	<-held // the slow write is past CreateTemp, parked in its fsync
+
+	ffs.fail.Store(true)
+	if err := m.persist(j); err == nil {
+		t.Fatal("persist succeeded on an unwritable state dir")
+	}
+	ffs.fail.Store(false)
+	close(release)
+	if err := <-slow; err != nil {
+		t.Fatalf("delayed write: %v", err)
+	}
+	if h := m.Health(); h.Status != "degraded" || h.StateDirWritable {
+		t.Fatalf("a write older than the failure healed degraded mode: %+v", h)
+	}
+
+	if err := m.persist(j); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Health(); h.Status != "ok" || !h.StateDirWritable {
+		t.Errorf("a write newer than the failure did not heal: %+v", h)
+	}
 }
 
 // TestHealthzJSONBody: the health endpoint reports machine-readable

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"astrx/internal/durable"
 	"astrx/internal/oblx"
 	"astrx/internal/retry"
 )
@@ -131,6 +130,9 @@ func (m *Manager) CompleteExternal(j *Job, result *JobResult) error {
 		j.mu.Unlock()
 		return fmt.Errorf("server: job %s is %s, not running; completion rejected", j.ID, st)
 	}
+	// The cache entry lands before the terminal state is published, as
+	// in finishJob; holding j.mu keeps a rejected duplicate out of it.
+	m.cacheStore(j, state, result)
 	j.state = state
 	j.err = result.Error
 	j.finished = now
@@ -146,7 +148,6 @@ func (m *Manager) CompleteExternal(j *Job, result *JobResult) error {
 	if err := m.persist(j); err != nil {
 		m.jlog(j).Error("persist failed", "err", err)
 	}
-	m.cacheStore(j, state, result)
 	m.endJobTrace(j, traceStatus(state), string(state))
 	if result.Error != "" {
 		m.jlog(j).Warn("job finished", "state", state, "err", result.Error)
@@ -239,11 +240,9 @@ func (m *Manager) PutCheckpointPayload(j *Job, payload []byte) error {
 	if m.opt.StateDir == "" {
 		return nil
 	}
-	if err := durable.WriteSealedAtomic(m.fsys, m.checkpointPath(j.ID), payload); err != nil {
-		m.noteStateDirError(err)
+	if err := m.writeState(m.checkpointPath(j.ID), payload); err != nil {
 		return fmt.Errorf("server: persist shipped checkpoint for job %s: %w", j.ID, err)
 	}
-	m.noteStateDirOK()
 	return nil
 }
 

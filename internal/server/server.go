@@ -30,6 +30,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"astrx/internal/astrx"
@@ -477,10 +478,14 @@ type Manager struct {
 	tenantsSeen map[string]bool
 	// batches groups child jobs of POST /v1/batches (in-memory; the
 	// children themselves are durable).
-	batches map[string]*Batch
-	running     int
-	draining    bool
-	degraded    bool
+	batches  map[string]*Batch
+	running  int
+	draining bool
+	degraded bool
+	// stateSeq stamps each state-directory write as it starts;
+	// stateFailSeq is the stamp of the latest failed one (see writeState).
+	stateSeq     atomic.Uint64
+	stateFailSeq uint64
 	// fleetHealth, when set (SetFleetHealth), contributes the fleet
 	// section of /healthz in coordinator mode.
 	fleetHealth func() *FleetHealth
@@ -1276,6 +1281,9 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	// checkpoint and re-runs the job from scratch — at-least-once, never
 	// lost.
 	m.removeCheckpoint(j, state)
+	// Likewise the cache entry lands first: a client that sees the
+	// terminal state and resubmits at once must hit.
+	m.cacheStore(j, state, result)
 
 	j.mu.Lock()
 	j.state = state
@@ -1293,7 +1301,6 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	if err := m.persist(j); err != nil {
 		m.jlog(j).Error("persist failed", "err", err)
 	}
-	m.cacheStore(j, state, result)
 	m.endJobTrace(j, traceStatus(state), string(state))
 	if result.Error != "" {
 		m.jlog(j).Warn("job finished", "state", state, "err", result.Error)
@@ -1317,7 +1324,9 @@ func traceStatus(s State) string {
 // cacheStore records a successfully finished job's result in the
 // result cache (rw mode only; no-op otherwise). Only clean StateDone
 // outcomes are cacheable — a cancelled or failed run's partial result
-// must never be served as the answer to a fresh submission.
+// must never be served as the answer to a fresh submission. Callers
+// store before publishing the terminal state, so a job seen as done
+// already has its entry on disk.
 func (m *Manager) cacheStore(j *Job, state State, result *JobResult) {
 	if state != StateDone || result == nil || j.cacheKey == "" {
 		return

@@ -114,35 +114,42 @@ func (m *Manager) persist(j *Job) error {
 	if err != nil {
 		return fmt.Errorf("server: marshal job %s: %w", j.ID, err)
 	}
-	if err := durable.WriteSealedAtomic(m.fsys, m.jobPath(j.ID), data); err != nil {
-		m.noteStateDirError(err)
+	if err := m.writeState(m.jobPath(j.ID), data); err != nil {
 		return fmt.Errorf("server: persist job %s: %w", j.ID, err)
 	}
-	m.noteStateDirOK()
 	return nil
 }
 
-// noteStateDirError flips the manager into degraded (in-memory) mode.
-func (m *Manager) noteStateDirError(err error) {
-	m.mPersistErr.Inc()
-	m.mu.Lock()
-	was := m.degraded
-	m.degraded = true
-	m.mu.Unlock()
-	if !was {
-		m.log.Error("state dir unwritable, degrading to in-memory mode", "err", err)
+// writeState writes one state-directory file as a sealed envelope and
+// feeds the outcome to the degraded-mode flag: a failure flips the
+// manager into degraded (in-memory) mode, a success clears it. Each
+// write takes a sequence number when it starts, and a success older
+// than the last failure is ignored — a slow write that began before the
+// directory broke proves nothing about it now.
+func (m *Manager) writeState(path string, data []byte) error {
+	seq := m.stateSeq.Add(1)
+	err := durable.WriteSealedAtomic(m.fsys, path, data)
+	if err != nil {
+		m.mPersistErr.Inc()
 	}
-}
-
-// noteStateDirOK clears degraded mode after a successful write.
-func (m *Manager) noteStateDirOK() {
 	m.mu.Lock()
 	was := m.degraded
-	m.degraded = false
+	switch {
+	case err != nil:
+		m.degraded = true
+		m.stateFailSeq = max(m.stateFailSeq, seq)
+	case seq > m.stateFailSeq:
+		m.degraded = false
+	}
+	now := m.degraded
 	m.mu.Unlock()
-	if was {
+	switch {
+	case !was && now:
+		m.log.Error("state dir unwritable, degrading to in-memory mode", "err", err)
+	case was && !now:
 		m.log.Info("state dir writable again, leaving degraded mode")
 	}
+	return err
 }
 
 // Degraded reports whether the manager is running in-memory because the

@@ -94,12 +94,10 @@ func (m *Manager) snapshotFlight(j *Job, cause string) {
 		m.jlog(j).Error("marshal flight snapshot failed", "err", err)
 		return
 	}
-	if err := durable.WriteSealedAtomic(m.fsys, m.flightPath(j.ID), data); err != nil {
-		m.noteStateDirError(err)
+	if err := m.writeState(m.flightPath(j.ID), data); err != nil {
 		m.jlog(j).Error("persist flight snapshot failed", "err", err)
 		return
 	}
-	m.noteStateDirOK()
 	m.jlog(j).Info("flight snapshot written", "cause", cause, "moves", len(snap.Moves))
 }
 

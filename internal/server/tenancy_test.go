@@ -62,17 +62,9 @@ func TestCacheHitSkipsEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cache entry lands before the state flips, so done implies a
+	// hit from here on.
 	waitState(t, j1, StateDone, 60*time.Second)
-
-	// finishJob stores into the cache after the state flips; wait for
-	// the entry to land.
-	deadline := time.Now().Add(10 * time.Second)
-	for cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("finished job never reached the cache")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	evalsBefore := m.Registry().Counter("oblxd_evals_total").Value()
 	hitsBefore := m.Registry().Counter("oblxd_cache_hits_total").Value()
@@ -135,10 +127,6 @@ func TestCacheHitSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j1, StateDone, 60*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for c1.Len() == 0 && !time.Now().After(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	c2 := testCache(t, cdir, rescache.RO, nil)
 	m2 := newTestManager(t, Options{Workers: 2, Cache: c2})
@@ -165,10 +153,6 @@ func TestCacheCorruptionChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j1, StateDone, 60*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for c1.Len() == 0 && !time.Now().After(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	// Corrupt every cache entry on disk.
 	entries, err := os.ReadDir(cdir)

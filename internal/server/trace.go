@@ -161,12 +161,10 @@ func (m *Manager) snapshotTrace(j *Job, cause string) {
 		m.jlog(j).Error("encode trace snapshot failed", "err", err)
 		return
 	}
-	if err := durable.WriteSealedAtomic(m.fsys, m.tracePath(j.ID), data); err != nil {
-		m.noteStateDirError(err)
+	if err := m.writeState(m.tracePath(j.ID), data); err != nil {
 		m.jlog(j).Error("persist trace snapshot failed", "err", err)
 		return
 	}
-	m.noteStateDirOK()
 	m.jlog(j).Info("trace snapshot written", "cause", cause, "spans", len(spans))
 }
 

@@ -97,7 +97,8 @@ func Design(c *astrx.Compiled, x []float64, predicted map[string]float64) (*Repo
 		copy(xref[c.NUser:], r.V)
 		iters = r.Iterations
 	}
-	st := c.Evaluate(xref)
+	ws := c.NewWorkspace()
+	st := ws.Evaluate(xref)
 	if st.Err != nil {
 		return nil, fmt.Errorf("verify: %w", st.Err)
 	}
@@ -113,12 +114,11 @@ func Design(c *astrx.Compiled, x []float64, predicted map[string]float64) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	env := st.EnvWith(backend)
 
 	// 3. Re-measure every spec against the simulator.
 	rep := &Report{BiasIterations: iters, BiasConverged: converged, MaxKCL: maxKCL, State: st}
 	for _, s := range c.Deck.Specs {
-		sim, err := s.Expr.Eval(env)
+		sim, err := ws.MeasureSpec(s.Expr, backend)
 		if err != nil {
 			return nil, fmt.Errorf("verify: spec %s: %w", s.Name, err)
 		}

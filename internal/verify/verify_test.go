@@ -89,7 +89,7 @@ func TestVerifyDivider(t *testing.T) {
 	}
 	// R2 = 9k → gain 0.9 exactly; BW = 1/(2π·(1k∥9k)·1p).
 	x := []float64{9000, 0.9}
-	st := c.Evaluate(x)
+	st := c.NewWorkspace().Evaluate(x)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -194,7 +194,7 @@ r2 out 0 R2
 		t.Fatal(err)
 	}
 	x := []float64{9000, 0.9}
-	st := c.Evaluate(x)
+	st := c.NewWorkspace().Evaluate(x)
 	rep, err := Design(c, x, st.SpecVals)
 	if err != nil {
 		t.Fatal(err)

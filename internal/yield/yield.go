@@ -183,7 +183,7 @@ func simulateAt(ctx context.Context, c *astrx.Compiled, x []float64) (map[string
 		}
 		copy(xr[c.NUser:], r.V)
 	}
-	st := c.Evaluate(xr)
+	st := c.NewWorkspace().Evaluate(xr)
 	if st.Err != nil {
 		return nil, st.Err
 	}
