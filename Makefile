@@ -63,9 +63,12 @@ fleet-chaos:
 # tree under the original trace ID with a resume event on the second
 # attempt — plus the propagation table (claim handoff, span shipping,
 # fencing) and the single-daemon trace lifecycle and snapshot fallback.
+# The run-record drills check that a job's move events (progress
+# samples on the root span) survive a poison-then-restart, a
+# stall-requeue-restart, and a fleet worker killed mid-run.
 trace-chaos:
-	$(GO) test -race -count=1 -run 'TestFleetTraceKillResume|TestFleetTraceparentPropagation' ./internal/fleet
-	$(GO) test -race -count=1 -run 'TestTraceEndpointLifecycle|TestTraceConcurrentSnapshot|TestTraceLegacyJob409|TestTraceparentRequestID' ./internal/server
+	$(GO) test -race -count=1 -run 'TestFleetTraceKillResume|TestFleetTraceparentPropagation|TestFleetKillKeepsHeartbeatMoves' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestTraceEndpointLifecycle|TestTraceConcurrentSnapshot|TestTraceLegacyJob409|TestTraceparentRequestID|TestMoveEventsSurviveRestart|TestRestartKeepsStalledAttemptMoves' ./internal/server
 
 # corner-chaos runs the worst-case-over-corners robustness drills under
 # the race detector: a multi-corner anneal must meet the specs at every

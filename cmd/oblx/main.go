@@ -105,9 +105,7 @@ func main() {
 	cornersFlag := flag.String("corners", "", `corners to synthesize against: comma-separated .corner names, "all" (default for cornered decks), or "none" for nominal-only`)
 	faultCorner := flag.String("fault-corner", "", "permanently fail this corner's evaluations (chaos testing)")
 	showMetrics := flag.Bool("metrics", false, "print a run-metrics summary (Prometheus text format) at exit")
-	traceOut := flag.String("trace-out", "", "write a flight-recorder trace (one JSON move record per line) to this file")
-	traceEvery := flag.Int("trace-every", 100, "moves between trace records (with -trace-out)")
-	traceSpans := flag.String("trace-spans", "", "write the run's distributed-trace spans (JSONL: snapshot header + one span per line) to this file")
+	traceSpans := flag.String("trace-spans", "", "write the run's span tree (JSONL: snapshot header + one span per line; the root span carries a move event per progress sample) to this file")
 	stageSample := flag.Int("stage-sample", 0, "sample 1 in N evaluations for per-stage timing, printed at exit (0: off)")
 	hashOnly := flag.Bool("hash", false, "print the deck's canonical content hash (the oblxd result-cache key input) and exit")
 	flag.Parse()
@@ -188,10 +186,11 @@ func main() {
 		timer = telemetry.NewEvalTimer(*stageSample)
 		opt.StageTimer = timer
 	}
-	// -trace-spans records the run as one span tree — the same spans
-	// oblxd serves at GET /v1/jobs/{id}/trace, produced offline. Eval
-	// spans ride on the -stage-sample cadence; without it the trace
-	// holds the lifecycle spans (root, anneal, corners) only.
+	// -trace-spans records the run as one span tree — the same record
+	// oblxd serves at GET /v1/jobs/{id}/trace, produced offline: a move
+	// event on the root span per progress sample (every 500 moves),
+	// stage.<name>_us attributes on the anneal span under -stage-sample,
+	// and eval spans on the -stage-sample cadence.
 	var spanRec *trace.Recorder
 	var rootSpan *trace.Active
 	if *traceSpans != "" {
@@ -200,24 +199,11 @@ func main() {
 		opt.Trace = spanRec
 		rootSpan = spanRec.BeginRoot("oblx", "")
 		rootSpan.SetAttr("deck", title)
+		opt.Progress = func(ev oblx.ProgressEvent) { rootSpan.Event("move", ev.MoveAttrs()...) }
 		if timer != nil {
 			timer.OnSample(func(s telemetry.Stage, d time.Duration) {
 				spanRec.RecordEval(s.String(), d)
 			})
-		}
-	}
-	var flight *telemetry.FlightRecorder
-	if *traceOut != "" {
-		// Record every progress event into an unbounded-enough ring; the
-		// CLI trace is the whole run, not just the last moves.
-		every := *traceEvery
-		if every < 1 {
-			every = 100
-		}
-		flight = telemetry.NewFlightRecorder((*moves/every + 16) * *runs)
-		opt.ProgressEvery = every
-		opt.Progress = func(ev oblx.ProgressEvent) {
-			flight.Record(ev.FlightRecord())
 		}
 	}
 	if *faultPanic > 0 || *faultNaN > 0 || *faultNewton > 0 || *faultCorner != "" {
@@ -240,14 +226,9 @@ func main() {
 	}
 
 	// The trace is most valuable when the run dies, so it is written on
-	// the error exits too, not just after a clean finish. The span dump
-	// follows the same rule: end the root with the outcome, then write.
+	// the error exits too, not just after a clean finish: end the root
+	// with the outcome, then write.
 	dumpTrace := func(status string) {
-		if flight != nil {
-			if err := writeTrace(*traceOut, flight); err != nil {
-				fmt.Fprintln(os.Stderr, "oblx: warning:", err)
-			}
-		}
 		if spanRec != nil {
 			rootSpan.End(status)
 			if err := writeSpans(*traceSpans, title, status, spanRec); err != nil {
@@ -368,25 +349,6 @@ func main() {
 	if *showMetrics {
 		printMetrics(best)
 	}
-}
-
-// writeTrace dumps the flight-recorder ring to path as JSONL, one move
-// record per line, oldest first.
-func writeTrace(path string, flight *telemetry.FlightRecorder) error {
-	recs := flight.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := telemetry.WriteJSONL(f, recs); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "oblx: wrote %d trace records to %s\n", len(recs), path)
-	return nil
 }
 
 // writeSpans dumps the recorder's span tree to path in the same JSONL

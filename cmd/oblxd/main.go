@@ -64,7 +64,6 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		telemSample = flag.Int("telemetry-sample", 64, "sample 1 in N evaluations for per-stage timing (0: off)")
-		flightRecs  = flag.Int("flight-records", 0, "per-job flight-recorder ring size (0: default 2048)")
 		traceRecs   = flag.Int("trace-records", 0, "per-job sampled-eval trace-span ring size (0: default 256)")
 
 		apiKeysFile = flag.String("api-keys-file", "", "JSON tenant/API-key file; requests must then authenticate (empty: open mode). SIGHUP reloads it")
@@ -86,7 +85,7 @@ func main() {
 		maxQueue: *maxQueue, stallTimeout: *stallTO,
 		maxAttempts: *maxAttempts, jobDeadline: *jobDeadline,
 		logFormat: *logFormat, logLevel: *logLevel,
-		telemSample: *telemSample, flightRecs: *flightRecs, traceRecs: *traceRecs,
+		telemSample: *telemSample, traceRecs: *traceRecs,
 		apiKeysFile: *apiKeysFile, cacheMode: *cacheMode, cacheMax: *cacheMax,
 		mode: *mode, coordinator: *coordinator, workerID: *workerID,
 		leaseTTL: *leaseTTL, hbEvery: *hbEvery,
@@ -112,7 +111,6 @@ type daemonConfig struct {
 
 	logFormat, logLevel string
 	telemSample         int
-	flightRecs          int
 	traceRecs           int
 
 	apiKeysFile string
@@ -136,8 +134,8 @@ func run(cfg daemonConfig) error {
 	if cfg.stallTimeout < 0 || cfg.jobDeadline < 0 {
 		return fmt.Errorf("-stall-timeout and -job-deadline must be >= 0")
 	}
-	if cfg.telemSample < 0 || cfg.flightRecs < 0 || cfg.traceRecs < 0 {
-		return fmt.Errorf("-telemetry-sample, -flight-records, and -trace-records must be >= 0")
+	if cfg.telemSample < 0 || cfg.traceRecs < 0 {
+		return fmt.Errorf("-telemetry-sample and -trace-records must be >= 0")
 	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel)
@@ -225,7 +223,7 @@ func runServe(cfg daemonConfig, logger *slog.Logger) error {
 		Auth:                 auth,
 		Cache:                cache,
 		TelemetrySampleEvery: sample,
-		FlightRecords:        cfg.flightRecs,
+		TraceRecords:         cfg.traceRecs,
 		MaxQueue:             cfg.maxQueue,
 		StallTimeout:         cfg.stallTimeout,
 		MaxAttempts:          cfg.maxAttempts,

@@ -113,9 +113,9 @@ type Move interface {
 	Feedback(accepted bool, dCost float64)
 }
 
-// TracePoint is a periodic snapshot for experiment instrumentation
-// (Fig. 2 uses the cost terms recorded along the run) and the flight
-// recorder's raw material.
+// TracePoint is a periodic snapshot of the run: the raw material of
+// progress samples (SSE, move events, Fig. 2) and of periodic hooks such
+// as OBLX's constraint-weight adaptation.
 type TracePoint struct {
 	Move     int
 	Temp     float64
@@ -355,8 +355,8 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 	froze := false
 	cancelled := false
 
-	// Last-proposal outcome, surfaced through TracePoint for the flight
-	// recorder.
+	// Last-proposal outcome, surfaced through TracePoint for progress
+	// samples.
 	var (
 		lastClass    string
 		lastAccepted bool

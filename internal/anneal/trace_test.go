@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestTracePointFlightFields verifies the flight-recorder fields added to
-// TracePoint: move class, acceptance outcome, Δcost, Lam target, and the
-// Hustin quality snapshot, on both the Progress and Trace paths.
+// TestTracePointFlightFields verifies the per-move fields progress
+// samples carry on TracePoint: move class, acceptance outcome, Δcost,
+// Lam target, and the Hustin quality snapshot, on both the Progress and
+// Trace paths.
 func TestTracePointFlightFields(t *testing.T) {
 	p := &funcProblem{
 		vars: contVars(3, -5, 5),

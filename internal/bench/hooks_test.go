@@ -9,12 +9,11 @@ import (
 )
 
 // TestReportingHooksDoNotPerturbRun pins why oblx reports through its
-// own workspace: a fixed-seed run with the progress hook and the Fig. 2
-// trace recording on must reach exactly the design, cost, evaluation
-// count, move statistics and failure counts of the same run with both
-// off. Evaluating the hooks on the annealer's workspace would leak into
-// its unstable counter (Failures.Unstable and the checkpoint) and its
-// stage clock.
+// own workspace: a fixed-seed run with the progress hook on must reach
+// exactly the design, cost, evaluation count, move statistics and
+// failure counts of the same run with it off. Evaluating the hook on
+// the annealer's workspace would leak into its unstable counter
+// (Failures.Unstable and the checkpoint) and its stage clock.
 func TestReportingHooksDoNotPerturbRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesis in -short mode")
@@ -30,7 +29,6 @@ func TestReportingHooksDoNotPerturbRun(t *testing.T) {
 				opt := oblx.Options{Seed: 2, MaxMoves: 3000}
 				events := 0
 				if hooks {
-					opt.RecordTrace = true
 					opt.ProgressEvery = 100
 					opt.Progress = func(oblx.ProgressEvent) { events++ }
 				}
@@ -38,8 +36,8 @@ func TestReportingHooksDoNotPerturbRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if hooks && (events == 0 || len(res.Trace) == 0) {
-					t.Fatalf("hooks never fired: %d progress events, %d trace samples", events, len(res.Trace))
+				if hooks && events == 0 {
+					t.Fatal("progress hook never fired")
 				}
 				return res
 			}

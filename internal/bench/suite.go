@@ -93,7 +93,6 @@ type SynthOptions struct {
 	Seed     int64
 	MaxMoves int // 0 → 120_000
 	Runs     int // parallel seeded runs, best kept (0 → 1)
-	Trace    bool
 }
 
 // SynthResult bundles synthesis output with its verification.
@@ -121,7 +120,7 @@ func synthesizeDeck(ctx context.Context, c Circuit, src string, opt SynthOptions
 	if runs <= 0 {
 		runs = 1
 	}
-	oo := oblx.Options{Seed: opt.Seed, MaxMoves: opt.MaxMoves, RecordTrace: opt.Trace}
+	oo := oblx.Options{Seed: opt.Seed, MaxMoves: opt.MaxMoves}
 	var best *oblx.Result
 	if runs == 1 {
 		best, err = oblx.Run(ctx, d, oo)

@@ -206,9 +206,9 @@ func FormatTable3(res *SynthResult) string {
 	return b.String()
 }
 
-// Fig2 runs the Simple OTA with trace recording and returns the KCL
-// discrepancy series the paper plots.
-func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.TraceSample, error) {
+// Fig2 runs the Simple OTA and returns the KCL discrepancy series the
+// paper plots: the run's progress samples, one every 500 moves.
+func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.ProgressEvent, error) {
 	d, err := Parse(SimpleOTA)
 	if err != nil {
 		return nil, err
@@ -216,17 +216,19 @@ func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.TraceSample, error) {
 	if opt.MaxMoves == 0 {
 		opt.MaxMoves = 60_000
 	}
-	res, err := oblx.Run(ctx, d, oblx.Options{
-		Seed: opt.Seed, MaxMoves: opt.MaxMoves, RecordTrace: true,
+	var samples []oblx.ProgressEvent
+	_, err = oblx.Run(ctx, d, oblx.Options{
+		Seed: opt.Seed, MaxMoves: opt.MaxMoves,
+		Progress: func(ev oblx.ProgressEvent) { samples = append(samples, ev) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res.Trace, nil
+	return samples, nil
 }
 
-// FormatFig2 renders the trace as a text series plus a crude log plot.
-func FormatFig2(trace []oblx.TraceSample) string {
+// FormatFig2 renders the samples as a text series plus a crude log plot.
+func FormatFig2(trace []oblx.ProgressEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIG 2. DISCREPANCY FROM KCL-CORRECT VOLTAGES DURING OPTIMIZATION\n")
 	fmt.Fprintf(&b, "%8s %12s %12s\n", "move", "maxKCLerr", "cost")

@@ -336,7 +336,7 @@ func (c *Coordinator) claimResponseLocked(l *lease) *ClaimResponse {
 }
 
 // handleHeartbeat renews a lease and feeds the progress tick through to
-// the manager (SSE, metrics, flight recorder).
+// the manager's progress sink (SSE, metrics, the root span's move events).
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var hb HeartbeatRequest
@@ -383,7 +383,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if hb.Progress != nil {
 		ev := *hb.Progress
 		ev.Run = hb.Run
-		c.mgr.RecordExternalProgress(job, ev)
+		c.mgr.RecordProgress(job, ev)
 	}
 	if !resp.Cancel && job.UserCancelled() {
 		resp.Cancel = true

@@ -329,6 +329,46 @@ func TestFleetLifecycle(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerForwardsCorners: a fleet worker anneals over exactly
+// the corners the job selected — none for an explicit empty list, the
+// named ones (plus nominal) otherwise — not every corner the deck
+// declares.
+func TestFleetWorkerForwardsCorners(t *testing.T) {
+	deck := testDeck + "\n.corner slow vdd=2.4\n.corner fast vdd=2.6\n"
+	f := startFleet(t, server.Options{}, fastFleetOptions())
+	f.startWorker(WorkerOptions{ID: "w1"})
+	for _, c := range []struct {
+		corners []string
+		want    []string
+	}{
+		{[]string{}, nil},
+		{[]string{"slow"}, []string{"nominal", "slow"}},
+	} {
+		id := f.submit(deck, server.JobOptions{Seed: 1, MaxMoves: 600, Corners: c.corners})
+		f.waitState(id, server.StateDone, 120*time.Second)
+		resp, err := http.Get(f.ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr server.JobResult
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr.Result == nil {
+			t.Fatalf("corners %q: no result view", c.corners)
+		}
+		var got []string
+		for _, cr := range jr.Result.Corners {
+			got = append(got, cr.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(c.want, ",") {
+			t.Errorf("corners %q: result lanes %q, want %q", c.corners, got, c.want)
+		}
+	}
+}
+
 // TestFleetMultiRunFanOut checks that a Runs=3 job fans out as per-run
 // leases across two workers and commits exactly one final result.
 func TestFleetMultiRunFanOut(t *testing.T) {

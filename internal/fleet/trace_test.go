@@ -265,3 +265,61 @@ func TestFleetTraceKillResume(t *testing.T) {
 		t.Error("span duration histogram absent from exposition")
 	}
 }
+
+// rootMoveNumbers returns the move attribute of every move event on the
+// job root of a trace.
+func rootMoveNumbers(t *testing.T, sum server.TraceSummary) []string {
+	t.Helper()
+	if len(sum.Tree) != 1 || sum.Tree[0].Name != "job" {
+		t.Fatalf("trace tree: want one job root, got %d roots", len(sum.Tree))
+	}
+	var moves []string
+	for _, ev := range sum.Tree[0].Events {
+		if ev.Name == "move" {
+			moves = append(moves, ev.Attrs["move"])
+		}
+	}
+	return moves
+}
+
+// TestFleetKillKeepsHeartbeatMoves: the progress samples a worker sent
+// with its heartbeats land as move events on the job's root span, and
+// they outlive the worker — after a kill -9 and the lease-expiry
+// requeue, the job's trace still holds every sample the dead worker
+// delivered.
+func TestFleetKillKeepsHeartbeatMoves(t *testing.T) {
+	f := startFleet(t, server.Options{
+		StateDir: t.TempDir(),
+		Retry:    retry.Policy{Base: time.Hour, Max: time.Hour, Multiplier: 1, MaxAttempts: 5},
+	}, Options{
+		LeaseTTL:        400 * time.Millisecond,
+		HeartbeatEvery:  40 * time.Millisecond,
+		CheckpointEvery: 200,
+	})
+	victim, _ := f.startWorker(WorkerOptions{ID: "victim", Dir: t.TempDir()})
+	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 60_000})
+
+	var before []string
+	deadline := time.Now().Add(60 * time.Second)
+	for len(before) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat samples reached the trace")
+		}
+		time.Sleep(10 * time.Millisecond)
+		before = rootMoveNumbers(t, f.getTrace(id))
+	}
+	victim.Kill()
+	f.waitMetric("oblxd_lease_expirations_total 1", 30*time.Second)
+	// No second worker: the requeued job waits out its backoff queued.
+	f.waitState(id, server.StateQueued, 30*time.Second)
+
+	after := rootMoveNumbers(t, f.getTrace(id))
+	if len(after) < len(before) {
+		t.Fatalf("root lost move events across the requeue: %d before, %d after", len(before), len(after))
+	}
+	for i, mv := range before {
+		if after[i] != mv {
+			t.Fatalf("move event %d changed across the requeue: %s, then %s", i, mv, after[i])
+		}
+	}
+}

@@ -162,6 +162,7 @@ func (w *Worker) runLease(ctx context.Context, cr *ClaimResponse) {
 		Seed:          cr.Options.Seed,
 		MaxMoves:      cr.Options.MaxMoves,
 		NoFreeze:      cr.Options.NoFreeze,
+		Corners:       cr.Options.Corners,
 		ProgressEvery: cr.Options.ProgressEvery,
 		Trace:         rec,
 		Progress: func(ev oblx.ProgressEvent) {

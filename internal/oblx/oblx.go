@@ -55,17 +55,13 @@ type Options struct {
 	// run. Unknown names are an error.
 	Corners []string
 
-	// RecordTrace enables the Fig. 2 instrumentation: KCL error and cost
-	// snapshots along the run.
-	RecordTrace bool
-	TraceEvery  int // moves between snapshots (0 → 500)
-
 	// Progress, when set, receives a ProgressEvent every ProgressEvery
-	// moves (0 → 500) — the streaming-telemetry hook the synthesis
-	// service uses for its SSE feed. Each event costs one extra circuit
-	// evaluation (spec values and the KCL residual are measured at the
-	// current point), so the default cadence adds ~0.2% overhead. The
-	// callback runs synchronously on the annealing goroutine.
+	// moves (0 → 500) — the hook behind the synthesis service's SSE feed
+	// and move events, and the samples Fig. 2 plots. Each event costs
+	// one extra circuit evaluation (spec values and the KCL residual are
+	// measured at the current point), so the default cadence adds ~0.2%
+	// overhead. The callback runs synchronously on the annealing
+	// goroutine.
 	Progress      ProgressFunc
 	ProgressEvery int
 
@@ -95,21 +91,20 @@ type Options struct {
 
 	// Trace, when non-nil, receives the run's lifecycle spans: one
 	// "anneal" span per Run (with a resume event when restoring from a
-	// checkpoint) and one "corner:<name>" span per lane of a worst-case
-	// run, with quarantine/retry events as they happen. The recorder is
-	// nil-receiver safe, so a nil Trace keeps the hot path at zero
-	// allocations — same contract as StageTimer. RunBest's parallel runs
-	// may share one recorder (it is concurrency-safe); sampled eval
-	// spans then attach to whichever run's anneal span registered last.
+	// checkpoint, and the StageTimer's per-stage means as
+	// stage.<name>_us attributes) and one "corner:<name>" span per lane
+	// of a worst-case run, with quarantine/retry events as they happen.
+	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
+	// path at zero allocations — same contract as StageTimer. RunBest's
+	// parallel runs may share one recorder (it is concurrency-safe);
+	// sampled eval spans then attach to whichever run's anneal span
+	// registered last.
 	Trace *trace.Recorder
 }
 
 func (o *Options) defaults() {
 	if o.MaxMoves == 0 {
 		o.MaxMoves = 150_000
-	}
-	if o.TraceEvery == 0 {
-		o.TraceEvery = 500
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 5000
@@ -139,10 +134,9 @@ type ProgressEvent struct {
 	// when the point fails to evaluate).
 	SpecVals map[string]float64 `json:"spec_vals,omitempty"`
 
-	// Flight-recorder fields (see telemetry.MoveRecord): the most recent
-	// proposal's class and outcome, the Lam controller's target
-	// acceptance ratio, and the Hustin selector's per-class quality
-	// weights at this point of the run.
+	// The most recent proposal's class and outcome, the Lam controller's
+	// target acceptance ratio, and the Hustin selector's per-class
+	// quality weights at this point of the run.
 	MoveClass string             `json:"move_class,omitempty"`
 	Accepted  bool               `json:"accepted,omitempty"`
 	DCost     float64            `json:"dcost,omitempty"`
@@ -155,33 +149,43 @@ type ProgressEvent struct {
 	WorstSpecU float64 `json:"worst_spec_u,omitempty"`
 
 	// SpanID is the anneal span this event occurred under (empty when
-	// tracing is off) — the exemplar link from a flight-recorder record
-	// back into the job's span tree.
+	// tracing is off) — the link from a move event on the job's root
+	// span to the attempt that produced it.
 	SpanID string `json:"span_id,omitempty"`
 }
 
-// FlightRecord projects the event into the telemetry package's
-// flight-recorder record — the daemon's ring buffer and oblx -trace-out
-// both store this shape.
-func (ev ProgressEvent) FlightRecord() telemetry.MoveRecord {
-	return telemetry.MoveRecord{
-		Run:         ev.Run,
-		Move:        ev.Move,
-		MoveClass:   ev.MoveClass,
-		Accepted:    ev.Accepted,
-		DCost:       ev.DCost,
-		Temp:        ev.Temp,
-		LamTarget:   ev.LamTarget,
-		AccRatio:    ev.AcceptRatio,
-		Cost:        ev.Cost,
-		BestCost:    ev.BestCost,
-		Hustin:      ev.Hustin,
-		MaxKCLError: ev.MaxKCLError,
-		WorstSpec:   ev.WorstSpec,
-		WorstSpecU:  ev.WorstSpecU,
-		Evals:       int64(ev.Evals),
-		SpanID:      ev.SpanID,
+// MoveAttrs renders the event as the attributes of a "move" span event,
+// as alternating key/value pairs: the per-job run record oblxd keeps on
+// a job's root span and oblx -trace-spans writes. Hustin weights appear
+// as hustin.<class>; empty strings are left out.
+func (ev ProgressEvent) MoveAttrs() []string {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	kv := []string{
+		"run", strconv.Itoa(ev.Run),
+		"move", strconv.Itoa(ev.Move),
+		"evals", strconv.Itoa(ev.Evals),
+		"accepted", strconv.FormatBool(ev.Accepted),
+		"dcost", num(ev.DCost),
+		"temp", num(ev.Temp),
+		"lam_target", num(ev.LamTarget),
+		"acc_ratio", num(ev.AcceptRatio),
+		"cost", num(ev.Cost),
+		"best_cost", num(ev.BestCost),
+		"max_kcl_error", num(ev.MaxKCLError),
 	}
+	if ev.MoveClass != "" {
+		kv = append(kv, "move_class", ev.MoveClass)
+	}
+	if ev.WorstSpec != "" {
+		kv = append(kv, "worst_spec", ev.WorstSpec, "worst_spec_u", num(ev.WorstSpecU))
+	}
+	if ev.SpanID != "" {
+		kv = append(kv, "span_id", ev.SpanID)
+	}
+	for class, q := range ev.Hustin {
+		kv = append(kv, "hustin."+class, num(q))
+	}
+	return kv
 }
 
 // ProgressFunc receives streaming progress from a running synthesis.
@@ -204,29 +208,18 @@ func finiteSpecVals(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// TraceSample is one Fig. 2 data point.
-type TraceSample struct {
-	Move     int
-	Cost     float64
-	BestCost float64
-	Temp     float64
-	// MaxKCLError is the worst relative KCL residual — the "discrepancy
-	// from KCL-correct voltages" the paper plots.
-	MaxKCLError float64
-}
-
 // EarlyKCLError is Fig. 2's "early" discrepancy: the largest MaxKCLError
-// over the samples with Move ≤ last.Move/4, the weight-adaptation
-// stretch of the run. A single early sample can land on a KCL-correct
-// point by chance; the maximum shows how far the relaxed-dc search
-// roamed.
-func EarlyKCLError(trace []TraceSample) float64 {
-	if len(trace) == 0 {
+// over the progress samples with Move ≤ last.Move/4, the
+// weight-adaptation stretch of the run. A single early sample can land
+// on a KCL-correct point by chance; the maximum shows how far the
+// relaxed-dc search roamed.
+func EarlyKCLError(samples []ProgressEvent) float64 {
+	if len(samples) == 0 {
 		return 0
 	}
-	limit := trace[len(trace)-1].Move / 4
+	limit := samples[len(samples)-1].Move / 4
 	worst := 0.0
-	for _, s := range trace {
+	for _, s := range samples {
 		if s.Move <= limit {
 			worst = math.Max(worst, s.MaxKCLError)
 		}
@@ -323,7 +316,6 @@ type Result struct {
 	Duration  time.Duration
 	EvalCount int
 	MoveStats []anneal.MoveStat
-	Trace     []TraceSample
 	Seed      int64
 
 	// Degraded reports that at least one corner was quarantined: the
@@ -351,6 +343,10 @@ func (r *Result) TimePerEval() time.Duration {
 	}
 	return r.Duration / time.Duration(r.EvalCount)
 }
+
+// weightAdaptEvery is the move cadence of the constraint-weight
+// adaptation during the first quarter of a run.
+const weightAdaptEvery = 500
 
 // evalRetries bounds the retry-then-quarantine policy: a failed
 // evaluation (panic or non-finite cost) is retried this many times —
@@ -455,8 +451,8 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	p := &problem{c: c, inj: opt.Faults, ce: ce}
 	vars := p.Vars()
 	// nomX projects a (possibly master) annealing vector onto the
-	// nominal lane, for the trace/progress paths that evaluate through
-	// the nominal compiled problem.
+	// nominal lane, for the progress path that evaluates through the
+	// nominal compiled problem.
 	var nomBuf []float64
 	nomX := func(x []float64) []float64 {
 		if ce == nil {
@@ -545,8 +541,8 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
 
-	// The run's reporting workspace serves the Fig. 2 trace, the
-	// progress hook and the final nominal report. It must never be the
+	// The run's reporting workspace serves the progress hook and the
+	// final nominal report. It must never be the
 	// annealer's c.Workspace(): that one's unstable counter feeds
 	// Failures.Unstable and the checkpoint, and its clock feeds the stage
 	// timers. It is created on first use, so setup time stays Compile
@@ -559,33 +555,21 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		return repWS
 	}
 
-	var trace []TraceSample
 	weightFreeze := opt.MaxMoves / 4
-	tracer := func(tp anneal.TracePoint) {
+	adapt := func(tp anneal.TracePoint) {
 		// Adaptive weights settle during the first quarter of the run;
 		// afterwards the cost function is stationary (the annealer's
 		// best-so-far bookkeeping is re-based at the freeze point).
 		if tp.Move < weightFreeze {
 			c.Weights.Adapt(deck)
 		}
-		if opt.RecordTrace {
-			st := report().EvaluateBias(nomX(tp.X))
-			kcl := 0.0
-			if st.Err == nil {
-				kcl = st.MaxKCLError()
-			}
-			trace = append(trace, TraceSample{
-				Move: tp.Move, Cost: tp.Cost, BestCost: tp.BestCost,
-				Temp: tp.Temp, MaxKCLError: kcl,
-			})
-		}
 	}
 
 	annealOpt := anneal.Options{
 		Seed:        opt.Seed,
 		MaxMoves:    opt.MaxMoves,
-		Trace:       tracer,
-		TraceEvery:  opt.TraceEvery,
+		Trace:       adapt,
+		TraceEvery:  weightAdaptEvery,
 		BestResetAt: weightFreeze,
 	}
 	if opt.Progress != nil {
@@ -699,7 +683,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		Duration:  dur,
 		EvalCount: p.evals,
 		MoveStats: res.MoveStats,
-		Trace:     trace,
 		Seed:      opt.Seed,
 		Failures: FailureStats{
 			PanicsRecovered: p.panics,
@@ -733,6 +716,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	}
 	asp.SetAttr("moves", strconv.Itoa(res.Moves))
 	asp.SetAttr("evals", strconv.Itoa(p.evals))
+	for _, b := range opt.StageTimer.Breakdown() {
+		asp.SetAttr("stage."+b.Stage+"_us", strconv.FormatFloat(b.MeanSeconds*1e6, 'f', 3, 64))
+	}
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

@@ -111,7 +111,11 @@ func TestSynthesizeDiffAmp(t *testing.T) {
 		t.Skip("synthesis run in -short mode")
 	}
 	deck := parse(t, diffAmpDeck)
-	res, err := Run(context.Background(), deck, Options{Seed: 3, MaxMoves: 60_000, RecordTrace: true})
+	var samples []ProgressEvent
+	res, err := Run(context.Background(), deck, Options{
+		Seed: 3, MaxMoves: 60_000,
+		Progress: func(ev ProgressEvent) { samples = append(samples, ev) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +143,12 @@ func TestSynthesizeDiffAmp(t *testing.T) {
 	if ugf < 0.8e6 {
 		t.Errorf("ugf = %g Hz, want ≥ 0.8 MHz", ugf)
 	}
-	// Trace recorded and KCL error decayed along the run.
-	if len(res.Trace) < 5 {
-		t.Fatalf("trace too short: %d", len(res.Trace))
+	// Progress sampled and KCL error decayed along the run.
+	if len(samples) < 5 {
+		t.Fatalf("too few progress samples: %d", len(samples))
 	}
-	early := EarlyKCLError(res.Trace)
-	late := res.Trace[len(res.Trace)-1].MaxKCLError
+	early := EarlyKCLError(samples)
+	late := samples[len(samples)-1].MaxKCLError
 	if late > early && late > 1e-3 {
 		t.Errorf("KCL error did not decay: early %g late %g", early, late)
 	}
@@ -185,7 +189,7 @@ func TestRunErrors(t *testing.T) {
 func TestEarlyKCLError(t *testing.T) {
 	// The sample right after move 0 can land on a KCL-correct point; the
 	// early figure is the worst over the first quarter of the run.
-	trace := []TraceSample{
+	trace := []ProgressEvent{
 		{Move: 0, MaxKCLError: 1},
 		{Move: 100, MaxKCLError: 7e-14},
 		{Move: 250, MaxKCLError: 0.5},

@@ -4,24 +4,30 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 
 	"astrx/internal/telemetry"
+	"astrx/internal/trace"
 )
 
 // TestProgressFlightFields verifies that the enriched progress events
-// carry the flight-recorder payload (move class, Lam target, Hustin
-// weights, worst spec) and that a shared StageTimer collects per-stage
-// timings across the run.
+// carry the run-record payload (move class, Lam target, Hustin weights,
+// worst spec), that MoveAttrs renders it under the move-event attribute
+// names, and that a shared StageTimer collects per-stage timings across
+// the run and lands them on the traced anneal span.
 func TestProgressFlightFields(t *testing.T) {
 	deck := parse(t, diffAmpDeck)
 	timer := telemetry.NewEvalTimer(8)
+	tid := trace.TraceIDFromRequest("progress-fields")
+	rec := trace.NewRecorder(trace.Context{TraceID: tid, SpanID: trace.RootSpanID(tid)}, 0)
 	var events []ProgressEvent
 	res, err := Run(context.Background(), deck, Options{
 		Seed: 3, MaxMoves: 4000, NoFreeze: true,
 		Progress:      func(ev ProgressEvent) { events = append(events, ev) },
 		ProgressEvery: 250,
 		StageTimer:    timer,
+		Trace:         rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +71,7 @@ func TestProgressFlightFields(t *testing.T) {
 		if _, err := json.Marshal(ev); err != nil {
 			t.Fatalf("move %d: event not JSON-encodable: %v", ev.Move, err)
 		}
-		rec := ev.FlightRecord()
-		if rec.Move != ev.Move || rec.MoveClass != ev.MoveClass || rec.Temp != ev.Temp ||
-			rec.LamTarget != ev.LamTarget || rec.BestCost != ev.BestCost {
-			t.Fatalf("FlightRecord mismatch: %+v vs %+v", rec, ev)
-		}
+		checkMoveAttrs(t, ev)
 	}
 	if !sawClass {
 		t.Error("no event carried a move class")
@@ -87,9 +89,67 @@ func TestProgressFlightFields(t *testing.T) {
 			t.Errorf("stage %s: bad breakdown row %+v", row.Stage, row)
 		}
 	}
+	var anneal *trace.Span
+	for _, sp := range rec.Snapshot() {
+		if sp.Name == "anneal" {
+			anneal = &sp
+		}
+	}
+	if anneal == nil {
+		t.Fatal("no anneal span recorded")
+	}
 	for _, want := range []string{"bias", "stamp", "factor", "solve", "moments", "fit", "specs"} {
 		if !stages[want] {
 			t.Errorf("stage %s missing from breakdown %+v", want, bd)
+		}
+		us, err := strconv.ParseFloat(anneal.Attrs["stage."+want+"_us"], 64)
+		if err != nil || us < 0 {
+			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
+		}
+	}
+}
+
+// checkMoveAttrs decodes ev.MoveAttrs() and compares every attribute
+// with the field it renders.
+func checkMoveAttrs(t *testing.T, ev ProgressEvent) {
+	t.Helper()
+	kv := ev.MoveAttrs()
+	if len(kv)%2 != 0 {
+		t.Fatalf("move %d: odd attribute list %v", ev.Move, kv)
+	}
+	attrs := make(map[string]string, len(kv)/2)
+	for i := 0; i < len(kv); i += 2 {
+		attrs[kv[i]] = kv[i+1]
+	}
+	num := func(k string) float64 {
+		v, err := strconv.ParseFloat(attrs[k], 64)
+		if err != nil {
+			t.Fatalf("move %d: attribute %s = %q: %v", ev.Move, k, attrs[k], err)
+		}
+		return v
+	}
+	for k, want := range map[string]float64{
+		"run": float64(ev.Run), "move": float64(ev.Move), "evals": float64(ev.Evals),
+		"dcost": ev.DCost, "temp": ev.Temp, "lam_target": ev.LamTarget, "acc_ratio": ev.AcceptRatio,
+		"cost": ev.Cost, "best_cost": ev.BestCost, "max_kcl_error": ev.MaxKCLError,
+	} {
+		if got := num(k); got != want {
+			t.Errorf("move %d: %s = %g, want %g", ev.Move, k, got, want)
+		}
+	}
+	if attrs["accepted"] != strconv.FormatBool(ev.Accepted) || attrs["move_class"] != ev.MoveClass ||
+		attrs["worst_spec"] != ev.WorstSpec || attrs["span_id"] != ev.SpanID {
+		t.Errorf("move %d: attrs %v do not match event %+v", ev.Move, attrs, ev)
+	}
+	if ev.WorstSpec != "" && num("worst_spec_u") != ev.WorstSpecU {
+		t.Errorf("move %d: worst_spec_u = %s, want %g", ev.Move, attrs["worst_spec_u"], ev.WorstSpecU)
+	}
+	if ev.SpanID == "" {
+		t.Errorf("move %d: traced run left SpanID empty", ev.Move)
+	}
+	for class, q := range ev.Hustin {
+		if got := num("hustin." + class); got != q {
+			t.Errorf("move %d: hustin.%s = %g, want %g", ev.Move, class, got, q)
 		}
 	}
 }

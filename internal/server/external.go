@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"astrx/internal/oblx"
@@ -65,42 +64,6 @@ func (m *Manager) ClaimQueued() *Job {
 		m.jlog(j).Info("job running", "state", StateRunning, "attempt", attempt)
 		return j
 	}
-}
-
-// RecordExternalProgress feeds one progress event from an external
-// worker into the job: SSE fan-out, best-cost tracking, throughput
-// metrics, the flight recorder, and the liveness tick — the same
-// accounting a local run's Progress callback performs.
-func (m *Manager) RecordExternalProgress(j *Job, ev oblx.ProgressEvent) {
-	now := time.Now()
-	m.jobTelem(j).flight.Record(ev.FlightRecord())
-	m.mAccept.Set(ev.AcceptRatio)
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning {
-		return // late event from a fenced or finished run
-	}
-	if j.extEvals == nil {
-		j.extEvals = make(map[int]int)
-		j.extTime = make(map[int]time.Time)
-	}
-	if prev, ok := j.extEvals[ev.Run]; ok && ev.Evals > prev {
-		m.mEvals.Add(int64(ev.Evals - prev))
-		if dt := now.Sub(j.extTime[ev.Run]).Seconds(); dt > 0 {
-			m.mEvalRate.Set(float64(ev.Evals-prev) / dt)
-		}
-	}
-	j.extEvals[ev.Run] = ev.Evals
-	j.extTime[ev.Run] = now
-
-	p := ev
-	j.lastProg = &p
-	j.lastTick = now
-	if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
-		j.bestCost = ev.BestCost
-	}
-	j.publishLocked(Event{Type: "progress", Prog: &p})
 }
 
 // CompleteExternal commits a result shipped by the job's leaseholder,
@@ -261,13 +224,6 @@ func (m *Manager) ResumePayload(j *Job) []byte {
 		return nil
 	}
 	return data
-}
-
-// SnapshotExternalFlight persists the job's flight-recorder ring, so a
-// fleet-supervised failure leaves the same post-mortem artifact a local
-// watchdog kill does.
-func (m *Manager) SnapshotExternalFlight(j *Job, cause string) {
-	m.snapshotFlight(j, cause)
 }
 
 // QueueDepth reports the number of jobs waiting to be claimed.

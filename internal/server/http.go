@@ -131,9 +131,7 @@ func traceparentID(tp string) string {
 //	GET    /v1/jobs/{id}        job status (state, best cost, latest spec values)
 //	GET    /v1/jobs/{id}/events SSE stream of state transitions + annealing progress
 //	GET    /v1/jobs/{id}/result final design + verification numbers (409 until terminal)
-//	GET    /v1/jobs/{id}/telemetry       stage-timing breakdown + flight-recorder summary
-//	GET    /v1/jobs/{id}/telemetry/moves flight-recorder ring as JSONL, oldest first
-//	GET    /v1/jobs/{id}/trace  distributed-trace span tree (live, or the durable snapshot)
+//	GET    /v1/jobs/{id}/trace  span tree with move events and stage timings (live, or the durable snapshot)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	POST   /v1/batches          submit N decks as one batch of child jobs
 //	GET    /v1/batches/{id}     batch roll-up (per-state counts + child statuses)
@@ -153,8 +151,6 @@ func (m *Manager) Handler() http.Handler {
 	api.HandleFunc("GET /v1/jobs/{id}", m.handleStatus)
 	api.HandleFunc("GET /v1/jobs/{id}/events", m.handleEvents)
 	api.HandleFunc("GET /v1/jobs/{id}/result", m.handleResult)
-	api.HandleFunc("GET /v1/jobs/{id}/telemetry", m.handleTelemetry)
-	api.HandleFunc("GET /v1/jobs/{id}/telemetry/moves", m.handleTelemetryMoves)
 	api.HandleFunc("GET /v1/jobs/{id}/trace", m.handleTrace)
 	api.HandleFunc("DELETE /v1/jobs/{id}", m.handleCancel)
 	api.HandleFunc("POST /v1/batches", m.handleBatchSubmit)

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +14,7 @@ import (
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
 	"astrx/internal/retry"
-	"astrx/internal/telemetry"
+	"astrx/internal/trace"
 )
 
 // getJSON fetches a URL and decodes the JSON body into v, returning the
@@ -37,25 +34,57 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// TestFlightSnapshotSurvivesRestart is the acceptance drill: a job that
-// stalls on every attempt is killed, requeued, and finally poisoned —
-// each kill dumping the flight recorder to the state dir — and after a
-// daemon restart the last moves are still retrievable over the API from
-// the durable snapshot.
-func TestFlightSnapshotSurvivesRestart(t *testing.T) {
+// stallingSynth stands in for the annealer: it reports one progress
+// sample (move 17, an accepted random move) and then hangs until its
+// context is cancelled, like a run the watchdog must kill.
+func stallingSynth(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+	if opt.Progress != nil {
+		opt.Progress(oblx.ProgressEvent{
+			Move: 17, MaxMoves: opt.MaxMoves, MoveClass: "random",
+			Accepted: true, DCost: -0.5, Temp: 3.25, LamTarget: 0.44,
+			AcceptRatio: 0.5, Cost: 12.5, BestCost: 12.5, Evals: 100,
+		})
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// rootMoves returns the move events on the job root of a trace.
+func rootMoves(t *testing.T, sum *TraceSummary) []trace.Event {
+	t.Helper()
+	if len(sum.Tree) != 1 || sum.Tree[0].Name != "job" {
+		t.Fatalf("trace tree: want one job root, got %+v", sum.Tree)
+	}
+	var moves []trace.Event
+	for _, ev := range sum.Tree[0].Events {
+		if ev.Name == "move" {
+			moves = append(moves, ev)
+		}
+	}
+	return moves
+}
+
+// checkStalledMove asserts the move event stallingSynth reported.
+func checkStalledMove(t *testing.T, moves []trace.Event) {
+	t.Helper()
+	if len(moves) == 0 {
+		t.Fatal("job root carries no move events")
+	}
+	for _, ev := range moves {
+		if ev.Attrs["move"] != "17" || ev.Attrs["move_class"] != "random" || ev.Attrs["accepted"] != "true" {
+			t.Errorf("move event corrupted: %+v", ev.Attrs)
+		}
+	}
+}
+
+// TestMoveEventsSurviveRestart is the post-mortem drill: a job that
+// stalls on every attempt is killed, requeued, and finally poisoned,
+// and after a daemon restart its last moves are still served — as move
+// events on the job root of the durable trace snapshot.
+func TestMoveEventsSurviveRestart(t *testing.T) {
 	orig := synthesize
 	defer func() { synthesize = orig }()
-	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
-		if opt.Progress != nil {
-			opt.Progress(oblx.ProgressEvent{
-				Move: 17, MaxMoves: opt.MaxMoves, MoveClass: "random",
-				Accepted: true, DCost: -0.5, Temp: 3.25, LamTarget: 0.44,
-				AcceptRatio: 0.5, Cost: 12.5, BestCost: 12.5, Evals: 100,
-			})
-		}
-		<-ctx.Done() // stall until the watchdog kills us
-		return nil, ctx.Err()
-	}
+	synthesize = stallingSynth
 
 	dir := t.TempDir()
 	m1, err := New(Options{
@@ -68,29 +97,11 @@ func TestFlightSnapshotSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(m1.Handler())
-
-	j, err := m1.SubmitWithRequestID(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, "req-flight-1")
+	j, err := m1.SubmitWithRequestID(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, "req-moves-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j, StatePoisoned, 30*time.Second)
-
-	// While the poisoning incarnation is still up, telemetry is live.
-	var live TelemetrySummary
-	if code := getJSON(t, ts1.URL+"/v1/jobs/"+j.ID+"/telemetry", &live); code != http.StatusOK {
-		t.Fatalf("live telemetry: status %d", code)
-	}
-	if live.Source != "live" || live.Records < 1 || live.TotalRecorded < 1 {
-		t.Fatalf("live telemetry: %+v", live)
-	}
-
-	// The poison kill left a durable flight snapshot in the state dir.
-	if _, err := os.Stat(filepath.Join(dir, "job-"+j.ID+".flight")); err != nil {
-		t.Fatalf("no flight snapshot on disk: %v", err)
-	}
-
-	ts1.Close()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := m1.Shutdown(shutCtx); err != nil {
@@ -99,75 +110,53 @@ func TestFlightSnapshotSurvivesRestart(t *testing.T) {
 
 	// ---- restart over the same state dir ----
 	m2 := newTestManager(t, Options{StateDir: dir, Workers: 1})
-	ts2 := httptest.NewServer(m2.Handler())
-	defer ts2.Close()
+	ts := httptest.NewServer(m2.Handler())
+	defer ts.Close()
 
-	j2 := m2.Get(j.ID)
-	if j2 == nil || j2.State() != StatePoisoned {
+	if j2 := m2.Get(j.ID); j2 == nil || j2.State() != StatePoisoned {
 		t.Fatalf("poisoned job not recovered: %v", j2)
 	}
-
-	var sum TelemetrySummary
-	if code := getJSON(t, ts2.URL+"/v1/jobs/"+j.ID+"/telemetry", &sum); code != http.StatusOK {
-		t.Fatalf("snapshot telemetry: status %d", code)
+	var sum TraceSummary
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+j.ID+"/trace", &sum); code != http.StatusOK {
+		t.Fatalf("trace after restart: status %d", code)
 	}
-	if sum.Source != "snapshot" || !strings.Contains(sum.Cause, "stalled") ||
-		sum.Records < 1 || sum.LastMove == nil {
-		t.Fatalf("snapshot telemetry: %+v", sum)
+	if sum.Source != "snapshot" || !strings.Contains(sum.Cause, "stalled") {
+		t.Fatalf("trace after restart: source %q cause %q", sum.Source, sum.Cause)
 	}
-	if sum.LastMove.Move != 17 || sum.LastMove.MoveClass != "random" || !sum.LastMove.Accepted {
-		t.Fatalf("last move corrupted across restart: %+v", sum.LastMove)
-	}
-
-	// The JSONL dump round-trips every buffered record.
-	resp, err := http.Get(ts2.URL + "/v1/jobs/" + j.ID + "/telemetry/moves")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("moves: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("moves Content-Type = %q", ct)
-	}
-	var got int
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var rec telemetry.MoveRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("moves line %d: %v", got+1, err)
-		}
-		if rec.Move != 17 {
-			t.Errorf("moves line %d: move %d, want 17", got+1, rec.Move)
-		}
-		got++
-	}
-	if got != sum.Records {
-		t.Errorf("moves returned %d records, summary says %d", got, sum.Records)
+	// One sample per attempt, both on the one root.
+	moves := rootMoves(t, &sum)
+	checkStalledMove(t, moves)
+	if len(moves) != 2 {
+		t.Errorf("root carries %d move events, want one per attempt (2)", len(moves))
 	}
 
 	// The request ID survived the restart inside the job record.
-	if rec := readRecord(t, dir, j.ID); rec.RequestID != "req-flight-1" {
-		t.Errorf("persisted request ID = %q, want req-flight-1", rec.RequestID)
+	if rec := readRecord(t, dir, j.ID); rec.RequestID != "req-moves-1" {
+		t.Errorf("persisted request ID = %q, want req-moves-1", rec.RequestID)
 	}
 }
 
-// TestTelemetryLegacyJob409: a job recovered from a record that predates
-// telemetry — no live recorder, no flight snapshot on disk — answers 409
-// Conflict, not 500, on both telemetry endpoints.
-func TestTelemetryLegacyJob409(t *testing.T) {
+// TestRestartKeepsStalledAttemptMoves: a job whose attempt stalled and
+// was requeued, then parked on disk by a shutdown during its backoff,
+// reopens its root span after the restart with the killed attempt's
+// move events still on it.
+func TestRestartKeepsStalledAttemptMoves(t *testing.T) {
+	// Restore the real annealer only after the restarted manager's
+	// cleanup has stopped the worker that reads it.
 	orig := synthesize
-	defer func() { synthesize = orig }()
-	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
-		return nil, context.Canceled // fail instantly; no stall, no snapshot
-	}
+	t.Cleanup(func() { synthesize = orig })
+	synthesize = stallingSynth
 
 	dir := t.TempDir()
-	m1, err := New(Options{StateDir: dir, Workers: 1, Logger: testLogger(t)})
+	m1, err := New(Options{
+		StateDir:     dir,
+		Workers:      1,
+		StallTimeout: 60 * time.Millisecond,
+		// A backoff far longer than the test: the requeued job waits
+		// queued until the shutdown parks it on disk.
+		Retry:  retry.Policy{Base: time.Hour, Max: time.Hour, Multiplier: 1, MaxAttempts: 5},
+		Logger: testLogger(t),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,42 +164,42 @@ func TestTelemetryLegacyJob409(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, StateFailed, 30*time.Second)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.mu.Lock()
+		requeued := j.attempts == 1 && j.state == StateQueued
+		j.mu.Unlock()
+		if requeued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never stalled and requeued (state %s)", j.State())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := m1.Shutdown(shutCtx); err != nil {
 		t.Fatal(err)
 	}
 
+	// ---- restart: the job requeues and runs again, hanging silently ----
+	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
 	m2 := newTestManager(t, Options{StateDir: dir, Workers: 1})
 	ts := httptest.NewServer(m2.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/telemetry", "/telemetry/moves"} {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e apiError
-		json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusConflict {
-			t.Errorf("GET %s: status %d, want 409", path, resp.StatusCode)
-		}
-		if !strings.Contains(e.Error, "no telemetry") {
-			t.Errorf("GET %s: error %q", path, e.Error)
-		}
+	var sum TraceSummary
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+j.ID+"/trace", &sum); code != http.StatusOK {
+		t.Fatalf("trace after restart: status %d", code)
 	}
-
-	// Unknown jobs still 404.
-	resp, err := http.Get(ts.URL + "/v1/jobs/nosuchjob/telemetry")
-	if err != nil {
-		t.Fatal(err)
+	if sum.Source != "live" || !sum.Tree[0].Open {
+		t.Fatalf("want the live, reopened root; got source %q tree %+v", sum.Source, sum.Tree)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job telemetry: status %d, want 404", resp.StatusCode)
-	}
+	checkStalledMove(t, rootMoves(t, &sum))
 }
 
 // TestSubscribeConcurrentPublish races the SSE replay buffer: publishers

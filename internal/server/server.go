@@ -209,14 +209,13 @@ type Job struct {
 	traceRemote string
 	// resume holds the checkpoint to continue from, set during recovery.
 	resume *oblx.Checkpoint
-	// extEvals/extTime track per-run eval watermarks for progress events
-	// fed by external fleet workers (nil for locally-executed jobs).
-	extEvals map[int]int
-	extTime  map[int]time.Time
-	// telem holds the job's flight recorder + stage timer, created on
-	// the first run attempt; nil for jobs that never ran under this
-	// daemon incarnation.
-	telem *jobTelemetry
+	// progEvals/progTime track per-run eval watermarks between progress
+	// samples, for the eval counter and rate gauge.
+	progEvals map[int]int
+	progTime  map[int]time.Time
+	// timer is the job's per-stage eval timer, created on the first run
+	// attempt; nil for jobs that never ran under this daemon incarnation.
+	timer *telemetry.EvalTimer
 	// cacheKey is the result-cache key for this job's (deck, options)
 	// pair; empty when the deck failed to canonicalize. Immutable.
 	cacheKey string
@@ -401,9 +400,6 @@ type Options struct {
 	// eval timing (0 → 64; negative → stage timing off). See
 	// docs/observability.md.
 	TelemetrySampleEvery int
-	// FlightRecords is the per-job flight-recorder ring capacity
-	// (0 → telemetry.DefaultFlightRecords).
-	FlightRecords int
 	// TraceRecords is the per-job sampled-eval span ring capacity for
 	// distributed tracing (0 → trace.DefaultRingCap). Lifecycle spans
 	// (root, queue-wait, anneal, corners) are pinned and never evicted.
@@ -1092,46 +1088,15 @@ func (m *Manager) runJob(j *Job) {
 	if progEvery <= 0 {
 		progEvery = m.opt.ProgressEvery
 	}
-	// Progress accounting for the evals/sec gauge: deltas between
-	// consecutive events of the same run.
-	var progMu sync.Mutex
-	lastEvals := make(map[int]int)
-	lastTime := make(map[int]time.Time)
-
-	telem := m.jobTelem(j)
 	opt := oblx.Options{
 		Seed:          j.Options.Seed,
 		MaxMoves:      j.Options.MaxMoves,
 		NoFreeze:      j.Options.NoFreeze,
 		Corners:       j.Options.Corners,
 		ProgressEvery: progEvery,
-		StageTimer:    telem.timer,
+		StageTimer:    m.jobTimer(j),
 		Trace:         j.trace,
-		Progress: func(ev oblx.ProgressEvent) {
-			now := time.Now()
-			telem.flight.Record(ev.FlightRecord())
-			progMu.Lock()
-			if prev, ok := lastEvals[ev.Run]; ok && ev.Evals > prev {
-				m.mEvals.Add(int64(ev.Evals - prev))
-				if dt := now.Sub(lastTime[ev.Run]).Seconds(); dt > 0 {
-					m.mEvalRate.Set(float64(ev.Evals-prev) / dt)
-				}
-			}
-			lastEvals[ev.Run] = ev.Evals
-			lastTime[ev.Run] = now
-			progMu.Unlock()
-			m.mAccept.Set(ev.AcceptRatio)
-
-			j.mu.Lock()
-			p := ev
-			j.lastProg = &p
-			j.lastTick = now
-			if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
-				j.bestCost = ev.BestCost
-			}
-			j.publishLocked(Event{Type: "progress", Prog: &p})
-			j.mu.Unlock()
-		},
+		Progress:      func(ev oblx.ProgressEvent) { m.RecordProgress(j, ev) },
 	}
 
 	var res *oblx.Result
@@ -1154,6 +1119,46 @@ func (m *Manager) runJob(j *Job) {
 	}
 	deadlineHit := m.opt.JobDeadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded)
 	m.finishJob(j, res, err, deadlineHit)
+}
+
+// RecordProgress is a job's one progress sink: local runs call it from
+// the annealer's Progress hook, the fleet coordinator with each
+// heartbeat's sample. It feeds the eval counter and rate gauge, the
+// accept gauge, the watchdog's liveness tick, best cost and the SSE
+// stream, and records the sample as a move event on the job's root
+// span. Late samples from a fenced or finished run are dropped.
+func (m *Manager) RecordProgress(j *Job, ev oblx.ProgressEvent) {
+	now := time.Now()
+	j.mu.Lock()
+	if j.state != StateRunning {
+		j.mu.Unlock()
+		return
+	}
+	if j.progEvals == nil {
+		j.progEvals = make(map[int]int)
+		j.progTime = make(map[int]time.Time)
+	}
+	if prev, ok := j.progEvals[ev.Run]; ok && ev.Evals > prev {
+		m.mEvals.Add(int64(ev.Evals - prev))
+		if dt := now.Sub(j.progTime[ev.Run]).Seconds(); dt > 0 {
+			m.mEvalRate.Set(float64(ev.Evals-prev) / dt)
+		}
+	}
+	j.progEvals[ev.Run] = ev.Evals
+	j.progTime[ev.Run] = now
+	m.mAccept.Set(ev.AcceptRatio)
+
+	p := ev
+	j.lastProg = &p
+	j.lastTick = now
+	if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
+		j.bestCost = ev.BestCost
+	}
+	j.publishLocked(Event{Type: "progress", Prog: &p})
+	root := j.rootSpan
+	j.mu.Unlock()
+	// Span calls stay outside j.mu (see the lock note in trace.go).
+	root.Event("move", ev.MoveAttrs()...)
 }
 
 // watchdog periodically scans running jobs for missing progress ticks
@@ -1244,9 +1249,7 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	if deadlineHit && !userCancelled {
 		// The per-job wall-clock deadline fired; the partial best-so-far
 		// design is kept, but the job is a terminal failure, not a
-		// cancellation the user asked for. The flight recorder's last
-		// moves go to disk for the post-mortem.
-		m.snapshotFlight(j, fmt.Sprintf("deadline %s exceeded", m.opt.JobDeadline))
+		// cancellation the user asked for.
 		result.State = StateFailed
 		result.Error = fmt.Sprintf("server: job deadline %s exceeded", m.opt.JobDeadline)
 	}
@@ -1281,9 +1284,17 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	// checkpoint and re-runs the job from scratch — at-least-once, never
 	// lost.
 	m.removeCheckpoint(j, state)
-	// Likewise the cache entry lands first: a client that sees the
-	// terminal state and resubmits at once must hit.
+	// Likewise the cache entry and the finished-job metrics land first: a
+	// client that sees the terminal state must hit when it resubmits at
+	// once, and must find the job counted when it scrapes at once.
 	m.cacheStore(j, state, result)
+	j.mu.Lock()
+	started := j.started
+	j.mu.Unlock()
+	m.reg.Counter("oblxd_jobs_finished_total", "state", string(state)).Inc()
+	if !started.IsZero() {
+		m.mJobSecs.Observe(now.Sub(started).Seconds())
+	}
 
 	j.mu.Lock()
 	j.state = state
@@ -1291,13 +1302,8 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	j.finished = now
 	j.result = result
 	j.publishLocked(Event{Type: "state", State: state, Error: result.Error})
-	started := j.started
 	j.mu.Unlock()
 
-	m.reg.Counter("oblxd_jobs_finished_total", "state", string(state)).Inc()
-	if !started.IsZero() {
-		m.mJobSecs.Observe(now.Sub(started).Seconds())
-	}
 	if err := m.persist(j); err != nil {
 		m.jlog(j).Error("persist failed", "err", err)
 	}
@@ -1391,11 +1397,9 @@ func BuildJobResult(id string, res *oblx.Result, runErr error) *JobResult {
 // requeue with exponential backoff while attempts remain, and poison the
 // job — terminally, with its history attached — once they run out.
 func (m *Manager) retryOrPoison(j *Job, cause string) {
-	// Dump the flight recorder first: whatever the annealer was doing in
-	// its last N moves is the evidence the post-mortem needs, and the
-	// next attempt keeps appending to the same ring. The trace snapshot
-	// rides along for the same reason.
-	m.snapshotFlight(j, cause)
+	// Snapshot the trace first: the root span's last move events are the
+	// evidence the post-mortem needs, and the next attempt keeps
+	// appending to the same root span.
 	m.snapshotTrace(j, cause)
 
 	j.mu.Lock()

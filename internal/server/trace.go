@@ -15,7 +15,10 @@ import (
 // (job root, submit, queue-wait, anneal, per-corner lanes) land in it
 // from both local workers and fleet workers, and the tree is served at
 // GET /v1/jobs/{id}/trace — live while the recorder exists, from the
-// durable snapshot (job-<id>.trace) afterwards.
+// durable snapshot (job-<id>.trace) afterwards. The span tree is the
+// job's one run record: RecordProgress files every progress sample as
+// a move event on the root span, and each anneal span carries the
+// job's per-stage eval timings.
 //
 // Lock order: recorder methods that complete spans fire the OnEnd
 // histogram hook, which takes the metrics-registry lock; the exposition
@@ -134,17 +137,19 @@ func (m *Manager) endJobTrace(j *Job, status, cause string) {
 	m.snapshotTrace(j, cause)
 }
 
-// tracePath is where a job's durable trace snapshot lives. Like the
-// .flight artifact, the suffix keeps it invisible to the job-record
-// fsck and the file deliberately survives the job turning terminal.
+// tracePath is where a job's durable trace snapshot lives. The .trace
+// suffix keeps it invisible to the job-record fsck, and — unlike
+// checkpoints — the file deliberately survives the job turning
+// terminal: it is the post-mortem artifact.
 func (m *Manager) tracePath(id string) string {
 	return filepath.Join(m.opt.StateDir, "job-"+id+".trace")
 }
 
 // snapshotTrace seals the recorder's current span set (open spans
 // included, flagged) into the state dir. Called at terminal states and
-// wherever the flight recorder snapshots (stall, poison, deadline,
-// shutdown), so the spans of a killed run survive the daemon.
+// wherever supervision kills or hands back a run (stall, poison,
+// shutdown), so the spans and move events of a killed run survive the
+// daemon.
 func (m *Manager) snapshotTrace(j *Job, cause string) {
 	if m.opt.StateDir == "" || j.trace == nil {
 		return
@@ -180,9 +185,11 @@ func (m *Manager) loadTraceSnapshot(id string) (trace.SnapshotHeader, []trace.Sp
 
 // seedTraceFromSnapshot re-ingests a prior incarnation's completed spans
 // into a freshly attached recorder, so a daemon restart keeps the job's
-// trace one tree. Open spans are skipped: the root reopens with the same
-// deterministic ID, and a killed attempt's half-open spans are gone with
-// the process that owned them.
+// trace one tree. The root reopens with the same deterministic ID and
+// takes over the old root's events, so a stalled or interrupted
+// attempt's move events survive the restart. Other open spans are
+// skipped: a killed attempt's half-open spans are gone with the process
+// that owned them.
 func (m *Manager) seedTraceFromSnapshot(j *Job) {
 	if m.opt.StateDir == "" {
 		return
@@ -192,6 +199,9 @@ func (m *Manager) seedTraceFromSnapshot(j *Job) {
 		return
 	}
 	for _, sp := range spans {
+		if sp.Open && sp.SpanID == j.rootSpan.ID() {
+			j.rootSpan.AppendEvents(sp.Events...)
+		}
 		j.trace.Add(sp) // Add drops open spans and foreign trace IDs
 	}
 }
@@ -251,7 +261,8 @@ func (m *Manager) traceFor(j *Job) *TraceSummary {
 
 // handleTrace serves GET /v1/jobs/{id}/trace. Jobs recovered from
 // records written before the daemon gained tracing (no recorder, no
-// snapshot on disk) answer 409, matching the telemetry endpoint.
+// snapshot on disk) answer 409, not 500: the job exists, the artifact
+// never did.
 func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := m.jobOr404(w, r)
 	if j == nil {

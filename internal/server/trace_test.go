@@ -166,8 +166,8 @@ func TestTraceEndpointLifecycle(t *testing.T) {
 
 // TestTraceConcurrentSnapshot races live span traffic against trace
 // snapshotting: while a real anneal records spans and publishes SSE
-// progress, concurrent readers hammer GET .../trace, GET .../telemetry,
-// and the SSE stream. Run under -race; the invariant is simply no data
+// progress (and move events on the root span), concurrent readers
+// hammer GET .../trace and the SSE stream. Run under -race; the invariant is simply no data
 // race and well-formed responses throughout.
 func TestTraceConcurrentSnapshot(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 1, ProgressEvery: 100})
@@ -201,18 +201,6 @@ func TestTraceConcurrentSnapshot(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			getJSON(t, ts.URL+"/v1/jobs/"+id+"/telemetry", nil)
-		}
-	}()
 	// SSE subscriber rides along until the terminal state event.
 	if _, final := readSSE(t, ts, id, 120*time.Second); final != StateDone {
 		t.Errorf("final state %s, want done", final)
@@ -228,11 +216,31 @@ func TestTraceConcurrentSnapshot(t *testing.T) {
 	if len(sum.Tree) != 1 || sum.Tree[0].Name != "job" || sum.Tree[0].Status != "ok" {
 		t.Fatalf("final trace tree: %+v", sum.Tree)
 	}
+	// The run record: every progress sample is a move event on the root
+	// linked to the anneal span, which carries the stage timings.
+	byName := map[string][]*trace.Node{}
+	findSpans(sum.Tree, byName)
+	if len(byName["anneal"]) != 1 {
+		t.Fatalf("anneal spans: %d, want 1", len(byName["anneal"]))
+	}
+	anneal := byName["anneal"][0]
+	if _, ok := anneal.Attrs["stage.fit_us"]; !ok {
+		t.Errorf("anneal span has no stage timings: %v", anneal.Attrs)
+	}
+	moves := rootMoves(t, &sum)
+	if len(moves) != 300 {
+		t.Errorf("root carries %d move events, want 300 (30000 moves / 100)", len(moves))
+	}
+	for _, ev := range moves {
+		if ev.Attrs["span_id"] != anneal.SpanID {
+			t.Fatalf("move event %v not linked to anneal span %s", ev.Attrs, anneal.SpanID)
+		}
+	}
 }
 
 // TestTraceLegacyJob409: unknown jobs 404; a recovered terminal job with
 // neither a live recorder nor a snapshot on disk (a state dir written
-// before the daemon gained tracing) answers 409, matching telemetry.
+// before the daemon gained tracing) answers 409, not 500.
 func TestTraceLegacyJob409(t *testing.T) {
 	orig := synthesize
 	defer func() { synthesize = orig }()

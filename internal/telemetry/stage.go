@@ -1,10 +1,10 @@
 // Package telemetry provides the observability primitives shared by the
 // synthesis engine and the oblxd daemon: sampled per-stage timing of the
-// compiled cost-evaluation pipeline, a fixed-size flight recorder of
-// annealer moves, and structured-logging construction helpers. Everything
-// here is stdlib-only and designed to stay off the zero-allocation hot
-// path: when sampling is disabled the instrumentation reduces to a nil
-// check, and even an active sample performs no heap allocation.
+// compiled cost-evaluation pipeline and structured-logging construction
+// helpers. Everything here is stdlib-only and designed to stay off the
+// zero-allocation hot path: when sampling is disabled the
+// instrumentation reduces to a nil check, and even an active sample
+// performs no heap allocation.
 package telemetry
 
 import (

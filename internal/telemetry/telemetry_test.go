@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -152,121 +151,6 @@ func TestClockZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil clock allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestFlightRecorderWrapOrder(t *testing.T) {
-	r := NewFlightRecorder(4)
-	for i := 1; i <= 10; i++ {
-		r.Record(MoveRecord{Move: i})
-	}
-	if r.Len() != 4 || r.Total() != 10 || r.Cap() != 4 {
-		t.Fatalf("len=%d total=%d cap=%d, want 4/10/4", r.Len(), r.Total(), r.Cap())
-	}
-	snap := r.Snapshot()
-	for i, rec := range snap {
-		if want := 7 + i; rec.Move != want {
-			t.Fatalf("snapshot[%d].Move = %d, want %d (snap %+v)", i, rec.Move, want, snap)
-		}
-	}
-}
-
-func TestFlightRecorderDefaultCapacity(t *testing.T) {
-	if got := NewFlightRecorder(0).Cap(); got != DefaultFlightRecords {
-		t.Fatalf("default capacity %d, want %d", got, DefaultFlightRecords)
-	}
-}
-
-func TestFlightRecorderConcurrent(t *testing.T) {
-	r := NewFlightRecorder(64)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				r.Record(MoveRecord{Move: i})
-			}
-		}
-	}()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				snap := r.Snapshot()
-				for j := 1; j < len(snap); j++ {
-					if snap[j].Move != snap[j-1].Move+1 {
-						t.Errorf("snapshot out of order at %d: %d then %d", j, snap[j-1].Move, snap[j].Move)
-						return
-					}
-				}
-			}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-}
-
-func TestFlightSnapshotRoundTrip(t *testing.T) {
-	snap := &FlightSnapshot{
-		Version:       FlightSnapshotVersion,
-		JobID:         "job-1",
-		Cause:         "stall",
-		Time:          time.Unix(1700000000, 0).UTC(),
-		Attempt:       2,
-		SampleEvery:   64,
-		TotalRecorded: 12,
-		Stages:        []StageBreakdown{{Stage: "factor", SampledEvals: 3, TotalSeconds: 0.5, MeanSeconds: 0.5 / 3}},
-		Moves:         []MoveRecord{{Move: 500, MoveClass: "var", Accepted: true, DCost: -0.25}},
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFlightSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.JobID != snap.JobID || got.Cause != snap.Cause || len(got.Moves) != 1 || got.Moves[0].Move != 500 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := DecodeFlightSnapshot([]byte(`{"version": 99}`)); err == nil {
-		t.Fatalf("future snapshot version should be rejected")
-	}
-	if _, err := DecodeFlightSnapshot([]byte(`{garbage`)); err == nil {
-		t.Fatalf("garbage snapshot should be rejected")
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	recs := []MoveRecord{
-		{Move: 1, MoveClass: "var", Accepted: true, DCost: -1, Hustin: map[string]float64{"var": 0.5}},
-		{Move: 2, MoveClass: "swap", Accepted: false, DCost: 2.5, WorstSpec: "gain", WorstSpecU: 1.5},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		var rec MoveRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d not valid JSON: %v", lines+1, err)
-		}
-		lines++
-		if rec.Move != lines {
-			t.Errorf("line %d decoded Move %d", lines, rec.Move)
-		}
-	}
-	if lines != 2 {
-		t.Fatalf("wrote %d lines, want 2", lines)
 	}
 }
 

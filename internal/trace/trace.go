@@ -1,15 +1,16 @@
 // Package trace is a stdlib-only, W3C-traceparent-compatible span layer
 // for the synthesis pipeline. A job's trace/span IDs derive from its
 // existing request ID, so the same identifier correlates logs, metrics
-// exemplars, flight-recorder MoveRecords, and the span tree.
+// exemplars, and the span tree.
 //
 // The Recorder is nil-receiver safe throughout, like telemetry.Clock:
 // every method on a nil *Recorder or nil *Active is a no-op, so code can
 // be instrumented unconditionally and pay nothing (no branches beyond a
 // nil check, no allocations) when tracing is off. High-volume sampled
-// eval spans go into a fixed-capacity ring; low-volume lifecycle spans
+// eval spans go into a bounded ring; low-volume lifecycle spans
 // (submit, queue-wait, claim, anneal, corner lanes) go into a separate
-// pinned ring that eval traffic can never evict.
+// pinned ring that eval traffic can never evict. Both rings grow on
+// demand up to their caps, so a short job pays only for what it records.
 package trace
 
 import (
@@ -184,34 +185,33 @@ type Span struct {
 	Events     []Event           `json:"events,omitempty"`
 }
 
-// ring is a fixed-capacity overwrite-oldest span buffer.
+// ring is a bounded overwrite-oldest span buffer. It grows by append
+// until it holds max spans, then overwrites the oldest; start indexes
+// the oldest span once the buffer is full.
 type ring struct {
-	buf     []Span
-	start   int
-	n       int
-	dropped int
+	buf   []Span
+	max   int
+	start int
 }
 
-func (r *ring) push(sp Span) {
-	if len(r.buf) == 0 {
-		r.dropped++
-		return
-	}
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = sp
-		r.n++
-		return
+// push files sp and reports whether a span was lost to make room (or
+// sp itself, on a zero-capacity ring).
+func (r *ring) push(sp Span) (dropped bool) {
+	switch {
+	case r.max <= 0:
+		return true
+	case len(r.buf) < r.max:
+		r.buf = append(r.buf, sp)
+		return false
 	}
 	r.buf[r.start] = sp
 	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
+	return true
 }
 
 func (r *ring) appendTo(dst []Span) []Span {
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return dst
+	dst = append(dst, r.buf[r.start:]...)
+	return append(dst, r.buf[:r.start]...)
 }
 
 // DefaultRingCap is the per-job sampled-span ring capacity when the
@@ -226,16 +226,21 @@ const lifecycleCap = 256
 // pendingCap bounds the ship buffer on workers between drains.
 const pendingCap = 512
 
+// MaxSpanEvents bounds the events one span keeps. A job's root span
+// carries a move event per progress sample, so a long run reaches the
+// cap; the oldest event is then evicted and counted in Dropped.
+const MaxSpanEvents = 2048
+
 // Recorder collects one job's spans: a pinned lifecycle ring, a
-// fixed-capacity sampled-eval ring, the set of still-open spans, and
-// (on fleet workers) a pending buffer drained into heartbeat/complete
-// RPCs. All methods are safe on a nil receiver and safe for concurrent
-// use.
+// bounded sampled-eval ring, the set of still-open spans, and (on fleet
+// workers) a pending buffer drained into heartbeat/complete RPCs. All
+// methods are safe on a nil receiver and safe for concurrent use.
 type Recorder struct {
 	mu         sync.Mutex
 	tc         Context // trace ID + the span new top-level spans parent to
 	life       ring
 	evals      ring
+	dropped    int // spans and span events evicted or discarded
 	open       []*Active
 	evalParent string
 	shipping   bool
@@ -245,15 +250,16 @@ type Recorder struct {
 
 // NewRecorder builds a recorder for trace tc.TraceID whose top-level
 // spans parent to tc.SpanID (typically the deterministic root span
-// ID). ringCap sizes the sampled-eval ring; 0 means DefaultRingCap.
+// ID). ringCap caps the sampled-eval ring; 0 means DefaultRingCap.
+// Neither ring allocates until spans arrive.
 func NewRecorder(tc Context, ringCap int) *Recorder {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
 	return &Recorder{
 		tc:    tc,
-		life:  ring{buf: make([]Span, lifecycleCap)},
-		evals: ring{buf: make([]Span, ringCap)},
+		life:  ring{max: lifecycleCap},
+		evals: ring{max: ringCap},
 	}
 }
 
@@ -399,9 +405,27 @@ func (a *Active) Event(name string, kv ...string) {
 			ev.Attrs[kv[i]] = kv[i+1]
 		}
 	}
-	a.r.mu.Lock()
-	a.sp.Events = append(a.sp.Events, ev)
-	a.r.mu.Unlock()
+	a.AppendEvents(ev)
+}
+
+// AppendEvents appends already-built events, oldest first — how a
+// restarted daemon carries a reopened root span's events over from the
+// previous incarnation's snapshot. Past MaxSpanEvents the oldest event
+// is evicted and counted in Dropped.
+func (a *Active) AppendEvents(evs ...Event) {
+	if a == nil {
+		return
+	}
+	r := a.r
+	r.mu.Lock()
+	for _, ev := range evs {
+		if len(a.sp.Events) >= MaxSpanEvents {
+			a.sp.Events = append(a.sp.Events[:0], a.sp.Events[1:]...)
+			r.dropped++
+		}
+		a.sp.Events = append(a.sp.Events, ev)
+	}
+	r.mu.Unlock()
 }
 
 // End completes the span with the given status ("" means ok) and
@@ -450,16 +474,18 @@ func (a *Active) EndErr(err error) {
 
 // commitLocked files a completed span. Caller holds r.mu.
 func (r *Recorder) commitLocked(sp Span) {
+	dst := &r.life
 	if sp.Kind == KindEval {
-		r.evals.push(sp)
-	} else {
-		r.life.push(sp)
+		dst = &r.evals
+	}
+	if dst.push(sp) {
+		r.dropped++
 	}
 	if r.shipping {
 		if len(r.pending) < pendingCap {
 			r.pending = append(r.pending, sp)
 		} else {
-			r.evals.dropped++
+			r.dropped++
 		}
 	}
 	if r.onEnd != nil {
@@ -564,14 +590,15 @@ func (r *Recorder) DrainNew() []Span {
 	return out
 }
 
-// Dropped reports how many spans were evicted or discarded.
+// Dropped reports how many spans and span events were evicted or
+// discarded.
 func (r *Recorder) Dropped() int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.life.dropped + r.evals.dropped
+	return r.dropped
 }
 
 // Snapshot materializes every recorded span plus the still-open ones
@@ -582,7 +609,7 @@ func (r *Recorder) Snapshot() []Span {
 	}
 	now := time.Now()
 	r.mu.Lock()
-	out := make([]Span, 0, r.life.n+r.evals.n+len(r.open))
+	out := make([]Span, 0, len(r.life.buf)+len(r.evals.buf)+len(r.open))
 	out = r.life.appendTo(out)
 	out = r.evals.appendTo(out)
 	for _, a := range r.open {
