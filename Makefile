@@ -1,5 +1,6 @@
-# Developer entry points. `make ci` is the gate: vet + build + full test
-# suite + race detector on the concurrency-bearing packages.
+# Developer entry points. `make ci` is the gate: vet (with a gofmt check)
+# + build + full test suite + race detector on the concurrency-bearing
+# packages.
 
 GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
@@ -18,8 +19,11 @@ STATICCHECK_VERSION ?= 2023.1.7
 ci: vet build test race fleet-chaos tenancy-chaos corner-chaos trace-chaos telemetry-guard bench-check
 	-$(MAKE) lint
 
+# vet also fails when any tracked Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -74,10 +78,12 @@ trace-chaos:
 # the race detector: a multi-corner anneal must meet the specs at every
 # corner; with one corner fault-injected to fail permanently, the run
 # must retry, quarantine it, and finish degraded with per-corner
-# failure counts; and a kill/resume of that degraded run must reproduce
-# the uninterrupted run bit-exactly from its checkpoint.
+# failure counts; a kill/resume of that degraded run must reproduce
+# the uninterrupted run bit-exactly from its checkpoint; and a cornered
+# run sampling every eval must report all seven stages
+# (TestCornerStageTiming, selected by the TestCorner pattern).
 corner-chaos:
-	$(GO) test -race -count=1 -run 'TestCorner|TestDeriveCorner|TestCompileCorners|TestWorstCase|TestBatchRun' ./internal/oblx ./internal/astrx
+	$(GO) test -race -count=1 -run 'TestCorner|TestDeriveCorner|TestCompileCorners|TestWorstCase' ./internal/oblx ./internal/astrx
 
 # lint is advisory: staticcheck and govulncheck run via `go run`, which
 # downloads them on first use. In an offline or hermetic environment the
@@ -113,11 +119,12 @@ bench-check:
 # at low iteration counts) checked against the baseline with a timing
 # budget wide enough to absorb CI noise — it trips only on the
 # catastrophic case, e.g. sampling accidentally enabled by default.
-# The second step pins the batched K-candidate evaluator and the sparse
-# single-candidate workspace to zero allocations via their dedicated
-# alloc-count tests (testing.AllocsPerRun is exact and timing-free),
-# and proves tracing compiled in but disabled (nil recorder) adds zero
-# allocations to the eval hot path.
+# The second step pins the scalar workspace and one cornered eval (a
+# Run over nominal plus two corners and its WorstCase assembly) to zero
+# allocations via their dedicated alloc-count tests
+# (testing.AllocsPerRun is exact and timing-free), and proves tracing
+# compiled in but disabled (nil recorder) adds zero allocations to the
+# eval hot path.
 telemetry-guard:
 	@tmp=$$(mktemp) && \
 	$(GO) test -run '^$$' -bench Table2Eval -benchmem -benchtime 100x . > $$tmp && \

@@ -19,12 +19,12 @@ import (
 	"astrx/internal/astrx"
 	"astrx/internal/awe"
 	"astrx/internal/bench"
-	"astrx/internal/netlist"
 	"astrx/internal/ckttest"
 	"astrx/internal/dcsolve"
 	"astrx/internal/eqbase"
 	"astrx/internal/expr"
 	"astrx/internal/mna"
+	"astrx/internal/netlist"
 	"astrx/internal/oblx"
 )
 
@@ -101,11 +101,13 @@ func BenchmarkTable2EvalFoldedCascode(b *testing.B) { benchmarkCostEval(b, bench
 func BenchmarkTable2EvalBiCMOS(b *testing.B) { benchmarkCostEval(b, bench.BiCMOSTwoStage) }
 
 // BenchmarkTable2EvalCorners measures one worst-case candidate
-// evaluation of the Simple OTA over nominal + two process corners
-// through the K-lane batch workspace — the per-candidate price of
-// corner-aware synthesis next to the nominal-only rows above. The
-// `corners` metric records K, so benchjson can derive ns per corner
-// evaluation and compare it against the single-lane numbers.
+// evaluation of the Simple OTA over nominal + two process corners: a
+// Run over the corner lane set, which evaluates each lane in turn
+// through the scalar path, plus the WorstCase assembly. It is the
+// per-candidate price of corner-aware synthesis next to the
+// nominal-only rows above. The `corners` metric records K, so benchjson
+// can derive ns per corner evaluation and compare it against the
+// single-lane numbers.
 func BenchmarkTable2EvalCorners(b *testing.B) {
 	src := bench.DeckSource(bench.SimpleOTA) +
 		"\n.corner slow temp=85 nmos3.vto=0.95 vdd=2.4\n.corner fast temp=-40 vdd=2.6\n"

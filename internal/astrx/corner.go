@@ -162,11 +162,11 @@ func overrideJigSources(j *netlist.Jig, ov map[string]float64, applied map[strin
 }
 
 // CornerSet is a nominal compilation plus one compiled plan per selected
-// corner, sharing the nominal plan's structural pattern (same topology →
-// same MNA skeleton and the same free bias nodes, asserted at build
-// time). The master annealing vector is the nominal's user variables
-// followed by one node-voltage section per lane (nominal first), so each
-// corner's relaxed-dc bias is independently optimizable.
+// corner. Corners change values, never topology, so every corner has the
+// nominal's free bias nodes (asserted at build time). The master
+// annealing vector is the nominal's user variables followed by one
+// node-voltage section per lane (nominal first), so each corner's
+// relaxed-dc bias is independently optimizable.
 type CornerSet struct {
 	Deck    *netlist.Deck
 	Nominal *Compiled
@@ -305,8 +305,8 @@ func (cs *CornerSet) StoreLaneNodes(i int, laneX, x []float64) {
 }
 
 // WorstCase assembles the worst-case-over-corners cost from a corner
-// batch's last Run, mirroring the scalar costFromRun arithmetic with the
-// nominal deck's adaptive weights (one EMA update per call, so
+// lane set's last Run, mirroring the scalar costFromRun arithmetic with
+// the nominal deck's adaptive weights (one EMA update per call, so
 // checkpoint/resume reproduces the weight trajectory exactly):
 //
 //   - per spec, the violation u is the max over participating lanes; a

@@ -8,7 +8,6 @@ import (
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
 	"astrx/internal/expr"
-	"astrx/internal/linalg"
 )
 
 // This file compiles the evaluation plan: the fixed index tables and
@@ -155,12 +154,6 @@ type jigPlan struct {
 	lin    []linOp
 	devs   []jigDevOp
 	tfs    []tfPlan
-
-	// sym is the symbolic sparse factorization of the jig's expected G
-	// pattern, computed once at compile time and primed into each
-	// workspace engine so the per-eval numeric factorization is a
-	// branch-light replay over flat arrays (see buildJigSymbolic).
-	sym *linalg.Symbolic
 }
 
 // evalPlan is the complete compiled evaluation program.
@@ -386,9 +379,7 @@ func buildPlan(c *Compiled) *evalPlan {
 
 	tfSlot := 0
 	for _, j := range c.Jigs {
-		jp := buildJigPlan(c, j, devIdx, &tfSlot)
-		jp.sym = buildJigSymbolic(jp)
-		p.jigs = append(p.jigs, jp)
+		p.jigs = append(p.jigs, buildJigPlan(c, j, devIdx, &tfSlot))
 	}
 	return p
 }
@@ -651,105 +642,6 @@ func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot 
 		jp.tfs = append(jp.tfs, tp)
 	}
 	return jp
-}
-
-// buildJigSymbolic precomputes the sparse elimination order for the G
-// pattern the jig's stamp program produces at a typical operating point:
-// every linear stamp present, every device conductance nonzero, and MOS
-// drain/source not swapped. The runtime pattern is still scanned per
-// factorization and matched exactly — priming is a warm start, not an
-// assumption — so a cutoff device or swapped MOS simply computes (and
-// caches) its own ordering on first sight. Positions mirror the G-matrix
-// writes in mna.Stamper; C-only stamps (capacitors) don't factor.
-func buildJigSymbolic(jp *jigPlan) *linalg.Symbolic {
-	n := jp.size
-	grid := make([]bool, n*n)
-	mark := func(i, j int) {
-		if i >= 0 && j >= 0 {
-			grid[i*n+j] = true
-		}
-	}
-	cond := func(a, b int) { // Resistor-style conductance stamp
-		mark(a, a)
-		mark(b, b)
-		mark(a, b)
-		mark(b, a)
-	}
-	branch := func(a, b, br int) { // V/E/H/L branch coupling rows
-		mark(a, br)
-		mark(b, br)
-		mark(br, a)
-		mark(br, b)
-	}
-	vccs := func(p, q, cp, cq int) {
-		mark(p, cp)
-		mark(p, cq)
-		mark(q, cp)
-		mark(q, cq)
-	}
-	for i := 0; i < jp.nNodes; i++ {
-		mark(i, i) // gmin ground ties
-	}
-	for i := range jp.lin {
-		op := &jp.lin[i]
-		switch op.kind {
-		case circuit.KindR:
-			cond(op.n[0], op.n[1])
-		case circuit.KindL, circuit.KindV:
-			branch(op.n[0], op.n[1], op.br)
-		case circuit.KindG:
-			vccs(op.n[0], op.n[1], op.n[2], op.n[3])
-		case circuit.KindE:
-			branch(op.n[0], op.n[1], op.br)
-			mark(op.br, op.n[2])
-			mark(op.br, op.n[3])
-		case circuit.KindF:
-			if op.err == nil {
-				mark(op.n[0], op.cb)
-				mark(op.n[1], op.cb)
-			}
-		case circuit.KindH:
-			if op.err == nil {
-				branch(op.n[0], op.n[1], op.br)
-				mark(op.br, op.cb)
-			}
-		}
-	}
-	for i := range jp.devs {
-		d := &jp.devs[i]
-		if d.mos {
-			// Gmbs is omitted on purpose: the runtime stamp is gated on
-			// op.Gmbs != 0 and the finite-difference body-effect derivative
-			// is exactly zero for the shipped model cards, so predicting
-			// its entries would make the structural pattern a strict
-			// superset of every runtime scan and the prediction would
-			// never prime a cache hit. A card with real body effect just
-			// means the first factorization computes (and caches) its own
-			// symbolic — the adaptive batch path keys on runtime scans.
-			vccs(d.d, d.s, d.g, d.s) // Gm
-			cond(d.d, d.s)           // Gds
-		} else {
-			vccs(d.d, d.s, d.g, d.s) // Gm (c, e, b, e)
-			cond(d.g, d.s)           // Gpi (b-e)
-			cond(d.d, d.s)           // Go (c-e)
-			cond(d.g, d.d)           // Gmu (b-c)
-		}
-	}
-	nnz := 0
-	for _, set := range grid {
-		if set {
-			nnz++
-		}
-	}
-	pos := make([]int32, 0, nnz)
-	for i, set := range grid {
-		if set {
-			pos = append(pos, int32(i))
-		}
-	}
-	var p linalg.Pattern
-	p.Set(n, pos)
-	return linalg.NewSymbolic(&p)
 }
 
 // findJigSource locates the TF input source among the jig's linear

@@ -105,9 +105,6 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		jw.G = *linalg.NewMatrix(jp.size, jp.size)
 		jw.C = *linalg.NewMatrix(jp.size, jp.size)
 		jw.eng.G, jw.eng.C = &jw.G, &jw.C
-		if jp.sym != nil {
-			jw.eng.Prime(jp.sym)
-		}
 		maxMu := 0
 		for _, tp := range jp.tfs {
 			if 2*tp.q > maxMu {
@@ -297,14 +294,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 		}
 	}
 
-	ws.evalSpecs()
-}
-
-// evalSpecs evaluates the compiled spec expressions against the last
-// jig results (the tail of a full run, split out so the batched
-// evaluator can replay it per lane).
-func (ws *EvalWorkspace) evalSpecs() {
-	for i, s := range ws.c.Deck.Specs {
+	for i, s := range c.Deck.Specs {
 		ws.resetArgs()
 		v, err := s.Expr.Eval(&ws.specEnv)
 		if err != nil {
@@ -600,11 +590,16 @@ func (ws *EvalWorkspace) EvaluateBias(x []float64) *EvalState {
 // cost, updating the compiled problem's adaptive-weight statistics as a
 // side effect.
 func (ws *EvalWorkspace) CostDetail(x []float64) CostBreakdown {
+	ws.timedRun(x)
+	return ws.costFromRun()
+}
+
+// timedRun runs the full plan for x with the stage clock armed around
+// it, so a sampled evaluation reports every stage it reached.
+func (ws *EvalWorkspace) timedRun(x []float64) {
 	ws.clock.Begin()
 	ws.run(x, true)
-	out := ws.costFromRun()
 	ws.clock.End()
-	return out
 }
 
 // costFromRun assembles C(x) from the last run, updating the

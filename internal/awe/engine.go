@@ -35,12 +35,6 @@ type cEntry struct {
 	v    float64
 }
 
-// Prime seeds the engine's factorization with a precomputed symbolic
-// analysis of G's sparsity pattern, so the first Factor of a matching
-// matrix skips straight to the sparse numeric replay. The eval-plan
-// compiler calls this once per jig at compile time.
-func (e *Engine) Prime(sym *linalg.Symbolic) { e.lu.Prime(sym) }
-
 // FactorStats reports the shape of the most recent factorization
 // (rows, pattern nonzeros, fill-in, and whether the sparse path ran).
 func (e *Engine) FactorStats() linalg.FactorStats { return e.lu.Stats() }
@@ -56,14 +50,6 @@ func (e *Engine) Refactor() error {
 	if err := e.lu.Factor(e.G); err != nil {
 		return fmt.Errorf("%w: %v", ErrNoDCPath, err)
 	}
-	e.refreshAux()
-	return nil
-}
-
-// refreshAux re-sizes the recursion scratch and rescans C's sparsity
-// after a re-stamp (the non-factorization half of Refactor; the batch
-// engine calls it for lanes whose factorization ran in the SoA batch).
-func (e *Engine) refreshAux() {
 	n := e.G.Rows
 	if cap(e.cur) < n {
 		e.cur = make([]float64, n)
@@ -83,6 +69,7 @@ func (e *Engine) refreshAux() {
 			}
 		}
 	}
+	return nil
 }
 
 // MomentsInto fills mu with the first len(mu) output moments for the

@@ -1,103 +1,83 @@
 package bench
 
 import (
+	"math"
+	"strings"
 	"testing"
+
+	"astrx/internal/astrx"
+	"astrx/internal/netlist"
 )
 
-// TestBatchMatchesSequential pins the batched K-candidate evaluator to
-// the scalar path bit-for-bit: for every Table 2 deck, evaluating a
-// candidate sequence through BatchWorkspace.CostsInto must produce the
-// identical costs, spec values, and adaptive-weight trajectory as
-// evaluating the same candidates one at a time on per-candidate
-// workspaces. Exact equality (not 1e-12) is intentional — the batched
-// SoA factorization and lockstep moment recursion replay the exact
-// scalar operation sequence per lane, so any difference at all means
-// the batch plumbing reordered arithmetic.
-func TestBatchMatchesSequential(t *testing.T) {
-	const K = 4
-	for _, ckt := range Table2Suite {
-		ckt := ckt
-		t.Run(string(ckt), func(t *testing.T) {
-			seqC, err := Compile(ckt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batC, err := Compile(ckt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := evalSequence(seqC, 3*K-1) // 3 full batches
-			bw := batC.NewBatchWorkspace(K)
-			costs := make([]float64, K)
-			for off := 0; off+K <= len(seq); off += K {
-				xs := seq[off : off+K]
-				// Sequential reference: fresh workspace per candidate, like
-				// the batch lanes, sharing the compiled problem's weights.
-				want := make([]float64, K)
-				wantSpecs := make([]map[string]float64, K)
-				for i, x := range xs {
-					ws := seqC.NewWorkspace()
-					want[i] = ws.CostDetail(x).Total
-					wantSpecs[i] = ws.State().SpecVals
-				}
-				bw.CostsInto(costs, xs)
-				for i := range xs {
-					if costs[i] != want[i] {
-						t.Errorf("batch %d lane %d: cost %.17g, sequential %.17g",
-							off/K, i, costs[i], want[i])
-					}
-					gotSpecs := bw.Lane(i).State().SpecVals
-					if bw.Lane(i).Err() != nil {
-						continue
-					}
-					for name, wv := range wantSpecs[i] {
-						if gv := gotSpecs[name]; gv != wv && !(gv != gv && wv != wv) {
-							t.Errorf("batch %d lane %d spec %s: %.17g, sequential %.17g",
-								off/K, i, name, gv, wv)
-						}
-					}
-				}
-			}
-		})
+// cornerCards are the two process corners the corner benchmarks add to
+// the Simple OTA: a hot slow corner and a cold fast one.
+const cornerCards = `
+.corner slow temp=85 nmos3.vto=0.95 vdd=2.4
+.corner fast temp=-40 vdd=2.6
+`
+
+// compileCorneredOTA compiles the Simple OTA with cornerCards plus any
+// extra corner cards, selecting every declared corner.
+func compileCorneredOTA(t *testing.T, extra string) *astrx.CornerSet {
+	t.Helper()
+	deck, err := netlist.Parse(DeckSource(SimpleOTA) + cornerCards + extra)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cs, err := astrx.CompileCorners(deck, deck.CornerNames(), astrx.CostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
 }
 
-// TestBatchShortAndFailedLanes exercises a partial batch (fewer
-// candidates than lanes) and a poisoned candidate: the failed lane must
-// cost FailCost without disturbing its neighbors.
+// TestBatchShortAndFailedLanes runs a corner lane set on a short xs
+// (fewer vectors than lanes) holding a poisoned lane between two good
+// ones, then a nil-skipped lane. Every evaluated lane must match a
+// fresh scalar evaluation of its corner bit-for-bit, so the poisoned
+// lane fails as the scalar path does without disturbing its
+// neighbours; the nil lane must report the skip, and the lane past the
+// end of xs must stay unevaluated.
 func TestBatchShortAndFailedLanes(t *testing.T) {
-	c1, err := Compile(SimpleOTA)
-	if err != nil {
-		t.Fatal(err)
+	cs := compileCorneredOTA(t, ".corner hot temp=85\n.corner cold temp=-40\n")
+	if cs.K() != 5 {
+		t.Fatalf("K = %d, want nominal + 4 corners", cs.K())
 	}
-	c2, err := Compile(SimpleOTA)
-	if err != nil {
-		t.Fatal(err)
+	x := make([]float64, cs.NVars())
+	for i, v := range cs.Vars() {
+		x[i] = v.Start()
 	}
-	seq := evalSequence(c1, 2)
-	bad := make([]float64, len(seq[1]))
-	copy(bad, seq[1])
+	bad := cs.LaneX(1, x, nil)
 	bad[0] = 0 // zero width: device geometry fails the evaluation
-	xs := [][]float64{seq[0], bad, seq[2]}
+	xs := [][]float64{cs.LaneX(0, x, nil), bad, cs.LaneX(2, x, nil), nil}
 
-	want := make([]float64, len(xs))
-	var failed []bool
-	for i, x := range xs {
-		ws := c1.NewWorkspace()
-		want[i] = ws.CostDetail(x).Total
-		failed = append(failed, ws.Err() != nil)
+	bw := cs.NewCornerBatch()
+	bw.Run(xs)
+
+	for i, lx := range xs[:3] {
+		ref := cs.Lane(i).NewWorkspace().Evaluate(lx)
+		lane := bw.Lane(i)
+		if (lane.Err() != nil) != (ref.Err != nil) {
+			t.Fatalf("lane %s: err %v, scalar err %v", cs.LaneName(i), lane.Err(), ref.Err)
+		}
+		got := lane.State().SpecVals
+		for name, want := range ref.SpecVals {
+			if g := got[name]; g != want && !(math.IsNaN(g) && math.IsNaN(want)) {
+				t.Errorf("lane %s spec %s: %.17g, scalar %.17g", cs.LaneName(i), name, g, want)
+			}
+		}
 	}
-
-	bw := c2.NewBatchWorkspace(5) // 2 idle lanes
-	costs := make([]float64, len(xs))
-	bw.CostsInto(costs, xs)
-	for i := range xs {
-		if costs[i] != want[i] {
-			t.Errorf("lane %d: cost %.17g, sequential %.17g", i, costs[i], want[i])
-		}
-		if (bw.Lane(i).Err() != nil) != failed[i] {
-			t.Errorf("lane %d: batch err %v, sequential failed %v", i, bw.Lane(i).Err(), failed[i])
-		}
+	if bw.Lane(0).Err() != nil || bw.Lane(2).Err() != nil {
+		t.Fatalf("good lanes failed: %v, %v", bw.Lane(0).Err(), bw.Lane(2).Err())
+	}
+	if bw.Lane(1).Err() == nil {
+		t.Fatal("poisoned lane evaluated cleanly")
+	}
+	if err := bw.Lane(3).Err(); err == nil || !strings.Contains(err.Error(), "skipped") {
+		t.Errorf("nil lane: err %v, want a skip", err)
+	}
+	if st := bw.Lane(4).State(); st.Err != nil || len(st.SpecVals) != 0 {
+		t.Errorf("lane past the end of xs was evaluated: err %v, specs %v", st.Err, st.SpecVals)
 	}
 }
 
@@ -133,44 +113,42 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAlloc pins the batched hot path: after warm-up a full
-// K-candidate evaluation performs zero heap allocations, preserving the
-// scalar path's guarantee. The candidates are small perturbations of
-// one design — the population shape of the batch consumers (yield
-// sampling, annealer neighborhoods) — so all lanes share one operating
-// region and the SoA path must engage for every lane.
+// TestBatchZeroAlloc pins the cornered hot path: after warm-up one
+// worst-case evaluation — a Run over nominal plus two corners and the
+// WorstCase assembly — performs zero heap allocations, like the scalar
+// path.
 func TestBatchZeroAlloc(t *testing.T) {
-	c, err := Compile(BiCMOSTwoStage)
-	if err != nil {
-		t.Fatal(err)
+	cs := compileCorneredOTA(t, "")
+	if cs.K() != 3 {
+		t.Fatalf("K = %d, want nominal + 2 corners", cs.K())
 	}
-	const K = 4
-	base := evalSequence(c, 0)[0]
-	xs := make([][]float64, K)
+	x := make([]float64, cs.NVars())
+	for i, v := range cs.Vars() {
+		x[i] = v.Start()
+	}
+	xs := make([][]float64, cs.K())
+	include := make([]bool, cs.K())
+	evaluated := make([]bool, cs.K())
 	for i := range xs {
-		x := make([]float64, len(base))
-		for p, v := range base {
-			x[p] = v * (1 + 1e-4*float64(i*len(base)+p%7))
-		}
-		xs[i] = x
+		xs[i] = cs.LaneX(i, x, nil)
+		include[i] = true
 	}
-	bw := c.NewBatchWorkspace(K)
-	costs := make([]float64, K)
-	bw.CostsInto(costs, xs) // warm up lazy scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		bw.CostsInto(costs, xs)
-	})
+	bw := cs.NewCornerBatch()
+	eval := func() {
+		bw.Run(xs)
+		for i := range evaluated {
+			evaluated[i] = bw.Lane(i).Err() == nil
+		}
+		cs.WorstCase(bw, include, evaluated)
+	}
+	eval() // warm up lazy scratch
+	for i, ok := range evaluated {
+		if !ok {
+			t.Fatalf("lane %s failed at the start point", cs.LaneName(i))
+		}
+	}
+	allocs := testing.AllocsPerRun(20, eval)
 	if allocs != 0 {
-		t.Errorf("batched eval allocates %.1f/batch, want 0", allocs)
-	}
-	// The batch must actually engage the SoA path here — an all-scalar
-	// fallback would pass the equivalence tests while silently losing the
-	// batching win.
-	for j := 0; j < bw.Jigs(); j++ {
-		for i := 0; i < K; i++ {
-			if bw.Lane(i).Err() == nil && !bw.Batched(j, i) {
-				t.Errorf("jig %d lane %d fell back to the scalar path", j, i)
-			}
-		}
+		t.Errorf("cornered eval allocates %.1f/eval, want 0", allocs)
 	}
 }

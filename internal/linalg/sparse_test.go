@@ -255,112 +255,6 @@ func TestSparseComplexMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseBatchMatchesScalar checks the SoA batch factor/solve is
-// bit-identical per lane with the scalar sparse replay.
-func TestSparseBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const K = 5
-	base := mnaRandom(rng, 9, 2)
-	var pat Pattern
-	pat.Scan(base)
-	sym := NewSymbolic(&pat)
-	if sym == nil {
-		t.Fatal("no symbolic for MNA pattern")
-	}
-	// K value variants over the identical pattern.
-	mats := make([]*Matrix, K)
-	for k := range mats {
-		m := base.Clone()
-		for i, v := range m.Data {
-			if v != 0 {
-				m.Data[i] = v * (1 + 0.3*rng.NormFloat64())
-				if m.Data[i] == 0 {
-					m.Data[i] = v
-				}
-			}
-		}
-		mats[k] = m
-	}
-	batch := NewSparseBatchLU(sym, K)
-	batch.FactorAll(mats)
-	n := base.Rows
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	soa := make([]float64, n*K)
-	for i := 0; i < n; i++ {
-		for k := 0; k < K; k++ {
-			soa[i*K+k] = b[i]
-		}
-	}
-	batch.SolveAll(soa)
-	var slu SparseLU
-	for k := 0; k < K; k++ {
-		slu.reset(sym)
-		if err := slu.Factor(mats[k]); err != nil {
-			if batch.Lane(k) {
-				t.Fatalf("lane %d: scalar guard tripped but batch lane ok", k)
-			}
-			continue
-		}
-		if !batch.Lane(k) {
-			t.Fatalf("lane %d: batch masked but scalar factored", k)
-		}
-		x := append([]float64(nil), b...)
-		slu.SolveInPlace(x)
-		for i := 0; i < n; i++ {
-			if x[i] != soa[i*K+k] {
-				t.Fatalf("lane %d row %d: batch %g != scalar %g", k, i, soa[i*K+k], x[i])
-			}
-		}
-	}
-}
-
-// TestSparseBatchMasksBadLane checks a singular lane is masked without
-// disturbing its neighbors.
-func TestSparseBatchMasksBadLane(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := mnaRandom(rng, 6, 1)
-	var pat Pattern
-	pat.Scan(base)
-	sym := NewSymbolic(&pat)
-	mats := []*Matrix{base.Clone(), base.Clone(), nil}
-	// Zero lane 1's values (pattern positions keep zero values → every
-	// pivot is zero → guard masks the lane).
-	for i := range mats[1].Data {
-		mats[1].Data[i] = 0
-	}
-	batch := NewSparseBatchLU(sym, 3)
-	batch.FactorAll(mats)
-	if !batch.Lane(0) || batch.Lane(1) || batch.Lane(2) {
-		t.Fatalf("lane mask = %v %v %v, want true false false",
-			batch.Lane(0), batch.Lane(1), batch.Lane(2))
-	}
-	n := base.Rows
-	var slu SparseLU
-	slu.reset(sym)
-	if err := slu.Factor(base); err != nil {
-		t.Fatalf("scalar factor: %v", err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	soa := make([]float64, n*3)
-	for i := 0; i < n; i++ {
-		soa[i*3+0] = b[i]
-	}
-	batch.SolveAll(soa)
-	x := append([]float64(nil), b...)
-	slu.SolveInPlace(x)
-	for i := 0; i < n; i++ {
-		if x[i] != soa[i*3+0] {
-			t.Fatalf("row %d: live lane corrupted: %g != %g", i, soa[i*3+0], x[i])
-		}
-	}
-}
-
 // TestSymbolicStructurallySingular checks empty rows are rejected at
 // symbolic time.
 func TestSymbolicStructurallySingular(t *testing.T) {

@@ -36,7 +36,7 @@ type Checkpoint struct {
 	Retries     int `json:"retries"`
 	Quarantined int `json:"quarantined"`
 	// Unstable is the Padé-instability counter — the shared workspace's
-	// for nominal-only runs, the nominal batch lane's for cornered runs.
+	// for nominal-only runs, the nominal lane's for cornered runs.
 	Unstable int `json:"unstable,omitempty"`
 
 	// Corners carries the per-corner failure state of a worst-case run,

@@ -32,7 +32,7 @@ type cornerLane struct {
 }
 
 // cornerEval evaluates one candidate against every selected corner and
-// assembles the worst-case-over-corners cost. It owns the K-lane batch
+// assembles the worst-case-over-corners cost. It owns the corner lane
 // workspace, the per-corner failure accounting, and the retry-then-
 // quarantine policy; the surrounding problem wrapper keeps its existing
 // candidate-level panic/NaN hardening on top.
@@ -43,7 +43,7 @@ type cornerEval struct {
 
 	lanes     []cornerLane // indexed like cs lanes; [0] unused
 	bufs      [][]float64  // per-lane candidate scratch
-	xs        [][]float64  // batch argument: bufs[i] or nil (skipped)
+	xs        [][]float64  // Run argument: bufs[i] or nil (skipped)
 	include   []bool
 	evaluated []bool
 
@@ -207,7 +207,7 @@ func (ce *cornerEval) failureStats() map[string]CornerFailures {
 }
 
 // cornerResults builds the final per-lane breakdown. Call it after the
-// final eval(best) so the batch lanes hold the verdict at the returned
+// final eval(best) so the lanes hold the verdict at the returned
 // design; laneDC is the per-lane Newton-polish outcome.
 func (ce *cornerEval) cornerResults(laneDC []bool) []CornerResult {
 	out := make([]CornerResult, 0, ce.cs.K())

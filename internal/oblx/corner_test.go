@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
 	"astrx/internal/faults"
+	"astrx/internal/telemetry"
+	"astrx/internal/trace"
 )
 
 // corneredDividerCards declare two corners that move the divider's bias
@@ -316,5 +319,47 @@ func TestCornerSelectionErrors(t *testing.T) {
 	ck2.Corners = []CornerCheckpoint{{Name: "slow"}, {Name: "typo"}}
 	if _, err := Run(context.Background(), deck, Options{Resume: ck2}); err == nil {
 		t.Error("cornered run accepted a checkpoint with renamed corners")
+	}
+}
+
+// TestCornerStageTiming checks that a cornered run is clocked like a
+// nominal one: with every eval sampled, each corner lane's evaluation
+// reports all seven pipeline stages to the shared timer, and the
+// anneal span carries their means as stage.<name>_us attrs.
+func TestCornerStageTiming(t *testing.T) {
+	deck := parse(t, diffAmpDeck+corneredDiffAmpCards)
+	timer := telemetry.NewEvalTimer(1)
+	tid := trace.TraceIDFromRequest("corner-stages")
+	rec := trace.NewRecorder(trace.Context{TraceID: tid, SpanID: trace.RootSpanID(tid)}, 0)
+	res, err := Run(context.Background(), deck, Options{
+		Seed: 1, MaxMoves: 1500, NoFreeze: true, StageTimer: timer, Trace: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Corners) != 3 {
+		t.Fatalf("corner breakdown has %d lanes, want 3", len(res.Corners))
+	}
+	stages := map[string]int64{}
+	for _, row := range timer.Breakdown() {
+		stages[row.Stage] = row.SampledEvals
+	}
+	var anneal *trace.Span
+	for _, sp := range rec.Snapshot() {
+		if sp.Name == "anneal" {
+			anneal = &sp
+		}
+	}
+	if anneal == nil {
+		t.Fatal("no anneal span recorded")
+	}
+	for _, want := range telemetry.StageNames() {
+		// Every eval of the run samples all three healthy lanes.
+		if n, floor := stages[want], int64(len(res.Corners)*res.EvalCount); n < floor {
+			t.Errorf("stage %s: %d sampled lane evals, want ≥ %d", want, n, floor)
+		}
+		if _, err := strconv.ParseFloat(anneal.Attrs["stage."+want+"_us"], 64); err != nil {
+			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
+		}
 	}
 }

@@ -265,7 +265,7 @@ type FailureStats struct {
 type CornerFailures struct {
 	// Fails counts evaluations that still failed after the in-move retry.
 	Fails int `json:"fails"`
-	// Retries counts in-move scalar re-attempts after a batched failure.
+	// Retries counts in-move re-attempts after a failed lane evaluation.
 	Retries int `json:"retries"`
 	// Quarantined reports the corner was excluded from the worst-case
 	// assembly after cornerQuarantineAfter consecutive failures.
@@ -463,10 +463,12 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	}
 	if opt.StageTimer != nil {
 		// Each Run compiles its own problem, so the shared workspace is
-		// single-goroutine here; the clock funnels into the (atomic)
+		// single-goroutine here; the clocks funnel into the (atomic)
 		// shared timer.
 		if ce != nil {
-			ce.bw.Lane(0).SetClock(opt.StageTimer.NewClock())
+			for i := 0; i < ce.bw.K(); i++ {
+				ce.bw.Lane(i).SetClock(opt.StageTimer.NewClock())
+			}
 		} else {
 			c.Workspace().SetClock(opt.StageTimer.NewClock())
 		}

@@ -431,4 +431,3 @@ func (c *Cache) evictOldestLocked() {
 		}
 	}
 }
-

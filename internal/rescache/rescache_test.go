@@ -2,9 +2,9 @@ package rescache
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"fmt"
 	"testing"
 
 	"astrx/internal/durable"

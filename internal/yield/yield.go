@@ -40,18 +40,10 @@ type Sensitivity struct {
 	Rel float64
 }
 
-// sensBatchK is the lane count of the batched spec evaluator behind
-// Sensitivities. The ±h perturbation points cluster tightly around one
-// design, so their MNA patterns agree and the SoA factorization path
-// engages for essentially every lane.
-const sensBatchK = 8
-
 // Sensitivities computes the relative sensitivity matrix of all specs to
 // all user design variables at x, using central differences with a true
-// Newton bias re-solve per perturbation. The Newton solves run point by
-// point (each needs its own iteration history), but the small-signal
-// spec evaluations of the solved bias points run through the batched
-// K-candidate evaluator. Cancelling ctx aborts between batches.
+// Newton bias re-solve per perturbation. Cancelling ctx aborts between
+// points.
 func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensitivity, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -85,9 +77,16 @@ func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensi
 		return sign + c.Vars()[(p-1)/2].Name
 	}
 
-	vals, err := simulateBatch(ctx, c, pts, label)
-	if err != nil {
-		return nil, err
+	vals := make([]map[string]float64, len(pts))
+	for p, pt := range pts {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("yield: %w", err)
+		}
+		v, err := simulateAt(ctx, c, pt)
+		if err != nil {
+			return nil, fmt.Errorf("yield: %s: %w", label(p), err)
+		}
+		vals[p] = v
 	}
 	base := vals[0]
 
@@ -109,54 +108,6 @@ func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensi
 		}
 	}
 	return out, nil
-}
-
-// simulateBatch evaluates all specs at each point's true (Newton-solved)
-// bias, batching the spec evaluations sensBatchK points at a time. Any
-// failed point aborts with an error naming it via label.
-func simulateBatch(ctx context.Context, c *astrx.Compiled, pts [][]float64, label func(int) string) ([]map[string]float64, error) {
-	// Newton-solve every bias point first; each solved full vector feeds
-	// one batch lane.
-	xrs := make([][]float64, len(pts))
-	for p, x := range pts {
-		xr := append([]float64(nil), x...)
-		dp := c.DCProblem(xr)
-		if dp.N() > 0 {
-			v0 := append([]float64(nil), xr[c.NUser:]...)
-			r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{MaxIter: 250, GminSteps: 5})
-			if err != nil {
-				return nil, fmt.Errorf("yield: %s: %w", label(p), err)
-			}
-			copy(xr[c.NUser:], r.V)
-		}
-		xrs[p] = xr
-	}
-
-	bw := c.NewBatchWorkspace(sensBatchK)
-	vals := make([]map[string]float64, len(pts))
-	for off := 0; off < len(xrs); off += sensBatchK {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("yield: %w", err)
-		}
-		end := off + sensBatchK
-		if end > len(xrs) {
-			end = len(xrs)
-		}
-		bw.Run(xrs[off:end])
-		for i := off; i < end; i++ {
-			ws := bw.Lane(i - off)
-			if err := ws.Err(); err != nil {
-				return nil, fmt.Errorf("yield: %s: %w", label(i), err)
-			}
-			st := ws.State()
-			out := make(map[string]float64, len(st.SpecVals))
-			for k, v := range st.SpecVals {
-				out[k] = v
-			}
-			vals[i] = out
-		}
-	}
-	return vals, nil
 }
 
 // TopSensitivities returns the n largest-magnitude entries.
@@ -285,7 +236,15 @@ func MonteCarlo(ctx context.Context, deckSrc string, x []float64, n int, mm Mism
 			return nil, err
 		}
 		lot := rng.NormFloat64()
-		for _, mcard := range deck.Models {
+		// Draw in model-name order: ranging over the map would hand the
+		// same draws to different cards from call to call.
+		names := make([]string, 0, len(deck.Models))
+		for name := range deck.Models {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			mcard := deck.Models[name]
 			switch mcard.Type {
 			case "nmos", "pmos":
 				dv := mm.VthSigma * (lot + 0.5*rng.NormFloat64())
@@ -393,177 +352,4 @@ func cloneParams(p map[string]float64) map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Corner is one deterministic operating/process condition, expressed as
-// shifts applied to every MOS model card (temperature enters through its
-// dominant effects: threshold shift ≈ -2 mV/K and mobility ∝ T^-1.5).
-type Corner struct {
-	Name string
-	// DVth is added to every MOS vto (V).
-	DVth float64
-	// BetaScale multiplies every MOS mobility / transconductance factor.
-	BetaScale float64
-}
-
-// StandardCorners covers slow/fast process and hot/cold operation.
-var StandardCorners = []Corner{
-	{Name: "typ", DVth: 0, BetaScale: 1},
-	{Name: "slow", DVth: +0.06, BetaScale: 0.85},
-	{Name: "fast", DVth: -0.06, BetaScale: 1.15},
-	{Name: "hot(85C)", DVth: -0.12, BetaScale: 0.77},
-	{Name: "cold(-40C)", DVth: +0.13, BetaScale: 1.33},
-}
-
-// CornerResult is one corner's spec set.
-type CornerResult struct {
-	Corner Corner
-	Specs  map[string]float64
-	AllMet bool
-	Err    error // non-nil when the bias would not converge at this corner
-}
-
-// CompiledCornerResult is one deck-declared corner's verification
-// verdict from VerifyCompiledCorners.
-type CompiledCornerResult struct {
-	// Name is the lane name ("nominal" for lane 0).
-	Name   string
-	Specs  map[string]float64
-	AllMet bool
-	Err    error // non-nil when the bias would not converge at this corner
-}
-
-// VerifyCompiledCorners re-simulates a finished design at every lane of
-// an already-compiled corner set — the deck's own .corner cards rather
-// than the generic StandardCorners shifts — with a true Newton bias
-// solve per lane. It reuses the synthesis run's compiled plans, so
-// verification costs no re-parse and no recompile. x is either the
-// run's full master vector (per-lane node sections are used as Newton
-// starting points) or just the user design variables (each lane starts
-// from its compiled defaults).
-func VerifyCompiledCorners(ctx context.Context, cs *astrx.CornerSet, x []float64) ([]CompiledCornerResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(x) != cs.NVars() && len(x) < cs.NUser {
-		return nil, fmt.Errorf("yield: x has %d values, need the %d-long master vector or ≥ %d user variables",
-			len(x), cs.NVars(), cs.NUser)
-	}
-	out := make([]CompiledCornerResult, 0, cs.K())
-	for i := 0; i < cs.K(); i++ {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("yield: %w", err)
-		}
-		c := cs.Lane(i)
-		var lx []float64
-		if len(x) == cs.NVars() {
-			lx = cs.LaneX(i, x, nil)
-		} else {
-			lx = make([]float64, len(c.Vars()))
-			copy(lx, x[:cs.NUser])
-			for j := cs.NUser; j < len(lx); j++ {
-				lx[j] = c.Vars()[j].Start()
-			}
-		}
-		cr := CompiledCornerResult{Name: cs.LaneName(i)}
-		specs, err := simulateAt(ctx, c, lx)
-		if err != nil {
-			cr.Err = err
-			out = append(out, cr)
-			continue
-		}
-		cr.Specs = specs
-		cr.AllMet = true
-		for _, s := range cs.Deck.Specs {
-			if s.Objective {
-				continue
-			}
-			v := specs[s.Name]
-			met := v >= s.Good
-			if !s.Maximize() {
-				met = v <= s.Good
-			}
-			if !met {
-				cr.AllMet = false
-			}
-		}
-		out = append(out, cr)
-	}
-	return out, nil
-}
-
-// Corners re-simulates a finished design at each corner — the
-// "performance over varying operating conditions" view the paper's
-// conclusion asks for.
-func Corners(ctx context.Context, deckSrc string, x []float64, corners []Corner) ([]CornerResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(corners) == 0 {
-		corners = StandardCorners
-	}
-	baseDeck, err := netlist.Parse(deckSrc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CornerResult, 0, len(corners))
-	for _, cn := range corners {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("yield: %w", err)
-		}
-		deck, err := netlist.Parse(deckSrc)
-		if err != nil {
-			return nil, err
-		}
-		for _, mcard := range deck.Models {
-			if mcard.Type != "nmos" && mcard.Type != "pmos" {
-				continue
-			}
-			p := cloneParams(mcard.Params)
-			p["vto"] = mcard.P("vto", 0.8) + cn.DVth
-			if u0 := mcard.P("u0", 0); u0 != 0 {
-				p["u0"] = u0 * cn.BetaScale
-			}
-			if kp := mcard.P("kp", 0); kp != 0 {
-				p["kp"] = kp * cn.BetaScale
-			}
-			mcard.Params = p
-		}
-		comp, err := astrx.Compile(deck, astrx.CostOptions{})
-		if err != nil {
-			return nil, err
-		}
-		if len(x) < comp.NUser {
-			return nil, fmt.Errorf("yield: x has %d values, need ≥ %d", len(x), comp.NUser)
-		}
-		xs := make([]float64, len(comp.Vars()))
-		copy(xs, x[:comp.NUser])
-		if len(x) == len(comp.Vars()) {
-			copy(xs[comp.NUser:], x[comp.NUser:])
-		}
-		cr := CornerResult{Corner: cn}
-		specs, err := simulateAt(ctx, comp, xs)
-		if err != nil {
-			cr.Err = err
-			out = append(out, cr)
-			continue
-		}
-		cr.Specs = specs
-		cr.AllMet = true
-		for _, s := range baseDeck.Specs {
-			if s.Objective {
-				continue
-			}
-			v := specs[s.Name]
-			met := v >= s.Good
-			if !s.Maximize() {
-				met = v <= s.Good
-			}
-			if !met {
-				cr.AllMet = false
-			}
-		}
-		out = append(out, cr)
-	}
-	return out, nil
 }

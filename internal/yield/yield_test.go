@@ -3,6 +3,8 @@ package yield
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"astrx/internal/astrx"
@@ -213,51 +215,30 @@ func TestMonteCarloErrors(t *testing.T) {
 	}
 }
 
-func TestCornersOTA(t *testing.T) {
-	_, x := compileAt(t, otaDeck)
+// TestMonteCarloDeterministic checks that one seed gives one answer: on
+// a deck with two MOS model cards, the per-model shifts must not depend
+// on map iteration order.
+func TestMonteCarloDeterministic(t *testing.T) {
+	src := strings.Replace(otaDeck, ".lib c2u", `
+.model nmos3 nmos level=1 vto=0.8 u0=620 gamma=0.45 phi=0.66 lambda=0.04 tox=40n
+.model pmos3 pmos level=1 vto=0.9 u0=240 gamma=0.55 phi=0.62 lambda=0.05 tox=40n
+`, 1)
+	_, x := compileAt(t, src)
 	x[0], x[1], x[2], x[3] = 60e-6, 30e-6, 20e-6, 40e-6
-	rs, err := Corners(context.Background(), otaDeck, x, nil)
+	first, err := MonteCarlo(context.Background(), src, x, 6, MismatchModel{}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != len(StandardCorners) {
-		t.Fatalf("corners = %d", len(rs))
+	if first.Failed == first.Samples {
+		t.Fatalf("every sample failed: %+v", first)
 	}
-	var typ, slow, fast *CornerResult
-	for i := range rs {
-		switch rs[i].Corner.Name {
-		case "typ":
-			typ = &rs[i]
-		case "slow":
-			slow = &rs[i]
-		case "fast":
-			fast = &rs[i]
+	for i := 0; i < 4; i++ {
+		again, err := MonteCarlo(context.Background(), src, x, 6, MismatchModel{}, 11)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if typ == nil || typ.Err != nil {
-		t.Fatalf("typ corner failed: %+v", typ)
-	}
-	if slow == nil || slow.Err != nil || fast == nil || fast.Err != nil {
-		t.Fatalf("process corners failed")
-	}
-	// GBW ordering: fast silicon beats slow silicon.
-	if fast.Specs["gbw"] <= slow.Specs["gbw"] {
-		t.Errorf("gbw fast (%g) should exceed slow (%g)",
-			fast.Specs["gbw"], slow.Specs["gbw"])
-	}
-}
-
-func TestCornersResistorOnlyUnaffected(t *testing.T) {
-	_, x := compileAt(t, dividerDeck)
-	x[0] = 9000
-	rs, err := Corners(context.Background(), dividerDeck, x, []Corner{{Name: "a", DVth: 0.1, BetaScale: 0.5}, {Name: "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || rs[0].Err != nil || rs[1].Err != nil {
-		t.Fatalf("corner errors: %+v", rs)
-	}
-	if math.Abs(rs[0].Specs["gain"]-rs[1].Specs["gain"]) > 1e-12 {
-		t.Error("resistive circuit must be corner-invariant")
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("call %d: same seed, different result:\n%+v\n%+v", i+2, first, again)
+		}
 	}
 }
