@@ -67,6 +67,9 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	// of jigs whose factorization ran the sparse replay (1 = all sparse,
 	// 0 = dense fallback everywhere). Tracked in BENCH_oblx.json so a
 	// deck silently dropping off the sparse path shows up in review.
+	// All four describe the start point this benchmark evaluates; in a
+	// run, patterns change and most AWE factorizations take the dense
+	// fallback (oblx's factor.* counts, docs/profiling.md).
 	var rows, nnz, fill, sparse float64
 	stats := comp.Workspace().JigStats()
 	for _, s := range stats {

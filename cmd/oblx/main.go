@@ -28,6 +28,7 @@ import (
 
 	"astrx/internal/bench"
 	"astrx/internal/faults"
+	"astrx/internal/linalg"
 	"astrx/internal/metrics"
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
@@ -344,7 +345,7 @@ func main() {
 		rep.BiasIterations, rep.MaxKCL)
 
 	if timer != nil {
-		printStages(timer)
+		printStages(timer, best.FactorCounts)
 	}
 	if *showMetrics {
 		printMetrics(best)
@@ -374,8 +375,9 @@ func writeSpans(path, label, cause string, rec *trace.Recorder) error {
 }
 
 // printStages renders the sampled per-stage eval timing collected under
-// -stage-sample: where each evaluated circuit actually spends its time.
-func printStages(timer *telemetry.EvalTimer) {
+// -stage-sample: where each evaluated circuit actually spends its time,
+// and which factorization path the run's evaluations took.
+func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts) {
 	bd := timer.Breakdown()
 	if len(bd) == 0 {
 		return
@@ -386,6 +388,8 @@ func printStages(timer *telemetry.EvalTimer) {
 		fmt.Printf("    %-10s %12v mean over %d samples\n",
 			b.Stage, mean.Round(time.Nanosecond), b.SampledEvals)
 	}
+	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses\n",
+		fc.Sparse, fc.Dense, fc.SymbolicMisses)
 }
 
 // printMetrics renders the run's statistics through the same metrics

@@ -153,6 +153,17 @@ func (ws *EvalWorkspace) JigStats() []linalg.FactorStats {
 	return out
 }
 
+// FactorCounts sums the jig engines' factorization counts since the
+// workspace was created: sparse replays, dense fallbacks, and symbolic
+// analyses run on a pattern-cache miss.
+func (ws *EvalWorkspace) FactorCounts() linalg.FactorCounts {
+	var fc linalg.FactorCounts
+	for i := range ws.jigs {
+		fc.Add(ws.jigs[i].eng.FactorCounts())
+	}
+	return fc
+}
+
 // UnstableCount returns how many evaluations this workspace has rejected
 // for right-half-plane poles in the reduced model.
 func (ws *EvalWorkspace) UnstableCount() int { return ws.unstable }

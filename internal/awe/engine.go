@@ -40,8 +40,9 @@ type cEntry struct {
 func (e *Engine) FactorStats() linalg.FactorStats { return e.lu.Stats() }
 
 // FactorCounts reports how many factorizations took the sparse path
-// versus fell back to dense since the engine was created.
-func (e *Engine) FactorCounts() (sparse, dense uint64) { return e.lu.Counts() }
+// versus fell back to dense, and how many symbolic analyses missed the
+// cache, since the engine was created.
+func (e *Engine) FactorCounts() linalg.FactorCounts { return e.lu.Counts() }
 
 // Refactor recomputes the LU factorization of G, reusing the engine's
 // factor storage. It must be called after every re-stamp of G and

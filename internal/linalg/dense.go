@@ -4,9 +4,12 @@
 // root finder used by the AWE Padé step.
 //
 // Everything is written against the standard library only. Matrices are
-// dense and row-major; the circuits in this reproduction have at most a
-// few hundred MNA rows, for which dense LU is faster than a pointer-heavy
-// sparse code and much simpler (see DESIGN.md §4).
+// dense and row-major. Hot paths factor through AutoLU/AutoCLU
+// (sparse.go): a symbolic analysis cached per sparsity pattern, replayed
+// as flat index programs, with the dense partial-pivot LU here as the
+// fallback when a pivot guard trips. The dense code skips the
+// structural zeros of the pivot row and of the factors, which circuit
+// matrices keep many of (see DESIGN.md §4).
 package linalg
 
 import (
@@ -110,7 +113,29 @@ type LU struct {
 	pivot []int     // row permutation
 	sign  float64   // determinant sign from row swaps
 	scale []float64 // equilibration scratch, reused across Factor calls
+
+	// The factors' nonzero structure, indexed after the last row swap:
+	// the rows of each L column (in no set order: forward substitution
+	// updates each row once per column) and the ascending columns of
+	// each U row. Circuit matrices stay sparse through elimination, so
+	// the solves walk these lists instead of the full triangles.
+	lRow, lPtr []int32
+	uCol, uPtr []int32
+
+	rowID, rowPos []int32 // Factor scratch: row identity across swaps
 }
+
+// Skipping structural zeros is exact. A skipped term subtracts a
+// product p = a·0, and x − p equals x bit for bit for every x except
+// x = −0 with p = −0 (−0 − −0 = +0). Factor's targets are never −0: it
+// skips only when A holds no −0, and x − y is −0 only when x is. So the
+// factors, pivots and singular verdicts match the plain loops bit for
+// bit. The solves' targets can be −0 (the AWE moment recursion negates
+// C·m, turning empty rows into −0), so a solution's exact zeros may
+// differ in sign from the plain loops'; every nonzero value matches.
+// A skipped product is ±0 only while the other factor is finite: a
+// non-finite multiplier, pivot-row entry or solution value makes 0·Inf
+// a NaN that must propagate, so those cases run the plain loops.
 
 // FactorLU computes the LU factorization of the square matrix a. The
 // input matrix is not modified. It returns ErrSingular when a pivot
@@ -139,6 +164,12 @@ func (f *LU) Factor(a *Matrix) error {
 		f.lu = make([]float64, n*n)
 		f.pivot = make([]int, n)
 		f.scale = make([]float64, n)
+		f.lRow = make([]int32, 0, n*(n-1)/2)
+		f.uCol = make([]int32, 0, n*(n-1)/2)
+		f.lPtr = make([]int32, n+1)
+		f.uPtr = make([]int32, n+1)
+		f.rowID = make([]int32, n)
+		f.rowPos = make([]int32, n)
 	}
 	f.lu = f.lu[:n*n]
 	f.pivot = f.pivot[:n]
@@ -147,12 +178,26 @@ func (f *LU) Factor(a *Matrix) error {
 	copy(f.lu, a.Data)
 
 	// Row scaling factors for implicit equilibration in pivot choice.
+	// The same pass checks whether the structural-zero skips are exact
+	// for this matrix: they are unless it holds a −0 or a non-finite
+	// value.
 	scale := f.scale
+	plain := false
 	for i := 0; i < n; i++ {
 		big := 0.0
-		for j := 0; j < n; j++ {
-			if v := math.Abs(f.lu[i*n+j]); v > big {
+		for _, x := range f.lu[i*n : i*n+n] {
+			if x == 0 {
+				if math.Float64bits(x) != 0 {
+					plain = true // −0
+				}
+				continue
+			}
+			v := math.Abs(x)
+			if v > big {
 				big = v
+			}
+			if !(v <= math.MaxFloat64) {
+				plain = true // ±Inf or NaN
 			}
 		}
 		if big == 0 {
@@ -161,6 +206,15 @@ func (f *LU) Factor(a *Matrix) error {
 		scale[i] = 1 / big
 	}
 
+	// The nonzero structure is recorded as elimination goes: a U row is
+	// final once it has pivoted, and an L entry is named by the id of
+	// its row (rowID follows the swaps) until the last swap is done.
+	f.lRow, f.uCol = f.lRow[:0], f.uCol[:0]
+	f.lPtr, f.uPtr = f.lPtr[:n+1], f.uPtr[:n+1]
+	rowID := f.rowID[:n]
+	for i := range rowID {
+		rowID[i] = int32(i)
+	}
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p, big := k, 0.0
@@ -177,6 +231,7 @@ func (f *LU) Factor(a *Matrix) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			scale[k], scale[p] = scale[p], scale[k]
+			rowID[k], rowID[p] = rowID[p], rowID[k]
 			f.sign = -f.sign
 		}
 		f.pivot[k] = p
@@ -185,18 +240,44 @@ func (f *LU) Factor(a *Matrix) error {
 			return ErrSingular
 		}
 		inv := 1 / piv
+		rowk := f.lu[k*n : k*n+n]
+		f.uPtr[k] = int32(len(f.uCol))
+		for j := k + 1; j < n; j++ {
+			if rowk[j] != 0 {
+				f.uCol = append(f.uCol, int32(j))
+			}
+		}
+		nz := f.uCol[f.uPtr[k]:]
+		f.lPtr[k] = int32(len(f.lRow))
 		for i := k + 1; i < n; i++ {
 			l := f.lu[i*n+k] * inv
 			f.lu[i*n+k] = l
 			if l == 0 {
 				continue
 			}
-			rowi := f.lu[i*n+k+1 : i*n+n]
-			rowk := f.lu[k*n+k+1 : k*n+n]
-			for j := range rowi {
+			f.lRow = append(f.lRow, rowID[i])
+			if plain || l-l != 0 { // l-l != 0: l is ±Inf or NaN
+				rowi := f.lu[i*n+k+1 : i*n+n]
+				rowk := f.lu[k*n+k+1 : k*n+n]
+				for j := range rowi {
+					rowi[j] -= l * rowk[j]
+				}
+				continue
+			}
+			rowi := f.lu[i*n : i*n+n]
+			for _, j := range nz {
 				rowi[j] -= l * rowk[j]
 			}
 		}
+	}
+	f.lPtr[n] = int32(len(f.lRow))
+	f.uPtr[n] = int32(len(f.uCol))
+	rowPos := f.rowPos[:n]
+	for pos, id := range rowID {
+		rowPos[id] = int32(pos)
+	}
+	for e, id := range f.lRow {
+		f.lRow[e] = rowPos[id]
 	}
 	return nil
 }
@@ -239,18 +320,36 @@ func (f *LU) SolveInPlace(b []float64) {
 		if bk == 0 {
 			continue
 		}
-		for i := k + 1; i < n; i++ {
-			b[i] -= f.lu[i*n+k] * bk
+		if bk-bk != 0 { // ±Inf or NaN: every L entry counts
+			for i := k + 1; i < n; i++ {
+				b[i] -= f.lu[i*n+k] * bk
+			}
+			continue
+		}
+		for _, i := range f.lRow[f.lPtr[k]:f.lPtr[k+1]] {
+			b[i] -= f.lu[int(i)*n+k] * bk
 		}
 	}
-	// Back substitution.
+	// Back substitution. Once a solved entry is non-finite, every row
+	// above it runs the full U row.
+	plain := false
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		row := f.lu[i*n : i*n+n]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * b[j]
+		if plain {
+			for j := i + 1; j < n; j++ {
+				s -= row[j] * b[j]
+			}
+		} else {
+			for _, j := range f.uCol[f.uPtr[i]:f.uPtr[i+1]] {
+				s -= row[j] * b[j]
+			}
 		}
-		b[i] = s / row[i]
+		x := s / row[i]
+		b[i] = x
+		if x-x != 0 {
+			plain = true
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -295,4 +296,233 @@ func TestMulVecInto(t *testing.T) {
 		}
 	}()
 	m.MulVecInto(dst, []float64{1})
+}
+
+// refLUFactor is LU.Factor as it stood before the structural-zero
+// skips, kept verbatim (receiver made a parameter) as the reference the
+// skipping code must reproduce bit for bit.
+func refLUFactor(f *LU, a *Matrix) error {
+	if a.Rows != a.Cols {
+		panic("linalg: LU.Factor requires a square matrix")
+	}
+	n := a.Rows
+	f.n = n
+	if cap(f.lu) < n*n {
+		f.lu = make([]float64, n*n)
+		f.pivot = make([]int, n)
+		f.scale = make([]float64, n)
+	}
+	f.lu = f.lu[:n*n]
+	f.pivot = f.pivot[:n]
+	f.scale = f.scale[:n]
+	f.sign = 1
+	copy(f.lu, a.Data)
+
+	// Row scaling factors for implicit equilibration in pivot choice.
+	scale := f.scale
+	for i := 0; i < n; i++ {
+		big := 0.0
+		for j := 0; j < n; j++ {
+			if v := math.Abs(f.lu[i*n+j]); v > big {
+				big = v
+			}
+		}
+		if big == 0 {
+			return ErrSingular
+		}
+		scale[i] = 1 / big
+	}
+
+	for k := 0; k < n; k++ {
+		// Find pivot row.
+		p, big := k, 0.0
+		for i := k; i < n; i++ {
+			v := scale[i] * math.Abs(f.lu[i*n+k])
+			if v > big {
+				big, p = v, i
+			}
+		}
+		if p != k {
+			rk := f.lu[k*n : k*n+n]
+			rp := f.lu[p*n : p*n+n]
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			scale[k], scale[p] = scale[p], scale[k]
+			f.sign = -f.sign
+		}
+		f.pivot[k] = p
+		piv := f.lu[k*n+k]
+		if math.Abs(piv) < 1e-300 {
+			return ErrSingular
+		}
+		inv := 1 / piv
+		for i := k + 1; i < n; i++ {
+			l := f.lu[i*n+k] * inv
+			f.lu[i*n+k] = l
+			if l == 0 {
+				continue
+			}
+			rowi := f.lu[i*n+k+1 : i*n+n]
+			rowk := f.lu[k*n+k+1 : k*n+n]
+			for j := range rowi {
+				rowi[j] -= l * rowk[j]
+			}
+		}
+	}
+	return nil
+}
+
+// refLUSolveInPlace is LU.SolveInPlace before the skips, likewise.
+func refLUSolveInPlace(f *LU, b []float64) {
+	n := f.n
+	// Apply the full row permutation first (LAPACK dgetrs order), then
+	// forward-substitute against the unit-lower factor.
+	for k := 0; k < n; k++ {
+		if p := f.pivot[k]; p != k {
+			b[k], b[p] = b[p], b[k]
+		}
+	}
+	for k := 0; k < n; k++ {
+		bk := b[k]
+		if bk == 0 {
+			continue
+		}
+		for i := k + 1; i < n; i++ {
+			b[i] -= f.lu[i*n+k] * bk
+		}
+	}
+	// Back substitution.
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		row := f.lu[i*n : i*n+n]
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * b[j]
+		}
+		b[i] = s / row[i]
+	}
+}
+
+// randomSparseLU builds a random sparse matrix for the skip tests:
+// zero or tiny diagonals force row swaps, and the variant selects the
+// hard cases — magnitudes straddling the 1e-300 pivot threshold, ±Inf
+// and NaN entries, −0 entries, and a dynamic range wide enough to
+// overflow during elimination.
+func randomSparseLU(rng *rand.Rand, n, variant int) *Matrix {
+	a := NewMatrix(n, n)
+	density := 0.05 + 0.4*rng.Float64()
+	for i := range a.Data {
+		if rng.Float64() < density {
+			a.Data[i] = rng.NormFloat64() * math.Exp(2*rng.NormFloat64())
+		}
+	}
+	for i := 0; i < n; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			a.Set(i, i, 0)
+		case 1:
+			a.Set(i, i, 1e-3*rng.NormFloat64())
+		default:
+			a.Set(i, i, 1+rng.Float64())
+		}
+	}
+	switch variant {
+	case 1:
+		s := math.Pow(10, -299-2*rng.Float64())
+		for i := range a.Data {
+			a.Data[i] *= s
+		}
+	case 2:
+		a.Data[rng.Intn(n*n)] = math.Inf(1 - 2*rng.Intn(2))
+	case 3:
+		a.Data[rng.Intn(n*n)] = math.NaN()
+	case 4:
+		for z := 0; z <= n/4; z++ {
+			a.Data[rng.Intn(n*n)] = math.Copysign(0, -1)
+		}
+	case 5:
+		for i := range a.Data {
+			a.Data[i] *= math.Pow(10, float64(rng.Intn(601)-300))
+		}
+	}
+	return a
+}
+
+// TestDenseSkipsMatchReference holds the structural-zero skips to the
+// plain loops they replaced: identical ErrSingular verdicts, and on
+// success bit-identical factors, pivots and sign. Solutions must match
+// bit for bit except that an exact zero may differ in sign (see the
+// comment above FactorLU); right-hand sides hold −0, zeros and, now and
+// then, a non-finite entry.
+func TestDenseSkipsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var got, want LU
+	var ok, singular, swapped, nonFinite, signedZeros int
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(40)
+		variant := trial % 6
+		a := randomSparseLU(rng, n, variant)
+		errW := refLUFactor(&want, a)
+		errG := got.Factor(a)
+		if errW != errG {
+			t.Fatalf("trial %d (n=%d variant %d): Factor error %v, reference %v", trial, n, variant, errG, errW)
+		}
+		if errW != nil {
+			singular++
+			continue
+		}
+		ok++
+		for i, w := range want.lu {
+			if math.Float64bits(got.lu[i]) != math.Float64bits(w) {
+				t.Fatalf("trial %d (n=%d variant %d): factor entry (%d,%d) = %v, reference %v",
+					trial, n, variant, i/n, i%n, got.lu[i], w)
+			}
+		}
+		if !slices.Equal(got.pivot, want.pivot) || got.sign != want.sign {
+			t.Fatalf("trial %d: pivots %v sign %v, reference %v sign %v", trial, got.pivot, got.sign, want.pivot, want.sign)
+		}
+		for k, p := range want.pivot {
+			if p != k {
+				swapped++
+				break
+			}
+		}
+		for r := 0; r < 3; r++ {
+			b := make([]float64, n)
+			for i := range b {
+				switch rng.Intn(4) {
+				case 0:
+					b[i] = math.Copysign(0, -1)
+				case 1:
+				default:
+					b[i] = rng.NormFloat64()
+				}
+			}
+			if r == 2 && trial%4 == 0 {
+				b[rng.Intn(n)] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+			}
+			xw, xg := slices.Clone(b), slices.Clone(b)
+			refLUSolveInPlace(&want, xw)
+			got.SolveInPlace(xg)
+			for i, w := range xw {
+				if math.Float64bits(xg[i]) == math.Float64bits(w) {
+					if w-w != 0 {
+						nonFinite++
+					}
+					continue
+				}
+				if xg[i] == 0 && w == 0 {
+					signedZeros++
+					continue
+				}
+				t.Fatalf("trial %d (n=%d variant %d) rhs %d: x[%d] = %v, reference %v", trial, n, variant, r, i, xg[i], w)
+			}
+		}
+	}
+	t.Logf("%d factored (%d with row swaps), %d singular, %d non-finite solution entries, %d zeros differing in sign",
+		ok, swapped, singular, nonFinite, signedZeros)
+	if ok < 1000 || singular < 100 || swapped < 500 || nonFinite < 100 {
+		t.Fatalf("coverage too thin: %d factored, %d singular, %d with swaps, %d non-finite entries",
+			ok, singular, swapped, nonFinite)
+	}
 }

@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // This file implements the sparse symbolic-LU path described in
@@ -23,9 +24,10 @@ import (
 //     numeric arrays with no branching on structure and no allocation
 //     after warm-up.
 //   - AutoLU / AutoCLU front the whole thing with a per-factor pattern
-//     scan, a small symbolic cache, and numeric guards (tiny static
-//     pivot, element growth) that fall back to the dense partial-pivot
-//     factorization when the static ordering goes numerically bad.
+//     scan, an LRU cache of symbolic analyses, and numeric guards (tiny
+//     static pivot, element growth) that fall back to the dense
+//     partial-pivot factorization when the static ordering goes
+//     numerically bad.
 //
 // Determinism matters more than cleverness here: the symbolic analysis
 // is a pure function of the scanned pattern, and the guards are pure
@@ -49,10 +51,14 @@ const (
 	// sparseGrowthLimit rejects factorizations whose element growth says
 	// the structural pivot order was numerically bad for these values.
 	sparseGrowthLimit = 1e6
-	// symCacheCap bounds the per-factorizer symbolic cache. Patterns per
-	// deck number a handful (device conductances occasionally evaluate
-	// to exactly zero and drop stamps), so a tiny MRU cache suffices.
-	symCacheCap = 8
+	// symCacheCap bounds the per-factorizer LRU symbolic cache. During
+	// an anneal a device that cuts off stops stamping and changes the
+	// pattern, so one jig engine meets hundreds of distinct patterns
+	// over a run; a few dozen of them recur often enough to pay for
+	// their slot. symTableSize is the hash table behind it: a power of
+	// two at most half full.
+	symCacheCap  = 64
+	symTableSize = 2 * symCacheCap
 )
 
 // Pattern is the set of nonzero positions of a square dense matrix,
@@ -109,6 +115,22 @@ func (p *Pattern) clone() Pattern {
 	return Pattern{N: p.N, Pos: append([]int32(nil), p.Pos...)}
 }
 
+// FactorCounts tallies the paths a factorizer's Factor calls took.
+type FactorCounts struct {
+	Sparse uint64 // sparse replays that passed every pivot guard
+	Dense  uint64 // dense partial-pivot factorizations (guard trip or structurally singular pattern)
+	// SymbolicMisses counts symbolic analyses run because the scanned
+	// pattern was not in the factorizer's cache.
+	SymbolicMisses uint64
+}
+
+// Add accumulates o into c.
+func (c *FactorCounts) Add(o FactorCounts) {
+	c.Sparse += o.Sparse
+	c.Dense += o.Dense
+	c.SymbolicMisses += o.SymbolicMisses
+}
+
 // FactorStats describes the last factorization a solver performed, for
 // benchmark attribution (cmd/benchjson matrix stats).
 type FactorStats struct {
@@ -121,8 +143,9 @@ type FactorStats struct {
 
 // Symbolic is the result of structural elimination on one Pattern: a
 // fill-reducing pivot order and the flat index programs that replay the
-// numeric factorization and triangular solves. It is immutable after
-// construction and safe to share between goroutines.
+// numeric factorization and triangular solves. One returned by
+// NewSymbolic is immutable and safe to share between goroutines; the
+// factorizers' caches recycle the storage of the ones they evict.
 type Symbolic struct {
 	n   int
 	pat Pattern
@@ -151,135 +174,237 @@ type Symbolic struct {
 // singular (no complete pivot sequence exists) and the caller must use
 // dense factorization.
 func NewSymbolic(p *Pattern) *Symbolic {
-	n := p.N
-	if n == 0 {
+	s := &Symbolic{pat: p.clone()}
+	var sc symScratch
+	if !s.analyze(&sc) {
 		return nil
 	}
-	occ := make([]bool, n*n)
+	return s
+}
+
+// symScratch is the working storage of one symbolic analysis, kept by
+// each cache so a miss allocates only when a pattern outgrows it.
+type symScratch struct {
+	w          int      // uint64 words per bitset row
+	rows, cols []uint64 // occupancy: row r is rows[r*w:], column c is cols[c*w:]
+	rowAct     []uint64 // rows not yet eliminated
+	colAct     []uint64 // columns not yet eliminated
+	rowCnt     []int    // occupied active columns per row
+	colCnt     []int    // occupied active rows per column
+	pr, pc     []uint64 // filled pattern by permuted row / permuted column
+	wbase      []int32  // packed index of the first entry in each word of pr
+}
+
+func (sc *symScratch) reset(n int) {
+	w := (n + 63) >> 6
+	sc.w = w
+	sc.rows = zeroed(sc.rows, n*w)
+	sc.cols = zeroed(sc.cols, n*w)
+	sc.rowAct = zeroed(sc.rowAct, w)
+	sc.colAct = zeroed(sc.colAct, w)
+	for i := 0; i < n; i++ {
+		sc.rowAct[i>>6] |= 1 << (i & 63)
+	}
+	copy(sc.colAct, sc.rowAct)
+	sc.rowCnt = zeroed(sc.rowCnt, n)
+	sc.colCnt = zeroed(sc.colCnt, n)
+	sc.pr = zeroed(sc.pr, n*w)
+	sc.pc = zeroed(sc.pc, n*w)
+	sc.wbase = zeroed(sc.wbase, n*w)
+}
+
+// zeroed returns b resized to n zero elements, reusing its storage
+// when it fits.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// analyze runs the structural elimination on s.pat, overwriting s's
+// programs in place (reusing their storage), and reports false when the
+// pattern is structurally singular. The pivot rule is the full
+// Markowitz rule: minimize (rowCnt-1)·(colCnt-1) over the active
+// nonzeros, ties broken by the smallest (row, col). The active
+// submatrix is held as per-row and per-column uint64 bitsets, so each
+// step visits only occupied entries instead of scanning n² booleans.
+func (s *Symbolic) analyze(sc *symScratch) bool {
+	p := &s.pat
+	n := p.N
+	s.n = n
+	if n == 0 {
+		return false
+	}
+	sc.reset(n)
+	w := sc.w
+	rows, cols := sc.rows, sc.cols
+	rowAct, colAct := sc.rowAct, sc.colAct
+	rowCnt, colCnt := sc.rowCnt, sc.colCnt
 	for _, pos := range p.Pos {
-		occ[pos] = true
+		r, c := int(pos)/n, int(pos)%n
+		rows[r*w+c>>6] |= 1 << (c & 63)
+		cols[c*w+r>>6] |= 1 << (r & 63)
+		rowCnt[r]++
+		colCnt[c]++
 	}
-	rowCnt := make([]int, n)
-	colCnt := make([]int, n)
-	for _, pos := range p.Pos {
-		rowCnt[pos/int32(n)]++
-		colCnt[pos%int32(n)]++
-	}
-	rowActive := make([]bool, n)
-	colActive := make([]bool, n)
-	for i := range rowActive {
-		rowActive[i] = true
-		colActive[i] = true
-	}
-	rowPerm := make([]int32, n)
-	colPerm := make([]int32, n)
+	s.rowPerm = zeroed(s.rowPerm, n)
+	s.colPerm = zeroed(s.colPerm, n)
 
 	for k := 0; k < n; k++ {
-		// Markowitz pivot: minimize (rowCnt-1)·(colCnt-1) over active
-		// nonzeros, ties broken by smallest (row, col) for determinism.
-		bestR, bestC, bestM := -1, -1, 0
-		for r := 0; r < n; r++ {
-			if !rowActive[r] {
-				continue
+		// Rows and columns ascend, so the first strict minimum is the
+		// smallest (row, col) among the ties, and a zero cost cannot be
+		// beaten. minC bounds every active column's colCnt-1 from below,
+		// so a row whose rc·minC reaches the best cost so far holds no
+		// entry that could replace it.
+		minC := n
+		for wc, act := range colAct {
+			for ca := act; ca != 0; ca &= ca - 1 {
+				minC = min(minC, colCnt[wc<<6+bits.TrailingZeros64(ca)]-1)
 			}
-			row := occ[r*n : r*n+n]
-			for c := 0; c < n; c++ {
-				if !colActive[c] || !row[c] {
+		}
+		minC = max(minC, 0)
+		bestR, bestC, bestM := -1, -1, 0
+	search:
+		for wr, act := range rowAct {
+			for ra := act; ra != 0; ra &= ra - 1 {
+				r := wr<<6 + bits.TrailingZeros64(ra)
+				rc := rowCnt[r] - 1
+				if bestR >= 0 && rc*minC >= bestM {
 					continue
 				}
-				m := (rowCnt[r] - 1) * (colCnt[c] - 1)
-				if bestR < 0 || m < bestM {
-					bestR, bestC, bestM = r, c, m
+				row := rows[r*w : r*w+w]
+				for wc, cw := range row {
+					for ca := cw & colAct[wc]; ca != 0; ca &= ca - 1 {
+						c := wc<<6 + bits.TrailingZeros64(ca)
+						m := rc * (colCnt[c] - 1)
+						if bestR < 0 || m < bestM {
+							bestR, bestC, bestM = r, c, m
+							if m == 0 {
+								break search
+							}
+						}
+					}
 				}
 			}
 		}
 		if bestR < 0 {
-			return nil // structurally singular
+			return false // structurally singular
 		}
 		r, c := bestR, bestC
-		rowPerm[k], colPerm[k] = int32(r), int32(c)
-		// Fill: every active (i, j) with A[i,c] and A[r,j] nonzero gains
-		// an entry.
-		for i := 0; i < n; i++ {
-			if i == r || !rowActive[i] || !occ[i*n+c] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if j == c || !colActive[j] || !occ[r*n+j] {
+		s.rowPerm[k], s.colPerm[k] = int32(r), int32(c)
+		rowR := rows[r*w : r*w+w]
+		colC := cols[c*w : c*w+w]
+		// Fill: every active row i ≠ r with A[i,c] gains the active
+		// entries of row r it lacks. Column c is already set in row i,
+		// so the mask excludes it.
+		for wi, cw := range colC {
+			for ia := cw & rowAct[wi]; ia != 0; ia &= ia - 1 {
+				i := wi<<6 + bits.TrailingZeros64(ia)
+				if i == r {
 					continue
 				}
-				if !occ[i*n+j] {
-					occ[i*n+j] = true
-					rowCnt[i]++
-					colCnt[j]++
+				rowI := rows[i*w : i*w+w]
+				for wj, rw := range rowR {
+					fill := rw & colAct[wj] &^ rowI[wj]
+					if fill == 0 {
+						continue
+					}
+					rowI[wj] |= fill
+					rowCnt[i] += bits.OnesCount64(fill)
+					for ; fill != 0; fill &= fill - 1 {
+						j := wj<<6 + bits.TrailingZeros64(fill)
+						colCnt[j]++
+						cols[j*w+i>>6] |= 1 << (i & 63)
+					}
 				}
 			}
 		}
 		// Retire the pivot row and column from the active submatrix.
-		rowActive[r] = false
-		colActive[c] = false
-		for j := 0; j < n; j++ {
-			if colActive[j] && occ[r*n+j] {
-				colCnt[j]--
+		rowAct[r>>6] &^= 1 << (r & 63)
+		colAct[c>>6] &^= 1 << (c & 63)
+		for x := 0; x < w; x++ {
+			for ja := rowR[x] & colAct[x]; ja != 0; ja &= ja - 1 {
+				colCnt[x<<6+bits.TrailingZeros64(ja)]--
 			}
-			if rowActive[j] && occ[j*n+c] {
-				rowCnt[j]--
+			for ia := colC[x] & rowAct[x]; ia != 0; ia &= ia - 1 {
+				rowCnt[x<<6+bits.TrailingZeros64(ia)]--
 			}
 		}
 	}
 
-	// Pack the filled pattern in permuted row-major order.
-	prow := make([]int32, n)
-	pcol := make([]int32, n)
+	// Pack the filled pattern in permuted row-major order. prow/pcol
+	// invert the permutations (borrowing the count scratch, which the
+	// elimination no longer needs); pr and pc re-index the filled
+	// pattern by permuted row and permuted column; the packed index of
+	// an entry is its rank in pr.
+	prow, pcol := rowCnt, colCnt
 	for k := 0; k < n; k++ {
-		prow[rowPerm[k]] = int32(k)
-		pcol[colPerm[k]] = int32(k)
+		prow[s.rowPerm[k]] = k
+		pcol[s.colPerm[k]] = k
 	}
-	permIdx := make([]int32, n*n)
-	for i := range permIdx {
-		permIdx[i] = -1
+	pr, pc := sc.pr, sc.pc
+	for r := 0; r < n; r++ {
+		pk := prow[r]
+		for x, bw := range rows[r*w : r*w+w] {
+			for ; bw != 0; bw &= bw - 1 {
+				pj := pcol[x<<6+bits.TrailingZeros64(bw)]
+				pr[pk*w+pj>>6] |= 1 << (pj & 63)
+				pc[pj*w+pk>>6] |= 1 << (pk & 63)
+			}
+		}
 	}
 	idx := int32(0)
-	for pk := 0; pk < n; pk++ {
-		r := rowPerm[pk]
-		for pj := 0; pj < n; pj++ {
-			if occ[int(r)*n+int(colPerm[pj])] {
-				permIdx[pk*n+pj] = idx
-				idx++
-			}
-		}
+	for x, bw := range pr {
+		sc.wbase[x] = idx
+		idx += int32(bits.OnesCount64(bw))
+	}
+	rank := func(pi, pj int) int32 {
+		x := pi*w + pj>>6
+		return sc.wbase[x] + int32(bits.OnesCount64(pr[x]&(1<<(pj&63)-1)))
 	}
 
-	s := &Symbolic{
-		n:       n,
-		pat:     p.clone(),
-		lunnz:   int(idx),
-		pivIdx:  make([]int32, n),
-		lPtr:    make([]int32, n+1),
-		uPtr:    make([]int32, n+1),
-		mulPtr:  make([]int32, n+1),
-		rowPerm: rowPerm,
-		colPerm: colPerm,
-		scatter: make([]int32, len(p.Pos)),
-	}
+	s.lunnz = int(idx)
+	s.pivIdx = zeroed(s.pivIdx, n)
+	s.lPtr = zeroed(s.lPtr, n+1)
+	s.uPtr = zeroed(s.uPtr, n+1)
+	s.mulPtr = zeroed(s.mulPtr, n+1)
+	s.scatter = zeroed(s.scatter, len(p.Pos))
 	for t, pos := range p.Pos {
-		i, j := int(pos)/n, int(pos)%n
-		s.scatter[t] = permIdx[int(prow[i])*n+int(pcol[j])]
+		s.scatter[t] = rank(prow[int(pos)/n], pcol[int(pos)%n])
 	}
+	s.lIdx, s.lRow = s.lIdx[:0], s.lRow[:0]
+	s.uIdx, s.uCol = s.uIdx[:0], s.uCol[:0]
+	s.mulT, s.mulL, s.mulU = s.mulT[:0], s.mulL[:0], s.mulU[:0]
 	for k := 0; k < n; k++ {
-		s.pivIdx[k] = permIdx[k*n+k]
+		s.pivIdx[k] = rank(k, k)
+		// L column k holds the permuted rows below k, U row k the
+		// permuted columns right of k, both ascending.
+		above := ^(uint64(2)<<(k&63) - 1) // bits > k&63 of word k>>6
 		s.lPtr[k] = int32(len(s.lIdx))
-		for i := k + 1; i < n; i++ {
-			if fi := permIdx[i*n+k]; fi >= 0 {
-				s.lIdx = append(s.lIdx, fi)
+		for x := k >> 6; x < w; x++ {
+			bw := pc[k*w+x]
+			if x == k>>6 {
+				bw &= above
+			}
+			for ; bw != 0; bw &= bw - 1 {
+				i := x<<6 + bits.TrailingZeros64(bw)
+				s.lIdx = append(s.lIdx, rank(i, k))
 				s.lRow = append(s.lRow, int32(i))
 			}
 		}
 		s.lPtr[k+1] = int32(len(s.lIdx))
 		s.uPtr[k] = int32(len(s.uIdx))
-		for j := k + 1; j < n; j++ {
-			if fj := permIdx[k*n+j]; fj >= 0 {
-				s.uIdx = append(s.uIdx, fj)
+		for x := k >> 6; x < w; x++ {
+			bw := pr[k*w+x]
+			if x == k>>6 {
+				bw &= above
+			}
+			for ; bw != 0; bw &= bw - 1 {
+				j := x<<6 + bits.TrailingZeros64(bw)
+				s.uIdx = append(s.uIdx, rank(k, j))
 				s.uCol = append(s.uCol, int32(j))
 			}
 		}
@@ -289,8 +414,7 @@ func NewSymbolic(p *Pattern) *Symbolic {
 			i := int(s.lRow[li])
 			lv := s.lIdx[li]
 			for ui := s.uPtr[k]; ui < s.uPtr[k+1]; ui++ {
-				j := int(s.uCol[ui])
-				s.mulT = append(s.mulT, permIdx[i*n+j])
+				s.mulT = append(s.mulT, rank(i, int(s.uCol[ui])))
 				s.mulL = append(s.mulL, lv)
 				s.mulU = append(s.mulU, s.uIdx[ui])
 			}
@@ -298,7 +422,7 @@ func NewSymbolic(p *Pattern) *Symbolic {
 		s.mulPtr[k+1] = int32(len(s.mulT))
 	}
 	s.flops = len(s.mulT)
-	return s
+	return true
 }
 
 // Stats describes the factorization this symbolic analysis produces.
@@ -312,32 +436,140 @@ func (s *Symbolic) Stats() FactorStats {
 	}
 }
 
-// symCache is a tiny MRU cache of symbolic analyses keyed by pattern.
+// symCache is a fixed-capacity LRU cache of symbolic analyses keyed by
+// pattern, indexed by an open-addressing hash table. The most recently
+// used entry is checked before any hashing, so a factorizer whose
+// pattern holds still (every start-point evaluation) pays one pattern
+// comparison per lookup. A miss re-analyzes into the least recently
+// used entry's storage.
 type symCache struct {
-	entries []symEntry
+	ents       []symEntry // at most symCacheCap, allocated on first use
+	slots      []int16    // hash table of ents indices, -1 when empty
+	head, tail int16      // LRU list ends: head most, tail least recent
+	misses     uint64
+	scratch    symScratch
 }
 
 type symEntry struct {
-	pat Pattern
-	sym *Symbolic // nil: pattern known structurally singular → dense
+	hash       uint64
+	sym        Symbolic // keyed by sym.pat
+	ok         bool     // false: pattern known structurally singular → dense
+	prev, next int16    // LRU list links, -1 at the ends
+}
+
+// symbolicMissHook, when set, sees every pattern a cache misses on. It
+// exists for the equivalence tests, which check the analysis of every
+// pattern a real synthesis run produces; production code leaves it nil.
+var symbolicMissHook func(*Pattern)
+
+// hash mixes the pattern's dimension and positions (FNV-1a over 32-bit
+// words, then a final avalanche so the table index sees every bit).
+func (p *Pattern) hash() uint64 {
+	h := uint64(14695981039346656037) ^ uint64(p.N)
+	for _, v := range p.Pos {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
+	}
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // lookup returns the cached analysis for p, computing and caching it on
 // a miss. ok is false when the pattern is structurally singular.
 func (c *symCache) lookup(p *Pattern) (sym *Symbolic, ok bool) {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.pat.Equal(p) {
-			return e.sym, e.sym != nil
+	if len(c.ents) > 0 {
+		if e := &c.ents[c.head]; e.sym.pat.Equal(p) {
+			return &e.sym, e.ok
 		}
 	}
-	sym = NewSymbolic(p)
-	if len(c.entries) >= symCacheCap {
-		copy(c.entries, c.entries[1:])
-		c.entries = c.entries[:symCacheCap-1]
+	if c.ents == nil {
+		c.ents = make([]symEntry, 0, symCacheCap)
+		c.slots = make([]int16, symTableSize)
+		for i := range c.slots {
+			c.slots[i] = -1
+		}
+		c.head, c.tail = -1, -1
 	}
-	c.entries = append(c.entries, symEntry{pat: p.clone(), sym: sym})
-	return sym, sym != nil
+	h := p.hash()
+	mask := len(c.slots) - 1
+	for i := int(h) & mask; c.slots[i] >= 0; i = (i + 1) & mask {
+		idx := c.slots[i]
+		if e := &c.ents[idx]; e.hash == h && e.sym.pat.Equal(p) {
+			c.unlink(idx)
+			c.pushFront(idx)
+			return &e.sym, e.ok
+		}
+	}
+	c.misses++
+	if symbolicMissHook != nil {
+		symbolicMissHook(p)
+	}
+	var idx int16
+	if len(c.ents) < symCacheCap {
+		idx = int16(len(c.ents))
+		c.ents = c.ents[:idx+1]
+	} else {
+		idx = c.tail
+		c.unlink(idx)
+		c.reindex(idx)
+	}
+	e := &c.ents[idx]
+	e.hash = h
+	e.sym.pat.N = p.N
+	e.sym.pat.Pos = append(e.sym.pat.Pos[:0], p.Pos...)
+	e.ok = e.sym.analyze(&c.scratch)
+	c.place(idx)
+	c.pushFront(idx)
+	return &e.sym, e.ok
+}
+
+// place puts entry idx in the first free slot of its probe chain.
+func (c *symCache) place(idx int16) {
+	mask := len(c.slots) - 1
+	i := int(c.ents[idx].hash) & mask
+	for c.slots[i] >= 0 {
+		i = (i + 1) & mask
+	}
+	c.slots[i] = idx
+}
+
+// reindex rebuilds the hash table without entry skip (the eviction
+// victim). Rebuilding costs far less than the analysis the miss runs
+// anyway, and keeps every probe chain intact without tombstones.
+func (c *symCache) reindex(skip int16) {
+	for i := range c.slots {
+		c.slots[i] = -1
+	}
+	for idx := range c.ents {
+		if int16(idx) != skip {
+			c.place(int16(idx))
+		}
+	}
+}
+
+func (c *symCache) unlink(idx int16) {
+	e := &c.ents[idx]
+	if e.prev >= 0 {
+		c.ents[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.ents[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *symCache) pushFront(idx int16) {
+	e := &c.ents[idx]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.ents[c.head].prev = idx
+	} else {
+		c.tail = idx
+	}
+	c.head = idx
 }
 
 // SparseLU replays a Symbolic's factor and solve programs over packed
@@ -515,8 +747,11 @@ func (f *AutoLU) Stats() FactorStats {
 	return FactorStats{Rows: n, NNZ: len(f.scan.Pos), FillNNZ: n * n, Flops: n * n * n / 3}
 }
 
-// Counts returns how many factorizations took each path.
-func (f *AutoLU) Counts() (sparse, dense uint64) { return f.sparseFactors, f.denseFactors }
+// Counts returns how many factorizations took each path and how many
+// symbolic analyses the cache missed on.
+func (f *AutoLU) Counts() FactorCounts {
+	return FactorCounts{Sparse: f.sparseFactors, Dense: f.denseFactors, SymbolicMisses: f.cache.misses}
+}
 
 // SparseCLU replays a Symbolic's programs over complex numeric storage
 // (the AC-analysis (G + jωC) system shares one pattern across ω).
@@ -673,5 +908,8 @@ func (f *AutoCLU) SolveInto(dst, b []complex128) {
 // Sparse reports whether the last Factor used the sparse path.
 func (f *AutoCLU) Sparse() bool { return f.sparse }
 
-// Counts returns how many factorizations took each path.
-func (f *AutoCLU) Counts() (sparse, dense uint64) { return f.sparseFactors, f.denseFactors }
+// Counts returns how many factorizations took each path and how many
+// symbolic analyses the cache missed on.
+func (f *AutoCLU) Counts() FactorCounts {
+	return FactorCounts{Sparse: f.sparseFactors, Dense: f.denseFactors, SymbolicMisses: f.cache.misses}
+}

@@ -325,7 +325,8 @@ func TestCornerSelectionErrors(t *testing.T) {
 // TestCornerStageTiming checks that a cornered run is clocked like a
 // nominal one: with every eval sampled, each corner lane's evaluation
 // reports all seven pipeline stages to the shared timer, and the
-// anneal span carries their means as stage.<name>_us attrs.
+// anneal span carries their means as stage.<name>_us attrs beside the
+// factorization counts summed over the lanes.
 func TestCornerStageTiming(t *testing.T) {
 	deck := parse(t, diffAmpDeck+corneredDiffAmpCards)
 	timer := telemetry.NewEvalTimer(1)
@@ -362,4 +363,5 @@ func TestCornerStageTiming(t *testing.T) {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
 		}
 	}
+	checkFactorAttrs(t, anneal, res)
 }

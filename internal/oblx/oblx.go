@@ -29,6 +29,7 @@ import (
 	"astrx/internal/astrx"
 	"astrx/internal/dcsolve"
 	"astrx/internal/faults"
+	"astrx/internal/linalg"
 	"astrx/internal/netlist"
 	"astrx/internal/telemetry"
 	"astrx/internal/trace"
@@ -91,9 +92,11 @@ type Options struct {
 
 	// Trace, when non-nil, receives the run's lifecycle spans: one
 	// "anneal" span per Run (with a resume event when restoring from a
-	// checkpoint, and the StageTimer's per-stage means as
-	// stage.<name>_us attributes) and one "corner:<name>" span per lane
-	// of a worst-case run, with quarantine/retry events as they happen.
+	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
+	// attributes, and Result.FactorCounts as factor.sparse,
+	// factor.dense and factor.symbolic_misses) and one "corner:<name>"
+	// span per lane of a worst-case run, with quarantine/retry events as
+	// they happen.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
 	// path at zero allocations — same contract as StageTimer. RunBest's
 	// parallel runs may share one recorder (it is concurrency-safe);
@@ -328,6 +331,10 @@ type Result struct {
 
 	// Failures itemizes the numerical failures absorbed along the run.
 	Failures FailureStats
+	// FactorCounts sums the annealer's jig-engine factorizations over
+	// this incarnation of the run (every corner lane in a worst-case
+	// run): sparse replays, dense fallbacks and symbolic-cache misses.
+	FactorCounts linalg.FactorCounts
 	// CheckpointErr records the last checkpoint-write failure, if any —
 	// a checkpoint that cannot be written must not kill the run it
 	// exists to protect.
@@ -646,6 +653,14 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		return nil, fmt.Errorf("oblx: %w", err)
 	}
 	dur := baseDur + time.Since(start)
+	var fc linalg.FactorCounts
+	if ce != nil {
+		for i := 0; i < ce.bw.K(); i++ {
+			fc.Add(ce.bw.Lane(i).FactorCounts())
+		}
+	} else {
+		fc = c.Workspace().FactorCounts()
+	}
 
 	// Polish: a final full Newton solve from the best point tightens the
 	// bias to simulator-grade dc-correctness (the annealer's freezing
@@ -694,6 +709,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			RejectedMoves:   res.NonFinite,
 			Unstable:        c.Workspace().UnstableCount(),
 		},
+		FactorCounts:  fc,
 		CheckpointErr: ckErr,
 	}
 	if ce != nil {
@@ -721,6 +737,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	for _, b := range opt.StageTimer.Breakdown() {
 		asp.SetAttr("stage."+b.Stage+"_us", strconv.FormatFloat(b.MeanSeconds*1e6, 'f', 3, 64))
 	}
+	asp.SetAttr("factor.sparse", strconv.FormatUint(fc.Sparse, 10))
+	asp.SetAttr("factor.dense", strconv.FormatUint(fc.Dense, 10))
+	asp.SetAttr("factor.symbolic_misses", strconv.FormatUint(fc.SymbolicMisses, 10))
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

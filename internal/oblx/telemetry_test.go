@@ -107,6 +107,30 @@ func TestProgressFlightFields(t *testing.T) {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
 		}
 	}
+	checkFactorAttrs(t, anneal, res)
+}
+
+// checkFactorAttrs requires the anneal span to carry the run's
+// factorization counts, and the counts to cover every evaluation: each
+// one factors at least one jig per lane, and the first factorization
+// of each jig misses the empty symbolic cache.
+func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
+	t.Helper()
+	fc := res.FactorCounts
+	for name, want := range map[string]uint64{
+		"factor.sparse":          fc.Sparse,
+		"factor.dense":           fc.Dense,
+		"factor.symbolic_misses": fc.SymbolicMisses,
+	} {
+		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
+		if err != nil || got != want {
+			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
+		}
+	}
+	lanes := max(1, len(res.Corners))
+	if fc.Sparse+fc.Dense < uint64(lanes*res.EvalCount) || fc.SymbolicMisses < uint64(lanes) {
+		t.Errorf("factor counts %+v too low for %d evaluations over %d lanes", fc, res.EvalCount, lanes)
+	}
 }
 
 // checkMoveAttrs decodes ev.MoveAttrs() and compares every attribute
