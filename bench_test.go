@@ -63,10 +63,11 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	}
 	b.StopTimer()
 	// Per-deck matrix shape: dimension of the largest jig system, total
-	// structural nonzeros and factor fill across jigs, and the fraction
-	// of jigs whose factorization ran the sparse replay (1 = all sparse,
-	// 0 = dense fallback everywhere). Tracked in BENCH_oblx.json so a
-	// deck silently dropping off the sparse path shows up in review.
+	// structural nonzeros and factor fill across the factored matrices
+	// (one per distinct jig stamp program), and the fraction of them
+	// whose factorization ran the sparse replay (1 = all sparse, 0 =
+	// dense fallback everywhere). Tracked in BENCH_oblx.json so a deck
+	// silently dropping off the sparse path shows up in review.
 	// All four describe the start point this benchmark evaluates; in a
 	// run, patterns change and most AWE factorizations take the dense
 	// fallback (oblx's factor.* counts, docs/profiling.md).

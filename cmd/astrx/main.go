@@ -116,7 +116,19 @@ func main() {
 	fmt.Printf("  cost function: %d terms (~%d lines of generated C in the original tool)\n", s.CostTerms, s.EstCLines)
 	fmt.Printf("  bias circuit:  %d nodes, %d elements\n", s.BiasNodes, s.BiasElements)
 	for i, j := range s.JigCircuits {
-		fmt.Printf("  AWE circuit %d: %d nodes, %d elements\n", i+1, j.Nodes, j.Elements)
+		a := s.AWE[i]
+		share := ""
+		if a.Reuses >= 0 {
+			share = fmt.Sprintf("; reuses circuit %d's factored matrix", a.Reuses+1)
+		}
+		fmt.Printf("  AWE circuit %d (%s): %d nodes, %d elements%s\n", i+1, a.Name, j.Nodes, j.Elements, share)
+		for _, tf := range a.TFs {
+			how := "moments and Padé fit"
+			if tf.DCOnly {
+				how = "read only by dc_gain: one solve, no fit"
+			}
+			fmt.Printf("    tf %-8s %s\n", tf.Name, how)
+		}
 	}
 	for _, v := range comp.Vars()[:comp.NUser] {
 		kind := "log-grid"

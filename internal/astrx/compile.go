@@ -131,6 +131,29 @@ type Stats struct {
 	BiasNodes    int
 	BiasElements int
 	JigCircuits  []circuit.Stats // one per jig (small-signal size)
+	// AWE reports the evaluation plan's work per jig, in JigCircuits
+	// order.
+	AWE []AWEStats
+}
+
+// AWEStats reports what one cost evaluation does with a small-signal
+// jig.
+type AWEStats struct {
+	Name string
+	// Reuses is the index of the earlier jig whose factored matrix this
+	// jig's transfer functions are solved against (its stamp program is
+	// the same), or -1 when the jig stamps and factors its own.
+	Reuses int
+	TFs    []TFStats
+}
+
+// TFStats reports how one cost evaluation computes a transfer function.
+type TFStats struct {
+	Name string
+	// DCOnly reports that no spec reads the transfer function through
+	// anything but dc_gain, so the cost function solves for its zeroth
+	// moment alone and fits no pole/zero model.
+	DCOnly bool
 }
 
 // Compiled is the output of Compile: everything needed to evaluate C(x).
@@ -322,6 +345,16 @@ func (c *Compiled) Stats() Stats {
 		// Devices expand to ~5 elements (gm, gmbs/ro, caps) each.
 		st.Elements += 5 * len(j.Devices)
 		s.JigCircuits = append(s.JigCircuits, st)
+	}
+	for i, jp := range c.plan.jigs {
+		a := AWEStats{Name: jp.name, Reuses: -1}
+		if jp.mat != i {
+			a.Reuses = jp.mat
+		}
+		for _, tp := range jp.tfs {
+			a.TFs = append(a.TFs, TFStats{Name: tp.name, DCOnly: tp.dcOnly})
+		}
+		s.AWE = append(s.AWE, a)
 	}
 	return s
 }

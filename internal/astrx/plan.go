@@ -8,6 +8,7 @@ import (
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
 	"astrx/internal/expr"
+	"astrx/internal/netlist"
 )
 
 // This file compiles the evaluation plan: the fixed index tables and
@@ -140,6 +141,11 @@ type tfPlan struct {
 	q     int       // clamped AWE order
 	tfIdx int
 	err   error
+	// dcOnly marks a transfer function that no spec reads through
+	// anything but dc_gain, which returns the exact zeroth moment: the
+	// cost function solves for μ0 alone and skips the Padé fit.
+	// EvalWorkspace.completeTFs fits the model for readers outside it.
+	dcOnly bool
 }
 
 // jigPlan is the compiled stamp program for one test jig. Node slots
@@ -154,6 +160,10 @@ type jigPlan struct {
 	lin    []linOp
 	devs   []jigDevOp
 	tfs    []tfPlan
+	// mat indexes the jig that stamps and factors the matrix this jig's
+	// transfer functions are solved against: the jig itself, or an
+	// earlier jig with the same stamp program (shareMatrices).
+	mat int
 }
 
 // evalPlan is the complete compiled evaluation program.
@@ -329,7 +339,12 @@ func buildPlan(c *Compiled) *evalPlan {
 	// Dotted spec identifiers: resolve the device and validate the
 	// parameter name once (both are value-independent).
 	for _, s := range c.Deck.Specs {
-		walkVarNames(s.Expr, func(name string) {
+		walkExpr(s.Expr, func(n expr.Node) {
+			v, ok := n.(*expr.Var)
+			if !ok {
+				return
+			}
+			name := v.Name
 			if _, ok := p.valIdx[name]; ok {
 				return
 			}
@@ -377,11 +392,93 @@ func buildPlan(c *Compiled) *evalPlan {
 
 	p.buildPowerPlan(c, slot, devIdx)
 
+	fitted := fittedTFs(c.Deck.Specs)
 	tfSlot := 0
 	for _, j := range c.Jigs {
-		p.jigs = append(p.jigs, buildJigPlan(c, j, devIdx, &tfSlot))
+		p.jigs = append(p.jigs, buildJigPlan(c, j, devIdx, fitted, &tfSlot))
 	}
+	p.shareMatrices()
 	return p
+}
+
+// fittedTFs names the transfer functions some spec or objective reads
+// through a measure other than dc_gain, at any depth of its expression.
+// Every other transfer function is dcOnly.
+func fittedTFs(specs []*netlist.Spec) map[string]bool {
+	fitted := make(map[string]bool)
+	for _, s := range specs {
+		walkExpr(s.Expr, func(n expr.Node) {
+			// Measurements name their transfer function in the first
+			// argument, as a bare identifier.
+			c, ok := n.(*expr.Call)
+			if !ok || !tfFuncs[c.Fn] || c.Fn == "dc_gain" || len(c.Args) == 0 {
+				return
+			}
+			if v, ok := c.Args[0].(*expr.Var); ok {
+				fitted[v.Name] = true
+			}
+		})
+	}
+	return fitted
+}
+
+// shareMatrices points every jig whose stamp program equals an earlier
+// jig's at that jig's matrix. Such a jig is neither stamped nor
+// factored: its transfer functions run on the earlier jig's engine,
+// whose G, LU factors and solves are the ones its own would have had,
+// bit for bit.
+func (p *evalPlan) shareMatrices() {
+	for i, jp := range p.jigs {
+		jp.mat = i
+		for k := 0; k < i; k++ {
+			if p.jigs[k].mat == k && sameStamps(p.jigs[k], jp) {
+				jp.mat = k
+				break
+			}
+		}
+	}
+}
+
+// sameStamps reports whether two jig plans stamp the same (G, C) pair:
+// same size, gmin tie, element kinds, node and branch slots, value
+// expressions and device ops. V sources compare without their values,
+// because a V source stamps only incidence, and I sources stamp nothing;
+// the excitation lives in each transfer function's input vector.
+func sameStamps(a, b *jigPlan) bool {
+	if a.nNodes != b.nNodes || a.size != b.size || a.gstamp != b.gstamp ||
+		len(a.lin) != len(b.lin) || len(a.devs) != len(b.devs) {
+		return false
+	}
+	for i := range a.lin {
+		x, y := &a.lin[i], &b.lin[i]
+		if x.kind != y.kind {
+			return false
+		}
+		if x.kind == circuit.KindI {
+			continue
+		}
+		if x.kind != circuit.KindV && exprText(x.e.Value) != exprText(y.e.Value) {
+			return false
+		}
+		if x.n != y.n || x.br != y.br || x.cb != y.cb || (x.err == nil) != (y.err == nil) {
+			return false
+		}
+	}
+	for i := range a.devs {
+		if a.devs[i] != b.devs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// exprText renders a value expression for comparison. Binary.String
+// parenthesizes fully, so equal text means equal trees.
+func exprText(n expr.Node) string {
+	if n == nil {
+		return ""
+	}
+	return n.String()
 }
 
 // qJacSelection replicates the golden-file BJT Jacobian map literals keyed
@@ -407,22 +504,21 @@ func qJacSelection(bN, eN, cN int) []qjacSel {
 	return sel
 }
 
-// walkVarNames visits every bare identifier in an expression tree,
-// including function-call arguments (Call.Eval resolves those through
-// Env.Var as well).
-func walkVarNames(n expr.Node, fn func(string)) {
+// walkExpr visits every node of an expression tree, parents before
+// their operands and function-call arguments (Call.Eval resolves bare
+// identifier arguments through Env.Var as well).
+func walkExpr(n expr.Node, fn func(expr.Node)) {
+	fn(n)
 	switch t := n.(type) {
-	case *expr.Var:
-		fn(t.Name)
 	case *expr.Call:
 		for _, a := range t.Args {
-			walkVarNames(a, fn)
+			walkExpr(a, fn)
 		}
 	case *expr.Unary:
-		walkVarNames(t.X, fn)
+		walkExpr(t.X, fn)
 	case *expr.Binary:
-		walkVarNames(t.L, fn)
-		walkVarNames(t.R, fn)
+		walkExpr(t.L, fn)
+		walkExpr(t.R, fn)
 	}
 }
 
@@ -544,7 +640,7 @@ func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(st
 // positions in j.AllNodes; branch rows follow in Linear declaration
 // order, exactly as mna.Build assigns them for the gmin-first netlist
 // that smallSignalNetlist emits.
-func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot *int) *jigPlan {
+func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, fitted map[string]bool, tfSlot *int) *jigPlan {
 	jp := &jigPlan{name: j.Name, nNodes: len(j.AllNodes)}
 	jp.gstamp = 1 / (1 / c.Opt.Gmin)
 
@@ -609,7 +705,7 @@ func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot 
 		q = jp.size
 	}
 	for _, req := range j.TFs {
-		tp := tfPlan{name: req.Name, ip: nslot(req.OutPos), in: -1, q: q}
+		tp := tfPlan{name: req.Name, ip: nslot(req.OutPos), in: -1, q: q, dcOnly: !fitted[req.Name]}
 		// Slots were numbered in declaration order across all jigs.
 		tp.tfIdx = *tfSlot
 		*tfSlot++

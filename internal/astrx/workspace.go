@@ -44,11 +44,16 @@ type EvalWorkspace struct {
 	// State leaves TFs and spec values out after a bias-only or failed
 	// run.
 	full bool
-	// unstable counts transfer-function fits that produced a model with
-	// right-half-plane poles (see awe.ErrUnstable). The model is still
+	// pending records that the last full run left its dcOnly transfer
+	// functions at order-0 models, to be fitted on demand (completeTFs).
+	pending bool
+	// unstable counts the cost function's transfer-function fits that
+	// produced a model with right-half-plane poles. The model is still
 	// measured; the count surfaces how often the fit degraded.
 	unstable int
 
+	// jigs is indexed like plan.jigs; only a jig that factors its own
+	// matrix (jigPlan.mat) has matrices and an engine in use.
 	jigs []jigWS
 	fit  awe.FitWorkspace
 
@@ -101,17 +106,17 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		ws.vals[ci.idx] = ci.v
 	}
 	for i, jp := range p.jigs {
-		jw := &ws.jigs[i]
-		jw.G = *linalg.NewMatrix(jp.size, jp.size)
-		jw.C = *linalg.NewMatrix(jp.size, jp.size)
-		jw.eng.G, jw.eng.C = &jw.G, &jw.C
-		maxMu := 0
+		jw := &ws.jigs[jp.mat]
+		if jp.mat == i {
+			jw.G = *linalg.NewMatrix(jp.size, jp.size)
+			jw.C = *linalg.NewMatrix(jp.size, jp.size)
+			jw.eng.G, jw.eng.C = &jw.G, &jw.C
+		}
 		for _, tp := range jp.tfs {
-			if 2*tp.q > maxMu {
-				maxMu = 2 * tp.q
+			if 2*tp.q > len(jw.mu) {
+				jw.mu = make([]float64, 2*tp.q)
 			}
 		}
-		jw.mu = make([]float64, maxMu)
 	}
 	return ws
 }
@@ -140,15 +145,17 @@ func (ws *EvalWorkspace) SetClock(c *telemetry.Clock) {
 // completed).
 func (ws *EvalWorkspace) Err() error { return ws.err }
 
-// JigStats reports the factorization shape of each small-signal jig
-// from the most recent evaluation: matrix dimension, structural
-// nonzeros, factor fill-in, and whether the sparse replay ran (false →
-// dense fallback). The benchmark harness exports these as per-deck
-// matrix metrics.
+// JigStats reports the factorization shape of each factorized jig
+// matrix (one per distinct stamp program, in jig order) from the most
+// recent evaluation: matrix dimension, structural nonzeros, factor
+// fill-in, and whether the sparse replay ran (false → dense fallback).
+// The benchmark harness exports these as per-deck matrix metrics.
 func (ws *EvalWorkspace) JigStats() []linalg.FactorStats {
-	out := make([]linalg.FactorStats, len(ws.jigs))
-	for i := range ws.jigs {
-		out[i] = ws.jigs[i].eng.FactorStats()
+	var out []linalg.FactorStats
+	for i, jp := range ws.plan.jigs {
+		if jp.mat == i {
+			out = append(out, ws.jigs[i].eng.FactorStats())
+		}
 	}
 	return out
 }
@@ -164,8 +171,9 @@ func (ws *EvalWorkspace) FactorCounts() linalg.FactorCounts {
 	return fc
 }
 
-// UnstableCount returns how many evaluations this workspace has rejected
-// for right-half-plane poles in the reduced model.
+// UnstableCount returns how many of this workspace's cost-function fits
+// produced a model with right-half-plane poles. Only fitted transfer
+// functions count: a dcOnly one is not fitted in the cost function.
 func (ws *EvalWorkspace) UnstableCount() int { return ws.unstable }
 
 // SetUnstableCount restores the rejection counter when resuming from a
@@ -298,12 +306,14 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 		return
 	}
 
-	for i := range p.jigs {
-		if err := ws.evalJig(p.jigs[i], &ws.jigs[i]); err != nil {
+	ws.pending = false
+	for i, jp := range p.jigs {
+		if err := ws.evalJig(jp, &ws.jigs[jp.mat], jp.mat == i); err != nil {
 			ws.err = err
 			return
 		}
 	}
+	ws.pending = true
 
 	for i, s := range c.Deck.Specs {
 		ws.resetArgs()
@@ -398,42 +408,77 @@ func (ws *EvalWorkspace) evalKCL() error {
 	return nil
 }
 
-// evalJig re-stamps one jig's (G, C) pair, refactors, and fits every
-// requested transfer function.
-func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS) error {
-	if err := ws.stampJig(jp, jw); err != nil {
-		return err
+// evalJig computes one jig's transfer functions on the engine jw. A jig
+// that factors its own matrix (factor) first re-stamps the (G, C) pair
+// and refactors; a jig sharing an earlier jig's matrix solves against
+// the factors that jig left. A dcOnly transfer function costs one solve
+// for μ0; every other one is fitted.
+//
+// An unstable fit means no stable order reproduced the moments. The
+// model is still measured — often the RHP pole is a Padé artifact at
+// the edge of moment resolution, not a physically unstable circuit —
+// but the event is counted, so runs dominated by unstable fits of a
+// model some spec reads are visible in FailureStats.Unstable and the
+// daemon's oblxd_eval_unstable_total metric.
+func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS, factor bool) error {
+	if factor {
+		if err := ws.stampJig(jp, jw); err != nil {
+			return err
+		}
+		if err := jw.eng.Refactor(); err != nil {
+			return fmt.Errorf("astrx: jig %s: %w", jp.name, err)
+		}
+		ws.clock.Mark(telemetry.StageFactor)
 	}
-	if err := jw.eng.Refactor(); err != nil {
-		return fmt.Errorf("astrx: jig %s: %w", jp.name, err)
-	}
-	ws.clock.Mark(telemetry.StageFactor)
 	for i := range jp.tfs {
 		tp := &jp.tfs[i]
 		if tp.err != nil {
 			return fmt.Errorf("astrx: jig %s tf %s: %w", jp.name, tp.name, tp.err)
 		}
-		mu := jw.mu[:2*tp.q]
-		jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
-		ws.clock.Mark(telemetry.StageMoments)
-		ws.fitTF(tp, mu)
+		if tp.dcOnly {
+			mu := jw.mu[:1]
+			jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
+			ws.tfs[tp.tfIdx].SetConstant(mu)
+			ws.clock.Mark(telemetry.StageMoments)
+			continue
+		}
+		if tf := ws.fitTF(tp, jw); tf.Order > 0 && !tf.Stable() {
+			ws.unstable++
+		}
 	}
 	return nil
 }
 
-// fitTF reduces one transfer function's moments to a pole/zero model.
-// An unstable winner means no stable order reproduced the moments
-// (awe.ErrUnstable). The model is still measured — often the RHP pole
-// is a Padé artifact at the edge of moment resolution, not a physically
-// unstable circuit — but the event is counted so runs dominated by
-// unstable fits are visible in FailureStats.Unstable and the daemon's
-// oblxd_eval_unstable_total metric.
-func (ws *EvalWorkspace) fitTF(tp *tfPlan, mu []float64) {
-	ws.fit.FitMomentsInto(&ws.tfs[tp.tfIdx], mu, tp.q)
-	if tf := &ws.tfs[tp.tfIdx]; tf.Order > 0 && !tf.Stable() {
-		ws.unstable++
-	}
+// fitTF computes one transfer function's 2q moments on the engine jw
+// and reduces them to a pole/zero model in the workspace's TF slot.
+func (ws *EvalWorkspace) fitTF(tp *tfPlan, jw *jigWS) *awe.TF {
+	mu := jw.mu[:2*tp.q]
+	jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
+	ws.clock.Mark(telemetry.StageMoments)
+	tf := &ws.tfs[tp.tfIdx]
+	ws.fit.FitMomentsInto(tf, mu, tp.q)
 	ws.clock.Mark(telemetry.StageFit)
+	return tf
+}
+
+// completeTFs fits the dcOnly transfer functions the last full run left
+// at order-0 models, from the factors that run left in the engines. It
+// makes the moment and fit calls evalJig makes for a fitted transfer
+// function, so readers outside the cost function (State, MeasureSpec)
+// see the models a full fit gives. These fits are not counted as
+// unstable: no spec reads their models.
+func (ws *EvalWorkspace) completeTFs() {
+	if !ws.pending {
+		return
+	}
+	ws.pending = false
+	for _, jp := range ws.plan.jigs {
+		for i := range jp.tfs {
+			if tp := &jp.tfs[i]; tp.dcOnly {
+				ws.fitTF(tp, &ws.jigs[jp.mat])
+			}
+		}
+	}
 }
 
 // stampJig re-stamps one jig's (G, C) pair. The stamp order — gmin
@@ -707,9 +752,11 @@ func (ws *EvalWorkspace) kclViolation() float64 {
 }
 
 // State projects the workspace's last evaluation into a name-keyed
-// EvalState for inspection and verification code. The maps are freshly
-// allocated, but TF pointers alias workspace storage: they are valid
-// only until the next evaluation. Contents are meaningful when Err is
+// EvalState for inspection and verification code. Transfer functions
+// the cost function read only at DC are fitted first (completeTFs), so
+// every TF is a full model. The maps are freshly allocated, but TF
+// pointers alias workspace storage: they are valid only until the next
+// evaluation. Contents are meaningful when Err is
 // nil; after a failed run they are best-effort, partially filled.
 func (ws *EvalWorkspace) State() *EvalState {
 	c, p := ws.c, ws.plan
@@ -746,6 +793,7 @@ func (ws *EvalWorkspace) State() *EvalState {
 	if !ws.full {
 		return st
 	}
+	ws.completeTFs()
 	for _, jp := range p.jigs {
 		for i := range jp.tfs {
 			tp := &jp.tfs[i]
@@ -760,9 +808,10 @@ func (ws *EvalWorkspace) State() *EvalState {
 
 // MeasureSpec evaluates a spec expression against the last evaluation.
 // Transfer-function measurements go to backend first; anything it
-// leaves unhandled reads the AWE models. Package verify uses this to
+// leaves unhandled reads the AWE models, fitted in full as for State. Package verify uses this to
 // re-measure the specs with direct AC sweeps.
 func (ws *EvalWorkspace) MeasureSpec(e expr.Node, backend TFBackend) (float64, error) {
+	ws.completeTFs()
 	ws.resetArgs()
 	return e.Eval(&wsSpecEnv{ws: ws, backend: backend})
 }
@@ -824,10 +873,10 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		if !ok {
 			return nil, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
 		}
-		// An unstable model (see awe.ErrUnstable) is still measured: the
-		// fitter already preferred any stable order that reproduced the
-		// moments, so this is the best available model. The fit site
-		// counted the event; FailureStats.Unstable and the daemon's
+		// An unstable model is still measured: the fitter already
+		// preferred any stable order that reproduced the moments, so
+		// this is the best available model. The fit site counted the
+		// event; FailureStats.Unstable and the daemon's
 		// oblxd_eval_unstable_total metric tell operators how much to
 		// trust the numbers.
 		return &ws.tfs[i], nil

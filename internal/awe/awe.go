@@ -357,11 +357,3 @@ func (tf *TF) Stable() bool {
 	}
 	return true
 }
-
-// ErrUnstable marks a reduced-order model with right-half-plane poles.
-// The Padé fit prefers stable orders, so an unstable winner means no
-// stable order reproduced the moments; measurements taken from such a
-// model (unity-gain frequency, phase margin) are meaningless, and
-// callers surface the evaluation as a counted failure instead of
-// feeding bogus spec values to the cost function.
-var ErrUnstable = errors.New("awe: reduced model has right-half-plane poles")

@@ -89,7 +89,7 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 		}
 	}
 	if allZero {
-		ws.setConstant(dst, mu)
+		dst.SetConstant(mu)
 		return
 	}
 
@@ -164,7 +164,7 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 	}
 	if best == nil {
 		// Purely resistive response (or numerically dead): constant TF.
-		ws.setConstant(dst, mu)
+		dst.SetConstant(mu)
 		return
 	}
 	copyInto(dst, best)
@@ -178,13 +178,15 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 	ws.deriveZerosInto(dst)
 }
 
-// setConstant fills dst with the order-0 (constant) model.
-func (ws *FitWorkspace) setConstant(dst *TF, mu []float64) {
-	dst.Poles = dst.Poles[:0]
-	dst.Residues = dst.Residues[:0]
-	dst.Zeros = dst.Zeros[:0]
-	dst.Moments = append(dst.Moments[:0], mu...)
-	dst.Order = 0
+// SetConstant overwrites tf with the order-0 (constant) model of the
+// moments mu, reusing its slices: DCGain reads mu[0], and the model has
+// no poles or zeros.
+func (tf *TF) SetConstant(mu []float64) {
+	tf.Poles = tf.Poles[:0]
+	tf.Residues = tf.Residues[:0]
+	tf.Zeros = tf.Zeros[:0]
+	tf.Moments = append(tf.Moments[:0], mu...)
+	tf.Order = 0
 }
 
 // tryFit attempts a Padé fit of the given order on scaled moments, using

@@ -106,7 +106,7 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 			}
 			for j, s := range ws.JigStats() {
 				if !s.Sparse {
-					t.Errorf("jig %d took the dense path at the start point", j)
+					t.Errorf("matrix %d took the dense path at the start point", j)
 				}
 			}
 		})

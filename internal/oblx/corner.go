@@ -88,11 +88,14 @@ func (ce *cornerEval) eval(x []float64) astrx.CostBreakdown {
 	// exactly like the scalar evaluator.
 	ce.evaluated[0] = ce.bw.Lane(0).Err() == nil
 
-	// Corners degrade instead: retry once in place, count the failure,
-	// quarantine after a run of them. A failed-but-included corner
+	// Corners degrade instead: a lane whose evaluation failed (Err) is
+	// retried once in place, the failure counted, and the corner
+	// quarantined after a run of them. A failed-but-included corner
 	// charges the deterministic worst-case penalty (the same
-	// unmeasurable-spec units the scalar cost uses), so one diverging
-	// Newton solve or unstable Padé fit never blanks the candidate.
+	// unmeasurable-spec units the scalar cost uses), so one failed lane
+	// evaluation never blanks the candidate. An unstable Padé fit is not
+	// a failure: its model is measured and counted, as on the nominal
+	// lane.
 	for i := 1; i < k; i++ {
 		if !ce.include[i] {
 			ce.evaluated[i] = false
@@ -265,6 +268,9 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 // (e.g. an all-devices-cutoff solution, a perfectly valid KCL point)
 // that pure continuation from its own history would keep it in forever
 // while the max-over-lanes region penalty pins the cost.
+//
+// Like newtonMove's, the solves ignore ctx's cancellation, so a cancel
+// never cuts a move short.
 func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters int) anneal.Move {
 	cs := ce.cs
 	var (
@@ -273,6 +279,7 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 		nomNodes []float64
 		lbuf     [][]float64 = make([][]float64, cs.K())
 	)
+	solveCtx := context.WithoutCancel(ctx)
 	return &anneal.FuncMove{
 		Label: label,
 		Fn: func(cur, next []float64, rng *rand.Rand) bool {
@@ -300,7 +307,7 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 					}
 					copy(lx[c.NUser:], stepped)
 				} else {
-					r, _ := dcsolve.Solve(ctx, dp, vbuf, dcsolve.Options{
+					r, _ := dcsolve.Solve(solveCtx, dp, vbuf, dcsolve.Options{
 						MaxIter: iters, BestEffort: true, FailHook: ce.inj.NewtonHook(), Work: &work,
 					})
 					if r == nil {

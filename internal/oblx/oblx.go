@@ -249,12 +249,14 @@ type FailureStats struct {
 	// RejectedMoves counts moves the annealer rejected for a non-finite
 	// cost (per move class in Result.MoveStats[].Failed).
 	RejectedMoves int `json:"rejected_moves"`
-	// Unstable counts transfer-function fits where the AWE Padé reduction
-	// produced a model with right-half-plane poles (awe.ErrUnstable). The
-	// model is still measured — the RHP pole is frequently a fit artifact
-	// rather than real instability — but a run dominated by unstable fits
-	// deserves scrutiny, so the count is surfaced here and as the daemon's
-	// oblxd_eval_unstable_total metric.
+	// Unstable counts the cost function's transfer-function fits where
+	// the AWE Padé reduction produced a model with right-half-plane
+	// poles. Only fits whose model some spec reads count: a transfer
+	// function read only through dc_gain is not fitted in the cost
+	// function. The model is still measured — the RHP pole is frequently
+	// a fit artifact rather than real instability — but a run dominated
+	// by unstable fits deserves scrutiny, so the count is surfaced here
+	// and as the daemon's oblxd_eval_unstable_total metric.
 	Unstable int `json:"unstable,omitempty"`
 	// Corners itemizes the failures per corner for worst-case runs (nil
 	// for nominal-only runs). These are lane-level events the run
@@ -803,6 +805,13 @@ func polishDC(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, x []
 // voltages with the result of iters damped Newton-Raphson steps at the
 // current design variables. A Newton failure (real or injected) simply
 // declines the proposal — the annealer falls back to its other classes.
+//
+// The solve ignores ctx's cancellation. A cancel that cut it short would
+// still commit the move (selector feedback, RNG draws, perhaps an
+// evaluation) before the annealer noticed the cancel at the top of the
+// next move, so a resume from the cancellation checkpoint would start
+// from a state the uninterrupted run never reached. The solve is bounded
+// by iters, so ignoring the cancel costs at most a few iterations.
 func newtonMove(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, label string, iters int) anneal.Move {
 	// The move closure owns its solver scratch: steady-state annealing
 	// performs one solve per proposal, and the workspace makes the whole
@@ -812,6 +821,7 @@ func newtonMove(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, la
 		work dcsolve.Workspace
 		vbuf []float64
 	)
+	solveCtx := context.WithoutCancel(ctx)
 	return &anneal.FuncMove{
 		Label: label,
 		Fn: func(cur, next []float64, rng *rand.Rand) bool {
@@ -830,7 +840,7 @@ func newtonMove(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, la
 				copy(next[c.NUser:], stepped)
 				return true
 			}
-			r, _ := dcsolve.Solve(ctx, dp, v, dcsolve.Options{
+			r, _ := dcsolve.Solve(solveCtx, dp, v, dcsolve.Options{
 				MaxIter: iters, BestEffort: true, FailHook: inj.NewtonHook(), Work: &work,
 			})
 			if r == nil {
