@@ -5,7 +5,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: ci vet build test race chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard oblxbench
+.PHONY: ci vet build test race fuzz chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard oblxbench
 
 # bench-check is a required gate: the sparse eval plans bought a large
 # ns/eval margin over the committed baseline, so the 15% regression
@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 # (the tools need network access to download on first run).
 # telemetry-guard also gates: its allocs/eval comparison is
 # deterministic, unlike timings.
-ci: vet build test race fleet-chaos tenancy-chaos corner-chaos trace-chaos telemetry-guard bench-check
+ci: vet build test race fuzz fleet-chaos tenancy-chaos corner-chaos trace-chaos telemetry-guard bench-check
 	-$(MAKE) lint
 
 # vet also fails when any tracked Go file is not gofmt-clean.
@@ -33,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace
+
+# fuzz runs the repo's fuzz target for 10 s: FuzzMOSEvalSplit holds the
+# split MOS evaluation (current part, then partials, then capacitances)
+# to a verbatim copy of the unsplit one, bit for bit, for every library
+# MOS model at random finite biases and geometries.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and
@@ -124,13 +131,15 @@ bench-check:
 # allocations via their dedicated alloc-count tests
 # (testing.AllocsPerRun is exact and timing-free), and proves tracing
 # compiled in but disabled (nil recorder) adds zero allocations to the
-# eval hot path.
+# eval hot path. The third step pins a Newton iteration's bias work (one
+# residual replay plus one Jacobian at its point) to zero allocations.
 telemetry-guard:
 	@tmp=$$(mktemp) && \
 	$(GO) test -run '^$$' -bench Table2Eval -benchmem -benchtime 100x . > $$tmp && \
 	$(GO) run ./cmd/benchjson -filter Table2Eval -check BENCH_oblx.json -max-regress 2.0 < $$tmp; \
 	rc=$$?; rm -f $$tmp; exit $$rc
 	$(GO) test -run 'TestBatchZeroAlloc|TestWorkspaceZeroAlloc|TestTraceOffZeroAlloc' -count=1 ./internal/bench
+	$(GO) test -run 'TestDCProblemZeroAlloc' -count=1 ./internal/astrx
 
 # oblxbench runs the end-to-end benchmark declared in BENCHMARK.json
 # (synth-nominal, synth-corners, serve-mixed) as many times as the

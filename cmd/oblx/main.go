@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"astrx/internal/astrx"
 	"astrx/internal/bench"
 	"astrx/internal/faults"
 	"astrx/internal/linalg"
@@ -345,7 +346,7 @@ func main() {
 		rep.BiasIterations, rep.MaxKCL)
 
 	if timer != nil {
-		printStages(timer, best.FactorCounts)
+		printStages(timer, best.FactorCounts, best.NewtonCounts)
 	}
 	if *showMetrics {
 		printMetrics(best)
@@ -376,8 +377,9 @@ func writeSpans(path, label, cause string, rec *trace.Recorder) error {
 
 // printStages renders the sampled per-stage eval timing collected under
 // -stage-sample: where each evaluated circuit actually spends its time,
-// and which factorization path the run's evaluations took.
-func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts) {
+// which factorization path the run's evaluations took, and how much
+// bias-problem work the Newton moves did beside them.
+func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts, nc astrx.NewtonCounts) {
 	bd := timer.Breakdown()
 	if len(bd) == 0 {
 		return
@@ -390,6 +392,8 @@ func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts) {
 	}
 	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses\n",
 		fc.Sparse, fc.Dense, fc.SymbolicMisses)
+	fmt.Printf("  newton: %d residual replays, %d jacobians (%d at the residual's replay)\n",
+		nc.Residuals, nc.Jacobians, nc.JacobiansReused)
 }
 
 // printMetrics renders the run's statistics through the same metrics

@@ -244,11 +244,11 @@ func expandDevices(flat *circuit.Netlist, deck *netlist.Deck) (*circuit.Netlist,
 
 // seriesResistor builds the R element for a device's parasitic series
 // resistance: value = RDW / (W·M), recomputed every evaluation from the
-// device's geometry expressions.
+// device's geometry.
 func seriesResistor(dev *circuit.Element, which, outer, inner string, rw float64) *circuit.Element {
 	wExpr := dev.Param("w")
 	mExpr := dev.Param("m")
-	val := &seriesRExpr{rw: rw, w: wExpr, m: mExpr}
+	val := &seriesRExpr{rw: rw, dev: dev.Name, w: wExpr, m: mExpr}
 	return &circuit.Element{
 		Name:  dev.Name + "#" + which,
 		Kind:  circuit.KindR,
@@ -260,13 +260,25 @@ func seriesResistor(dev *circuit.Element, which, outer, inner string, rw float64
 // seriesRExpr is an expr.Node computing RDW/(W·M) from the device's
 // geometry expressions.
 type seriesRExpr struct {
-	rw float64
-	w  expr.Node
-	m  expr.Node
+	rw  float64
+	dev string // the device's flattened name
+	w   expr.Node
+	m   expr.Node
+	// mos indexes the workspace's MOS geometry when linked is set
+	// (evalPlan.linkSeriesResistors).
+	mos    int
+	linked bool
 }
 
-// Eval computes the series resistance.
+// Eval computes the series resistance. In a workspace whose last run
+// evaluated every device's geometry, a linked resistor reads W and M
+// from there: the same values its own expressions give, since they are
+// the device's and the run's design variables are still in place.
 func (s *seriesRExpr) Eval(env expr.Env) (float64, error) {
+	if ve, ok := env.(*wsValEnv); ok && s.linked && ve.ws.geomOK {
+		g := &ve.ws.mosDevs[s.mos].g
+		return s.rw / (g.W * g.Mult()), nil
+	}
 	w, err := s.w.Eval(env)
 	if err != nil {
 		return 0, err

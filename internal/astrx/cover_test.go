@@ -1,10 +1,12 @@
 package astrx
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"astrx/internal/circuit"
 	"astrx/internal/expr"
 )
 
@@ -185,6 +187,79 @@ func TestSeriesRExpr(t *testing.T) {
 	bad := &seriesRExpr{rw: 8e-4, w: expr.MustParse("0-1u")}
 	if _, err := bad.Eval(expr.MapEnv{}); err == nil {
 		t.Error("negative width must error")
+	}
+}
+
+// TestSeriesResistorsReadDeviceGeometry checks that every parasitic
+// series resistor, in the bias circuit and in the jig, is linked to its
+// device's geometry, and that after a run the linked value equals the
+// one its own expressions give, bit for bit.
+func TestSeriesResistorsReadDeviceGeometry(t *testing.T) {
+	c := compileDeck(t, diffAmpDeck)
+	ws, _, _ := evalDiffAmp(t, c)
+	elems := append([]*circuit.Element(nil), c.Bias.Net.Elements...)
+	for _, j := range c.Jigs {
+		elems = append(elems, j.Linear...)
+	}
+	n := 0
+	for _, e := range elems {
+		s, ok := e.Value.(*seriesRExpr)
+		if !ok {
+			continue
+		}
+		n++
+		if !s.linked {
+			t.Errorf("%s is not linked to its device's geometry", e.Name)
+			continue
+		}
+		got, err := s.Eval(&ws.valEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := *s
+		own.linked = false
+		want, err := own.Eval(&ws.valEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %g from the device geometry, %g from its expressions", e.Name, got, want)
+		}
+	}
+	// Four MOS with drain and source resistors, in the bias and the jig.
+	if n != 16 {
+		t.Errorf("found %d series resistors, want 16", n)
+	}
+}
+
+// TestGeometryReadersAfterFailedRun checks the readers of the stored
+// geometry after a run that stopped at a device with bad geometry: the
+// geometry left from an earlier run is stale, so active_area() and
+// power() must evaluate W and M themselves and report what a fresh
+// workspace reports.
+func TestGeometryReadersAfterFailedRun(t *testing.T) {
+	c := compileDeck(t, diffAmpDeck)
+	ws, _, _ := evalDiffAmp(t, c)
+	bad := make([]float64, len(c.VarList))
+	copy(bad, ws.vals[:c.NUser])
+	for i := c.NUser; i < len(bad); i++ {
+		// Off the rails, so the supply series resistors carry current.
+		bad[i] = ws.nodeV[i-c.NUser] + 0.01
+	}
+	bad[0] = -1e-6 // W: m1 and m2 fail the geometry check
+	fresh := c.NewWorkspace()
+	for _, w := range []*EvalWorkspace{ws, fresh} {
+		if st := w.Evaluate(bad); st.Err == nil {
+			t.Fatal("evaluation at negative width succeeded")
+		}
+	}
+	for _, spec := range []string{"active_area()", "power()"} {
+		e := expr.MustParse(spec)
+		got, gerr := ws.MeasureSpec(e, nil)
+		want, werr := fresh.MeasureSpec(e, nil)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %g, %v after a failed run; a fresh workspace gives %g, %v", spec, got, gerr, want, werr)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package astrx
 
 import (
 	"fmt"
+	"math"
 
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
@@ -15,12 +16,39 @@ import (
 // precompiled KCL program with no per-call allocation, and successive
 // DCProblem calls on one Compiled reuse the same storage (the annealer
 // builds one per Newton move).
+//
+// A Residual replay evaluates device currents only. Newton asks for the
+// Jacobian at the point whose residual it has just computed, so a
+// Jacobian at exactly that point adds the devices' conductances to the
+// residual's replay instead of replaying again.
 type DCProblem struct {
 	c     *Compiled
 	ws    *EvalWorkspace
 	userX []float64 // length NUser
-	full  []float64 // scratch full vector
+	full  []float64 // the last replayed vector: userX, then v
+	// resRun is the workspace run number of this problem's last
+	// successful Residual replay; 0 when it has none. DCProblem clears
+	// it, so a replay under another problem's design variables never
+	// counts as this problem's.
+	resRun uint64
 }
+
+// NewtonCounts counts a workspace's Newton-problem work since it was
+// created: Residual replays, Jacobians, and the Jacobians that reused
+// the replay of the Residual before them.
+type NewtonCounts struct {
+	Residuals, Jacobians, JacobiansReused uint64
+}
+
+// Add accumulates o into n.
+func (n *NewtonCounts) Add(o NewtonCounts) {
+	n.Residuals += o.Residuals
+	n.Jacobians += o.Jacobians
+	n.JacobiansReused += o.JacobiansReused
+}
+
+// NewtonCounts returns the workspace's Newton-problem counts.
+func (ws *EvalWorkspace) NewtonCounts() NewtonCounts { return ws.newton }
 
 // DCProblem builds the Newton problem with the design variables taken
 // from the prefix of x (the rest of x is ignored).
@@ -34,15 +62,15 @@ func (c *Compiled) DCProblem(x []float64) *DCProblem {
 		p.full = make([]float64, len(c.VarList))
 	}
 	p.full = p.full[:len(c.VarList)]
-	copy(p.full, p.userX)
+	p.resRun = 0
 	return p
 }
 
 // N returns the number of free node voltages.
 func (p *DCProblem) N() int { return len(p.c.Bias.FreeNodes) }
 
-// eval runs the bias-only part of the plan (node voltages, operating
-// points, KCL) on the workspace.
+// eval runs the bias-only part of the plan (node voltages, device
+// currents, KCL) on the workspace.
 func (p *DCProblem) eval(v []float64) error {
 	copy(p.full, p.userX)
 	copy(p.full[p.c.NUser:], v)
@@ -53,9 +81,11 @@ func (p *DCProblem) eval(v []float64) error {
 // Residual fills f with the KCL residual (current leaving) at each free
 // node.
 func (p *DCProblem) Residual(v, f []float64) error {
+	p.ws.newton.Residuals++
 	if err := p.eval(v); err != nil {
 		return err
 	}
+	p.resRun = p.ws.runs
 	for i, slot := range p.ws.plan.freeIdx {
 		f[i] = p.ws.kclRes[slot]
 	}
@@ -63,14 +93,20 @@ func (p *DCProblem) Residual(v, f []float64) error {
 }
 
 // Jacobian fills j with ∂residual/∂(free node voltage) using the device
-// small-signal conductances and linear element stamps. It replays the
+// small-signal conductances and linear element stamps. It walks the
 // same precompiled KCL program as Residual, stamping only entries whose
-// row and column are both free nodes.
+// row and column are both free nodes. When the workspace still holds
+// this problem's Residual replay at exactly v (atResidual), it adds the
+// conductances to that replay; otherwise it replays v first.
 func (p *DCProblem) Jacobian(v []float64, j *linalg.Matrix) error {
-	if err := p.eval(v); err != nil {
+	ws := p.ws
+	ws.newton.Jacobians++
+	if p.atResidual(v) {
+		ws.newton.JacobiansReused++
+	} else if err := p.eval(v); err != nil {
 		return err
 	}
-	ws := p.ws
+	ws.completeOps(opPartials)
 	plan := ws.plan
 	free := plan.freeSlot
 	stamp := func(rs, cs int, g float64) {
@@ -137,6 +173,25 @@ func (p *DCProblem) Jacobian(v []float64, j *linalg.Matrix) error {
 		}
 	}
 	return nil
+}
+
+// atResidual reports whether the workspace's last run is this problem's
+// last successful Residual replay and that replay's node voltages are v,
+// bit for bit.
+func (p *DCProblem) atResidual(v []float64) bool {
+	if p.resRun == 0 || p.resRun != p.ws.runs {
+		return false
+	}
+	last := p.full[p.c.NUser:]
+	if len(v) != len(last) {
+		return false
+	}
+	for i, x := range last {
+		if math.Float64bits(x) != math.Float64bits(v[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mosTerminalPartials maps the operating point's primed-frame

@@ -56,6 +56,8 @@ type devPlan struct {
 	t [4]int
 	// op indexes the workspace mosOps (DevMOS) or bjtOps (DevBJT) array.
 	op int
+	// w, l, m are a MOS instance's geometry expressions (nil: absent).
+	w, l, m expr.Node
 }
 
 // qjacSel selects one surviving column of the BJT Jacobian stamp. The
@@ -280,6 +282,7 @@ func buildPlan(c *Compiled) *evalPlan {
 			dp.t = [4]int{slot(d.MOS.D), slot(d.MOS.G), slot(d.MOS.S), slot(d.MOS.B)}
 			dp.op = p.nMOS
 			p.nMOS++
+			dp.w, dp.l, dp.m = d.Elem.Param("w"), d.Elem.Param("l"), d.Elem.Param("m")
 		} else {
 			dp.t = [4]int{slot(d.BJT.C), slot(d.BJT.B), slot(d.BJT.E), -1}
 			dp.op = p.nBJT
@@ -391,6 +394,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	}
 
 	p.buildPowerPlan(c, slot, devIdx)
+	p.linkSeriesResistors(c)
 
 	fitted := fittedTFs(c.Deck.Specs)
 	tfSlot := 0
@@ -399,6 +403,37 @@ func buildPlan(c *Compiled) *evalPlan {
 	}
 	p.shareMatrices()
 	return p
+}
+
+// linkSeriesResistors points every parasitic series resistor, in the
+// bias circuit and in the jigs, at its device's geometry in the
+// workspace, so it reads the W and M the device evaluation computed.
+// Flattening shares an element's parameter expressions between every
+// instantiation of its module, so a jig's resistor holds the very
+// expressions of its bias twin; one that does not stays unlinked and
+// evaluates its own.
+func (p *evalPlan) linkSeriesResistors(c *Compiled) {
+	mos := make(map[string]*devPlan, p.nMOS)
+	for i := range p.devs {
+		if d := &p.devs[i]; d.kind == DevMOS {
+			mos[d.name] = d
+		}
+	}
+	link := func(elems []*circuit.Element) {
+		for _, e := range elems {
+			s, ok := e.Value.(*seriesRExpr)
+			if !ok {
+				continue
+			}
+			if d, ok := mos[s.dev]; ok && s.w == d.w && s.m == d.m {
+				s.mos, s.linked = d.op, true
+			}
+		}
+	}
+	link(c.Bias.Net.Elements)
+	for _, j := range c.Jigs {
+		link(j.Linear)
+	}
 }
 
 // fittedTFs names the transfer functions some spec or objective reads

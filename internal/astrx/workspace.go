@@ -17,10 +17,11 @@ import (
 // EvalWorkspace evaluates the compiled cost function by replaying the
 // precompiled plan (plan.go) into persistent, index-addressed storage:
 // matrices are re-stamped in place, LU factors and AWE scratch are
-// reused, and every name lookup goes through a compile-time index
-// table into a slice. After warm-up a steady-state evaluation performs
-// no heap allocation and no string work, which is what makes the
-// annealer's move loop cheap.
+// reused, and node, device and transfer-function names resolve through
+// compile-time index tables into slices. After warm-up a steady-state
+// evaluation performs no heap allocation, which is what makes the
+// annealer's move loop cheap. Expression variables still resolve by
+// name through the plan's valIdx map (wsValEnv.Var).
 //
 // A workspace is single-goroutine state, like the adaptive weights it
 // updates; every annealing run owns one via Compiled.Workspace, and
@@ -31,15 +32,26 @@ type EvalWorkspace struct {
 	c    *Compiled
 	plan *evalPlan
 
-	vals     []float64
-	nodeV    []float64
-	mosOps   []devices.MOSOp
+	vals   []float64
+	nodeV  []float64
+	mosOps []devices.MOSOp
+	// mosDevs sits beside mosOps: each MOS's geometry and the parts of
+	// its operating point the run that last reached it left out.
+	mosDevs  []mosDev
 	bjtOps   []devices.BJTOp
 	kclRes   []float64
 	kclFlow  []float64
 	specVals []float64
 	tfs      []awe.TF
 	err      error
+	// runs numbers the plan replays (the first run is 1). The Newton
+	// problem's Jacobian and the UGF memo check it to know that the run
+	// they depend on is still the last one.
+	runs uint64
+	// geomOK records that the last run evaluated every device's
+	// geometry, so mosDevs holds W, L and M at the current design
+	// variables for active_area() and the series resistors.
+	geomOK bool
 	// full records whether the last run reached the spec expressions;
 	// State leaves TFs and spec values out after a bias-only or failed
 	// run.
@@ -51,6 +63,9 @@ type EvalWorkspace struct {
 	// produced a model with right-half-plane poles. The model is still
 	// measured; the count surfaces how often the fit degraded.
 	unstable int
+	// ugf memoizes each TF slot's unity-gain frequency within one run:
+	// ugf() and phase_margin() of one transfer function both need it.
+	ugf []ugfMemo
 
 	// jigs is indexed like plan.jigs; only a jig that factors its own
 	// matrix (jigPlan.mat) has matrices and an engine in use.
@@ -72,7 +87,31 @@ type EvalWorkspace struct {
 	// even an armed clock allocates nothing (telemetry.Clock).
 	clock *telemetry.Clock
 
-	dc DCProblem
+	dc     DCProblem
+	newton NewtonCounts
+}
+
+// mosDev is the workspace's per-MOS state beside its operating point.
+type mosDev struct {
+	g devices.MOSGeom
+	// lack flags the operating-point parts still to compute
+	// (completeOps); zero for a device no run has reached.
+	lack opParts
+}
+
+// opParts names parts of a MOS operating point beyond the current part
+// (devices.EvalMOSCurrent).
+type opParts uint8
+
+const (
+	opPartials opParts = 1 << iota // Gm, Gds, Gmbs
+	opCaps                         // Caps
+)
+
+// ugfMemo is one TF slot's unity-gain frequency w, computed in run.
+type ugfMemo struct {
+	run uint64
+	w   float64
 }
 
 // jigWS is the per-jig matrix and AWE state.
@@ -92,11 +131,13 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		vals:     make([]float64, p.nVals),
 		nodeV:    make([]float64, p.nNodes),
 		mosOps:   make([]devices.MOSOp, p.nMOS),
+		mosDevs:  make([]mosDev, p.nMOS),
 		bjtOps:   make([]devices.BJTOp, p.nBJT),
 		kclRes:   make([]float64, p.nNodes),
 		kclFlow:  make([]float64, p.nNodes),
 		specVals: make([]float64, len(c.Deck.Specs)),
 		tfs:      make([]awe.TF, p.nTFs),
+		ugf:      make([]ugfMemo, p.nTFs),
 		jigs:     make([]jigWS, len(p.jigs)),
 		vI:       make([]float64, len(p.vsrcs)),
 	}
@@ -237,12 +278,16 @@ func (e *wsValEnv) Call(fn string, args []expr.Arg) (float64, error) {
 
 func (e *wsValEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
 
-// run replays the plan for the design vector x. full=false stops after
-// the KCL residuals (the Newton path); full=true continues through AWE
-// and the spec expressions.
+// run replays the plan for the design vector x. full=false computes
+// only the device currents and stops after the KCL residuals (the Newton
+// path; completeOps fills in the rest of the operating points when a
+// reader needs them); full=true evaluates the devices in full and
+// continues through AWE and the spec expressions.
 func (ws *EvalWorkspace) run(x []float64, full bool) {
+	ws.runs++
 	ws.err = nil
 	ws.full = false
+	ws.geomOK = false
 	c, p := ws.c, ws.plan
 	if len(x) != len(c.VarList) {
 		ws.err = fmt.Errorf("astrx: state has %d values, want %d", len(x), len(c.VarList))
@@ -278,13 +323,21 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	for i := range p.devs {
 		d := &p.devs[i]
 		if d.kind == DevMOS {
-			g, err := ws.geometry(d.elem)
+			g, err := ws.geometry(d)
 			if err != nil {
 				ws.err = err
 				return
 			}
-			ws.mosOps[d.op] = devices.EvalMOS(d.mos.Model, g,
-				ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]), ws.nv(d.t[3]))
+			md := &ws.mosDevs[d.op]
+			md.g = g
+			vd, vg, vs, vb := ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]), ws.nv(d.t[3])
+			if full {
+				ws.mosOps[d.op] = devices.EvalMOS(d.mos.Model, g, vd, vg, vs, vb)
+				md.lack = 0
+			} else {
+				ws.mosOps[d.op] = devices.EvalMOSCurrent(d.mos.Model, g, vd, vg, vs, vb)
+				md.lack = opPartials | opCaps
+			}
 		} else {
 			ws.resetArgs()
 			area, err := d.elem.EvalParam("area", 1, env)
@@ -296,6 +349,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 				ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]))
 		}
 	}
+	ws.geomOK = true
 
 	if err := ws.evalKCL(); err != nil {
 		ws.err = err
@@ -329,17 +383,18 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 }
 
 // geometry evaluates a MOS instance's geometry expressions.
-func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
+func (ws *EvalWorkspace) geometry(d *devPlan) (devices.MOSGeom, error) {
 	env := &ws.valEnv
-	w, err := e.EvalParam("w", 0, env)
+	e := d.elem
+	w, err := e.EvalParamNode("w", d.w, 0, env)
 	if err != nil {
 		return devices.MOSGeom{}, err
 	}
-	l, err := e.EvalParam("l", 0, env)
+	l, err := e.EvalParamNode("l", d.l, 0, env)
 	if err != nil {
 		return devices.MOSGeom{}, err
 	}
-	m, err := e.EvalParam("m", 1, env)
+	m, err := e.EvalParamNode("m", d.m, 1, env)
 	if err != nil {
 		return devices.MOSGeom{}, err
 	}
@@ -347,6 +402,31 @@ func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
 		return devices.MOSGeom{}, fmt.Errorf("astrx: device %s: nonpositive geometry w=%g l=%g", e.Name, w, l)
 	}
 	return devices.MOSGeom{W: w, L: l, M: m}, nil
+}
+
+// completeOps computes the operating-point parts in want that the runs
+// which last reached each MOS left out, from the geometry and bias those
+// runs stored: the values a full evaluation there gives, bit for bit.
+func (ws *EvalWorkspace) completeOps(want opParts) {
+	for i := range ws.plan.devs {
+		d := &ws.plan.devs[i]
+		if d.kind != DevMOS {
+			continue
+		}
+		md := &ws.mosDevs[d.op]
+		todo := md.lack & want
+		if todo == 0 {
+			continue
+		}
+		op := &ws.mosOps[d.op]
+		if todo&opPartials != 0 {
+			devices.EvalMOSPartials(d.mos.Model, md.g, op)
+		}
+		if todo&opCaps != 0 {
+			devices.EvalMOSCaps(d.mos.Model, md.g, op)
+		}
+		md.lack &^= todo
+	}
 }
 
 // evalKCL accumulates the DC current residuals by replaying the KCL
@@ -476,6 +556,7 @@ func (ws *EvalWorkspace) completeTFs() {
 		for i := range jp.tfs {
 			if tp := &jp.tfs[i]; tp.dcOnly {
 				ws.fitTF(tp, &ws.jigs[jp.mat])
+				ws.ugf[tp.tfIdx] = ugfMemo{}
 			}
 		}
 	}
@@ -778,6 +859,7 @@ func (ws *EvalWorkspace) State() *EvalState {
 	for name, slot := range p.vIdx {
 		st.NodeV[name] = ws.nv(slot)
 	}
+	ws.completeOps(opPartials | opCaps)
 	for i := range p.devs {
 		d := &p.devs[i]
 		if d.kind == DevMOS {
@@ -811,6 +893,7 @@ func (ws *EvalWorkspace) State() *EvalState {
 // leaves unhandled reads the AWE models, fitted in full as for State. Package verify uses this to
 // re-measure the specs with direct AC sweeps.
 func (ws *EvalWorkspace) MeasureSpec(e expr.Node, backend TFBackend) (float64, error) {
+	ws.completeOps(opPartials | opCaps)
 	ws.completeTFs()
 	ws.resetArgs()
 	return e.Eval(&wsSpecEnv{ws: ws, backend: backend})
@@ -865,13 +948,13 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return v, nil
 		}
 	}
-	tfArg := func() (*awe.TF, error) {
+	tfArg := func() (int, *awe.TF, error) {
 		if len(args) < 1 || !args[0].IsName {
-			return nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
+			return 0, nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
 		}
 		i, ok := ws.plan.tfIdx[args[0].Name]
 		if !ok {
-			return nil, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
+			return 0, nil, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
 		}
 		// An unstable model is still measured: the fitter already
 		// preferred any stable order that reproduced the moments, so
@@ -879,35 +962,35 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		// event; FailureStats.Unstable and the daemon's
 		// oblxd_eval_unstable_total metric tell operators how much to
 		// trust the numbers.
-		return &ws.tfs[i], nil
+		return i, &ws.tfs[i], nil
 	}
 	switch fn {
 	case "dc_gain":
-		tf, err := tfArg()
+		_, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		return tf.DCGain(), nil
 	case "ugf": // unity-gain frequency in Hz
-		tf, err := tfArg()
+		i, _, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return tf.UGF() / (2 * math.Pi), nil
+		return ws.tfUGF(i) / (2 * math.Pi), nil
 	case "phase_margin":
-		tf, err := tfArg()
+		i, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return tf.PhaseMarginDeg(), nil
+		return tf.PhaseMarginAt(ws.tfUGF(i)), nil
 	case "bw3db": // -3 dB bandwidth in Hz
-		tf, err := tfArg()
+		_, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		return tf.BW3dB() / (2 * math.Pi), nil
 	case "pole": // magnitude of i-th slowest pole, Hz (1-based)
-		tf, err := tfArg()
+		_, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
@@ -916,7 +999,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		}
 		return ws.nthRootMag(tf.Poles, int(args[1].Value))
 	case "zero":
-		tf, err := tfArg()
+		_, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
@@ -925,7 +1008,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		}
 		return ws.nthRootMag(tf.Zeros, int(args[1].Value))
 	case "gain_at": // |H| at frequency f (Hz)
-		tf, err := tfArg()
+		_, tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
@@ -949,6 +1032,16 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		return ws.power()
 	}
 	return expr.MathCall(fn, args)
+}
+
+// tfUGF returns TF slot i's unity-gain frequency (rad/s), computing it
+// at most once per run.
+func (ws *EvalWorkspace) tfUGF(i int) float64 {
+	m := &ws.ugf[i]
+	if m.run == 0 || m.run != ws.runs {
+		m.run, m.w = ws.runs, ws.tfs[i].UGF()
+	}
+	return m.w
 }
 
 // nthRootMag returns |root_i| / 2π for the i-th smallest-magnitude root,
@@ -975,7 +1068,9 @@ func (ws *EvalWorkspace) nthRootMag(roots []complex128, i int) (float64, error) 
 }
 
 // activeArea sums W·L·M over all MOS devices in DevOrder, the
-// summation order of the golden file.
+// summation order of the golden file. It reads the geometry the last
+// run evaluated, and evaluates it itself only after a run that stopped
+// before every device.
 func (ws *EvalWorkspace) activeArea() (float64, error) {
 	tot := 0.0
 	for i := range ws.plan.devs {
@@ -983,9 +1078,12 @@ func (ws *EvalWorkspace) activeArea() (float64, error) {
 		if d.kind != DevMOS {
 			continue
 		}
-		g, err := ws.geometry(d.elem)
-		if err != nil {
-			return 0, err
+		g := ws.mosDevs[d.op].g
+		if !ws.geomOK {
+			var err error
+			if g, err = ws.geometry(d); err != nil {
+				return 0, err
+			}
 		}
 		tot += g.W * g.L * g.Mult()
 	}

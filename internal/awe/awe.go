@@ -288,7 +288,12 @@ func contAngle(w float64, r complex128) float64 {
 
 // PhaseMarginDeg returns 180° + ∠H(j·UGF); 0 when there is no UGF.
 func (tf *TF) PhaseMarginDeg() float64 {
-	wu := tf.UGF()
+	return tf.PhaseMarginAt(tf.UGF())
+}
+
+// PhaseMarginAt is PhaseMarginDeg for a unity-gain frequency wu (rad/s)
+// the caller already has from UGF: 180° + ∠H(j·wu), 0 when wu is 0.
+func (tf *TF) PhaseMarginAt(wu float64) float64 {
 	if wu == 0 {
 		return 0
 	}

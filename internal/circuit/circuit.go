@@ -147,7 +147,13 @@ func (e *Element) EvalValue(env expr.Env) (float64, error) {
 
 // EvalParam evaluates a named parameter, returning def when absent.
 func (e *Element) EvalParam(name string, def float64, env expr.Env) (float64, error) {
-	p := e.Param(name)
+	return e.EvalParamNode(name, e.Param(name), def, env)
+}
+
+// EvalParamNode is EvalParam for a parameter expression p already looked
+// up with Param(name), so a caller that evaluates it repeatedly does the
+// name lookup once.
+func (e *Element) EvalParamNode(name string, p expr.Node, def float64, env expr.Env) (float64, error) {
 	if p == nil {
 		return def, nil
 	}

@@ -176,7 +176,22 @@ func (r Region) String() string {
 // derives the small-signal conductances by central finite differences of
 // the model's Core. This is the single entry point the compiler, the
 // Newton solver, and the verifier all share.
+//
+// It is the composition of three parts a caller may also run alone, in
+// order: EvalMOSCurrent (one Core call), EvalMOSPartials (six) and
+// EvalMOSCaps. A Newton residual reads only the current, so it runs the
+// first part; the Jacobian adds the partials at the same point.
 func EvalMOS(m MOSModel, g MOSGeom, vd, vg, vs, vb float64) MOSOp {
+	op := EvalMOSCurrent(m, g, vd, vg, vs, vb)
+	EvalMOSPartials(m, g, &op)
+	EvalMOSCaps(m, g, &op)
+	return op
+}
+
+// EvalMOSCurrent is EvalMOS's current part: it normalizes polarity and
+// source/drain order, calls Core once, and fills Ids, Vth, Vdsat, the
+// bias echo, Region and Swapped. Gm, Gds, Gmbs and Caps stay zero.
+func EvalMOSCurrent(m MOSModel, g MOSGeom, vd, vg, vs, vb float64) MOSOp {
 	pol := m.Type().Polarity()
 	// Normalize polarity: for PMOS all voltages flip.
 	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
@@ -189,24 +204,13 @@ func EvalMOS(m MOSModel, g MOSGeom, vd, vg, vs, vb float64) MOSOp {
 
 	core := m.Core(b, g)
 
-	// Central differences; steps sized for volt-scale signals.
-	const dv = 1e-5
-	dIds := func(db MOSBias) float64 { return m.Core(db, g).Ids }
-	gm := (dIds(MOSBias{b.Vgs + dv, b.Vds, b.Vbs}) - dIds(MOSBias{b.Vgs - dv, b.Vds, b.Vbs})) / (2 * dv)
-	gds := (dIds(MOSBias{b.Vgs, b.Vds + dv, b.Vbs}) - dIds(MOSBias{b.Vgs, b.Vds - dv, b.Vbs})) / (2 * dv)
-	gmbs := (dIds(MOSBias{b.Vgs, b.Vds, b.Vbs + dv}) - dIds(MOSBias{b.Vgs, b.Vds, b.Vbs - dv})) / (2 * dv)
-
 	op := MOSOp{
 		Ids:     pol * core.Ids,
-		Gm:      gm,
-		Gds:     gds,
-		Gmbs:    gmbs,
 		Vth:     core.Vth,
 		Vdsat:   core.Vdsat,
 		Vgs:     b.Vgs,
 		Vds:     b.Vds,
 		Vbs:     b.Vbs,
-		Caps:    m.Caps(b, g, core),
 		Swapped: swapped,
 	}
 	if swapped {
@@ -215,6 +219,37 @@ func EvalMOS(m MOSModel, g MOSGeom, vd, vg, vs, vb float64) MOSOp {
 	}
 	op.Region = classify(b, core)
 	return op
+}
+
+// EvalMOSPartials is EvalMOS's partials part: it sets op.Gm, op.Gds and
+// op.Gmbs by central differences of Core around the bias op echoes. op
+// must come from EvalMOSCurrent with the same model and geometry.
+func EvalMOSPartials(m MOSModel, g MOSGeom, op *MOSOp) {
+	b := op.bias()
+	// Central differences; steps sized for volt-scale signals.
+	const dv = 1e-5
+	dIds := func(db MOSBias) float64 { return m.Core(db, g).Ids }
+	op.Gm = (dIds(MOSBias{b.Vgs + dv, b.Vds, b.Vbs}) - dIds(MOSBias{b.Vgs - dv, b.Vds, b.Vbs})) / (2 * dv)
+	op.Gds = (dIds(MOSBias{b.Vgs, b.Vds + dv, b.Vbs}) - dIds(MOSBias{b.Vgs, b.Vds - dv, b.Vbs})) / (2 * dv)
+	op.Gmbs = (dIds(MOSBias{b.Vgs, b.Vds, b.Vbs + dv}) - dIds(MOSBias{b.Vgs, b.Vds, b.Vbs - dv})) / (2 * dv)
+}
+
+// EvalMOSCaps is EvalMOS's caps part: it sets op.Caps from the model's
+// Caps at the bias op echoes. op must come from EvalMOSCurrent with the
+// same model and geometry; Caps receives the Core result that call
+// produced (undoing the terminal sign flips is exact).
+func EvalMOSCaps(m MOSModel, g MOSGeom, op *MOSOp) {
+	ids := op.Ids
+	if op.Swapped {
+		ids = -ids
+	}
+	core := MOSCore{Ids: m.Type().Polarity() * ids, Vth: op.Vth, Vdsat: op.Vdsat}
+	op.Caps = m.Caps(op.bias(), g, core)
+}
+
+// bias returns the polarity-normalized bias the operating point echoes.
+func (op *MOSOp) bias() MOSBias {
+	return MOSBias{Vgs: op.Vgs, Vds: op.Vds, Vbs: op.Vbs}
 }
 
 func classify(b MOSBias, core MOSCore) Region {

@@ -93,10 +93,11 @@ type Options struct {
 	// Trace, when non-nil, receives the run's lifecycle spans: one
 	// "anneal" span per Run (with a resume event when restoring from a
 	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
-	// attributes, and Result.FactorCounts as factor.sparse,
-	// factor.dense and factor.symbolic_misses) and one "corner:<name>"
-	// span per lane of a worst-case run, with quarantine/retry events as
-	// they happen.
+	// attributes, Result.FactorCounts as factor.sparse, factor.dense
+	// and factor.symbolic_misses, and Result.NewtonCounts as
+	// newton.residuals, newton.jacobians and newton.jacobians_reused)
+	// and one "corner:<name>" span per lane of a worst-case run, with
+	// quarantine/retry events as they happen.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
 	// path at zero allocations — same contract as StageTimer. RunBest's
 	// parallel runs may share one recorder (it is concurrency-safe);
@@ -337,6 +338,11 @@ type Result struct {
 	// this incarnation of the run (every corner lane in a worst-case
 	// run): sparse replays, dense fallbacks and symbolic-cache misses.
 	FactorCounts linalg.FactorCounts
+	// NewtonCounts sums the Newton moves' bias-problem work over the
+	// same span (every corner lane's problem in a worst-case run):
+	// residual replays, Jacobians, and Jacobians that reused the
+	// residual's replay.
+	NewtonCounts astrx.NewtonCounts
 	// CheckpointErr records the last checkpoint-write failure, if any —
 	// a checkpoint that cannot be written must not kill the run it
 	// exists to protect.
@@ -655,13 +661,20 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		return nil, fmt.Errorf("oblx: %w", err)
 	}
 	dur := baseDur + time.Since(start)
-	var fc linalg.FactorCounts
+	var (
+		fc linalg.FactorCounts
+		nc astrx.NewtonCounts
+	)
 	if ce != nil {
 		for i := 0; i < ce.bw.K(); i++ {
 			fc.Add(ce.bw.Lane(i).FactorCounts())
+			// Newton moves solve on each lane's own problem workspace,
+			// not on the lane set's.
+			nc.Add(ce.cs.Lane(i).Workspace().NewtonCounts())
 		}
 	} else {
 		fc = c.Workspace().FactorCounts()
+		nc = c.Workspace().NewtonCounts()
 	}
 
 	// Polish: a final full Newton solve from the best point tightens the
@@ -712,6 +725,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			Unstable:        c.Workspace().UnstableCount(),
 		},
 		FactorCounts:  fc,
+		NewtonCounts:  nc,
 		CheckpointErr: ckErr,
 	}
 	if ce != nil {
@@ -742,6 +756,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("factor.sparse", strconv.FormatUint(fc.Sparse, 10))
 	asp.SetAttr("factor.dense", strconv.FormatUint(fc.Dense, 10))
 	asp.SetAttr("factor.symbolic_misses", strconv.FormatUint(fc.SymbolicMisses, 10))
+	asp.SetAttr("newton.residuals", strconv.FormatUint(nc.Residuals, 10))
+	asp.SetAttr("newton.jacobians", strconv.FormatUint(nc.Jacobians, 10))
+	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

@@ -131,6 +131,29 @@ func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	if fc.Sparse+fc.Dense < uint64(lanes*res.EvalCount) || fc.SymbolicMisses < uint64(lanes) {
 		t.Errorf("factor counts %+v too low for %d evaluations over %d lanes", fc, res.EvalCount, lanes)
 	}
+	checkNewtonAttrs(t, anneal, res)
+}
+
+// checkNewtonAttrs requires the anneal span to carry the run's Newton
+// counts, the run to have made Newton moves, and every Jacobian to have
+// reused the replay of the residual before it: dcsolve always asks for
+// the Jacobian at the point it has just evaluated.
+func checkNewtonAttrs(t *testing.T, anneal *trace.Span, res *Result) {
+	t.Helper()
+	nc := res.NewtonCounts
+	for name, want := range map[string]uint64{
+		"newton.residuals":        nc.Residuals,
+		"newton.jacobians":        nc.Jacobians,
+		"newton.jacobians_reused": nc.JacobiansReused,
+	} {
+		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
+		if err != nil || got != want {
+			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
+		}
+	}
+	if nc.Jacobians == 0 || nc.JacobiansReused != nc.Jacobians || nc.Residuals < nc.Jacobians {
+		t.Errorf("newton counts %+v: want Jacobians > 0, all reused, and no more Jacobians than residuals", nc)
+	}
 }
 
 // checkMoveAttrs decodes ev.MoveAttrs() and compares every attribute
