@@ -34,12 +34,16 @@ test:
 race:
 	$(GO) test -race ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace
 
-# fuzz runs the repo's fuzz target for 10 s: FuzzMOSEvalSplit holds the
-# split MOS evaluation (current part, then partials, then capacitances)
-# to a verbatim copy of the unsplit one, bit for bit, for every library
-# MOS model at random finite biases and geometries.
+# fuzz runs the repo's fuzz targets for 10 s each: FuzzMOSEvalSplit holds
+# the split MOS evaluation (current part, then partials, then
+# capacitances) to a verbatim copy of the unsplit one, bit for bit, for
+# every library MOS model at random finite biases and geometries;
+# FuzzJigReuse holds a cornered lane set that keeps the factors and
+# models of jigs whose matrices repeat to a fresh lane set, bit for bit,
+# over random sequences of repeats, moves and readouts.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
+	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s ./internal/astrx
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -44,6 +44,12 @@ func BenchmarkTable1Compile(b *testing.B) {
 
 // benchmarkCostEval measures one cost-function evaluation — the paper's
 // "time/ckt eval" metric (Table 2's second-to-last row) for a circuit.
+// Iterations alternate between the start point and the start point with
+// its first free node voltage 1 mV higher. The two points' stamped
+// matrices differ, so every evaluation factors and fits its jigs, as a
+// run's evaluations of new points do; evaluating one point over and
+// over would time only the path that keeps a repeated jig's factors
+// and models.
 func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	comp, err := bench.Compile(c)
 	if err != nil {
@@ -53,15 +59,25 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	for i, v := range comp.Vars() {
 		x[i] = v.Start()
 	}
+	y := append([]float64(nil), x...)
+	y[comp.NUser] += 1e-3
+	pts := [2][]float64{x, y}
+	ws := comp.Workspace()
 	comp.Cost(x) // warm the workspace so steady-state allocations are measured
+	comp.Cost(y)
+	reused := ws.FactorCounts().Reused
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cost := comp.Cost(x); cost <= 0 {
+		if cost := comp.Cost(pts[i&1]); cost <= 0 {
 			b.Fatal("degenerate cost")
 		}
 	}
 	b.StopTimer()
+	if n := ws.FactorCounts().Reused - reused; n != 0 {
+		b.Fatalf("%d evaluations reused a factorization; the benchmark must time the whole pipeline", n)
+	}
+	comp.Cost(x) // leave the start point's factorization for the stats below
 	// Per-deck matrix shape: dimension of the largest jig system, total
 	// structural nonzeros and factor fill across the factored matrices
 	// (one per distinct jig stamp program), and the fraction of them
@@ -72,7 +88,7 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	// run, patterns change and most AWE factorizations take the dense
 	// fallback (oblx's factor.* counts, docs/profiling.md).
 	var rows, nnz, fill, sparse float64
-	stats := comp.Workspace().JigStats()
+	stats := ws.JigStats()
 	for _, s := range stats {
 		if float64(s.Rows) > rows {
 			rows = float64(s.Rows)
@@ -111,7 +127,10 @@ func BenchmarkTable2EvalBiCMOS(b *testing.B) { benchmarkCostEval(b, bench.BiCMOS
 // per-candidate price of corner-aware synthesis next to the
 // nominal-only rows above. The `corners` metric records K, so benchjson
 // can derive ns per corner evaluation and compare it against the
-// single-lane numbers.
+// single-lane numbers. Like the scalar rows, iterations alternate
+// between two points, here the second one with the first node voltage
+// of every lane's section 1 mV higher, so every lane factors and fits
+// in every iteration.
 func BenchmarkTable2EvalCorners(b *testing.B) {
 	src := bench.DeckSource(bench.SimpleOTA) +
 		"\n.corner slow temp=85 nmos3.vto=0.95 vdd=2.4\n.corner fast temp=-40 vdd=2.6\n"
@@ -128,20 +147,36 @@ func BenchmarkTable2EvalCorners(b *testing.B) {
 	for i, v := range cs.Vars() {
 		x[i] = v.Start()
 	}
-	xs := make([][]float64, cs.K())
-	for i := range xs {
-		xs[i] = cs.LaneX(i, x, nil)
+	y := append([]float64(nil), x...)
+	for i := 0; i < cs.K(); i++ {
+		y[cs.NUser+i*cs.NFree] += 1e-3
+	}
+	var pts [2][][]float64
+	for p, v := range [2][]float64{x, y} {
+		pts[p] = make([][]float64, cs.K())
+		for i := range pts[p] {
+			pts[p][i] = cs.LaneX(i, v, nil)
+		}
 	}
 	include := make([]bool, cs.K())
 	evaluated := make([]bool, cs.K())
 	for i := range include {
 		include[i] = true
 	}
-	bw.Run(xs) // warm the lane workspaces so steady-state allocations are measured
+	reused := func() uint64 {
+		var n uint64
+		for i := 0; i < cs.K(); i++ {
+			n += bw.Lane(i).FactorCounts().Reused
+		}
+		return n
+	}
+	bw.Run(pts[0]) // warm the lane workspaces so steady-state allocations are measured
+	bw.Run(pts[1])
+	before := reused()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bw.Run(xs)
+		bw.Run(pts[i&1])
 		for j := 0; j < cs.K(); j++ {
 			evaluated[j] = bw.Lane(j).Err() == nil
 		}
@@ -150,6 +185,9 @@ func BenchmarkTable2EvalCorners(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	if n := reused() - before; n != 0 {
+		b.Fatalf("%d lane evaluations reused a factorization; the benchmark must time the whole pipeline", n)
+	}
 	b.ReportMetric(float64(cs.K()), "corners")
 }
 

@@ -390,8 +390,8 @@ func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts, nc astrx.Ne
 		fmt.Printf("    %-10s %12v mean over %d samples\n",
 			b.Stage, mean.Round(time.Nanosecond), b.SampledEvals)
 	}
-	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses\n",
-		fc.Sparse, fc.Dense, fc.SymbolicMisses)
+	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses, %d reused (matrices repeated)\n",
+		fc.Sparse, fc.Dense, fc.SymbolicMisses, fc.Reused)
 	fmt.Printf("  newton: %d residual replays, %d jacobians (%d at the residual's replay)\n",
 		nc.Residuals, nc.Jacobians, nc.JacobiansReused)
 }

@@ -1,0 +1,128 @@
+package astrx
+
+import (
+	"fmt"
+	"math"
+
+	"astrx/internal/awe"
+)
+
+// EvalSnapshot is a copy of what a cost evaluation leaves in a
+// workspace that keeping a jig's factors and models could get wrong.
+type EvalSnapshot struct {
+	Err      string
+	SpecVals []float64
+	// TFs holds each transfer function's model in slot order. A dcOnly
+	// one holds μ0 alone, all the cost function reads of it.
+	TFs           []awe.TF
+	Unstable      int
+	Region, KCL   float64
+	FactorsReused uint64
+}
+
+// Snapshot copies the last evaluation out of ws without completing it
+// (State would fit the dcOnly transfer functions).
+func (ws *EvalWorkspace) Snapshot() EvalSnapshot {
+	s := EvalSnapshot{
+		SpecVals:      append([]float64(nil), ws.specVals...),
+		Unstable:      ws.unstable,
+		Region:        ws.regionViolation(),
+		KCL:           ws.kclViolation(),
+		FactorsReused: ws.FactorCounts().Reused,
+	}
+	if ws.err != nil {
+		s.Err = ws.err.Error()
+	}
+	for _, jp := range ws.plan.jigs {
+		for i := range jp.tfs {
+			tp := &jp.tfs[i]
+			tf := ws.tfs[tp.tfIdx]
+			cp := awe.TF{
+				Poles:    append([]complex128(nil), tf.Poles...),
+				Residues: append([]complex128(nil), tf.Residues...),
+				Zeros:    append([]complex128(nil), tf.Zeros...),
+				Moments:  append([]float64(nil), tf.Moments...),
+				Order:    tf.Order,
+			}
+			if tp.dcOnly {
+				cp = awe.TF{Moments: cp.Moments[:min(1, len(cp.Moments))]}
+			}
+			s.TFs = append(s.TFs, cp)
+		}
+	}
+	return s
+}
+
+// TFNames lists the compiled problem's transfer functions in slot
+// order.
+func (c *Compiled) TFNames() []string {
+	var out []string
+	for _, jp := range c.plan.jigs {
+		for i := range jp.tfs {
+			out = append(out, jp.tfs[i].name)
+		}
+	}
+	return out
+}
+
+// DiffSnapshots describes the first way got differs from want, comparing
+// floats by their bits and the unstable counts as given; "" means
+// identical.
+func DiffSnapshots(got, want EvalSnapshot) string {
+	if got.Err != want.Err {
+		return fmt.Sprintf("error %q, want %q", got.Err, want.Err)
+	}
+	if d := diffFloats("spec value", got.SpecVals, want.SpecVals); d != "" {
+		return d
+	}
+	if got.Unstable != want.Unstable {
+		return fmt.Sprintf("unstable count %d, want %d", got.Unstable, want.Unstable)
+	}
+	if d := diffFloats("violation (region, KCL)", []float64{got.Region, got.KCL}, []float64{want.Region, want.KCL}); d != "" {
+		return d
+	}
+	if len(got.TFs) != len(want.TFs) {
+		return fmt.Sprintf("%d transfer functions, want %d", len(got.TFs), len(want.TFs))
+	}
+	for i := range want.TFs {
+		if d := DiffTFs(&got.TFs[i], &want.TFs[i]); d != "" {
+			return fmt.Sprintf("transfer function %d: %s", i, d)
+		}
+	}
+	return ""
+}
+
+// DiffTFs compares two models' order, poles, residues, zeros and moments
+// by their bits; "" means identical.
+func DiffTFs(got, want *awe.TF) string {
+	if got.Order != want.Order {
+		return fmt.Sprintf("order %d, want %d", got.Order, want.Order)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []complex128
+	}{{"pole", got.Poles, want.Poles}, {"residue", got.Residues, want.Residues}, {"zero", got.Zeros, want.Zeros}} {
+		if len(c.got) != len(c.want) {
+			return fmt.Sprintf("%d %ss, want %d", len(c.got), c.name, len(c.want))
+		}
+		for k := range c.want {
+			if d := diffFloats(c.name, []float64{real(c.got[k]), imag(c.got[k])},
+				[]float64{real(c.want[k]), imag(c.want[k])}); d != "" {
+				return d
+			}
+		}
+	}
+	return diffFloats("moment", got.Moments, want.Moments)
+}
+
+func diffFloats(what string, got, want []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d %ss, want %d", len(got), what, len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Sprintf("%s %d = %.17g, want %.17g", what, i, got[i], want[i])
+		}
+	}
+	return ""
+}

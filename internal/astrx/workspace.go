@@ -18,9 +18,11 @@ import (
 // precompiled plan (plan.go) into persistent, index-addressed storage:
 // matrices are re-stamped in place, LU factors and AWE scratch are
 // reused, and node, device and transfer-function names resolve through
-// compile-time index tables into slices. After warm-up a steady-state
-// evaluation performs no heap allocation, which is what makes the
-// annealer's move loop cheap. Expression variables still resolve by
+// compile-time index tables into slices. A jig whose stamped (G, C)
+// pair repeats the one its engine factored last keeps its factors and
+// the transfer-function models computed from them (evalJig). After
+// warm-up a steady-state evaluation performs no heap allocation, which
+// is what makes the annealer's move loop cheap. Expression variables still resolve by
 // name through the plan's valIdx map (wsValEnv.Var).
 //
 // A workspace is single-goroutine state, like the adaptive weights it
@@ -45,8 +47,8 @@ type EvalWorkspace struct {
 	tfs      []awe.TF
 	err      error
 	// runs numbers the plan replays (the first run is 1). The Newton
-	// problem's Jacobian and the UGF memo check it to know that the run
-	// they depend on is still the last one.
+	// problem's Jacobian checks it to know that the run it depends on is
+	// still the last one.
 	runs uint64
 	// geomOK records that the last run evaluated every device's
 	// geometry, so mosDevs holds W, L and M at the current design
@@ -56,16 +58,17 @@ type EvalWorkspace struct {
 	// State leaves TFs and spec values out after a bias-only or failed
 	// run.
 	full bool
-	// pending records that the last full run left its dcOnly transfer
-	// functions at order-0 models, to be fitted on demand (completeTFs).
+	// pending records that the last full run reached every jig, so
+	// completeTFs may fit the dcOnly transfer functions it left at
+	// order-0 models.
 	pending bool
 	// unstable counts the cost function's transfer-function fits that
 	// produced a model with right-half-plane poles. The model is still
 	// measured; the count surfaces how often the fit degraded.
 	unstable int
-	// ugf memoizes each TF slot's unity-gain frequency within one run:
-	// ugf() and phase_margin() of one transfer function both need it.
-	ugf []ugfMemo
+	// slots sits beside tfs: where each model came from, and its
+	// unity-gain frequency.
+	slots []tfSlot
 
 	// jigs is indexed like plan.jigs; only a jig that factors its own
 	// matrix (jigPlan.mat) has matrices and an engine in use.
@@ -108,10 +111,26 @@ const (
 	opCaps                         // Caps
 )
 
-// ugfMemo is one TF slot's unity-gain frequency w, computed in run.
-type ugfMemo struct {
-	run uint64
-	w   float64
+// tfSlot records where a TF slot's model came from, so an evaluation
+// that finds its jig's factors unchanged keeps the model instead of
+// recomputing the same bits.
+type tfSlot struct {
+	// gen is the generation (awe.Engine.Gen) of the factors the model
+	// was computed from; 0 before the first write completes.
+	gen uint64
+	// fitted marks a Padé model; false is the order-0 model of μ0 alone
+	// that the cost function gives a dcOnly transfer function.
+	fitted bool
+	// unstable records that the cost function's fit of the model was
+	// unstable, so keeping the model counts it again, as refitting
+	// would.
+	unstable bool
+	// version is bumped on every write of the slot. The UGF memo is
+	// keyed on it: ugf and phase_margin of one model share one search,
+	// across evaluations for as long as the model is kept.
+	version uint64
+	ugfVer  uint64 // version ugf was computed at; 0 when none
+	ugf     float64
 }
 
 // jigWS is the per-jig matrix and AWE state.
@@ -137,7 +156,7 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		kclFlow:  make([]float64, p.nNodes),
 		specVals: make([]float64, len(c.Deck.Specs)),
 		tfs:      make([]awe.TF, p.nTFs),
-		ugf:      make([]ugfMemo, p.nTFs),
+		slots:    make([]tfSlot, p.nTFs),
 		jigs:     make([]jigWS, len(p.jigs)),
 		vI:       make([]float64, len(p.vsrcs)),
 	}
@@ -494,6 +513,13 @@ func (ws *EvalWorkspace) evalKCL() error {
 // the factors that jig left. A dcOnly transfer function costs one solve
 // for μ0; every other one is fitted.
 //
+// A model computed from the engine's current factors is kept: its
+// moments, and so its fit, would repeat bit for bit. That holds when the
+// stamped pair repeats the last one, which is common: a move that
+// changes only bias currents or another lane's nodes leaves every
+// small-signal parameter as it was. A kept dcOnly model may be a full
+// fit (completeTFs); dc_gain reads μ0 from either.
+//
 // An unstable fit means no stable order reproduced the moments. The
 // model is still measured — often the RHP pole is a Padé artifact at
 // the edge of moment resolution, not a physically unstable circuit —
@@ -510,19 +536,30 @@ func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS, factor bool) error {
 		}
 		ws.clock.Mark(telemetry.StageFactor)
 	}
+	gen := jw.eng.Gen()
 	for i := range jp.tfs {
 		tp := &jp.tfs[i]
 		if tp.err != nil {
 			return fmt.Errorf("astrx: jig %s tf %s: %w", jp.name, tp.name, tp.err)
 		}
+		s := &ws.slots[tp.tfIdx]
+		if s.gen == gen {
+			if s.unstable {
+				ws.unstable++
+			}
+			continue
+		}
 		if tp.dcOnly {
+			s.version++
 			mu := jw.mu[:1]
 			jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
 			ws.tfs[tp.tfIdx].SetConstant(mu)
 			ws.clock.Mark(telemetry.StageMoments)
+			s.gen, s.fitted, s.unstable = gen, false, false
 			continue
 		}
 		if tf := ws.fitTF(tp, jw); tf.Order > 0 && !tf.Stable() {
+			s.unstable = true
 			ws.unstable++
 		}
 	}
@@ -530,33 +567,39 @@ func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS, factor bool) error {
 }
 
 // fitTF computes one transfer function's 2q moments on the engine jw
-// and reduces them to a pole/zero model in the workspace's TF slot.
+// and reduces them to a pole/zero model in the workspace's TF slot,
+// recorded as fitted from the engine's current factors and not unstable.
 func (ws *EvalWorkspace) fitTF(tp *tfPlan, jw *jigWS) *awe.TF {
+	s := &ws.slots[tp.tfIdx]
+	s.version++
 	mu := jw.mu[:2*tp.q]
 	jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
 	ws.clock.Mark(telemetry.StageMoments)
 	tf := &ws.tfs[tp.tfIdx]
 	ws.fit.FitMomentsInto(tf, mu, tp.q)
 	ws.clock.Mark(telemetry.StageFit)
+	s.gen, s.fitted, s.unstable = jw.eng.Gen(), true, false
 	return tf
 }
 
 // completeTFs fits the dcOnly transfer functions the last full run left
-// at order-0 models, from the factors that run left in the engines. It
-// makes the moment and fit calls evalJig makes for a fitted transfer
-// function, so readers outside the cost function (State, MeasureSpec)
-// see the models a full fit gives. These fits are not counted as
-// unstable: no spec reads their models.
+// at order-0 models, from the factors that run left in the engines; one
+// already fitted from those factors stays as it is. It makes the moment
+// and fit calls evalJig makes for a fitted transfer function, so readers
+// outside the cost function (State, MeasureSpec) see the models a full
+// fit gives. These fits are not counted as unstable: no spec reads their
+// models.
 func (ws *EvalWorkspace) completeTFs() {
 	if !ws.pending {
 		return
 	}
 	ws.pending = false
 	for _, jp := range ws.plan.jigs {
+		jw := &ws.jigs[jp.mat]
 		for i := range jp.tfs {
-			if tp := &jp.tfs[i]; tp.dcOnly {
-				ws.fitTF(tp, &ws.jigs[jp.mat])
-				ws.ugf[tp.tfIdx] = ugfMemo{}
+			tp := &jp.tfs[i]
+			if s := &ws.slots[tp.tfIdx]; tp.dcOnly && !(s.fitted && s.gen == jw.eng.Gen()) {
+				ws.fitTF(tp, jw)
 			}
 		}
 	}
@@ -1035,13 +1078,13 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 }
 
 // tfUGF returns TF slot i's unity-gain frequency (rad/s), computing it
-// at most once per run.
+// at most once per write of the slot.
 func (ws *EvalWorkspace) tfUGF(i int) float64 {
-	m := &ws.ugf[i]
-	if m.run == 0 || m.run != ws.runs {
-		m.run, m.w = ws.runs, ws.tfs[i].UGF()
+	s := &ws.slots[i]
+	if s.ugfVer == 0 || s.ugfVer != s.version {
+		s.ugfVer, s.ugf = s.version, ws.tfs[i].UGF()
 	}
-	return m.w
+	return s.ugf
 }
 
 // nthRootMag returns |root_i| / 2π for the i-th smallest-magnitude root,

@@ -2,6 +2,7 @@ package awe
 
 import (
 	"fmt"
+	"math"
 
 	"astrx/internal/linalg"
 	"astrx/internal/telemetry"
@@ -13,6 +14,12 @@ import (
 // synthesis hot path re-stamps G and C in place, calls Refactor, and
 // reads moments off precomputed excitation vectors and output indices,
 // with no per-evaluation allocation after warm-up.
+//
+// Refactor skips the factorization when the stamped pair equals, bit for
+// bit, the pair the current factors came from: the factors, and every
+// moment computed from them, would come out the same. Gen numbers the
+// factors, so a caller can keep results computed from them for as long
+// as Gen stays the same.
 type Engine struct {
 	G, C *linalg.Matrix
 
@@ -24,6 +31,13 @@ type Engine struct {
 	lu       linalg.AutoLU
 	cur, nxt []float64 // moment recursion scratch
 	cnz      []cEntry  // nonzero entries of C, row-major
+
+	// fG and fC hold the (G, C) values the current factors came from.
+	// gen numbers those factors (0: none to reuse); last is the highest
+	// number issued, so a number is never issued twice.
+	fG, fC    []float64
+	gen, last uint64
+	reused    uint64
 }
 
 // cEntry is one nonzero of the C matrix. Circuit C matrices are sparse
@@ -40,17 +54,40 @@ type cEntry struct {
 func (e *Engine) FactorStats() linalg.FactorStats { return e.lu.Stats() }
 
 // FactorCounts reports how many factorizations took the sparse path
-// versus fell back to dense, and how many symbolic analyses missed the
-// cache, since the engine was created.
-func (e *Engine) FactorCounts() linalg.FactorCounts { return e.lu.Counts() }
+// versus fell back to dense, how many symbolic analyses missed the
+// cache, and how many Refactor calls reused the current factors, since
+// the engine was created.
+func (e *Engine) FactorCounts() linalg.FactorCounts {
+	fc := e.lu.Counts()
+	fc.Reused = e.reused
+	return fc
+}
 
-// Refactor recomputes the LU factorization of G, reusing the engine's
-// factor storage. It must be called after every re-stamp of G and
-// before MomentsInto.
+// Gen returns the number of the current factors: it changes whenever
+// Refactor factors again, and is 0 while there are none (before the
+// first Refactor and after a failed one).
+func (e *Engine) Gen() uint64 { return e.gen }
+
+// Refactor brings the LU factorization up to date with G and C, reusing
+// the engine's factor storage. It must be called after every re-stamp
+// of G or C and before MomentsInto. When the pair repeats the one the
+// current factors came from, bit for bit, the factors stay as they are
+// and Gen does not change.
 func (e *Engine) Refactor() error {
+	if e.gen != 0 && sameBits(e.fG, e.G.Data) && sameBits(e.fC, e.C.Data) {
+		e.reused++
+		return nil
+	}
+	// A failed factorization has partly overwritten the factors, so
+	// nothing is left to reuse until one succeeds.
+	e.gen = 0
 	if err := e.lu.Factor(e.G); err != nil {
 		return fmt.Errorf("%w: %v", ErrNoDCPath, err)
 	}
+	e.fG = append(e.fG[:0], e.G.Data...)
+	e.fC = append(e.fC[:0], e.C.Data...)
+	e.last++
+	e.gen = e.last
 	n := e.G.Rows
 	if cap(e.cur) < n {
 		e.cur = make([]float64, n)
@@ -71,6 +108,21 @@ func (e *Engine) Refactor() error {
 		}
 	}
 	return nil
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+// Comparing bits, not values, makes -0 differ from +0 (the dense LU
+// treats them differently) and a NaN equal to itself.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // MomentsInto fills mu with the first len(mu) output moments for the

@@ -81,12 +81,47 @@ func TestBatchShortAndFailedLanes(t *testing.T) {
 	}
 }
 
+// nodeMoved returns x with the first free node voltage moved 1 mV. At
+// a Table 2 deck's start point that changes the devices' small-signal
+// parameters, so the two points' stamped matrices differ and each
+// evaluation of one after the other runs the whole pipeline.
+func nodeMoved(c *astrx.Compiled, x []float64) []float64 {
+	y := append([]float64(nil), x...)
+	y[c.NUser] += 1e-3
+	return y
+}
+
+// cornerNodesMoved returns the master vector x with the first node
+// voltage of every lane's section moved 1 mV, so every lane's stamped
+// matrices change.
+func cornerNodesMoved(cs *astrx.CornerSet, x []float64) []float64 {
+	y := append([]float64(nil), x...)
+	for i := 0; i < cs.K(); i++ {
+		y[cs.NUser+i*cs.NFree] += 1e-3
+	}
+	return y
+}
+
+// checkAllocs requires eval to allocate nothing, and to reuse
+// factorizations (read by reused) exactly when wantReuse.
+func checkAllocs(t *testing.T, what string, eval func(), reused func() uint64, wantReuse bool) {
+	t.Helper()
+	r0 := reused()
+	if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
+		t.Errorf("%s allocates %.1f per run, want 0", what, allocs)
+	}
+	if got := reused() > r0; got != wantReuse {
+		t.Errorf("%s: reused factorizations %v, want %v (%d before, %d after)", what, got, wantReuse, r0, reused())
+	}
+}
+
 // TestWorkspaceZeroAlloc pins the scalar hot path: after warm-up one
 // cost evaluation on the compiled-plan workspace — sparse factorization
-// included — performs zero heap allocations. The eval benchmarks
-// measure the same thing with -benchmem, but this exact count runs in
-// the plain test suite and in make telemetry-guard without timing
-// noise.
+// included — performs zero heap allocations. Alternating two points
+// pins the whole pipeline; repeating one pins the path that keeps a
+// jig's factors and models. The eval benchmarks measure the same thing
+// with -benchmem, but this exact count runs in the plain test suite and
+// in make telemetry-guard without timing noise.
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	for _, ckt := range Table2Suite {
 		ckt := ckt
@@ -96,14 +131,13 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := evalSequence(c, 0)[0]
+			y := nodeMoved(c, x)
 			ws := c.NewWorkspace()
-			ws.Cost(x) // warm up lazy scratch
-			allocs := testing.AllocsPerRun(20, func() {
-				ws.Cost(x)
-			})
-			if allocs != 0 {
-				t.Errorf("scalar eval allocates %.1f/eval, want 0", allocs)
-			}
+			ws.Cost(x) // warm up lazy scratch at both points
+			ws.Cost(y)
+			reused := func() uint64 { return ws.FactorCounts().Reused }
+			checkAllocs(t, "scalar eval of two points in turn", func() { ws.Cost(x); ws.Cost(y) }, reused, false)
+			checkAllocs(t, "scalar eval of a repeated point", func() { ws.Cost(x) }, reused, true)
 			for j, s := range ws.JigStats() {
 				if !s.Sparse {
 					t.Errorf("matrix %d took the dense path at the start point", j)
@@ -116,7 +150,7 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 // TestBatchZeroAlloc pins the cornered hot path: after warm-up one
 // worst-case evaluation — a Run over nominal plus two corners and the
 // WorstCase assembly — performs zero heap allocations, like the scalar
-// path.
+// path, whether every lane's matrices change or repeat.
 func TestBatchZeroAlloc(t *testing.T) {
 	cs := compileCorneredOTA(t, "")
 	if cs.K() != 3 {
@@ -126,29 +160,38 @@ func TestBatchZeroAlloc(t *testing.T) {
 	for i, v := range cs.Vars() {
 		x[i] = v.Start()
 	}
+	y := cornerNodesMoved(cs, x)
 	xs := make([][]float64, cs.K())
+	ys := make([][]float64, cs.K())
 	include := make([]bool, cs.K())
 	evaluated := make([]bool, cs.K())
 	for i := range xs {
 		xs[i] = cs.LaneX(i, x, nil)
+		ys[i] = cs.LaneX(i, y, nil)
 		include[i] = true
 	}
 	bw := cs.NewCornerBatch()
-	eval := func() {
+	eval := func(xs [][]float64) {
 		bw.Run(xs)
 		for i := range evaluated {
 			evaluated[i] = bw.Lane(i).Err() == nil
 		}
 		cs.WorstCase(bw, include, evaluated)
 	}
-	eval() // warm up lazy scratch
+	eval(ys) // warm up lazy scratch at both points
+	eval(xs)
 	for i, ok := range evaluated {
 		if !ok {
 			t.Fatalf("lane %s failed at the start point", cs.LaneName(i))
 		}
 	}
-	allocs := testing.AllocsPerRun(20, eval)
-	if allocs != 0 {
-		t.Errorf("cornered eval allocates %.1f/eval, want 0", allocs)
+	// Each lane's reuse count is checked on its own, so a lane taking the
+	// wrong path cannot hide behind the others.
+	for i := 0; i < cs.K(); i++ {
+		lane := bw.Lane(i)
+		reused := func() uint64 { return lane.FactorCounts().Reused }
+		name := cs.LaneName(i)
+		checkAllocs(t, "cornered eval of two points in turn, lane "+name, func() { eval(ys); eval(xs) }, reused, false)
+		checkAllocs(t, "cornered eval of a repeated point, lane "+name, func() { eval(xs) }, reused, true)
 	}
 }

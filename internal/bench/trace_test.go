@@ -14,18 +14,22 @@ import (
 // the hot path makes still performs zero heap allocations. This is the
 // telemetry-guard companion to TestWorkspaceZeroAlloc: that test proves
 // the eval core is alloc-free, this one proves the trace
-// instrumentation adds nothing when off.
+// instrumentation adds nothing when off. Evaluations alternate between
+// two points, so each runs the whole pipeline; a repeated point pins the
+// path that keeps a jig's factors and models.
 func TestTraceOffZeroAlloc(t *testing.T) {
 	c, err := Compile(SimpleOTA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := evalSequence(c, 0)[0]
+	y := nodeMoved(c, x)
 	ws := c.NewWorkspace()
-	ws.Cost(x) // warm up lazy scratch
+	ws.Cost(x) // warm up lazy scratch at both points
+	ws.Cost(y)
 
 	var rec *trace.Recorder // tracing off
-	allocs := testing.AllocsPerRun(20, func() {
+	traced := func(x []float64) {
 		// The span shapes the instrumented pipeline emits around an
 		// eval: an anneal-scoped Active, a sampled per-stage eval span,
 		// and corner-lane events — all no-ops on nil receivers.
@@ -37,8 +41,8 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 		span.Event("corner-retry", "corner", "ss_cold")
 		span.End("ok")
 		rec.AddTimed("corner:tt", "", time.Now(), time.Microsecond)
-	})
-	if allocs != 0 {
-		t.Errorf("eval with tracing off allocates %.1f/eval, want 0", allocs)
 	}
+	reused := func() uint64 { return ws.FactorCounts().Reused }
+	checkAllocs(t, "eval of two points in turn with tracing off", func() { traced(x); traced(y) }, reused, false)
+	checkAllocs(t, "eval of a repeated point with tracing off", func() { traced(x) }, reused, true)
 }

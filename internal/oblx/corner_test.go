@@ -324,9 +324,10 @@ func TestCornerSelectionErrors(t *testing.T) {
 
 // TestCornerStageTiming checks that a cornered run is clocked like a
 // nominal one: with every eval sampled, each corner lane's evaluation
-// reports all seven pipeline stages to the shared timer, and the
-// anneal span carries their means as stage.<name>_us attrs beside the
-// factorization counts summed over the lanes.
+// reports the pipeline stages it ran to the shared timer (all seven,
+// or all but solve, moments and fit when its matrices repeated), and
+// the anneal span carries their means as stage.<name>_us attrs beside
+// the factorization counts summed over the lanes.
 func TestCornerStageTiming(t *testing.T) {
 	deck := parse(t, diffAmpDeck+corneredDiffAmpCards)
 	timer := telemetry.NewEvalTimer(1)
@@ -355,9 +356,16 @@ func TestCornerStageTiming(t *testing.T) {
 		t.Fatal("no anneal span recorded")
 	}
 	for _, want := range telemetry.StageNames() {
-		// Every eval of the run samples all three healthy lanes.
-		if n, floor := stages[want], int64(len(res.Corners)*res.EvalCount); n < floor {
-			t.Errorf("stage %s: %d sampled lane evals, want ≥ %d", want, n, floor)
+		// Every eval of the run samples all three healthy lanes. A lane
+		// whose matrices repeated keeps its factors and models, so it
+		// samples no solve, moments or fit: its reuse counts instead.
+		n, floor := stages[want], int64(len(res.Corners)*res.EvalCount)
+		switch want {
+		case "solve", "moments", "fit":
+			n += int64(res.FactorCounts.Reused)
+		}
+		if n < floor {
+			t.Errorf("stage %s: %d sampled lane evals (reuses included for solve, moments and fit), want ≥ %d", want, n, floor)
 		}
 		if _, err := strconv.ParseFloat(anneal.Attrs["stage."+want+"_us"], 64); err != nil {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])

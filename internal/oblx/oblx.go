@@ -93,8 +93,8 @@ type Options struct {
 	// Trace, when non-nil, receives the run's lifecycle spans: one
 	// "anneal" span per Run (with a resume event when restoring from a
 	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
-	// attributes, Result.FactorCounts as factor.sparse, factor.dense
-	// and factor.symbolic_misses, and Result.NewtonCounts as
+	// attributes, Result.FactorCounts as factor.sparse, factor.dense,
+	// factor.symbolic_misses and factor.reused, and Result.NewtonCounts as
 	// newton.residuals, newton.jacobians and newton.jacobians_reused)
 	// and one "corner:<name>" span per lane of a worst-case run, with
 	// quarantine/retry events as they happen.
@@ -336,7 +336,8 @@ type Result struct {
 	Failures FailureStats
 	// FactorCounts sums the annealer's jig-engine factorizations over
 	// this incarnation of the run (every corner lane in a worst-case
-	// run): sparse replays, dense fallbacks and symbolic-cache misses.
+	// run): sparse replays, dense fallbacks, symbolic-cache misses, and
+	// the factorizations skipped because a jig's matrices repeated.
 	FactorCounts linalg.FactorCounts
 	// NewtonCounts sums the Newton moves' bias-problem work over the
 	// same span (every corner lane's problem in a worst-case run):
@@ -347,16 +348,24 @@ type Result struct {
 	// a checkpoint that cannot be written must not kill the run it
 	// exists to protect.
 	CheckpointErr error
+
+	// evalTime is the wall time this incarnation spent in cost
+	// evaluations, and evalsTimed how many it ran: a resumed run times
+	// only its own.
+	evalTime   time.Duration
+	evalsTimed int
 }
 
 // TimePerEval returns the mean wall time per circuit evaluation — the
-// paper's "time/ckt eval" metric. Zero-eval runs (e.g. cancelled at
-// birth) report 0 rather than dividing by zero.
+// paper's "time/ckt eval" metric — over the evaluations this process
+// ran. Moves that decline to evaluate and the Newton moves' bias solves
+// are not evaluations, so they do not count. Zero-eval runs (e.g.
+// cancelled at birth) report 0 rather than dividing by zero.
 func (r *Result) TimePerEval() time.Duration {
-	if r.EvalCount == 0 {
+	if r.evalsTimed == 0 {
 		return 0
 	}
-	return r.Duration / time.Duration(r.EvalCount)
+	return r.evalTime / time.Duration(r.evalsTimed)
 }
 
 // weightAdaptEvery is the move cadence of the constraint-weight
@@ -388,6 +397,11 @@ type problem struct {
 	nanCosts    int
 	retries     int
 	quarantined int
+
+	// evalTime and evalsTimed time this process's Cost calls, retries
+	// included (Result.TimePerEval).
+	evalTime   time.Duration
+	evalsTimed int
 }
 
 func (p *problem) Vars() []anneal.VarSpec {
@@ -398,6 +412,15 @@ func (p *problem) Vars() []anneal.VarSpec {
 }
 
 func (p *problem) Cost(x []float64) float64 {
+	start := time.Now()
+	c := p.cost(x)
+	p.evalTime += time.Since(start)
+	p.evalsTimed++
+	return c
+}
+
+// cost is Cost without the timing.
+func (p *problem) cost(x []float64) float64 {
 	p.evals++
 	for attempt := 0; ; attempt++ {
 		c, panicked := p.tryCost(x)
@@ -727,6 +750,8 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		FactorCounts:  fc,
 		NewtonCounts:  nc,
 		CheckpointErr: ckErr,
+		evalTime:      p.evalTime,
+		evalsTimed:    p.evalsTimed,
 	}
 	if ce != nil {
 		out.Failures.Unstable = ce.unstableCount()
@@ -756,6 +781,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("factor.sparse", strconv.FormatUint(fc.Sparse, 10))
 	asp.SetAttr("factor.dense", strconv.FormatUint(fc.Dense, 10))
 	asp.SetAttr("factor.symbolic_misses", strconv.FormatUint(fc.SymbolicMisses, 10))
+	asp.SetAttr("factor.reused", strconv.FormatUint(fc.Reused, 10))
 	asp.SetAttr("newton.residuals", strconv.FormatUint(nc.Residuals, 10))
 	asp.SetAttr("newton.jacobians", strconv.FormatUint(nc.Jacobians, 10))
 	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))

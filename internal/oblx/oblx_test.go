@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"astrx/internal/astrx"
 	"astrx/internal/netlist"
 )
 
@@ -203,5 +204,30 @@ func TestEarlyKCLError(t *testing.T) {
 	}
 	if got := EarlyKCLError(nil); got != 0 {
 		t.Errorf("EarlyKCLError(nil) = %g, want 0", got)
+	}
+}
+
+// TestProblemCostZeroAlloc pins the annealer's side of the hot path:
+// problem.Cost, which times every evaluation for Result.TimePerEval,
+// allocates nothing per evaluation.
+func TestProblemCostZeroAlloc(t *testing.T) {
+	c, err := astrx.Compile(parse(t, diffAmpDeck), astrx.CostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, len(c.Vars()))
+	for i, v := range c.Vars() {
+		x[i] = v.Start()
+	}
+	y := append([]float64(nil), x...)
+	y[0] *= 1.01
+	p := &problem{c: c}
+	p.Cost(x) // warm up lazy scratch at both points
+	p.Cost(y)
+	if allocs := testing.AllocsPerRun(50, func() { p.Cost(x); p.Cost(y) }); allocs != 0 {
+		t.Errorf("problem.Cost allocates %.1f per two evals, want 0", allocs)
+	}
+	if p.evalsTimed != p.evals || p.evalTime <= 0 {
+		t.Errorf("timed %d of %d evaluations in %v, want all of them in a positive time", p.evalsTimed, p.evals, p.evalTime)
 	}
 }

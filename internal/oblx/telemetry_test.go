@@ -112,8 +112,9 @@ func TestProgressFlightFields(t *testing.T) {
 
 // checkFactorAttrs requires the anneal span to carry the run's
 // factorization counts, and the counts to cover every evaluation: each
-// one factors at least one jig per lane, and the first factorization
-// of each jig misses the empty symbolic cache.
+// one factors at least one jig per lane or reuses its factors because
+// the jig's matrices repeated, and the first factorization of each jig
+// misses the empty symbolic cache.
 func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	t.Helper()
 	fc := res.FactorCounts
@@ -121,6 +122,7 @@ func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 		"factor.sparse":          fc.Sparse,
 		"factor.dense":           fc.Dense,
 		"factor.symbolic_misses": fc.SymbolicMisses,
+		"factor.reused":          fc.Reused,
 	} {
 		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
 		if err != nil || got != want {
@@ -128,7 +130,7 @@ func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 		}
 	}
 	lanes := max(1, len(res.Corners))
-	if fc.Sparse+fc.Dense < uint64(lanes*res.EvalCount) || fc.SymbolicMisses < uint64(lanes) {
+	if fc.Sparse+fc.Dense+fc.Reused < uint64(lanes*res.EvalCount) || fc.SymbolicMisses < uint64(lanes) {
 		t.Errorf("factor counts %+v too low for %d evaluations over %d lanes", fc, res.EvalCount, lanes)
 	}
 	checkNewtonAttrs(t, anneal, res)
