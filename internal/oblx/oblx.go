@@ -684,9 +684,12 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		return nil, fmt.Errorf("oblx: %w", err)
 	}
 	dur := baseDur + time.Since(start)
+	// Every run counter is read here, before the polish and the final
+	// evaluation, so each counts the annealer's work alone.
 	var (
-		fc linalg.FactorCounts
-		nc astrx.NewtonCounts
+		fc       linalg.FactorCounts
+		nc       astrx.NewtonCounts
+		unstable int
 	)
 	if ce != nil {
 		for i := 0; i < ce.bw.K(); i++ {
@@ -695,9 +698,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			// not on the lane set's.
 			nc.Add(ce.cs.Lane(i).Workspace().NewtonCounts())
 		}
+		unstable = ce.unstableCount()
 	} else {
 		fc = c.Workspace().FactorCounts()
 		nc = c.Workspace().NewtonCounts()
+		unstable = c.Workspace().UnstableCount()
 	}
 
 	// Polish: a final full Newton solve from the best point tightens the
@@ -745,7 +750,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			Retries:         p.retries,
 			Quarantined:     p.quarantined,
 			RejectedMoves:   res.NonFinite,
-			Unstable:        c.Workspace().UnstableCount(),
+			Unstable:        unstable,
 		},
 		FactorCounts:  fc,
 		NewtonCounts:  nc,
@@ -754,7 +759,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		evalsTimed:    p.evalsTimed,
 	}
 	if ce != nil {
-		out.Failures.Unstable = ce.unstableCount()
 		out.Failures.Corners = ce.failureStats()
 		out.Degraded = ce.degraded()
 		out.Corners = ce.cornerResults(laneDC)
