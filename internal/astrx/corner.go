@@ -304,57 +304,59 @@ func (cs *CornerSet) StoreLaneNodes(i int, laneX, x []float64) {
 	copy(x[off:off+cs.NFree], laneX[cs.NUser:cs.NUser+cs.NFree])
 }
 
-// WorstCase assembles the worst-case-over-corners cost from a corner
-// lane set's last Run, mirroring the scalar costFromRun arithmetic with
-// the nominal deck's adaptive weights (one EMA update per call, so
-// checkpoint/resume reproduces the weight trajectory exactly):
+// WorstCase assembles the worst-case-over-corners cost from a lane
+// set's last Run with the nominal deck's adaptive weights; see assemble.
+// include[i] == false skips lane i (a quarantined corner), and
+// evaluated[i] == false charges it the failure penalty.
+func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) CostBreakdown {
+	return assemble(cs.Nominal, bw.lanes, include, evaluated)
+}
+
+// assemble builds C(x) from the last runs of a lane set's workspaces,
+// nominal first, with the nominal's adaptive weights. It is the one
+// assembly of the cost function: the scalar cost is its one-lane case
+// (costFromRun). Each call updates the weights' EMAs once, so
+// checkpoint/resume reproduces the weight trajectory exactly.
 //
-//   - per spec, the violation u is the max over participating lanes; a
-//     lane that failed to evaluate contributes the deterministic
-//     specFailUnits penalty, exactly like an unmeasurable spec;
-//   - the region violation is the max over lanes;
-//   - the relaxed-dc KCL violation is the sum over lanes — every lane's
-//     own node-voltage section must reach dc-correctness;
-//   - a lane with include[i] == false (quarantined corner) is skipped
+//   - A failed nominal lane fails the whole candidate (FailCost).
+//   - Per spec, the violation u is the max over participating lanes. A
+//     lane that failed to evaluate, or a spec it could not measure,
+//     contributes the deterministic specFailUnits penalty.
+//   - The region violation is the max over lanes.
+//   - The relaxed-dc KCL violation is the sum over lanes: every lane's
+//     own node-voltage section must reach dc-correctness.
+//   - A lane with include[l] == false (a quarantined corner) is skipped
 //     entirely: the run has degraded to the remaining corners.
 //
-// A failed nominal lane fails the whole candidate (FailCost), matching
-// single-corner semantics.
-func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) CostBreakdown {
+// The maxima use math.Max, so a NaN violation fails the candidate, as it
+// always did in the scalar cost.
+func assemble(c *Compiled, lanes []*EvalWorkspace, include, evaluated []bool) CostBreakdown {
 	var out CostBreakdown
-	c := cs.Nominal
 	w := c.Weights
 	if !include[0] || !evaluated[0] {
 		out.Failed = true
 		out.Total = c.Opt.FailCost
 		return out
 	}
-	k := cs.K()
 
 	for i, s := range c.Deck.Specs {
 		worst := math.Inf(-1)
 		anyVal, anyFail := false, false
-		for l := 0; l < k; l++ {
+		for l, ws := range lanes {
 			if !include[l] {
 				continue
 			}
-			if !evaluated[l] {
+			val := ws.specVals[i]
+			if !evaluated[l] || math.IsNaN(val) || math.IsInf(val, 0) {
 				anyFail = true
 				continue
 			}
-			val := bw.lanes[l].specVals[i]
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				anyFail = true
-				continue
-			}
-			if u := Normalize(s, val); u > worst {
-				worst = u
-			}
+			worst = math.Max(worst, Normalize(s, val))
 			anyVal = true
 		}
 		if anyFail && (!anyVal || specFailUnits >= worst) {
-			// The binding corner is one that failed: charge the same
-			// deterministic penalty an unmeasurable spec gets.
+			// The binding lane failed or could not measure the spec:
+			// treat it as far beyond "bad".
 			out.Perf += w.Spec[s.Name] * specFailUnits
 			if !s.Objective {
 				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
@@ -363,6 +365,8 @@ func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) Co
 		}
 		u := worst
 		if s.Objective {
+			// Keep optimizing past "good", but gently, so objectives
+			// cannot drown the penalty terms.
 			term := u
 			if u < 0 {
 				term = 0.05 * u
@@ -377,14 +381,11 @@ func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) Co
 
 	regViol := 0.0
 	kclViol := 0.0
-	for l := 0; l < k; l++ {
+	for l, ws := range lanes {
 		if !include[l] || !evaluated[l] {
 			continue
 		}
-		ws := bw.lanes[l]
-		if v := ws.regionViolation(); v > regViol {
-			regViol = v
-		}
+		regViol = math.Max(regViol, ws.regionViolation())
 		kclViol += ws.kclViolation()
 	}
 	out.Dev = w.Region * regViol

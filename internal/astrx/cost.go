@@ -134,9 +134,9 @@ type CostBreakdown struct {
 }
 
 // Cost evaluates C(x) (implements anneal.Problem together with Vars) on
-// the compiled problem's shared workspace — the annealer's
-// allocation-free hot path. Reporting code that must not disturb the
-// annealer's workspace evaluates through its own NewWorkspace.
+// the compiled problem's shared workspace, allocation-free after
+// warm-up. Code that must not disturb that workspace's counters
+// evaluates through its own NewWorkspace.
 func (c *Compiled) Cost(x []float64) float64 {
 	return c.Workspace().Cost(x)
 }

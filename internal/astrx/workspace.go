@@ -26,7 +26,8 @@ import (
 // name through the plan's valIdx map (wsValEnv.Var).
 //
 // A workspace is single-goroutine state, like the adaptive weights it
-// updates; every annealing run owns one via Compiled.Workspace, and
+// updates. An annealing run evaluates through its lane set's workspaces
+// (NewCornerBatch) and solves its Newton problems on Compiled.Workspace;
 // reporting code that must not disturb the annealer's counters and
 // clock evaluates through its own NewWorkspace. Results are pinned by
 // internal/bench/testdata/eval_golden.json.
@@ -783,62 +784,17 @@ func (ws *EvalWorkspace) timedRun(x []float64) {
 }
 
 // costFromRun assembles C(x) from the last run, updating the
-// adaptive-weight EMAs as a side effect.
+// adaptive-weight EMAs as a side effect: the one-lane case of assemble.
 func (ws *EvalWorkspace) costFromRun() CostBreakdown {
-	var out CostBreakdown
-	c := ws.c
-	w := c.Weights
-	if ws.err != nil {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-		return out
-	}
-
-	for i, s := range c.Deck.Specs {
-		val := ws.specVals[i]
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			// Unevaluatable spec: treat as far beyond "bad".
-			out.Perf += w.Spec[s.Name] * specFailUnits
-			if !s.Objective {
-				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
-			}
-			continue
-		}
-		u := Normalize(s, val)
-		if s.Objective {
-			// Keep optimizing past "good", but gently, so objectives
-			// cannot drown the penalty terms.
-			term := u
-			if u < 0 {
-				term = 0.05 * u
-			}
-			out.Objective += w.Spec[s.Name] * term
-		} else {
-			viol := math.Max(0, u)
-			out.Perf += w.Spec[s.Name] * viol
-			w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
-		}
-	}
-
-	regViol := ws.regionViolation()
-	out.Dev = w.Region * regViol
-	w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
-
-	kclViol := ws.kclViolation()
-	out.DC = w.KCL * kclViol
-	w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
-
-	out.Total = out.Objective + out.Perf + out.Dev + out.DC
-	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-	}
-	return out
+	lanes := [1]*EvalWorkspace{ws}
+	include := [1]bool{true}
+	evaluated := [1]bool{ws.err == nil}
+	return assemble(ws.c, lanes[:], include[:], evaluated[:])
 }
 
 // regionViolation accumulates the operating-region violation (volts)
 // from the last run — the raw C^dev quantity, without weights or EMA
-// side effects, shared by the scalar and worst-case-corner assemblies.
+// side effects.
 func (ws *EvalWorkspace) regionViolation() float64 {
 	regViol := 0.0
 	for i, r := range ws.c.Deck.Regions {

@@ -35,8 +35,9 @@ type Checkpoint struct {
 	NonFinite   int `json:"non_finite"`
 	Retries     int `json:"retries"`
 	Quarantined int `json:"quarantined"`
-	// Unstable is the Padé-instability counter — the shared workspace's
-	// for nominal-only runs, the nominal lane's for cornered runs.
+	// Unstable is the nominal lane's Padé-instability counter; each
+	// corner's rides in Corners. A nominal-only run is the one-lane set,
+	// so its checkpoint carries this count alone.
 	Unstable int `json:"unstable,omitempty"`
 
 	// Corners carries the per-corner failure state of a worst-case run,

@@ -11,7 +11,6 @@ import (
 	"astrx/internal/astrx"
 	"astrx/internal/dcsolve"
 	"astrx/internal/faults"
-	"astrx/internal/trace"
 )
 
 // cornerQuarantineAfter is the per-corner quarantine threshold: a corner
@@ -26,115 +25,75 @@ const cornerQuarantineAfter = 10
 // nominal, is tracked by the candidate-level machinery instead).
 type cornerLane struct {
 	fails       int // evaluations that still failed after the retry
-	retries     int // in-move scalar re-attempts
+	retries     int // in-move re-attempts of the lane alone
 	consec      int // consecutive failed evaluations (resets on success)
 	quarantined bool
 }
 
-// cornerEval evaluates one candidate against every selected corner and
-// assembles the worst-case-over-corners cost. It owns the corner lane
-// workspace, the per-corner failure accounting, and the retry-then-
-// quarantine policy; the surrounding problem wrapper keeps its existing
-// candidate-level panic/NaN hardening on top.
-type cornerEval struct {
-	cs  *astrx.CornerSet
-	bw  *astrx.BatchWorkspace
-	inj *faults.Injector
-
-	lanes     []cornerLane // indexed like cs lanes; [0] unused
-	bufs      [][]float64  // per-lane candidate scratch
-	xs        [][]float64  // Run argument: bufs[i] or nil (skipped)
-	include   []bool
-	evaluated []bool
-
-	// span is the run's anneal span; lane-state transitions (first
-	// retry, quarantine) are recorded on it as events. Nil-safe, so the
-	// untraced hot path pays nothing — events fire only on the rare
-	// transitions, never per eval.
-	span *trace.Active
-}
-
-func newCornerEval(cs *astrx.CornerSet, inj *faults.Injector) *cornerEval {
-	k := cs.K()
-	return &cornerEval{
-		cs:        cs,
-		bw:        cs.NewCornerBatch(),
-		inj:       inj,
-		lanes:     make([]cornerLane, k),
-		bufs:      make([][]float64, k),
-		xs:        make([][]float64, k),
-		include:   make([]bool, k),
-		evaluated: make([]bool, k),
-	}
-}
-
-// eval runs one worst-case evaluation of the master vector x. Exactly
-// one adaptive-weight EMA update happens per call, like one scalar
-// CostDetail — the invariant checkpoint/resume bit-exactness rests on.
-func (ce *cornerEval) eval(x []float64) astrx.CostBreakdown {
-	cs := ce.cs
+// eval runs one evaluation of the master vector x over every live lane
+// and assembles C(x). Exactly one adaptive-weight EMA update happens per
+// call — the invariant checkpoint/resume bit-exactness rests on.
+func (p *problem) eval(x []float64) astrx.CostBreakdown {
+	cs := p.cs
 	k := cs.K()
 	for i := 0; i < k; i++ {
-		ce.include[i] = i == 0 || !ce.lanes[i].quarantined
-		ce.xs[i] = nil
-		if ce.include[i] {
-			ce.bufs[i] = cs.LaneX(i, x, ce.bufs[i])
-			ce.xs[i] = ce.bufs[i]
+		p.include[i] = i == 0 || !p.lanes[i].quarantined
+		p.xs[i] = nil
+		if p.include[i] {
+			p.bufs[i] = cs.LaneX(i, x, p.bufs[i])
+			p.xs[i] = p.bufs[i]
 		}
 	}
-	ce.bw.Run(ce.xs)
+	p.bw.Run(p.xs)
 
-	// Nominal failure is candidate failure: WorstCase charges FailCost,
-	// exactly like the scalar evaluator.
-	ce.evaluated[0] = ce.bw.Lane(0).Err() == nil
+	// Nominal failure is candidate failure: WorstCase charges FailCost.
+	p.evaluated[0] = p.bw.Lane(0).Err() == nil
 
 	// Corners degrade instead: a lane whose evaluation failed (Err) is
 	// retried once in place, the failure counted, and the corner
 	// quarantined after a run of them. A failed-but-included corner
 	// charges the deterministic worst-case penalty (the same
-	// unmeasurable-spec units the scalar cost uses), so one failed lane
+	// unmeasurable-spec units the nominal gets), so one failed lane
 	// evaluation never blanks the candidate. An unstable Padé fit is not
 	// a failure: its model is measured and counted, as on the nominal
 	// lane.
 	for i := 1; i < k; i++ {
-		if !ce.include[i] {
-			ce.evaluated[i] = false
+		if !p.include[i] {
+			p.evaluated[i] = false
 			continue
 		}
 		name := cs.LaneName(i)
-		failed := ce.bw.Lane(i).Err() != nil
-		if ce.inj.CornerFail(name) {
+		failed := p.bw.Lane(i).Err() != nil
+		if p.inj.CornerFail(name) {
 			failed = true
 		}
 		if failed {
-			ce.lanes[i].retries++
-			if ce.lanes[i].retries == 1 {
-				ce.span.Event("corner-retry", "corner", name)
+			p.lanes[i].retries++
+			if p.lanes[i].retries == 1 {
+				p.span.Event("corner-retry", "corner", name)
 			}
-			failed = ce.inj.CornerFail(name) || ce.bw.RerunLane(i, ce.xs[i]) != nil
+			failed = p.inj.CornerFail(name) || p.bw.RerunLane(i, p.xs[i]) != nil
 		}
 		if failed {
-			ce.lanes[i].fails++
-			ce.lanes[i].consec++
-			if ce.lanes[i].consec >= cornerQuarantineAfter {
-				ce.lanes[i].quarantined = true
-				ce.span.Event("corner-quarantined",
-					"corner", name, "fails", strconv.Itoa(ce.lanes[i].fails))
+			p.lanes[i].fails++
+			p.lanes[i].consec++
+			if p.lanes[i].consec >= cornerQuarantineAfter {
+				p.lanes[i].quarantined = true
+				p.span.Event("corner-quarantined",
+					"corner", name, "fails", strconv.Itoa(p.lanes[i].fails))
 			}
 		} else {
-			ce.lanes[i].consec = 0
+			p.lanes[i].consec = 0
 		}
-		ce.evaluated[i] = !failed
+		p.evaluated[i] = !failed
 	}
-	return cs.WorstCase(ce.bw, ce.include, ce.evaluated)
+	return cs.WorstCase(p.bw, p.include, p.evaluated)
 }
 
-func (ce *cornerEval) cost(x []float64) float64 { return ce.eval(x).Total }
-
 // degraded reports whether any corner has been quarantined.
-func (ce *cornerEval) degraded() bool {
-	for i := 1; i < len(ce.lanes); i++ {
-		if ce.lanes[i].quarantined {
+func (p *problem) degraded() bool {
+	for i := 1; i < len(p.lanes); i++ {
+		if p.lanes[i].quarantined {
 			return true
 		}
 	}
@@ -142,65 +101,65 @@ func (ce *cornerEval) degraded() bool {
 }
 
 // unstableCount sums the Padé-instability counters over all lanes.
-func (ce *cornerEval) unstableCount() int {
+func (p *problem) unstableCount() int {
 	n := 0
-	for i := 0; i < ce.cs.K(); i++ {
-		n += ce.bw.Lane(i).UnstableCount()
+	for i := 0; i < p.cs.K(); i++ {
+		n += p.bw.Lane(i).UnstableCount()
 	}
 	return n
 }
 
 // cornerCheckpoints snapshots the per-corner failure state for the
-// checkpoint (corners only; the nominal lane's unstable counter rides
-// in the checkpoint's existing field).
-func (ce *cornerEval) cornerCheckpoints() []CornerCheckpoint {
-	out := make([]CornerCheckpoint, 0, ce.cs.K()-1)
-	for i := 1; i < ce.cs.K(); i++ {
-		l := ce.lanes[i]
+// checkpoint (corners only, so nil for a nominal-only run; the nominal
+// lane's unstable counter rides in the checkpoint's own field).
+func (p *problem) cornerCheckpoints() []CornerCheckpoint {
+	var out []CornerCheckpoint
+	for i := 1; i < p.cs.K(); i++ {
+		l := p.lanes[i]
 		out = append(out, CornerCheckpoint{
-			Name:        ce.cs.LaneName(i),
+			Name:        p.cs.LaneName(i),
 			Fails:       l.fails,
 			Retries:     l.retries,
 			Consec:      l.consec,
 			Quarantined: l.quarantined,
-			Unstable:    ce.bw.Lane(i).UnstableCount(),
+			Unstable:    p.bw.Lane(i).UnstableCount(),
 		})
 	}
 	return out
 }
 
-// restore rehydrates the per-corner state from a checkpoint. The
+// restore rehydrates the per-lane state from a checkpoint. The
 // checkpoint must carry exactly this run's corners, in order — resuming
-// a cornered run under a different corner selection would silently
-// change the cost function mid-run.
-func (ce *cornerEval) restore(ck *Checkpoint) error {
-	if len(ck.Corners) != ce.cs.K()-1 {
+// under a different corner selection would silently change the cost
+// function mid-run.
+func (p *problem) restore(ck *Checkpoint) error {
+	if len(ck.Corners) != p.cs.K()-1 {
 		return fmt.Errorf("oblx: checkpoint has %d corners, run selects %d — wrong corner set?",
-			len(ck.Corners), ce.cs.K()-1)
+			len(ck.Corners), p.cs.K()-1)
 	}
 	for i, cc := range ck.Corners {
 		lane := i + 1
-		if name := ce.cs.LaneName(lane); cc.Name != name {
+		if name := p.cs.LaneName(lane); cc.Name != name {
 			return fmt.Errorf("oblx: checkpoint corner %d is %q, run selects %q", i, cc.Name, name)
 		}
-		ce.lanes[lane] = cornerLane{
+		p.lanes[lane] = cornerLane{
 			fails:       cc.Fails,
 			retries:     cc.Retries,
 			consec:      cc.Consec,
 			quarantined: cc.Quarantined,
 		}
-		ce.bw.Lane(lane).SetUnstableCount(cc.Unstable)
+		p.bw.Lane(lane).SetUnstableCount(cc.Unstable)
 	}
-	ce.bw.Lane(0).SetUnstableCount(ck.Unstable)
+	p.bw.Lane(0).SetUnstableCount(ck.Unstable)
 	return nil
 }
 
 // failureStats builds the per-corner failure breakdown.
-func (ce *cornerEval) failureStats() map[string]CornerFailures {
-	out := make(map[string]CornerFailures, ce.cs.K()-1)
-	for i := 1; i < ce.cs.K(); i++ {
-		l := ce.lanes[i]
-		out[ce.cs.LaneName(i)] = CornerFailures{
+func (p *problem) failureStats() map[string]CornerFailures {
+	out := make(map[string]CornerFailures, p.cs.K()-1)
+	for i := 1; i < p.cs.K(); i++ {
+		l := p.lanes[i]
+		out[p.cs.LaneName(i)] = CornerFailures{
 			Fails:       l.fails,
 			Retries:     l.retries,
 			Quarantined: l.quarantined,
@@ -212,22 +171,22 @@ func (ce *cornerEval) failureStats() map[string]CornerFailures {
 // cornerResults builds the final per-lane breakdown. Call it after the
 // final eval(best) so the lanes hold the verdict at the returned
 // design; laneDC is the per-lane Newton-polish outcome.
-func (ce *cornerEval) cornerResults(laneDC []bool) []CornerResult {
-	out := make([]CornerResult, 0, ce.cs.K())
-	for i := 0; i < ce.cs.K(); i++ {
-		l := ce.lanes[i]
+func (p *problem) cornerResults(laneDC []bool) []CornerResult {
+	out := make([]CornerResult, 0, p.cs.K())
+	for i := 0; i < p.cs.K(); i++ {
+		l := p.lanes[i]
 		cr := CornerResult{
-			Name:        ce.cs.LaneName(i),
+			Name:        p.cs.LaneName(i),
 			Quarantined: l.quarantined,
-			Evaluated:   ce.evaluated[i],
-			DCSolved:    laneDC != nil && laneDC[i],
+			Evaluated:   p.evaluated[i],
+			DCSolved:    laneDC[i],
 			Fails:       l.fails,
 			Retries:     l.retries,
 		}
 		if cr.Evaluated {
-			st := ce.bw.Lane(i).State()
+			st := p.bw.Lane(i).State()
 			cr.SpecVals = finiteSpecVals(st.SpecVals)
-			cr.AllMet = allSpecsMet(ce.cs.Lane(i), st.SpecVals)
+			cr.AllMet = allSpecsMet(p.cs.Lane(i), st.SpecVals)
 		}
 		out = append(out, cr)
 	}
@@ -252,12 +211,15 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 	return true
 }
 
-// cornerNewtonMove is the corner-aware Newton move: every live lane's
-// relaxed-dc node-voltage section is driven toward its own corner's
-// dc-correct bias (each corner has different supplies and thresholds,
-// so each needs its own solve). Quarantined corners are skipped — their
-// sections are annealing ballast, not worth a solve. The move proposes
-// when at least one lane's section actually moved.
+// newtonMove builds the gradient-directed move class: every live lane's
+// relaxed-dc node-voltage section is replaced by the result of iters
+// damped Newton-Raphson steps at the current design variables, toward
+// its own corner's dc-correct bias (each corner has different supplies
+// and thresholds, so each needs its own solve). Quarantined corners are
+// skipped — their sections are annealing ballast, not worth a solve. A
+// lane whose Newton solve fails (really or by injection) is left as it
+// was; the move proposes when at least one lane's solve succeeded, and
+// otherwise declines, so the annealer falls back to its other classes.
 //
 // The two variants divide the labor: the single-iteration step move
 // tracks each lane's bias by continuation from its own current section,
@@ -269,10 +231,18 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 // that pure continuation from its own history would keep it in forever
 // while the max-over-lanes region penalty pins the cost.
 //
-// Like newtonMove's, the solves ignore ctx's cancellation, so a cancel
-// never cuts a move short.
-func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters int) anneal.Move {
-	cs := ce.cs
+// The solves ignore ctx's cancellation. A cancel that cut one short would
+// still commit the move (selector feedback, RNG draws, perhaps an
+// evaluation) before the annealer noticed the cancel at the top of the
+// next move, so a resume from the cancellation checkpoint would start
+// from a state the uninterrupted run never reached. Each solve is bounded
+// by iters, so ignoring the cancel costs at most a few iterations.
+func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal.Move {
+	cs := p.cs
+	// The move closure owns its solver scratch: steady-state annealing
+	// performs one solve per lane and proposal, and the workspace makes
+	// the whole proposal allocation-free. Moves run one at a time on the
+	// annealer goroutine, so the capture is safe.
 	var (
 		work     dcsolve.Workspace
 		vbuf     []float64
@@ -286,7 +256,7 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 			any := false
 			nomNodes = nomNodes[:0]
 			for i := 0; i < cs.K(); i++ {
-				if i > 0 && ce.lanes[i].quarantined {
+				if i > 0 && p.lanes[i].quarantined {
 					continue
 				}
 				lbuf[i] = cs.LaneX(i, cur, lbuf[i])
@@ -301,16 +271,26 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 				}
 				vbuf = append(vbuf[:0], lx[c.NUser:]...)
 				if iters <= 1 {
-					stepped, err := dcsolve.Step(dp, vbuf, dcsolve.Options{FailHook: ce.inj.NewtonHook(), Work: &work})
+					stepped, err := dcsolve.Step(dp, vbuf, dcsolve.Options{FailHook: p.inj.NewtonHook(), Work: &work})
 					if err != nil {
 						continue
 					}
 					copy(lx[c.NUser:], stepped)
 				} else {
 					r, _ := dcsolve.Solve(solveCtx, dp, vbuf, dcsolve.Options{
-						MaxIter: iters, BestEffort: true, FailHook: ce.inj.NewtonHook(), Work: &work,
+						MaxIter: iters, BestEffort: true, FailHook: p.inj.NewtonHook(), Work: &work,
 					})
 					if r == nil {
+						continue
+					}
+					// A one-lane set declines a full solve that lands on its
+					// start point (already dc-correct); a cornered set
+					// proposes it and leaves the no-op to the annealer. The
+					// main loop treats the two alike, but calibrateT0
+					// evaluates a proposed no-op as a zero delta, so each
+					// rule keeps its runs' trajectories. ROADMAP item 1's
+					// re-baseline is where one rule gets picked.
+					if cs.K() == 1 && sameValues(r.V, vbuf) {
 						continue
 					}
 					copy(lx[c.NUser:], r.V)
@@ -319,9 +299,6 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 				if i == 0 {
 					nomNodes = append(nomNodes[:0], lx[cs.NUser:cs.NUser+cs.NFree]...)
 				}
-				// Any successful lane solve is a proposal, like the scalar
-				// Newton move; the annealer's own no-op detection handles
-				// the already-converged case.
 				any = true
 			}
 			return any
@@ -329,21 +306,32 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 	}
 }
 
-// polishCorners runs the final full Newton polish on every live lane's
+// sameValues reports whether a and b hold equal values, element by
+// element.
+func sameValues(a, b []float64) bool {
+	for i, v := range a {
+		if v != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// polishLanes runs the final full Newton polish on every live lane's
 // node-voltage section (see polishDC). It returns the polished master
 // vector, whether every live lane converged, and the per-lane verdict
 // (quarantined lanes report false — their bias was never polished).
-func polishCorners(ctx context.Context, ce *cornerEval, x []float64) ([]float64, bool, []bool) {
-	cs := ce.cs
+func polishLanes(ctx context.Context, p *problem, x []float64) ([]float64, bool, []bool) {
+	cs := p.cs
 	out := append([]float64(nil), x...)
 	laneDC := make([]bool, cs.K())
 	allOK := true
 	for i := 0; i < cs.K(); i++ {
-		if i > 0 && ce.lanes[i].quarantined {
+		if i > 0 && p.lanes[i].quarantined {
 			continue
 		}
 		lx := cs.LaneX(i, out, nil)
-		lx, ok := polishDC(ctx, cs.Lane(i), ce.inj, lx)
+		lx, ok := polishDC(ctx, cs.Lane(i), p.inj, lx)
 		laneDC[i] = ok
 		if ok {
 			cs.StoreLaneNodes(i, lx, out)
@@ -352,4 +340,28 @@ func polishCorners(ctx context.Context, ce *cornerEval, x []float64) ([]float64,
 		}
 	}
 	return out, allOK, laneDC
+}
+
+// polishDC runs a full Newton solve on the node voltages of one lane's
+// vector x. A finished design must be dc-correct within simulator
+// tolerances — the paper's formulation guarantees the predicted
+// performance only at a KCL-consistent point — so a converged Newton
+// bias is kept even when the (penalty-weighted) cost rises slightly:
+// reporting performance at a dc-inconsistent point would be fiction. On
+// solver failure the original vector is returned unchanged.
+func polishDC(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, x []float64) ([]float64, bool) {
+	dp := c.DCProblem(x)
+	if dp.N() == 0 {
+		return x, true
+	}
+	v0 := append([]float64(nil), x[c.NUser:]...)
+	r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{
+		MaxIter: 200, GminSteps: 4, FailHook: inj.NewtonHook(),
+	})
+	if err != nil {
+		return x, false
+	}
+	out := append([]float64(nil), x...)
+	copy(out[c.NUser:], r.V)
+	return out, true
 }

@@ -7,6 +7,13 @@
 // proceeds, and the constraint weights adapt so no problem-specific
 // constants are needed.
 //
+// Every run takes one path. It anneals C(x) over a corner set's lanes
+// (nominal first), worst case over the deck's .corner cards; a
+// nominal-only run is the one-lane set. The evaluator, the Newton moves,
+// the final polish and the final evaluation are the same code for both,
+// and only the result's per-corner breakdown is left out of a
+// nominal-only run.
+//
 // The solver is built for the paper's workflow — "5-10 annealing runs
 // performed overnight" — so long runs are first-class citizens: every
 // entry point takes a context.Context and returns the best-so-far design
@@ -20,14 +27,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
 
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
-	"astrx/internal/dcsolve"
 	"astrx/internal/faults"
 	"astrx/internal/linalg"
 	"astrx/internal/netlist"
@@ -378,19 +383,34 @@ const weightAdaptEvery = 500
 // surfaced to the annealer as an unconditional rejection.
 const evalRetries = 2
 
-// problem wraps the compiled cost function. It counts evaluations and
-// hardens the evaluation path: evaluator panics are recovered, NaN/Inf
-// costs detected, and both are converted — after bounded retries — into
-// move rejections the annealer counts per move class. The contract with
-// the annealer: every returned cost is either finite or NaN, and NaN
-// means "reject this move" (see anneal.Run).
+// problem is the cost function the annealer minimizes: C(x) over a
+// corner set's lanes, nominal first, assembled worst-case over corners.
+// A nominal-only run is the one-lane set. problem counts evaluations and
+// hardens the evaluation path on two levels. A candidate whose
+// evaluation panics or returns a NaN/Inf cost is retried a bounded
+// number of times, then surfaced to the annealer as a move rejection it
+// counts per move class; a corner lane whose evaluation fails is retried
+// in place, charged the worst-case penalty, and quarantined after a run
+// of failures (eval, in corner.go). The contract with the annealer:
+// every returned cost is either finite or NaN, and NaN means "reject
+// this move" (see anneal.Run).
 type problem struct {
-	c   *astrx.Compiled
+	cs  *astrx.CornerSet
+	bw  *astrx.BatchWorkspace
 	inj *faults.Injector
-	// ce, when non-nil, routes evaluations through the worst-case-over-
-	// corners assembly instead of the scalar cost; the candidate-level
-	// hardening (panic recovery, NaN retry, quarantine) stays identical.
-	ce *cornerEval
+
+	// Lane state, indexed like cs lanes.
+	lanes     []cornerLane // [0] unused: the nominal fails the candidate
+	bufs      [][]float64  // per-lane candidate scratch
+	xs        [][]float64  // Run argument: bufs[i] or nil (skipped)
+	include   []bool
+	evaluated []bool
+
+	// span is the run's anneal span; lane-state transitions (first
+	// retry, quarantine) are recorded on it as events. Nil-safe, so the
+	// untraced hot path pays nothing — events fire only on the rare
+	// transitions, never per eval.
+	span *trace.Active
 
 	evals       int
 	panics      int
@@ -404,12 +424,21 @@ type problem struct {
 	evalsTimed int
 }
 
-func (p *problem) Vars() []anneal.VarSpec {
-	if p.ce != nil {
-		return p.ce.cs.Vars()
+func newProblem(cs *astrx.CornerSet, inj *faults.Injector) *problem {
+	k := cs.K()
+	return &problem{
+		cs:        cs,
+		bw:        cs.NewCornerBatch(),
+		inj:       inj,
+		lanes:     make([]cornerLane, k),
+		bufs:      make([][]float64, k),
+		xs:        make([][]float64, k),
+		include:   make([]bool, k),
+		evaluated: make([]bool, k),
 	}
-	return p.c.Vars()
 }
+
+func (p *problem) Vars() []anneal.VarSpec { return p.cs.Vars() }
 
 func (p *problem) Cost(x []float64) float64 {
 	start := time.Now()
@@ -451,10 +480,7 @@ func (p *problem) tryCost(x []float64) (cost float64, panicked bool) {
 	if p.inj.NaNCost() {
 		return math.NaN(), false
 	}
-	if p.ce != nil {
-		return p.ce.cost(x), false
-	}
-	return p.c.Cost(x), false
+	return p.eval(x).Total, false
 }
 
 // Run synthesizes one deck with one seed. Cancelling ctx (SIGINT, a
@@ -469,46 +495,19 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var (
-		c  *astrx.Compiled
-		ce *cornerEval
-	)
-	if len(cornerNames) > 0 {
-		cs, err := astrx.CompileCorners(deck, cornerNames, opt.Cost)
-		if err != nil {
-			return nil, err
-		}
-		c = cs.Nominal
-		ce = newCornerEval(cs, opt.Faults)
-	} else {
-		c, err = astrx.Compile(deck, opt.Cost)
-		if err != nil {
-			return nil, err
-		}
+	cs, err := astrx.CompileCorners(deck, cornerNames, opt.Cost)
+	if err != nil {
+		return nil, err
 	}
-	p := &problem{c: c, inj: opt.Faults, ce: ce}
+	c := cs.Nominal
+	p := newProblem(cs, opt.Faults)
 	vars := p.Vars()
-	// nomX projects a (possibly master) annealing vector onto the
-	// nominal lane, for the progress path that evaluates through the
-	// nominal compiled problem.
-	var nomBuf []float64
-	nomX := func(x []float64) []float64 {
-		if ce == nil {
-			return x
-		}
-		nomBuf = ce.cs.LaneX(0, x, nomBuf)
-		return nomBuf
-	}
 	if opt.StageTimer != nil {
-		// Each Run compiles its own problem, so the shared workspace is
+		// Each Run compiles its own problem, so its lanes are
 		// single-goroutine here; the clocks funnel into the (atomic)
 		// shared timer.
-		if ce != nil {
-			for i := 0; i < ce.bw.K(); i++ {
-				ce.bw.Lane(i).SetClock(opt.StageTimer.NewClock())
-			}
-		} else {
-			c.Workspace().SetClock(opt.StageTimer.NewClock())
+		for i := 0; i < p.bw.K(); i++ {
+			p.bw.Lane(i).SetClock(opt.StageTimer.NewClock())
 		}
 	}
 
@@ -518,31 +517,22 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp := opt.Trace.Begin("anneal", "")
 	defer asp.End("error")
 	opt.Trace.SetEvalParent(asp.ID())
-	if ce != nil {
-		ce.span = asp
-	}
+	p.span = asp
 
 	// The generic perturbation classes explore the scalar prefix only:
-	// user variables plus the nominal node section. In a cornered run
-	// the corner node sections are relaxation state that tracks each
-	// corner's own bias — random kicks there can only add KCL violation
-	// (summed over lanes, so an all-variable kick pays K× the scalar
-	// uphill and is never accepted), and they dilute the user-variable
-	// exploration the anneal actually needs. The corner Newton moves
-	// are the sole writers of the corner sections.
-	pvars := vars
-	if ce != nil {
-		pvars = vars[:ce.cs.NUser+ce.cs.NFree]
-	}
+	// user variables plus the nominal node section (every variable of a
+	// nominal-only run). In a cornered run the corner node sections are
+	// relaxation state that tracks each corner's own bias — random kicks
+	// there can only add KCL violation (summed over lanes, so an
+	// all-variable kick pays K× the scalar uphill and is never accepted),
+	// and they dilute the user-variable exploration the anneal actually
+	// needs. The Newton moves are the sole writers of the corner sections.
+	pvars := vars[:cs.NUser+cs.NFree]
 	moves := []anneal.Move{
 		anneal.NewRandomStep("random", pvars, 0.3),
 		anneal.NewAllStep("all-cont", pvars),
-		newtonMove(ctx, c, opt.Faults, "newton-full", 12),
-		newtonMove(ctx, c, opt.Faults, "newton-step", 1),
-	}
-	if ce != nil {
-		moves[2] = cornerNewtonMove(ctx, ce, "newton-full", 12)
-		moves[3] = cornerNewtonMove(ctx, ce, "newton-step", 1)
+		newtonMove(ctx, p, "newton-full", 12),
+		newtonMove(ctx, p, "newton-step", 1),
 	}
 	moveNames := make([]string, len(moves))
 	for i, m := range moves {
@@ -562,16 +552,8 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		p.nanCosts = ck.NonFinite
 		p.retries = ck.Retries
 		p.quarantined = ck.Quarantined
-		if ce != nil {
-			if err := ce.restore(ck); err != nil {
-				return nil, err
-			}
-		} else {
-			if len(ck.Corners) > 0 {
-				return nil, fmt.Errorf("oblx: checkpoint carries %d corners but the run is nominal-only — wrong corner selection?",
-					len(ck.Corners))
-			}
-			c.Workspace().SetUnstableCount(ck.Unstable)
+		if err := p.restore(ck); err != nil {
+			return nil, err
 		}
 		baseDur = time.Duration(ck.ElapsedNS)
 		asp.Event("resume",
@@ -580,20 +562,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	}
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
-
-	// The run's reporting workspace serves the progress hook and the
-	// final nominal report. It must never be the
-	// annealer's c.Workspace(): that one's unstable counter feeds
-	// Failures.Unstable and the checkpoint, and its clock feeds the stage
-	// timers. It is created on first use, so setup time stays Compile
-	// plus the first Cost.
-	var repWS *astrx.EvalWorkspace
-	report := func() *astrx.EvalWorkspace {
-		if repWS == nil {
-			repWS = c.NewWorkspace()
-		}
-		return repWS
-	}
 
 	weightFreeze := opt.MaxMoves / 4
 	adapt := func(tp anneal.TracePoint) {
@@ -617,6 +585,16 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		if every <= 0 {
 			every = 500
 		}
+		// The progress hook measures the nominal lane on its own
+		// reporting workspace, never on one of the annealer's lanes:
+		// their unstable counters feed Failures.Unstable and the
+		// checkpoint, and their clocks feed the stage timers. It is
+		// created on first use, so setup time stays Compile plus the
+		// first Cost.
+		var (
+			repWS  *astrx.EvalWorkspace
+			nomBuf []float64
+		)
 		annealOpt.ProgressEvery = every
 		annealOpt.Progress = func(tp anneal.TracePoint) {
 			ev := ProgressEvent{
@@ -632,7 +610,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 					ev.Hustin[moveNames[i]] = q
 				}
 			}
-			if st := report().Evaluate(nomX(tp.X)); st.Err == nil {
+			if repWS == nil {
+				repWS = c.NewWorkspace()
+			}
+			nomBuf = cs.LaneX(0, tp.X, nomBuf)
+			if st := repWS.Evaluate(nomBuf); st.Err == nil {
 				ev.MaxKCLError = st.MaxKCLError()
 				ev.SpecVals = finiteSpecVals(st.SpecVals)
 				ev.WorstSpec, ev.WorstSpecU = worstSpec(c, st)
@@ -665,13 +647,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 				NonFinite:   p.nanCosts,
 				Retries:     p.retries,
 				Quarantined: p.quarantined,
+				Unstable:    p.bw.Lane(0).UnstableCount(),
+				Corners:     p.cornerCheckpoints(),
 				ElapsedNS:   int64(baseDur + time.Since(start)),
-			}
-			if ce != nil {
-				ck.Unstable = ce.bw.Lane(0).UnstableCount()
-				ck.Corners = ce.cornerCheckpoints()
-			} else {
-				ck.Unstable = c.Workspace().UnstableCount()
 			}
 			if err := SaveCheckpoint(opt.CheckpointPath, ck); err != nil {
 				ckErr = err
@@ -687,55 +665,33 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	// Every run counter is read here, before the polish and the final
 	// evaluation, so each counts the annealer's work alone.
 	var (
-		fc       linalg.FactorCounts
-		nc       astrx.NewtonCounts
-		unstable int
+		fc linalg.FactorCounts
+		nc astrx.NewtonCounts
 	)
-	if ce != nil {
-		for i := 0; i < ce.bw.K(); i++ {
-			fc.Add(ce.bw.Lane(i).FactorCounts())
-			// Newton moves solve on each lane's own problem workspace,
-			// not on the lane set's.
-			nc.Add(ce.cs.Lane(i).Workspace().NewtonCounts())
-		}
-		unstable = ce.unstableCount()
-	} else {
-		fc = c.Workspace().FactorCounts()
-		nc = c.Workspace().NewtonCounts()
-		unstable = c.Workspace().UnstableCount()
+	for i := 0; i < p.bw.K(); i++ {
+		fc.Add(p.bw.Lane(i).FactorCounts())
+		// Newton moves solve on each lane's compiled problem's shared
+		// workspace, not on the lane set's.
+		nc.Add(cs.Lane(i).Workspace().NewtonCounts())
 	}
+	unstable := p.unstableCount()
 
 	// Polish: a final full Newton solve from the best point tightens the
 	// bias to simulator-grade dc-correctness (the annealer's freezing
 	// tolerance is looser than a simulator's). A cancelled run still
 	// gets its polish — it is bounded work and the returned design
 	// should be the best usable one.
-	best := append([]float64(nil), res.Best...)
-	var (
-		dcOK   bool
-		laneDC []bool
-		st     *astrx.EvalState
-		cost   astrx.CostBreakdown
-	)
-	if ce != nil {
-		best, dcOK, laneDC = polishCorners(context.WithoutCancel(ctx), ce, best)
-		// One final worst-case evaluation at the polished point: the
-		// result's cost, the nominal state, and the per-corner verdicts
-		// all come from this single pass.
-		cost = ce.eval(best)
-		st = ce.bw.Lane(0).State()
-	} else {
-		best, dcOK = polishDC(context.WithoutCancel(ctx), c, opt.Faults, best)
-		rw := report()
-		cost = rw.CostDetail(best)
-		st = rw.State()
-	}
+	best, dcOK, laneDC := polishLanes(context.WithoutCancel(ctx), p, res.Best)
+	// One final evaluation at the polished point: the result's cost, the
+	// nominal state, and the per-corner verdicts all come from this
+	// single pass.
+	cost := p.eval(best)
 	out := &Result{
 		Compiled:  c,
 		DCSolved:  dcOK,
 		X:         best,
 		Cost:      cost,
-		State:     st,
+		State:     p.bw.Lane(0).State(),
 		Moves:     res.Moves,
 		Accepted:  res.Accepted,
 		Froze:     res.Froze,
@@ -758,10 +714,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		evalTime:      p.evalTime,
 		evalsTimed:    p.evalsTimed,
 	}
-	if ce != nil {
-		out.Failures.Corners = ce.failureStats()
-		out.Degraded = ce.degraded()
-		out.Corners = ce.cornerResults(laneDC)
+	// A nominal-only run reports no corner breakdown.
+	if len(cs.Corners) > 0 {
+		out.Failures.Corners = p.failureStats()
+		out.Degraded = p.degraded()
+		out.Corners = p.cornerResults(laneDC)
 	}
 
 	// Per-corner lane spans: lanes run in lockstep with the anneal, so
@@ -822,93 +779,6 @@ func worstSpec(c *astrx.Compiled, st *astrx.EvalState) (string, float64) {
 		return "", 0
 	}
 	return name, worst
-}
-
-// polishDC runs a full Newton solve on the node voltages of x. A
-// finished design must be dc-correct within simulator tolerances — the
-// paper's formulation guarantees the predicted performance only at a
-// KCL-consistent point — so a converged Newton bias is kept even when
-// the (penalty-weighted) cost rises slightly: reporting performance at a
-// dc-inconsistent point would be fiction. On solver failure the original
-// vector is returned unchanged.
-func polishDC(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, x []float64) ([]float64, bool) {
-	dp := c.DCProblem(x)
-	if dp.N() == 0 {
-		return x, true
-	}
-	v0 := append([]float64(nil), x[c.NUser:]...)
-	r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{
-		MaxIter: 200, GminSteps: 4, FailHook: inj.NewtonHook(),
-	})
-	if err != nil {
-		return x, false
-	}
-	out := append([]float64(nil), x...)
-	copy(out[c.NUser:], r.V)
-	return out, true
-}
-
-// newtonMove builds the gradient-directed move class: replace the node
-// voltages with the result of iters damped Newton-Raphson steps at the
-// current design variables. A Newton failure (real or injected) simply
-// declines the proposal — the annealer falls back to its other classes.
-//
-// The solve ignores ctx's cancellation. A cancel that cut it short would
-// still commit the move (selector feedback, RNG draws, perhaps an
-// evaluation) before the annealer noticed the cancel at the top of the
-// next move, so a resume from the cancellation checkpoint would start
-// from a state the uninterrupted run never reached. The solve is bounded
-// by iters, so ignoring the cancel costs at most a few iterations.
-func newtonMove(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, label string, iters int) anneal.Move {
-	// The move closure owns its solver scratch: steady-state annealing
-	// performs one solve per proposal, and the workspace makes the whole
-	// proposal allocation-free. Moves run one at a time on the annealer
-	// goroutine, so the capture is safe.
-	var (
-		work dcsolve.Workspace
-		vbuf []float64
-	)
-	solveCtx := context.WithoutCancel(ctx)
-	return &anneal.FuncMove{
-		Label: label,
-		Fn: func(cur, next []float64, rng *rand.Rand) bool {
-			dp := c.DCProblem(cur)
-			n := dp.N()
-			if n == 0 {
-				return false
-			}
-			vbuf = append(vbuf[:0], cur[c.NUser:]...)
-			v := vbuf
-			if iters <= 1 {
-				stepped, err := dcsolve.Step(dp, v, dcsolve.Options{FailHook: inj.NewtonHook(), Work: &work})
-				if err != nil {
-					return false
-				}
-				copy(next[c.NUser:], stepped)
-				return true
-			}
-			r, _ := dcsolve.Solve(solveCtx, dp, v, dcsolve.Options{
-				MaxIter: iters, BestEffort: true, FailHook: inj.NewtonHook(), Work: &work,
-			})
-			if r == nil {
-				return false
-			}
-			// Decline no-op solutions (already dc-correct): the solve was
-			// paid for, but proposing an identical point wastes a move.
-			same := true
-			for i, vv := range r.V {
-				if vv != v[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return false
-			}
-			copy(next[c.NUser:], r.V)
-			return true
-		},
-	}
 }
 
 // runFn is the seam RunBest uses to launch individual runs; tests

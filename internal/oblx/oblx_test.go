@@ -208,20 +208,21 @@ func TestEarlyKCLError(t *testing.T) {
 }
 
 // TestProblemCostZeroAlloc pins the annealer's side of the hot path:
-// problem.Cost, which times every evaluation for Result.TimePerEval,
-// allocates nothing per evaluation.
+// problem.Cost, which times every evaluation for Result.TimePerEval and
+// evaluates through the one-lane set of a nominal-only run, allocates
+// nothing per evaluation.
 func TestProblemCostZeroAlloc(t *testing.T) {
-	c, err := astrx.Compile(parse(t, diffAmpDeck), astrx.CostOptions{})
+	cs, err := astrx.CompileCorners(parse(t, diffAmpDeck), nil, astrx.CostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, len(c.Vars()))
-	for i, v := range c.Vars() {
+	x := make([]float64, len(cs.Vars()))
+	for i, v := range cs.Vars() {
 		x[i] = v.Start()
 	}
 	y := append([]float64(nil), x...)
 	y[0] *= 1.01
-	p := &problem{c: c}
+	p := newProblem(cs, nil)
 	p.Cost(x) // warm up lazy scratch at both points
 	p.Cost(y)
 	if allocs := testing.AllocsPerRun(50, func() { p.Cost(x); p.Cost(y) }); allocs != 0 {
