@@ -1,6 +1,13 @@
 package astrx
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// errLaneSkipped is the Err of a lane a Run skipped. It is one value, so
+// a run with a quarantined corner stays allocation-free.
+var errLaneSkipped = errors.New("astrx: batch lane skipped")
 
 // BatchWorkspace is a corner set's lane set: one EvalWorkspace per lane
 // (nominal first), each bound to its own corner's compiled plan. Run
@@ -40,7 +47,7 @@ func (bw *BatchWorkspace) Run(xs [][]float64) {
 	}
 	for i, x := range xs {
 		if x == nil {
-			bw.lanes[i].err = fmt.Errorf("astrx: batch lane %d skipped", i)
+			bw.lanes[i].err = errLaneSkipped
 			continue
 		}
 		bw.lanes[i].timedRun(x)

@@ -150,7 +150,8 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 // TestBatchZeroAlloc pins the cornered hot path: after warm-up one
 // worst-case evaluation — a Run over nominal plus two corners and the
 // WorstCase assembly — performs zero heap allocations, like the scalar
-// path, whether every lane's matrices change or repeat.
+// path, whether every lane's matrices change or repeat, and whether or
+// not a lane is skipped, as a quarantined corner is.
 func TestBatchZeroAlloc(t *testing.T) {
 	cs := compileCorneredOTA(t, "")
 	if cs.K() != 3 {
@@ -193,5 +194,15 @@ func TestBatchZeroAlloc(t *testing.T) {
 		name := cs.LaneName(i)
 		checkAllocs(t, "cornered eval of two points in turn, lane "+name, func() { eval(ys); eval(xs) }, reused, false)
 		checkAllocs(t, "cornered eval of a repeated point, lane "+name, func() { eval(xs) }, reused, true)
+	}
+
+	// Skip the slow corner in both point sets, as a run that quarantined
+	// it does.
+	xs[1], ys[1], include[1] = nil, nil, false
+	nominal := bw.Lane(0)
+	reused := func() uint64 { return nominal.FactorCounts().Reused }
+	checkAllocs(t, "cornered eval with a skipped lane", func() { eval(ys); eval(xs) }, reused, false)
+	if err := bw.Lane(1).Err(); err == nil || !strings.Contains(err.Error(), "skipped") {
+		t.Errorf("skipped lane: err %v, want a skip", err)
 	}
 }
