@@ -1,8 +1,6 @@
 package netlist
 
 import (
-	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -54,37 +52,12 @@ func (p *parser) card(head string, toks []string) error {
 	case ".corner":
 		return p.cardCorner(toks)
 	case ".include":
-		return p.cardInclude(toks)
+		// A deck is self-contained: decks arrive from clients of the
+		// synthesis service, so the parser never reads a file a deck
+		// names. The error names the card, never its argument.
+		return p.errf(".include is not supported: put the cards in the deck itself")
 	}
 	return p.errf("unknown card %s", head)
-}
-
-// cardInclude splices another deck file in place (guarding against
-// recursive inclusion).
-func (p *parser) cardInclude(toks []string) error {
-	if len(toks) != 2 {
-		return p.errf(".include needs exactly one path")
-	}
-	path := toks[1]
-	if p.including[path] {
-		return p.errf(".include cycle through %q", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return p.errf(".include: %v", err)
-	}
-	if p.including == nil {
-		p.including = make(map[string]bool)
-	}
-	p.including[path] = true
-	defer delete(p.including, path)
-	savedLine := p.line
-	err = p.run(string(data))
-	p.line = savedLine
-	if err != nil {
-		return fmt.Errorf("%v (included from line %d)", err, savedLine)
-	}
-	return nil
 }
 
 func (p *parser) cardModule(toks []string) error {

@@ -172,9 +172,6 @@ type parser struct {
 	deck *Deck
 	line int
 
-	// including tracks active .include files to reject cycles.
-	including map[string]bool
-
 	// current open block, if any
 	module *circuit.Subckt
 	jig    *Jig

@@ -376,48 +376,31 @@ func TestSpecDirections(t *testing.T) {
 	}
 }
 
+// TestIncludeCard: the parser never reads a file a deck names. A deck
+// that includes a file fails with an error that names the card, and
+// nothing of the file — here its marker first line — reaches the deck
+// or the error.
 func TestIncludeCard(t *testing.T) {
-	dir := t.TempDir()
-	libPath := dir + "/mylib.inc"
-	if err := os.WriteFile(libPath, []byte(`
-.model mymos nmos level=3 vto=0.75 kp=55u
-.module cell (a b)
-r1 a b 1k
-.ends
-`), 0o644); err != nil {
+	const marker = "include-marker-4f1c"
+	path := t.TempDir() + "/lib.inc"
+	if err := os.WriteFile(path, []byte(marker+"\n.model mymos nmos level=3 vto=0.75 kp=55u\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := parseDeck(t, `
-.include `+libPath+`
-.jig j
-x1 p q cell
-vin p 0 0 ac 1
-.pz tf v(q) vin
-.ends
-`)
-	if d.Models["mymos"] == nil {
-		t.Error("included model missing")
-	}
-	if d.Modules["cell"] == nil {
-		t.Error("included module missing")
-	}
-	// Missing file and cycles error.
-	if _, err := Parse(".include /nonexistent/file.inc\n"); err == nil {
-		t.Error("missing include must error")
-	}
-	cyclePath := dir + "/cycle.inc"
-	if err := os.WriteFile(cyclePath, []byte(".include "+cyclePath+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Parse(".include " + cyclePath + "\n"); err == nil {
-		t.Error("include cycle must error")
-	}
-	// Unterminated block inside an include is rejected.
-	openPath := dir + "/open.inc"
-	if err := os.WriteFile(openPath, []byte(".jig j\nr1 a 0 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Parse(".include " + openPath + "\n"); err == nil {
-		t.Error("unterminated include block must error")
+	for _, src := range []string{
+		".include " + path + "\n",
+		".INCLUDE " + path + "\n.model other nmos level=1\n",
+		".include\n",
+	} {
+		d, err := Parse(src)
+		if err == nil {
+			t.Errorf("%q parsed to %+v, want a refusal", src, d)
+			continue
+		}
+		if !strings.Contains(err.Error(), ".include") {
+			t.Errorf("%q: error %q does not name the card", src, err)
+		}
+		if strings.Contains(err.Error(), marker) {
+			t.Errorf("%q: error %q quotes the included file", src, err)
+		}
 	}
 }

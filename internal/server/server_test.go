@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -301,6 +303,26 @@ func TestSubmitRejectsBadDecks(t *testing.T) {
 	}
 	if code, _ := post(""); code != http.StatusBadRequest {
 		t.Errorf("empty deck: status %d, want 400", code)
+	}
+}
+
+// TestSubmitRefusesIncludeCard: a submitted deck cannot make the daemon
+// read its files. An .include card is a deck error that names the card
+// and quotes nothing of the named file.
+func TestSubmitRefusesIncludeCard(t *testing.T) {
+	m := newTestManager(t, Options{})
+	const marker = "include-marker-9b2e"
+	path := t.TempDir() + "/secret.inc"
+	if err := os.WriteFile(path, []byte(marker+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit(".include "+path+"\n"+testDeck, JobOptions{Seed: 1, MaxMoves: 100})
+	var de *DeckError
+	if !errors.As(err, &de) {
+		t.Fatalf("submit: job %v, err %v, want a deck error", j, err)
+	}
+	if !strings.Contains(err.Error(), ".include") || strings.Contains(err.Error(), marker) {
+		t.Errorf("error %q: want one that names .include and quotes nothing of the file", err)
 	}
 }
 
