@@ -40,10 +40,14 @@ race:
 # every library MOS model at random finite biases and geometries;
 # FuzzJigReuse holds a cornered lane set that keeps the factors and
 # models of jigs whose matrices repeat to a fresh lane set, bit for bit,
-# over random sequences of repeats, moves and readouts.
+# over random sequences of repeats, moves and readouts; FuzzCanonical
+# holds the deck parser and validator to never panicking on arbitrary
+# text, and canonical deck text (the result cache's key) to being a
+# fixed point.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
 	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s ./internal/astrx
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/netlist
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Canonical returns the canonical text of a deck: the byte sequence two
@@ -17,7 +18,10 @@ import (
 //   - runs of spaces/tabs collapse to a single space,
 //   - parenthesized port lists lose their parentheses (the tokenizer
 //     treats them as separators),
-//   - quoted expressions are re-quoted in a fixed form.
+//   - a token that would not re-read as itself unquoted is quoted: a
+//     quoted expression, an empty token, one holding a separator or any
+//     other white space, and a line's first token when it starts with
+//     "*" or "+" (a comment or continuation line once unquoted).
 //
 // Logical-line order is preserved — decks are programs, and reordering
 // cards can change the problem — so Canonical is whitespace- and
@@ -41,12 +45,7 @@ func Canonical(src string) (string, error) {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			// Tokens that came from a 'quoted expression' may carry
-			// spaces or parentheses — both are token separators — so
-			// re-quote them to make the canonical text re-tokenize
-			// identically. (A token can never contain a quote character:
-			// the tokenizer ends quoted tokens at it.)
-			if strings.ContainsAny(tok, " \t()") {
+			if needsQuote(tok, i == 0) {
 				b.WriteByte('\'')
 				b.WriteString(tok)
 				b.WriteByte('\'')
@@ -57,6 +56,20 @@ func Canonical(src string) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
+}
+
+// needsQuote reports whether a token must be quoted for the canonical
+// text to re-tokenize to it. Tokens from a 'quoted expression' may be
+// empty or carry separators (spaces, tabs, parentheses). Other white
+// space is not a separator, but logicalLines trims it from the ends of
+// a line. An unquoted first token that starts with "*" or "+" turns its
+// line into a comment or a continuation. (A token can never contain a
+// quote character: the tokenizer ends quoted tokens at it.)
+func needsQuote(tok string, first bool) bool {
+	if tok == "" || strings.ContainsAny(tok, "()") || strings.IndexFunc(tok, unicode.IsSpace) >= 0 {
+		return true
+	}
+	return first && (tok[0] == '*' || tok[0] == '+')
 }
 
 // CanonicalHash returns the hex SHA-256 of the deck's canonical text —

@@ -101,3 +101,63 @@ func TestCanonicalRejectsUnterminatedQuote(t *testing.T) {
 		t.Error("unterminated quote accepted")
 	}
 }
+
+// fuzzSeedDeck is a small deck using every lexical feature Canonical
+// handles: comments, blank lines, continuations, quoted expressions,
+// parenthesized port lists and the synthesis cards.
+const fuzzSeedDeck = `* seed deck
+.title divider ; comment
+.lib c2u
+.module amp (in out vdd vss)
+m1 out in vss vss nmos3 w=W1 l=L1
+r1 vdd out 10k
+.ends
+.var W1 min=2u max=500u grid
+.var L1 min=1u
++ max=10u
+.const Cl 1p
+.jig main
+xamp in out nvdd 0 amp
+vdd nvdd 0 5
+vin in 0 1 ac 1
+cl out 0 Cl
+.pz tf v(out) vin
+.ends
+.bias
+xamp in out nvdd 0 amp
+vdd nvdd 0 5
+vin in 0 1
+.ends
+.obj adm 'db(dc_gain(tf))' good=60 bad=20
+.spec ugf 'ugf(tf)' good=1Meg bad=10k
+.region xamp.m1 sat margin=0.1
+.corner slow temp=85 vdd=4.5
+`
+
+// FuzzCanonical holds the parser and the canonicalizer to their
+// contracts on arbitrary text: Parse and Validate never panic, and
+// canonical text is a fixed point, Canonical(Canonical(s)) ==
+// Canonical(s), for every s that canonicalizes. The result cache keys
+// on the canonical text. testdata/fuzz/FuzzCanonical holds inputs that
+// once broke the fixed point.
+func FuzzCanonical(f *testing.F) {
+	f.Add(fuzzSeedDeck)
+	f.Add(".obj adm 'db(dc_gain(tf))' good=60 bad=20\nm1 out in (tail tail) nmos3 w=W1 l=L1\n")
+	f.Add("'' '*x' '+y' 'a b'\n+ 'c\td'\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		if d, err := Parse(src); err == nil {
+			d.Validate()
+		}
+		once, err := Canonical(src)
+		if err != nil {
+			return
+		}
+		twice, err := Canonical(once)
+		if err != nil {
+			t.Fatalf("Canonical(%q) = %q, which does not canonicalize: %v", src, once, err)
+		}
+		if twice != once {
+			t.Fatalf("not a fixed point for %q:\n once %q\ntwice %q", src, once, twice)
+		}
+	})
+}
