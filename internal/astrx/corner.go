@@ -328,8 +328,8 @@ func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) Co
 //   - A lane with include[l] == false (a quarantined corner) is skipped
 //     entirely: the run has degraded to the remaining corners.
 //
-// The maxima use math.Max, so a NaN violation fails the candidate, as it
-// always did in the scalar cost.
+// The maxima use math.Max, so a NaN violation on any lane fails the
+// candidate.
 func assemble(c *Compiled, lanes []*EvalWorkspace, include, evaluated []bool) CostBreakdown {
 	var out CostBreakdown
 	w := c.Weights
