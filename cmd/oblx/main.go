@@ -26,10 +26,8 @@ import (
 	"syscall"
 	"time"
 
-	"astrx/internal/astrx"
 	"astrx/internal/bench"
 	"astrx/internal/faults"
-	"astrx/internal/linalg"
 	"astrx/internal/metrics"
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
@@ -346,7 +344,7 @@ func main() {
 		rep.BiasIterations, rep.MaxKCL)
 
 	if timer != nil {
-		printStages(timer, best.FactorCounts, best.NewtonCounts)
+		printStages(timer, best)
 	}
 	if *showMetrics {
 		printMetrics(best)
@@ -377,9 +375,10 @@ func writeSpans(path, label, cause string, rec *trace.Recorder) error {
 
 // printStages renders the sampled per-stage eval timing collected under
 // -stage-sample: where each evaluated circuit actually spends its time,
-// which factorization path the run's evaluations took, and how much
-// bias-problem work the Newton moves did beside them.
-func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts, nc astrx.NewtonCounts) {
+// which factorization path the run's evaluations took, how much
+// bias-problem work the Newton moves did beside them, and how the Padé
+// fits searched and ended.
+func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 	bd := timer.Breakdown()
 	if len(bd) == 0 {
 		return
@@ -390,10 +389,13 @@ func printStages(timer *telemetry.EvalTimer, fc linalg.FactorCounts, nc astrx.Ne
 		fmt.Printf("    %-10s %12v mean over %d samples\n",
 			b.Stage, mean.Round(time.Nanosecond), b.SampledEvals)
 	}
+	fc, nc, ft := res.FactorCounts, res.NewtonCounts, res.FitCounts
 	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses, %d reused (matrices repeated)\n",
 		fc.Sparse, fc.Dense, fc.SymbolicMisses, fc.Reused)
 	fmt.Printf("  newton: %d residual replays, %d jacobians (%d at the residual's replay)\n",
 		nc.Residuals, nc.Jacobians, nc.JacobiansReused)
+	fmt.Printf("  fit: %d fits, %d orders attempted; %d stable validated, %d unstable validated, %d unvalidated, %d constant\n",
+		ft.Fits, ft.Attempts, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant)
 }
 
 // printMetrics renders the run's statistics through the same metrics

@@ -232,6 +232,13 @@ func (ws *EvalWorkspace) FactorCounts() linalg.FactorCounts {
 	return fc
 }
 
+// FitCounts returns the workspace's Padé search counts since it was
+// created: every fit it ran, for the cost function or for a reader of
+// its models (completeTFs), with the orders each tried and its outcome.
+// A model kept because its jig's factors repeated is not fitted again
+// and is not counted.
+func (ws *EvalWorkspace) FitCounts() awe.FitCounts { return ws.fit.Counts() }
+
 // UnstableCount returns how many of this workspace's cost-function fits
 // produced a model with right-half-plane poles. Only fitted transfer
 // functions count: a dcOnly one is not fitted in the cost function.

@@ -32,7 +32,40 @@ type FitWorkspace struct {
 
 	// deriveZeros scratch
 	num, term, tnext []complex128
+
+	counts FitCounts
 }
+
+// FitCounts tallies a FitWorkspace's Padé order searches since it was
+// created. Every fit ends in exactly one of the four outcomes, so they
+// sum to Fits.
+type FitCounts struct {
+	// Fits counts FitMomentsInto calls.
+	Fits uint64
+	// Attempts counts the orders the searches fitted. An order whose
+	// Hankel system is singular counts.
+	Attempts uint64
+	// ValidatedStable counts fits that returned a stable order that
+	// reproduces every moment; ValidatedUnstable fits where only
+	// unstable orders did. Unvalidated counts fits that returned the
+	// best-scoring order because no order reproduced every moment, and
+	// Constant fits that returned the constant model because no order
+	// fitted at all (or every moment was zero).
+	ValidatedStable, ValidatedUnstable, Unvalidated, Constant uint64
+}
+
+// Add accumulates o into c.
+func (c *FitCounts) Add(o FitCounts) {
+	c.Fits += o.Fits
+	c.Attempts += o.Attempts
+	c.ValidatedStable += o.ValidatedStable
+	c.ValidatedUnstable += o.ValidatedUnstable
+	c.Unvalidated += o.Unvalidated
+	c.Constant += o.Constant
+}
+
+// Counts returns the workspace's fit counts.
+func (ws *FitWorkspace) Counts() FitCounts { return ws.counts }
 
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -76,6 +109,7 @@ func copyInto(dst, src *TF) {
 // identical to the original allocating implementation, so results are
 // bit-exact with FitMoments.
 func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
+	ws.counts.Fits++
 	if 2*q > len(mu) {
 		q = len(mu) / 2
 	}
@@ -89,6 +123,7 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 		}
 	}
 	if allZero {
+		ws.counts.Constant++
 		dst.SetConstant(mu)
 		return
 	}
@@ -131,7 +166,9 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 	// fit one order down.
 	var best, validated *TF
 	bestScore := math.Inf(1)
+	stable := false
 	for order := q; order >= 1; order-- {
+		ws.counts.Attempts++
 		errMax, ok := ws.tryFit(scaled, order)
 		if !ok {
 			continue
@@ -151,6 +188,7 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 			if tf.Stable() {
 				copyInto(&ws.keepVal, tf)
 				validated = &ws.keepVal
+				stable = true
 				break
 			}
 			if validated == nil {
@@ -159,11 +197,18 @@ func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 			}
 		}
 	}
-	if validated != nil {
+	switch {
+	case validated != nil && stable:
+		ws.counts.ValidatedStable++
 		best = validated
-	}
-	if best == nil {
+	case validated != nil:
+		ws.counts.ValidatedUnstable++
+		best = validated
+	case best != nil:
+		ws.counts.Unvalidated++
+	default:
 		// Purely resistive response (or numerically dead): constant TF.
+		ws.counts.Constant++
 		dst.SetConstant(mu)
 		return
 	}

@@ -33,6 +33,7 @@ import (
 
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
+	"astrx/internal/awe"
 	"astrx/internal/faults"
 	"astrx/internal/linalg"
 	"astrx/internal/netlist"
@@ -99,8 +100,10 @@ type Options struct {
 	// "anneal" span per Run (with a resume event when restoring from a
 	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
 	// attributes, Result.FactorCounts as factor.sparse, factor.dense,
-	// factor.symbolic_misses and factor.reused, and Result.NewtonCounts as
-	// newton.residuals, newton.jacobians and newton.jacobians_reused)
+	// factor.symbolic_misses and factor.reused, Result.NewtonCounts as
+	// newton.residuals, newton.jacobians and newton.jacobians_reused, and
+	// Result.FitCounts as fit.fits, fit.attempts, fit.validated_stable,
+	// fit.validated_unstable, fit.unvalidated and fit.constant)
 	// and one "corner:<name>" span per lane of a worst-case run, with
 	// quarantine/retry events as they happen.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
@@ -349,6 +352,11 @@ type Result struct {
 	// residual replays, Jacobians, and Jacobians that reused the
 	// residual's replay.
 	NewtonCounts astrx.NewtonCounts
+	// FitCounts sums the lanes' Padé searches over the same span: fits,
+	// orders attempted, and how each fit ended (a stable or an unstable
+	// validated order, the best-scoring unvalidated order, or the
+	// constant model).
+	FitCounts awe.FitCounts
 	// CheckpointErr records the last checkpoint-write failure, if any —
 	// a checkpoint that cannot be written must not kill the run it
 	// exists to protect.
@@ -667,9 +675,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	var (
 		fc linalg.FactorCounts
 		nc astrx.NewtonCounts
+		ft awe.FitCounts
 	)
 	for i := 0; i < p.bw.K(); i++ {
 		fc.Add(p.bw.Lane(i).FactorCounts())
+		ft.Add(p.bw.Lane(i).FitCounts())
 		// Newton moves solve on each lane's compiled problem's shared
 		// workspace, not on the lane set's.
 		nc.Add(cs.Lane(i).Workspace().NewtonCounts())
@@ -710,6 +720,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		},
 		FactorCounts:  fc,
 		NewtonCounts:  nc,
+		FitCounts:     ft,
 		CheckpointErr: ckErr,
 		evalTime:      p.evalTime,
 		evalsTimed:    p.evalsTimed,
@@ -746,6 +757,12 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("newton.residuals", strconv.FormatUint(nc.Residuals, 10))
 	asp.SetAttr("newton.jacobians", strconv.FormatUint(nc.Jacobians, 10))
 	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))
+	asp.SetAttr("fit.fits", strconv.FormatUint(ft.Fits, 10))
+	asp.SetAttr("fit.attempts", strconv.FormatUint(ft.Attempts, 10))
+	asp.SetAttr("fit.validated_stable", strconv.FormatUint(ft.ValidatedStable, 10))
+	asp.SetAttr("fit.validated_unstable", strconv.FormatUint(ft.ValidatedUnstable, 10))
+	asp.SetAttr("fit.unvalidated", strconv.FormatUint(ft.Unvalidated, 10))
+	asp.SetAttr("fit.constant", strconv.FormatUint(ft.Constant, 10))
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

@@ -156,6 +156,33 @@ func checkNewtonAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	if nc.Jacobians == 0 || nc.JacobiansReused != nc.Jacobians || nc.Residuals < nc.Jacobians {
 		t.Errorf("newton counts %+v: want Jacobians > 0, all reused, and no more Jacobians than residuals", nc)
 	}
+	checkFitAttrs(t, anneal, res)
+}
+
+// checkFitAttrs requires the anneal span to carry the run's fit counts,
+// the run to have fitted, each fit to have ended in exactly one outcome,
+// and every fit that did not return the constant model to have
+// attempted at least one order.
+func checkFitAttrs(t *testing.T, anneal *trace.Span, res *Result) {
+	t.Helper()
+	ft := res.FitCounts
+	for name, want := range map[string]uint64{
+		"fit.fits":               ft.Fits,
+		"fit.attempts":           ft.Attempts,
+		"fit.validated_stable":   ft.ValidatedStable,
+		"fit.validated_unstable": ft.ValidatedUnstable,
+		"fit.unvalidated":        ft.Unvalidated,
+		"fit.constant":           ft.Constant,
+	} {
+		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
+		if err != nil || got != want {
+			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
+		}
+	}
+	if ft.Fits == 0 || ft.ValidatedStable+ft.ValidatedUnstable+ft.Unvalidated+ft.Constant != ft.Fits ||
+		ft.Attempts < ft.Fits-ft.Constant {
+		t.Errorf("fit counts %+v: want fits > 0, one outcome per fit, and an attempt per non-constant fit", ft)
+	}
 }
 
 // checkMoveAttrs decodes ev.MoveAttrs() and compares every attribute
