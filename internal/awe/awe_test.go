@@ -263,6 +263,37 @@ func TestFitMomentsZeroSequence(t *testing.T) {
 	}
 }
 
+// TestFitMomentsShortSequences: fewer than two moments determine no
+// pole, so FitMoments returns the constant model of the moments it has,
+// whatever order is asked for.
+func TestFitMomentsShortSequences(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		mu   []float64
+		q    int
+		dc   float64
+	}{
+		{"nil", nil, 4, 0},
+		{"empty", []float64{}, 1, 0},
+		{"one moment", []float64{2.5}, 4, 2.5},
+		{"one moment, order 0", []float64{-3}, 0, -3},
+		{"one zero moment", []float64{0}, 8, 0},
+		{"one NaN moment", []float64{nan}, 2, nan},
+	} {
+		tf, err := FitMoments(tc.mu, tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tf.Order != 0 || len(tf.Poles)+len(tf.Residues)+len(tf.Zeros) != 0 || len(tf.Moments) != len(tc.mu) {
+			t.Errorf("%s: got %+v, want the constant model of %v", tc.name, tf, tc.mu)
+		}
+		if dc := tf.DCGain(); dc != tc.dc && !(math.IsNaN(dc) && math.IsNaN(tc.dc)) {
+			t.Errorf("%s: DCGain = %g, want %g", tc.name, dc, tc.dc)
+		}
+	}
+}
+
 func TestDeriveZerosTwoPole(t *testing.T) {
 	// H = k1/(s-p1) + k2/(s-p2) has one zero at (k1 p2 + k2 p1)/(k1+k2).
 	tf := &TF{

@@ -110,6 +110,12 @@ func copyInto(dst, src *TF) {
 // bit-exact with FitMoments.
 func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
 	ws.counts.Fits++
+	// Fewer than two moments determine no pole: the constant model.
+	if len(mu) < 2 {
+		ws.counts.Constant++
+		dst.SetConstant(mu)
+		return
+	}
 	if 2*q > len(mu) {
 		q = len(mu) / 2
 	}
