@@ -43,11 +43,16 @@ race:
 # over random sequences of repeats, moves and readouts; FuzzCanonical
 # holds the deck parser and validator to never panicking on arbitrary
 # text, and canonical deck text (the result cache's key) to being a
-# fixed point.
+# fixed point; FuzzPadeSearch holds the Padé order search, and the
+# unity-gain and -3 dB searches read off its models, to verbatim copies
+# of the full top-down search, bit for bit, on moments recorded from
+# runs, raw moments with 0, -0, NaN and Inf entries, and moments of
+# random pole/residue sets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
 	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s ./internal/astrx
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzPadeSearch$$' -fuzztime=10s ./internal/awe
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

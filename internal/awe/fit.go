@@ -103,12 +103,24 @@ func copyInto(dst, src *TF) {
 	dst.Order = src.Order
 }
 
+// testHookFit, when set, sees every fit as FitMomentsInto returns: the
+// moments, the order asked for and the model. Tests set it to replay a
+// synthesis run's fits through a reference search.
+var testHookFit func(mu []float64, q int, tf *TF)
+
 // FitMomentsInto is FitMoments with caller-owned result and workspace
 // storage: dst is fully overwritten (its slices are reused), and no
 // allocation happens once the workspace has warmed up. The arithmetic is
 // identical to the original allocating implementation, so results are
 // bit-exact with FitMoments.
 func (ws *FitWorkspace) FitMomentsInto(dst *TF, mu []float64, q int) {
+	ws.fitMoments(dst, mu, q)
+	if testHookFit != nil {
+		testHookFit(mu, q, dst)
+	}
+}
+
+func (ws *FitWorkspace) fitMoments(dst *TF, mu []float64, q int) {
 	ws.counts.Fits++
 	// Fewer than two moments determine no pole: the constant model.
 	if len(mu) < 2 {
