@@ -394,8 +394,8 @@ func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 		fc.Sparse, fc.Dense, fc.SymbolicMisses, fc.Reused)
 	fmt.Printf("  newton: %d residual replays, %d jacobians (%d at the residual's replay)\n",
 		nc.Residuals, nc.Jacobians, nc.JacobiansReused)
-	fmt.Printf("  fit: %d fits, %d orders attempted; %d stable validated, %d unstable validated, %d unvalidated, %d constant\n",
-		ft.Fits, ft.Attempts, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant)
+	fmt.Printf("  fit: %d fits, %d orders attempted, %d deferred (cannot be stable); %d stable validated, %d unstable validated, %d unvalidated, %d constant\n",
+		ft.Fits, ft.Attempts, ft.Deferred, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant)
 }
 
 // printMetrics renders the run's statistics through the same metrics

@@ -523,17 +523,24 @@ func FuzzPadeSearch(f *testing.F) {
 }
 
 // TestPadeSeedsCover checks that the recorded fuzz seeds alone reach
-// every way a search can end: a stable validated order, an unstable
-// validated one, the best unvalidated one and the constant model.
+// every way a search can end (a stable validated order, an unstable
+// validated one, the best unvalidated one and the constant model), a
+// deferred order the search never fits, and one it fits after all.
 func TestPadeSeedsCover(t *testing.T) {
 	var ws FitWorkspace
 	var tf TF
+	refitted := 0
 	for _, rm := range loadRunMoments(t) {
+		before := ws.Counts().Deferred
 		ws.FitMomentsInto(&tf, rm.mu, rm.q)
+		if uint64(len(ws.deferred)) > ws.Counts().Deferred-before {
+			refitted++
+		}
 	}
 	c := ws.Counts()
-	if c.ValidatedStable == 0 || c.ValidatedUnstable == 0 || c.Unvalidated == 0 || c.Constant == 0 {
-		t.Errorf("recorded seeds reach %+v; want every outcome", c)
+	if c.ValidatedStable == 0 || c.ValidatedUnstable == 0 || c.Unvalidated == 0 || c.Constant == 0 ||
+		c.Deferred == 0 || refitted == 0 {
+		t.Errorf("recorded seeds reach %+v with %d fits that fit a deferred order; want every outcome and both", c, refitted)
 	}
 }
 

@@ -102,7 +102,8 @@ type Options struct {
 	// attributes, Result.FactorCounts as factor.sparse, factor.dense,
 	// factor.symbolic_misses and factor.reused, Result.NewtonCounts as
 	// newton.residuals, newton.jacobians and newton.jacobians_reused, and
-	// Result.FitCounts as fit.fits, fit.attempts, fit.validated_stable,
+	// Result.FitCounts as fit.fits, fit.attempts, fit.deferred,
+	// fit.validated_stable,
 	// fit.validated_unstable, fit.unvalidated and fit.constant)
 	// and one "corner:<name>" span per lane of a worst-case run, with
 	// quarantine/retry events as they happen.
@@ -353,7 +354,8 @@ type Result struct {
 	// residual's replay.
 	NewtonCounts astrx.NewtonCounts
 	// FitCounts sums the lanes' Padé searches over the same span: fits,
-	// orders attempted, and how each fit ended (a stable or an unstable
+	// orders attempted, orders deferred because they cannot be stable and
+	// never attempted, and how each fit ended (a stable or an unstable
 	// validated order, the best-scoring unvalidated order, or the
 	// constant model).
 	FitCounts awe.FitCounts
@@ -759,6 +761,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))
 	asp.SetAttr("fit.fits", strconv.FormatUint(ft.Fits, 10))
 	asp.SetAttr("fit.attempts", strconv.FormatUint(ft.Attempts, 10))
+	asp.SetAttr("fit.deferred", strconv.FormatUint(ft.Deferred, 10))
 	asp.SetAttr("fit.validated_stable", strconv.FormatUint(ft.ValidatedStable, 10))
 	asp.SetAttr("fit.validated_unstable", strconv.FormatUint(ft.ValidatedUnstable, 10))
 	asp.SetAttr("fit.unvalidated", strconv.FormatUint(ft.Unvalidated, 10))

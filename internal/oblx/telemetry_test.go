@@ -169,6 +169,7 @@ func checkFitAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	for name, want := range map[string]uint64{
 		"fit.fits":               ft.Fits,
 		"fit.attempts":           ft.Attempts,
+		"fit.deferred":           ft.Deferred,
 		"fit.validated_stable":   ft.ValidatedStable,
 		"fit.validated_unstable": ft.ValidatedUnstable,
 		"fit.unvalidated":        ft.Unvalidated,
