@@ -270,23 +270,28 @@ type orderSearch struct {
 }
 
 // consider fits the order whose Hankel system solveHankel has just
-// solved and merges it into the search: the highest validated order
-// wins, a stable one ending the search; without one, the lowest score
-// wins, ties going to the higher order. Taken top-down, as the first
-// pass takes them, orders merge as they did when every order was fitted
-// in turn.
+// solved and merges it into the search.
 func (ws *FitWorkspace) consider(s *orderSearch, mu []float64, order int) {
-	errMax, ok := ws.fitOrder(mu, order)
-	if !ok {
-		return
+	if errMax, ok := ws.fitOrder(mu, order); ok {
+		ws.try.Order = order
+		s.merge(ws, errMax)
 	}
+}
+
+// merge adds the fitted order in ws.try, whose worst relative moment
+// error is errMax, to the search: the highest validated order wins, a
+// stable one ending the search; without one, the lowest score wins,
+// ties going to the higher order. Orders merged top-down, as the first
+// pass merges them, end as they did when every order was fitted in
+// turn; the rules also hold for the higher orders the second pass
+// merges afterwards.
+func (s *orderSearch) merge(ws *FitWorkspace, errMax float64) {
 	tf := &ws.try
-	tf.Order = order
 	score := errMax
 	if !tf.Stable() {
 		score *= 1e6 // strongly prefer stable fits in the fallback
 	}
-	if score < s.bestScore || (s.best != nil && score == s.bestScore && order > s.best.Order) {
+	if score < s.bestScore || (s.best != nil && score == s.bestScore && tf.Order > s.best.Order) {
 		s.bestScore = score
 		copyInto(&ws.keepBest, tf)
 		s.best = &ws.keepBest
@@ -298,7 +303,7 @@ func (ws *FitWorkspace) consider(s *orderSearch, mu []float64, order int) {
 			s.stable = true
 			return
 		}
-		if s.validated == nil || order > s.validated.Order {
+		if s.validated == nil || tf.Order > s.validated.Order {
 			copyInto(&ws.keepVal, tf) // keep looking for a stable one below
 			s.validated = &ws.keepVal
 		}

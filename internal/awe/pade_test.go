@@ -390,6 +390,32 @@ func checkPadeSearch(t *testing.T, mu []float64, q int) {
 	}
 }
 
+// TestMergeTiesGoToHigherOrder holds the search's merge rules when the
+// second pass merges a deferred order after lower ones: among equal
+// scores and among unstable validated orders, the higher order wins
+// whatever order they arrive in, as it did top-down.
+func TestMergeTiesGoToHigherOrder(t *testing.T) {
+	var ws FitWorkspace
+	s := orderSearch{bestScore: math.Inf(1)}
+	unstable := func(order int, errMax float64) {
+		ws.try = TF{Poles: make([]complex128, order), Residues: make([]complex128, order), Order: order}
+		ws.try.Poles[0] = 1
+		s.merge(&ws, errMax)
+	}
+	unstable(2, 1e-3)
+	unstable(5, 1e-3) // deferred, merged after order 2
+	unstable(4, 1e-3)
+	if s.best == nil || s.best.Order != 5 || s.validated != nil {
+		t.Fatalf("best after tied scores at orders 2, 5, 4: %+v, validated %+v; want order 5, none", s.best, s.validated)
+	}
+	unstable(1, 1e-12)
+	unstable(3, 1e-12) // deferred, merged after order 1
+	unstable(2, 1e-12)
+	if s.validated == nil || s.validated.Order != 3 || s.stable {
+		t.Fatalf("validated after unstable validated orders 1, 3, 2: %+v; want order 3", s.validated)
+	}
+}
+
 // Fuzz input families: padeRaw reads the moments from the raw bytes;
 // the pole families draw a pole/residue set from the seed and take its
 // moments; padeSpecial draws raw moments from the seed with zero, −0,
