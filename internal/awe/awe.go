@@ -172,34 +172,73 @@ func (tf *TF) UGF() float64 {
 	if wLo <= 0 {
 		wLo = 1e-3
 	}
-	prevW := wLo
-	prevV := tf.GainMagAt(wLo) - 1
-	if prevV < 0 {
+	if tf.gainSide(wLo, 1, 1) < 0 {
 		return 0 // already below unity at the low edge
 	}
 	const steps = 400
 	ratio := math.Pow(wHi/wLo, 1.0/steps)
-	w := wLo
+	prevW, w := wLo, wLo
 	for i := 0; i < steps; i++ {
 		w *= ratio
-		v := tf.GainMagAt(w) - 1
-		if v <= 0 {
-			// Bisect [prevW, w].
-			a, b := prevW, w
-			for it := 0; it < 80; it++ {
-				mid := math.Sqrt(a * b)
-				if tf.GainMagAt(mid)-1 > 0 {
-					a = mid
-				} else {
-					b = mid
-				}
-			}
-			return math.Sqrt(a * b)
+		if tf.gainSide(w, 1, 1) <= 0 {
+			return tf.bisect(prevW, w, 1, 1)
 		}
-		prevW, prevV = w, v
+		prevW = w
 	}
-	_ = prevV
 	return 0
+}
+
+// gainSide compares |H(jω)| with the threshold t, whose square is t2: it
+// returns +1, 0 or −1 as the gain lies above, at or below t, and NaN when
+// the gain is NaN, so comparing the result with 0 reads like comparing
+// |H(jω)| with t. Away from t it decides on re² + im², which rounds by at
+// most 2.3e-16 relative: outside the 1e-12 band around t2 the decision is
+// the one cmplx.Abs gives. Inside the band, and where the squares may
+// overflow or underflow (re² + im² outside [1e-280, 1e280]), cmplx.Abs
+// decides.
+func (tf *TF) gainSide(w, t, t2 float64) float64 {
+	h := tf.Eval(complex(0, w))
+	re, im := real(h), imag(h)
+	if s := re*re + im*im; s >= 1e-280 && s <= 1e280 {
+		switch {
+		case s > t2*(1+1e-12):
+			return 1
+		case s < t2*(1-1e-12):
+			return -1
+		}
+	}
+	switch m := cmplx.Abs(h); {
+	case m > t:
+		return 1
+	case m < t:
+		return -1
+	case m == t:
+		return 0
+	}
+	return math.NaN()
+}
+
+// bisect narrows [a, b], where |H| falls from above the threshold t
+// (t2 = t²) to at or below it, by up to 80 geometric bisections and
+// returns the midpoint. A step is a pure function of (a, b), so the
+// first step that leaves both unchanged has reached the fixed point the
+// remaining steps would repeat, and the search stops there.
+func (tf *TF) bisect(a, b, t, t2 float64) float64 {
+	for it := 0; it < 80; it++ {
+		mid := math.Sqrt(a * b)
+		if tf.gainSide(mid, t, t2) > 0 {
+			if mid == a {
+				break
+			}
+			a = mid
+		} else {
+			if mid == b {
+				break
+			}
+			b = mid
+		}
+	}
+	return math.Sqrt(a * b)
 }
 
 // poleFreqRange returns the min and max nonzero pole/zero magnitudes.
@@ -308,6 +347,7 @@ func (tf *TF) BW3dB() float64 {
 		return 0
 	}
 	target := g0 / math.Sqrt2
+	t2 := target * target
 	lo, hi := tf.poleFreqRange()
 	wLo, wHi := lo/100, hi*100
 	a, b := wLo, wLo
@@ -317,7 +357,7 @@ func (tf *TF) BW3dB() float64 {
 	w := wLo
 	for i := 0; i < steps; i++ {
 		next := w * ratio
-		if tf.GainMagAt(next) <= target {
+		if tf.gainSide(next, target, t2) <= 0 {
 			a, b = w, next
 			found = true
 			break
@@ -327,15 +367,7 @@ func (tf *TF) BW3dB() float64 {
 	if !found {
 		return 0
 	}
-	for it := 0; it < 80; it++ {
-		mid := math.Sqrt(a * b)
-		if tf.GainMagAt(mid) > target {
-			a = mid
-		} else {
-			b = mid
-		}
-	}
-	return math.Sqrt(a * b)
+	return tf.bisect(a, b, target, t2)
 }
 
 // DominantPole returns the pole with the smallest magnitude (0 if none).
