@@ -144,6 +144,7 @@ func FuzzCanonical(f *testing.F) {
 	f.Add(fuzzSeedDeck)
 	f.Add(".obj adm 'db(dc_gain(tf))' good=60 bad=20\nm1 out in (tail tail) nmos3 w=W1 l=L1\n")
 	f.Add("'' '*x' '+y' 'a b'\n+ 'c\td'\n")
+	f.Add("m1 n3 inp ntail ntail nmos3 w='W1 + 1u' l='L1*2' m=''\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if d, err := Parse(src); err == nil {
 			d.Validate()

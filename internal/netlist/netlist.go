@@ -211,7 +211,8 @@ func logicalLines(src string) []logical {
 }
 
 // fields splits a logical line into tokens, honoring single quotes:
-// a 'quoted expression' is one token (without the quotes).
+// a 'quoted expression' is one token (without the quotes), and so is a
+// parameter with a quoted value, key='expr' (read as key=expr).
 func fields(s string) ([]string, error) {
 	var toks []string
 	i := 0
@@ -234,7 +235,16 @@ func fields(s string) ([]string, error) {
 			for j < len(s) && s[j] != ' ' && s[j] != '\t' && s[j] != '\'' && s[j] != '(' && s[j] != ')' {
 				j++
 			}
-			toks = append(toks, s[i:j])
+			tok := s[i:j]
+			if j < len(s) && s[j] == '\'' && strings.HasSuffix(tok, "=") {
+				k := strings.IndexByte(s[j+1:], '\'')
+				if k < 0 {
+					return nil, fmt.Errorf("unterminated quote")
+				}
+				tok += s[j+1 : j+1+k]
+				j += k + 2
+			}
+			toks = append(toks, tok)
 			i = j
 		}
 	}

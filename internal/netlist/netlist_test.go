@@ -240,6 +240,48 @@ r1 a
 	}
 }
 
+// TestQuotedParamValue: a parameter's value may be quoted, key='expr',
+// as a positional value may; key and value are one token, and canonical
+// text keeps them one.
+func TestQuotedParamValue(t *testing.T) {
+	src := `
+.lib c2u
+.jig j
+m1 n3 inp ntail ntail nmos3 w=W1 l='L1*2'
+m2 n4 inn ntail ntail nmos3 w='W1 + 1' l=L1
+vp1 pb1 0 '0-Vb1'
+.ends
+`
+	d := parseDeck(t, src)
+	env := expr.MapEnv{"W1": 2, "L1": 3, "Vb1": 1}
+	els := d.Jigs[0].Elements
+	for _, c := range []struct {
+		el    *circuit.Element
+		param string
+		want  float64
+	}{{els[0], "w", 2}, {els[0], "l", 6}, {els[1], "w", 3}, {els[1], "l", 3}} {
+		if v, err := c.el.EvalParam(c.param, 0, env); err != nil || v != c.want {
+			t.Errorf("%s %s = %g, %v; want %g", c.el.Name, c.param, v, err, c.want)
+		}
+	}
+	if v, err := els[2].EvalValue(env); err != nil || v != -1 {
+		t.Errorf("vp1 value = %g, %v; want -1", v, err)
+	}
+	canon, err := Canonical(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(canon, " l=L1*2\n") || !strings.Contains(canon, " 'w=W1 + 1' ") {
+		t.Errorf("canonical text %q does not keep the quoted parameters whole", canon)
+	}
+	if again, err := Canonical(canon); err != nil || again != canon {
+		t.Errorf("not a fixed point: %q -> %q, %v", canon, again, err)
+	}
+	if _, err := Parse(".jig j\nm1 d g s b nmos3 w=1u l='1u\n.ends\n"); err == nil {
+		t.Error("unterminated quoted parameter value accepted")
+	}
+}
+
 func TestBJTLine(t *testing.T) {
 	d := parseDeck(t, `
 .lib bicmos
