@@ -30,8 +30,10 @@ type FitWorkspace struct {
 	// try buffer is overwritten by the next order attempted)
 	try, keepBest, keepVal TF
 	// deferred lists, from high to low, the orders the top-down pass
-	// left for later because they cannot be stable.
+	// left for later because they cannot be stable, and dcoef their
+	// Hankel solutions, one after another.
 	deferred []int
+	dcoef    []float64
 
 	// deriveZeros scratch
 	num, term, tnext []complex128
@@ -200,11 +202,12 @@ func (ws *FitWorkspace) fitMoments(dst *TF, mu []float64, q int) {
 	// top-down search returns.
 	var s orderSearch
 	s.bestScore = math.Inf(1)
-	ws.deferred = ws.deferred[:0]
+	ws.deferred, ws.dcoef = ws.deferred[:0], ws.dcoef[:0]
 	for order := q; order >= 1 && !s.stable; order-- {
 		ok := ws.solveHankel(scaled, order)
 		if ok && cannotBeStable(ws.acoef) {
 			ws.deferred = append(ws.deferred, order)
+			ws.dcoef = append(ws.dcoef, ws.acoef...)
 			continue
 		}
 		ws.counts.Attempts++
@@ -212,13 +215,14 @@ func (ws *FitWorkspace) fitMoments(dst *TF, mu []float64, q int) {
 			ws.consider(&s, scaled, order)
 		}
 	}
-	fitted := 0
+	fitted, off := 0, 0
 	for _, order := range ws.deferred {
 		if s.stable || (s.validated != nil && order <= s.validated.Order) {
 			break
 		}
 		fitted++
-		ws.solveHankel(scaled, order) // solved before, so it solves again
+		ws.acoef = append(ws.acoef[:0], ws.dcoef[off:off+order]...)
+		off += order
 		ws.consider(&s, scaled, order)
 	}
 	ws.counts.Attempts += uint64(fitted)
@@ -269,8 +273,8 @@ type orderSearch struct {
 	stable          bool
 }
 
-// consider fits the order whose Hankel system solveHankel has just
-// solved and merges it into the search.
+// consider fits the order whose Hankel solution is in ws.acoef and
+// merges it into the search.
 func (ws *FitWorkspace) consider(s *orderSearch, mu []float64, order int) {
 	if errMax, ok := ws.fitOrder(mu, order); ok {
 		ws.try.Order = order
