@@ -8,20 +8,5 @@ func SetTestHookFit(f func(mu []float64, q int, tf *TF)) (remove func()) {
 	return func() { testHookFit = nil }
 }
 
-// RefFitDiff fits mu at order q with the reference search on ref and
-// names the first difference from tf, in the model or in the unity-gain
-// and −3 dB frequencies read off it; "" means none.
-func RefFitDiff(ref *FitWorkspace, tf *TF, mu []float64, q int) string {
-	var want TF
-	ref.refFitMomentsInto(&want, mu, q)
-	if d := tfBitsDiff(tf, &want); d != "" {
-		return d
-	}
-	if a, b := tf.UGF(), tf.refUGF(); !sameF(a, b) {
-		return "UGF"
-	}
-	if a, b := tf.BW3dB(), tf.refBW3dB(); !sameF(a, b) {
-		return "BW3dB"
-	}
-	return ""
-}
+// RefFitDiff is refDiff, for the replay test.
+var RefFitDiff = refDiff

@@ -365,28 +365,38 @@ func sameF(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b
 
 func sameC(a, b complex128) bool { return sameF(real(a), real(b)) && sameF(imag(a), imag(b)) }
 
-// checkPadeSearch fits mu at order q with a fresh workspace and with the
-// reference search, and fails unless the models, and the unity-gain and
-// −3 dB frequencies read off them, are the same bits. Fewer than two
-// moments must give the constant model (the reference cannot take them).
-func checkPadeSearch(t *testing.T, mu []float64, q int) {
-	t.Helper()
-	var ws, ref FitWorkspace
-	var got, want TF
-	ws.FitMomentsInto(&got, mu, q)
+// refDiff fits mu at order q with the reference search on ref and names
+// the first difference from tf, in the model or in the unity-gain and
+// −3 dB frequencies read off it; "" means none. Fewer than two moments
+// must give the constant model (the reference cannot take them).
+func refDiff(ref *FitWorkspace, tf *TF, mu []float64, q int) string {
+	var want TF
 	if len(mu) < 2 {
 		want.SetConstant(mu)
 	} else {
 		ref.refFitMomentsInto(&want, mu, q)
 	}
-	if d := tfBitsDiff(&got, &want); d != "" {
-		t.Fatalf("FitMomentsInto(%v, %d) differs from the reference search: %s", mu, q, d)
+	if d := tfBitsDiff(tf, &want); d != "" {
+		return d
 	}
-	if a, b := got.UGF(), got.refUGF(); !sameF(a, b) {
-		t.Fatalf("UGF of the fit of %v at order %d = %g, reference %g", mu, q, a, b)
+	if a, b := tf.UGF(), tf.refUGF(); !sameF(a, b) {
+		return fmt.Sprintf("UGF %g, reference %g", a, b)
 	}
-	if a, b := got.BW3dB(), got.refBW3dB(); !sameF(a, b) {
-		t.Fatalf("BW3dB of the fit of %v at order %d = %g, reference %g", mu, q, a, b)
+	if a, b := tf.BW3dB(), tf.refBW3dB(); !sameF(a, b) {
+		return fmt.Sprintf("BW3dB %g, reference %g", a, b)
+	}
+	return ""
+}
+
+// checkPadeSearch fits mu at order q with a fresh workspace and fails
+// unless the fit matches the reference search's (refDiff).
+func checkPadeSearch(t *testing.T, mu []float64, q int) {
+	t.Helper()
+	var ws, ref FitWorkspace
+	var got TF
+	ws.FitMomentsInto(&got, mu, q)
+	if d := refDiff(&ref, &got, mu, q); d != "" {
+		t.Fatalf("the fit of %v at order %d differs from the reference search: %s", mu, q, d)
 	}
 }
 

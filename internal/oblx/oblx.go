@@ -103,8 +103,8 @@ type Options struct {
 	// factor.symbolic_misses and factor.reused, Result.NewtonCounts as
 	// newton.residuals, newton.jacobians and newton.jacobians_reused, and
 	// Result.FitCounts as fit.fits, fit.attempts, fit.deferred,
-	// fit.validated_stable,
-	// fit.validated_unstable, fit.unvalidated and fit.constant)
+	// fit.validated_stable, fit.validated_unstable, fit.unvalidated and
+	// fit.constant)
 	// and one "corner:<name>" span per lane of a worst-case run, with
 	// quarantine/retry events as they happen.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
