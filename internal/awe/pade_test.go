@@ -493,7 +493,6 @@ func padeMoments(raw []byte, q int, family uint8, seed int64) []float64 {
 func padePoles(rng *rand.Rand, fam, n int) (poles, res []complex128) {
 	scale := math.Pow(10, 16*rng.Float64()-2)
 	gain := math.Pow(10, 8*rng.Float64()-4)
-	center := scale
 	for len(poles) < n {
 		decades := 2.0
 		if fam == padeSpread {
@@ -501,7 +500,7 @@ func padePoles(rng *rand.Rand, fam, n int) (poles, res []complex128) {
 		}
 		mag := scale * math.Pow(10, decades*rng.Float64())
 		if fam == padeClustered {
-			mag = center * (1 + math.Pow(10, -2-4*rng.Float64())*rng.NormFloat64())
+			mag = scale * (1 + math.Pow(10, -2-4*rng.Float64())*rng.NormFloat64())
 		}
 		r := complex(gain*mag*math.Pow(10, 4*rng.Float64()-2)*float64(1-2*rng.Intn(2)), 0)
 		if rng.Intn(2) == 0 {
