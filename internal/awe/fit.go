@@ -318,8 +318,8 @@ func (s *orderSearch) merge(ws *FitWorkspace, errMax float64) {
 // λ^q + a_{q-1}λ^{q-1} + … + a_0 of the coefficients a has a coefficient
 // below −1e-8·(1 + Σ|a_k|). A real polynomial whose roots all lie in the
 // open left half-plane has only positive coefficients (Hurwitz's
-// necessary condition), and the model's poles are 1/λ, scaled by β > 0,
-// so such an order cannot give a stable model. The margin sits far above
+// necessary condition), and the model's poles are 1/(βλ) with the
+// frequency scale β > 0, so such an order cannot give a stable model. The margin sits far above
 // the coefficients' rounding: over the benchmark corpora, no stable
 // validated order had a coefficient below −6e-26·(1 + Σ|a_k|). NaN and
 // infinite coefficients never fail the test.
