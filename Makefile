@@ -47,12 +47,22 @@ race:
 # unity-gain and -3 dB searches read off its models, to verbatim copies
 # of the full top-down search, bit for bit, on moments recorded from
 # runs, raw moments with 0, -0, NaN and Inf entries, and moments of
-# random pole/residue sets.
+# random pole/residue sets. The state-file targets follow: FuzzEnvelope
+# holds the durable envelope to Open(Seal(p)) == p, to refusing every
+# single-byte change of a sealed envelope, and to never panicking;
+# FuzzDecodeCheckpoint holds the checkpoint decoder to never panicking
+# and to accepting only current-version checkpoints with annealer and
+# weight state; FuzzJobRecord holds the job-record reader to never
+# panicking and to accepting only sealed current-version records whose
+# ID matches the file name.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
 	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s ./internal/astrx
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzPadeSearch$$' -fuzztime=10s ./internal/awe
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime=10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/oblx
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRecord$$' -fuzztime=10s ./internal/server
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -37,8 +37,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Typed corruption errors, distinguishable by errors.Is so a recovery
 // fsck can report *why* a file was quarantined.
 var (
-	// ErrNotSealed marks data without an envelope header (legacy files,
-	// foreign files, or total corruption of the first bytes).
+	// ErrNotSealed marks data without a well-formed envelope header
+	// (unsealed or foreign files, or a corrupted header).
 	ErrNotSealed = errors.New("durable: no envelope header")
 	// ErrTruncated marks an envelope whose payload is shorter than the
 	// header promises — the classic torn-write signature.
@@ -48,10 +48,14 @@ var (
 	ErrChecksum = errors.New("durable: checksum mismatch")
 )
 
+// header renders the one envelope header Seal writes and Open accepts.
+func header(n int, sum uint32) string {
+	return fmt.Sprintf("%s%d %08x\n", magic, n, sum)
+}
+
 // Seal wraps payload in a checksummed envelope.
 func Seal(payload []byte) []byte {
-	sum := crc32.Checksum(payload, crcTable)
-	hdr := fmt.Sprintf("%s%d %08x\n", magic, len(payload), sum)
+	hdr := header(len(payload), crc32.Checksum(payload, crcTable))
 	out := make([]byte, 0, len(hdr)+len(payload))
 	out = append(out, hdr...)
 	return append(out, payload...)
@@ -62,8 +66,10 @@ func IsSealed(data []byte) bool {
 	return strings.HasPrefix(string(data[:min(len(data), len(magic))]), magic)
 }
 
-// Open verifies an envelope and returns its payload. Errors wrap
-// ErrNotSealed, ErrTruncated, or ErrChecksum.
+// Open verifies an envelope and returns its payload. The header must be
+// exactly the one Seal writes: one space between the fields, a decimal
+// length without sign or leading zeros, eight lower-case hex digits.
+// Errors wrap ErrNotSealed, ErrTruncated, or ErrChecksum.
 func Open(data []byte) ([]byte, error) {
 	if !IsSealed(data) {
 		return nil, ErrNotSealed
@@ -73,17 +79,17 @@ func Open(data []byte) ([]byte, error) {
 	if nl < 0 {
 		return nil, fmt.Errorf("%w: unterminated header", ErrNotSealed)
 	}
-	fields := strings.Fields(string(rest[:nl]))
-	if len(fields) != 2 {
-		return nil, fmt.Errorf("%w: malformed header", ErrNotSealed)
-	}
-	n, err := strconv.Atoi(fields[0])
+	length, sum, _ := strings.Cut(string(rest[:nl]), " ")
+	n, err := strconv.Atoi(length)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: bad length %q", ErrNotSealed, fields[0])
+		return nil, fmt.Errorf("%w: bad length %q", ErrNotSealed, length)
 	}
-	want, err := strconv.ParseUint(fields[1], 16, 32)
+	want, err := strconv.ParseUint(sum, 16, 32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad checksum %q", ErrNotSealed, fields[1])
+		return nil, fmt.Errorf("%w: bad checksum %q", ErrNotSealed, sum)
+	}
+	if hdr := data[:len(magic)+nl+1]; string(hdr) != header(n, uint32(want)) {
+		return nil, fmt.Errorf("%w: malformed header %q", ErrNotSealed, hdr)
 	}
 	payload := rest[nl+1:]
 	if len(payload) < n {

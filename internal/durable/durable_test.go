@@ -109,3 +109,49 @@ func TestReadSealedReportsMissingFile(t *testing.T) {
 		t.Fatalf("err %v, want fs.ErrNotExist", err)
 	}
 }
+
+// TestOpenRejectsHeaderChanges changes every byte of a sealed envelope
+// to every other value, one at a time: each result must be refused. A
+// header split on any white space, or a checksum read without regard to
+// case, lets some of these through with the payload intact.
+func TestOpenRejectsHeaderChanges(t *testing.T) {
+	sealed := Seal([]byte(`{"version":3,"id":"abc","state":"queued"}`))
+	for i := range sealed {
+		for b := 0; b < 256; b++ {
+			if byte(b) == sealed[i] {
+				continue
+			}
+			changed := append([]byte(nil), sealed...)
+			changed[i] = byte(b)
+			if _, err := Open(changed); err == nil {
+				t.Errorf("byte %d changed from %q to %q: envelope accepted", i, sealed[i], byte(b))
+			}
+		}
+	}
+}
+
+// FuzzEnvelope holds the envelope to its contract on arbitrary payloads:
+// Open returns what Seal sealed, refuses the sealed bytes with any one
+// byte changed, and never panics, whatever bytes it is given.
+func FuzzEnvelope(f *testing.F) {
+	f.Add([]byte(`{"version":3,"id":"abc"}`), uint(0), byte('x'))
+	f.Add([]byte{}, uint(11), byte('\t'))
+	f.Add([]byte("binary\x00\xff\nnewline"), uint(14), byte('A'))
+	f.Add([]byte(magic+"5 0000000a\nhello"), uint(3), byte(' '))
+	f.Fuzz(func(t *testing.T, payload []byte, pos uint, b byte) {
+		Open(payload) // arbitrary bytes: must not panic
+		sealed := Seal(payload)
+		got, err := Open(sealed)
+		if err != nil || string(got) != string(payload) {
+			t.Fatalf("Open(Seal(p)) = %q, %v; want %q", got, err, payload)
+		}
+		i := int(pos % uint(len(sealed)))
+		if sealed[i] == b {
+			return
+		}
+		sealed[i] = b
+		if _, err := Open(sealed); err == nil {
+			t.Fatalf("byte %d changed to %q: envelope accepted", i, b)
+		}
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,6 +11,7 @@ import (
 
 	"astrx/internal/durable"
 	"astrx/internal/metrics"
+	"astrx/internal/oblx"
 	"astrx/internal/retry"
 	"astrx/internal/server"
 	"astrx/internal/telemetry"
@@ -89,8 +89,7 @@ type Coordinator struct {
 }
 
 // multiJob tracks the fan-out of one multi-start job: which run
-// indices still need a lease, per-run attempts and outcomes, and the
-// best cost any run has reported (the best-so-far exchange).
+// indices still need a lease, and per-run attempts and outcomes.
 type multiJob struct {
 	job      *server.Job
 	runs     int
@@ -98,7 +97,6 @@ type multiJob struct {
 	active   int
 	attempts map[int]int
 	results  map[int]*server.JobResult
-	bestCost float64 // +Inf until a run reports
 }
 
 // pendingRun is a run awaiting (re-)lease, with its backoff deadline.
@@ -291,7 +289,6 @@ func (c *Coordinator) claimFresh(worker string) *ClaimResponse {
 			active:   1,
 			attempts: make(map[int]int),
 			results:  make(map[int]*server.JobResult),
-			bestCost: math.Inf(1),
 		}
 		for i := 1; i < mj.runs; i++ {
 			mj.pending = append(mj.pending, pendingRun{run: i})
@@ -307,9 +304,9 @@ func (c *Coordinator) claimFresh(worker string) *ClaimResponse {
 func (c *Coordinator) claimResponseLocked(l *lease) *ClaimResponse {
 	j := l.job
 	opt := j.Options
-	// The worker runs exactly one anneal; RunBest seed spreading is the
-	// coordinator's job now (same offsets as oblx.RunBest).
-	opt.Seed = opt.Seed + int64(l.key.run)*7919
+	// The worker runs exactly one anneal, seeded as oblx.RunBest seeds
+	// its run of the same index.
+	opt.Seed = oblx.RunSeed(opt.Seed, l.key.run)
 	opt.Runs = 1
 	cr := &ClaimResponse{
 		JobID:          j.ID,
@@ -328,9 +325,6 @@ func (c *Coordinator) claimResponseLocked(l *lease) *ClaimResponse {
 		cr.Resumable = true
 		cr.CheckpointEvery = c.opt.CheckpointEvery
 		cr.Checkpoint = c.mgr.ResumePayload(j)
-	} else if !math.IsInf(l.multi.bestCost, 1) {
-		b := l.multi.bestCost
-		cr.BestCost = &b
 	}
 	return cr
 }
@@ -363,15 +357,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := HeartbeatResponse{Cancel: l.cancelled}
 	job := l.job
-	if mj := l.multi; mj != nil {
-		if hb.Progress != nil && hb.Progress.BestCost < mj.bestCost {
-			mj.bestCost = hb.Progress.BestCost
-		}
-		if !math.IsInf(mj.bestCost, 1) {
-			b := mj.bestCost
-			resp.BestCost = &b
-		}
-	}
 	c.mu.Unlock()
 
 	c.mHB["ok"].Inc()
@@ -465,9 +450,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if mj := l.multi; mj != nil {
 		mj.active--
 		mj.results[req.Run] = req.Result
-		if v := req.Result.Result; v != nil && req.Result.State == server.StateDone && v.Cost.Total < mj.bestCost {
-			mj.bestCost = v.Cost.Total
-		}
 		final := c.finalizeMultiLocked(mj)
 		c.mu.Unlock()
 		if len(req.Spans) > 0 {

@@ -25,9 +25,8 @@
 // checkpoints, and commits are rejected ("fenced") instead of
 // overwriting the successor's work — the exactly-once half the lease
 // TTL alone cannot give. Multi-start jobs (Runs > 1) fan out as
-// independent per-run leases with best-so-far costs exchanged through
-// the coordinator, so a fleet finishes a RunBest job the way one
-// process would, just wider.
+// independent per-run leases, seeded as oblx.RunBest seeds its runs, so
+// a fleet finishes a RunBest job the way one process would, just wider.
 package fleet
 
 import (
@@ -88,9 +87,6 @@ type ClaimResponse struct {
 	// and parent under the root, so one trace spans the fleet hop — and
 	// a re-lease after a worker death keeps extending the same tree.
 	Traceparent string `json:"traceparent,omitempty"`
-	// BestCost is the best cost a sibling run has reported so far
-	// (multi-start jobs only).
-	BestCost *float64 `json:"best_cost,omitempty"`
 }
 
 // HeartbeatRequest renews a lease. Progress carries the latest
@@ -113,9 +109,6 @@ type HeartbeatResponse struct {
 	// Cancel instructs the worker to stop the run and commit its
 	// best-so-far as cancelled (client DELETE propagated to the fleet).
 	Cancel bool `json:"cancel,omitempty"`
-	// BestCost is the best cost any sibling run has reported — the
-	// multi-start best-so-far exchange.
-	BestCost *float64 `json:"best_cost,omitempty"`
 }
 
 // CheckpointRequest ships a run's latest checkpoint to the coordinator,

@@ -60,14 +60,24 @@ type CornerCheckpoint struct {
 	Unstable    int    `json:"unstable,omitempty"`
 }
 
-// check validates the checkpoint against the compiled problem.
-func (ck *Checkpoint) check(nVars int) error {
+// validate checks what every resumable checkpoint has, whatever deck it
+// is resumed into: the current version and the annealer and weight state.
+func (ck *Checkpoint) validate() error {
 	switch {
 	case ck.Version != checkpointVersion:
 		return fmt.Errorf("oblx: checkpoint version %d, want %d", ck.Version, checkpointVersion)
 	case ck.Anneal == nil || ck.Weights == nil:
 		return fmt.Errorf("oblx: checkpoint missing annealer or weight state")
-	case ck.Vars != nVars:
+	}
+	return nil
+}
+
+// check validates the checkpoint against the compiled problem.
+func (ck *Checkpoint) check(nVars int) error {
+	if err := ck.validate(); err != nil {
+		return err
+	}
+	if ck.Vars != nVars {
 		return fmt.Errorf("oblx: checkpoint has %d variables, deck compiles to %d — wrong deck?",
 			ck.Vars, nVars)
 	}
@@ -96,28 +106,25 @@ func SaveCheckpointFS(fsys durable.FS, path string, ck *Checkpoint) error {
 	return nil
 }
 
-// DecodeCheckpoint parses a checkpoint from raw JSON (no envelope) and
-// validates its version and structure — the wire-transfer counterpart
-// of LoadCheckpoint, for checkpoints shipped between fleet nodes rather
-// than read from disk. The variable-count guard still runs at resume
-// time, when the deck is compiled.
+// DecodeCheckpoint parses a checkpoint payload (raw JSON, no envelope)
+// and validates its version and structure. Checkpoints read from disk
+// and checkpoints shipped between fleet nodes both pass through it. The
+// variable-count guard still runs at resume time, when the deck is
+// compiled.
 func DecodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	if err := json.Unmarshal(payload, ck); err != nil {
 		return nil, fmt.Errorf("oblx: parse checkpoint: %w", err)
 	}
-	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("oblx: checkpoint version %d, want %d", ck.Version, checkpointVersion)
-	}
-	if ck.Anneal == nil || ck.Weights == nil {
-		return nil, fmt.Errorf("oblx: checkpoint missing annealer or weight state")
+	if err := ck.validate(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. Sealed
-// envelopes are verified; raw JSON from older releases is still
-// accepted so in-flight checkpoints survive an upgrade.
+// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The file
+// must be a sealed envelope holding a checkpoint DecodeCheckpoint
+// accepts; unsealed JSON is refused.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return LoadCheckpointFS(nil, path)
 }
@@ -125,26 +132,13 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // LoadCheckpointFS is LoadCheckpoint through an explicit filesystem; a
 // nil fsys uses the real one.
 func LoadCheckpointFS(fsys durable.FS, path string) (*Checkpoint, error) {
-	if fsys == nil {
-		fsys = durable.OS
-	}
-	data, err := fsys.ReadFile(path)
+	payload, err := durable.ReadSealed(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("oblx: load checkpoint: %w", err)
 	}
-	if durable.IsSealed(data) {
-		payload, err := durable.Open(data)
-		if err != nil {
-			return nil, fmt.Errorf("oblx: checkpoint %s: %w", path, err)
-		}
-		data = payload
-	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
-		return nil, fmt.Errorf("oblx: parse checkpoint %s: %w", path, err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("oblx: checkpoint %s: version %d, want %d", path, ck.Version, checkpointVersion)
+	ck, err := DecodeCheckpoint(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ck, nil
 }

@@ -806,8 +806,12 @@ func worstSpec(c *astrx.Compiled, st *astrx.EvalState) (string, float64) {
 var runFn = Run
 
 // reseedOffset separates a retry's random stream from the failed
-// attempt's (a large prime, like the per-run 7919 stride).
+// attempt's (a large prime, like RunSeed's per-run stride).
 const reseedOffset = 104729
+
+// RunSeed is the seed of run i of a multi-start job: RunBest's runs and
+// the runs a fleet fans out use the same seeds.
+func RunSeed(seed int64, i int) int64 { return seed + int64(i)*7919 }
 
 // RunBest runs n independent seeded anneals (the paper's "5-10 annealing
 // runs performed overnight") in parallel goroutines and returns the
@@ -844,7 +848,7 @@ func RunBest(ctx context.Context, deck *netlist.Deck, n int, opt Options) (*Resu
 				}
 			}()
 			o := opt
-			o.Seed = opt.Seed + int64(i)*7919
+			o.Seed = RunSeed(opt.Seed, i)
 			o.CheckpointPath = ""
 			o.Resume = nil
 			if opt.Progress != nil {
@@ -868,7 +872,7 @@ func RunBest(ctx context.Context, deck *netlist.Deck, n int, opt Options) (*Resu
 					r, err = r2, nil
 				} else {
 					err = fmt.Errorf("oblx: run %d (seed %d) failed: %w (reseeded retry: %v)",
-						i, opt.Seed+int64(i)*7919, err, err2)
+						i, RunSeed(opt.Seed, i), err, err2)
 				}
 			}
 			results[i], errs[i] = r, err

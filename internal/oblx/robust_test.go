@@ -209,8 +209,9 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 
 // TestCheckpointEnvelopeAndLegacy pins the durability contract of the
 // checkpoint file: saves land on disk as checksummed envelopes carrying
-// every counter (including Unstable), a corrupted envelope is refused,
-// and raw-JSON checkpoints from releases before the envelope still load.
+// every counter (including Unstable), and a corrupted envelope, a
+// raw-JSON checkpoint from releases before the envelope, and a sealed
+// checkpoint without annealer state are all refused.
 func TestCheckpointEnvelopeAndLegacy(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.ckpt")
@@ -245,20 +246,49 @@ func TestCheckpointEnvelopeAndLegacy(t *testing.T) {
 		t.Error("corrupted envelope loaded without error")
 	}
 
-	// A pre-envelope checkpoint is plain JSON; it must still resume.
+	// A pre-envelope checkpoint is plain JSON: no checksum covers it, so
+	// it is refused even when its contents would resume.
 	legacy := filepath.Join(dir, "legacy.ckpt")
 	if err := os.WriteFile(legacy, []byte(
 		`{"version":1,"seed":9,"max_moves":50,"vars":2,`+
 			`"anneal":{},"weights":{},"evals":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lk, err := LoadCheckpoint(legacy)
-	if err != nil {
-		t.Fatalf("legacy raw-JSON checkpoint rejected: %v", err)
+	if _, err := LoadCheckpoint(legacy); !errors.Is(err, durable.ErrNotSealed) {
+		t.Errorf("legacy raw-JSON checkpoint: err %v, want durable.ErrNotSealed", err)
 	}
-	if lk.Seed != 9 || lk.Evals != 3 || lk.Unstable != 0 {
-		t.Errorf("legacy checkpoint = %+v", lk)
+
+	// A sealed checkpoint of the right version but no annealer or weight
+	// state is refused at load, not left for a resume to dereference.
+	bare := filepath.Join(dir, "bare.ckpt")
+	if err := durable.WriteSealedAtomic(nil, bare, []byte(`{"version":1}`)); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := LoadCheckpoint(bare); err == nil {
+		t.Error("sealed checkpoint without annealer state loaded")
+	}
+}
+
+// FuzzDecodeCheckpoint holds the checkpoint decoder to never panicking,
+// and to accepting only checkpoints of the current version that carry
+// annealer and weight state.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"version":1,"seed":9,"max_moves":50,"vars":2,"anneal":{},"weights":{},"evals":3}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":2,"anneal":{},"weights":{}}`))
+	f.Add([]byte(`{"version":1,"anneal":null,"weights":{}}`))
+	f.Add([]byte(`{"version":1,"anneal":{"move":-3,"cur":[1e308,null]},"weights":{"spec":{"":1}},"corners":[{"name":""}]}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ck, err := DecodeCheckpoint(payload)
+		if err != nil {
+			return
+		}
+		if ck.Version != checkpointVersion || ck.Anneal == nil || ck.Weights == nil {
+			t.Fatalf("accepted checkpoint version %d, anneal %v, weights %v",
+				ck.Version, ck.Anneal != nil, ck.Weights != nil)
+		}
+	})
 }
 
 // TestRunBestRetriesFailedRun exercises the degrade-gracefully path with

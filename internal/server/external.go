@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"astrx/internal/oblx"
 	"astrx/internal/retry"
@@ -27,102 +26,43 @@ import (
 // worker pool.
 func (m *Manager) ClaimQueued() *Job {
 	for {
+		var (
+			j      *Job
+			tenant string
+			ok     bool
+		)
 		m.mu.Lock()
-		if m.draining {
-			m.mu.Unlock()
-			return nil
+		if !m.draining {
+			j, tenant, ok = m.popLocked()
 		}
-		j, tenant, ok := m.sched.Pop()
-		if !ok {
-			m.mu.Unlock()
-			return nil
-		}
-		m.tenantQueued[tenant]--
-		m.running++
 		m.mu.Unlock()
-
-		j.mu.Lock()
-		if j.state != StateQueued { // cancelled while queued, raced with the pop
-			j.mu.Unlock()
-			m.mu.Lock()
-			m.running--
-			m.sched.DoneRunning(tenant)
-			m.mu.Unlock()
-			continue
+		if !ok {
+			return nil
 		}
-		j.state = StateRunning
-		j.started = time.Now()
-		j.lastTick = j.started
-		attempt := j.attempts + 1
-		j.publishLocked(Event{Type: "state", State: StateRunning})
-		j.mu.Unlock()
-
-		if err := m.persist(j); err != nil {
-			m.jlog(j).Error("persist failed", "err", err)
+		if m.startRun(j, nil) {
+			return j
 		}
-		m.noteClaimed(j)
-		m.jlog(j).Info("job running", "state", StateRunning, "attempt", attempt)
-		return j
+		m.freeSlot(tenant) // cancelled while queued, raced with the pop
 	}
 }
 
 // CompleteExternal commits a result shipped by the job's leaseholder,
 // making the job terminal exactly once. A job that is no longer running
 // here (already completed, requeued after a lease expiry, cancelled)
-// rejects the commit with an error — the manager-level backstop under
-// the fleet's epoch fencing.
+// rejects the commit with an error and no side effect — the
+// manager-level backstop under the fleet's epoch fencing.
 func (m *Manager) CompleteExternal(j *Job, result *JobResult) error {
-	state := result.State
-	if !state.terminal() {
-		state = StateFailed
+	if !result.State.terminal() {
 		if result.Error == "" {
 			result.Error = fmt.Sprintf("server: external completion with non-terminal state %q", result.State)
 		}
+		result.State = StateFailed
 	}
 	result.ID = j.ID
-	result.State = state
-
-	// Remove the crash-recovery checkpoint before the terminal state
-	// becomes observable, same ordering as finishJob.
-	m.removeCheckpoint(j, state)
-
-	now := time.Now()
-	j.mu.Lock()
-	if j.state != StateRunning {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("server: job %s is %s, not running; completion rejected", j.ID, st)
+	if !m.finish(j, StateRunning, result) {
+		return fmt.Errorf("server: job %s is %s, not running; completion rejected", j.ID, j.State())
 	}
-	// The cache entry lands before the terminal state is published, as
-	// in finishJob; holding j.mu keeps a rejected duplicate out of it.
-	m.cacheStore(j, state, result)
-	j.state = state
-	j.err = result.Error
-	j.finished = now
-	j.result = result
-	j.publishLocked(Event{Type: "state", State: state, Error: result.Error})
-	started := j.started
-	j.mu.Unlock()
-
-	m.reg.Counter("oblxd_jobs_finished_total", "state", string(state)).Inc()
-	if !started.IsZero() {
-		m.mJobSecs.Observe(now.Sub(started).Seconds())
-	}
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
-	m.endJobTrace(j, traceStatus(state), string(state))
-	if result.Error != "" {
-		m.jlog(j).Warn("job finished", "state", state, "err", result.Error)
-	} else {
-		m.jlog(j).Info("job finished", "state", state)
-	}
-
-	m.mu.Lock()
-	m.running--
-	m.sched.DoneRunning(j.Tenant)
-	m.cond.Signal()
-	m.mu.Unlock()
+	m.freeSlot(j.Tenant)
 	return nil
 }
 
@@ -132,57 +72,23 @@ func (m *Manager) CompleteExternal(j *Job, result *JobResult) error {
 // terminal, with its failure history persisted — once they run out,
 // exactly like a local watchdog kill.
 func (m *Manager) RequeueExternal(j *Job, cause string) {
-	j.mu.Lock()
-	if j.state != StateRunning {
-		j.mu.Unlock()
+	if j.State() != StateRunning {
 		return
 	}
-	j.mu.Unlock()
-
-	m.mu.Lock()
-	m.running--
-	m.sched.DoneRunning(j.Tenant)
-	m.cond.Signal()
-	m.mu.Unlock()
+	m.freeSlot(j.Tenant)
 	m.retryOrPoison(j, cause)
 }
 
 // ReleaseExternal returns a leased job to the head of the queue without
 // burning a supervised attempt — the graceful hand-off of a draining
 // worker. A checkpoint the worker shipped first (PutCheckpointPayload)
-// becomes the resume point for the next claimant.
+// is the resume point for the next claimant.
 func (m *Manager) ReleaseExternal(j *Job) {
-	j.mu.Lock()
-	if j.state != StateRunning {
-		j.mu.Unlock()
+	if j.State() != StateRunning {
 		return
 	}
-	j.state = StateQueued
-	j.started = time.Time{}
-	if j.Options.Runs <= 1 && m.opt.StateDir != "" {
-		if ck, err := oblx.LoadCheckpointFS(m.fsys, m.checkpointPath(j.ID)); err == nil {
-			j.resume = ck
-		}
-	}
-	j.publishLocked(Event{Type: "state", State: StateQueued})
-	j.mu.Unlock()
-
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
-	m.markQueued(j)
-	m.mu.Lock()
-	m.running--
-	m.sched.DoneRunning(j.Tenant)
-	if !m.draining {
-		// Head of the tenant's lane: the job was claimed first, so
-		// per-lane FIFO order is preserved across the hand-off.
-		m.sched.PushFront(j.Tenant, j)
-		m.tenantQueued[j.Tenant]++
-		m.cond.Signal()
-	}
-	m.mu.Unlock()
-	m.jlog(j).Info("job released by worker", "state", StateQueued)
+	m.freeSlot(j.Tenant)
+	m.release(j, "released by worker")
 }
 
 // PutCheckpointPayload validates and stores a checkpoint a fleet worker

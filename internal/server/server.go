@@ -29,6 +29,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,8 +178,12 @@ type Job struct {
 	subs     map[chan Event]struct{}
 	result   *JobResult
 
-	// cancel aborts the running synthesis; nil unless running.
+	// cancel aborts the running synthesis; nil unless running here.
 	cancel context.CancelFunc
+	// finishing is set by the one call of finish that makes the job
+	// terminal, from its state check until the job is terminal, so no
+	// other transition starts in between.
+	finishing bool
 	// userCancelled distinguishes DELETE (terminal) from a shutdown
 	// drain (job stays resumable).
 	userCancelled bool
@@ -200,8 +205,8 @@ type Job struct {
 	requestID string
 	// trace is the job's distributed-trace recorder, created before the
 	// job is published (submit or recovery) and immutable afterwards —
-	// unlocked reads are safe, like requestID. Nil only for terminal
-	// jobs recovered from records that predate tracing.
+	// unlocked reads are safe, like requestID. Nil for terminal jobs
+	// recovered from disk, whose trace is the durable snapshot.
 	trace *trace.Recorder
 	// traceRemote is the client span the root span is remotely parented
 	// to (from the submit traceparent header; "" when none). Immutable;
@@ -827,9 +832,7 @@ func (m *Manager) SubmitTraced(deckSrc string, opt JobOptions, requestID, tenant
 
 	// Persist the queued record before the job becomes runnable, so a
 	// worker can never transition a job that has no record on disk.
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
+	m.persist(j)
 
 	m.markQueued(j)
 	m.mu.Lock()
@@ -871,9 +874,7 @@ func (m *Manager) completeFromCache(j *Job, payload []byte) (*Job, error) {
 	m.jobs[j.ID] = j
 	m.mu.Unlock()
 
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
+	m.persist(j)
 	m.mSubmitted.Inc()
 	m.reg.Counter("oblxd_jobs_total", "tenant", j.Tenant).Inc()
 	m.reg.Counter("oblxd_jobs_finished_total", "state", string(result.State)).Inc()
@@ -906,21 +907,16 @@ func (m *Manager) Get(id string) *Job {
 	return m.jobs[id]
 }
 
-// Jobs returns all jobs, newest first.
+// Jobs returns all jobs, newest first. Terminal jobs stay in the table
+// for the daemon's life, so the sort runs after m.mu is released.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		out = append(out, j)
 	}
-	for i := 0; i < len(out); i++ {
-		for k := i + 1; k < len(out); k++ {
-			if out[k].Created.After(out[i].Created) {
-				out[i], out[k] = out[k], out[i]
-			}
-		}
-	}
+	m.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].Created.After(out[b].Created) })
 	return out
 }
 
@@ -944,23 +940,19 @@ func (m *Manager) Cancel(id string) error {
 	m.mu.Unlock()
 
 	j.mu.Lock()
-	switch {
-	case j.state.terminal():
-		j.mu.Unlock()
-		return fmt.Errorf("server: job %s already %s", id, j.State())
-	case j.state == StateQueued:
-		j.state = StateCancelled
-		j.finished = time.Now()
+	state := j.state
+	if !state.terminal() {
 		j.userCancelled = true
-		j.result = &JobResult{ID: j.ID, State: StateCancelled}
-		j.publishLocked(Event{Type: "state", State: StateCancelled})
-		j.mu.Unlock()
-		if err := m.persist(j); err != nil {
-			m.jlog(j).Error("persist failed", "err", err)
-		}
-		m.endJobTrace(j, "cancelled", "cancelled")
-	default: // running
-		j.userCancelled = true
+	}
+	j.mu.Unlock()
+	if state.terminal() {
+		return fmt.Errorf("server: job %s already %s", id, state)
+	}
+	// A queued job is cancelled here. One that a worker started since is
+	// running: cancel its context (a fleet leaseholder learns of the
+	// cancel on its next heartbeat), and the run keeps its best-so-far.
+	if state != StateQueued || !m.finish(j, StateQueued, &JobResult{ID: j.ID, State: StateCancelled}) {
+		j.mu.Lock()
 		cancel := j.cancel
 		j.mu.Unlock()
 		if cancel != nil {
@@ -1011,37 +1003,46 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
-		m.mu.Lock()
 		var (
 			j      *Job
 			tenant string
+			ok     bool
 		)
+		m.mu.Lock()
 		for !m.draining {
-			var ok bool
-			j, tenant, ok = m.sched.Pop()
-			if ok {
+			if j, tenant, ok = m.popLocked(); ok {
 				break
 			}
 			m.cond.Wait()
 		}
-		if m.draining {
-			m.mu.Unlock()
+		m.mu.Unlock()
+		if !ok {
 			return
 		}
+		m.runJob(j)
+		m.freeSlot(tenant)
+	}
+}
+
+// popLocked takes the next fair-share job off the scheduler and counts
+// it running. Callers hold m.mu.
+func (m *Manager) popLocked() (*Job, string, bool) {
+	j, tenant, ok := m.sched.Pop()
+	if ok {
 		m.tenantQueued[tenant]--
 		m.running++
-		m.mu.Unlock()
-
-		m.runJob(j)
-
-		m.mu.Lock()
-		m.running--
-		m.sched.DoneRunning(tenant)
-		// The freed running slot may unblock a lane capped at
-		// MaxRunning; wake a waiter to re-check.
-		m.cond.Signal()
-		m.mu.Unlock()
 	}
+	return j, tenant, ok
+}
+
+// freeSlot returns a popped job's running slot. The freed slot may
+// unblock a lane capped at MaxRunning, so a waiting worker re-checks.
+func (m *Manager) freeSlot(tenant string) {
+	m.mu.Lock()
+	m.running--
+	m.sched.DoneRunning(tenant)
+	m.cond.Signal()
+	m.mu.Unlock()
 }
 
 // synthesize and synthesizeBest are seams over the engine entry points,
@@ -1059,24 +1060,12 @@ func (m *Manager) runJob(j *Job) {
 	}
 	defer cancel()
 
-	j.mu.Lock()
-	if j.state.terminal() { // cancelled while queued, raced with dequeue
-		j.mu.Unlock()
+	if !m.startRun(j, cancel) {
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.lastTick = j.started
-	j.cancel = cancel
+	j.mu.Lock()
 	resume := j.resume
-	attempt := j.attempts + 1
-	j.publishLocked(Event{Type: "state", State: StateRunning})
 	j.mu.Unlock()
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
-	m.noteClaimed(j)
-	m.jlog(j).Info("job running", "state", StateRunning, "attempt", attempt)
 
 	deck, err := netlist.Parse(j.Deck)
 	if err != nil { // validated at submit; only possible via disk corruption
@@ -1203,11 +1192,11 @@ func (m *Manager) watchdog() {
 	}
 }
 
-// finishJob records the outcome of a run: done, failed, cancelled (user
-// request, partial result kept), poisoned/requeued (watchdog kill), a
-// terminal deadline failure, or — when the manager is draining — a
-// checkpointed hand-off back to the queued state for the next daemon
-// incarnation.
+// finishJob maps a local run's outcome onto the job lifecycle: a
+// watchdog kill goes to retryOrPoison, a run interrupted by shutdown is
+// released for the next daemon incarnation, and every other outcome
+// (done, failed, a user's cancel with its partial result kept, a
+// terminal deadline failure) is finished.
 func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit bool) {
 	j.mu.Lock()
 	j.cancel = nil
@@ -1216,85 +1205,86 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	j.stallKilled = false
 	j.mu.Unlock()
 
-	if stalled && !userCancelled {
-		// The watchdog killed this run. The annealer checkpointed at the
-		// cancellation move, so the retry resumes from there (single-run
-		// jobs) rather than replaying the whole anneal.
+	switch {
+	case stalled && !userCancelled:
+		// The annealer checkpointed at the cancellation move, so the retry
+		// resumes from there (single-run jobs) rather than replaying the
+		// whole anneal.
 		m.retryOrPoison(j, fmt.Sprintf("stalled: no progress within %s", m.opt.StallTimeout))
-		return
-	}
-
-	shutdownInterrupted := res != nil && res.Cancelled && !userCancelled && m.Draining()
-	if shutdownInterrupted {
-		// The annealer wrote its final checkpoint at the cancellation
-		// move; hand the job back to the queue on disk so the next
-		// incarnation resumes it.
-		j.mu.Lock()
-		j.state = StateQueued
-		j.started = time.Time{}
-		j.mu.Unlock()
-		if err := m.persist(j); err != nil {
-			m.jlog(j).Error("persist failed", "err", err)
+	case res != nil && res.Cancelled && !userCancelled && m.Draining():
+		// The annealer wrote its final checkpoint at the cancellation move.
+		m.release(j, "checkpointed for restart")
+	default:
+		result := BuildJobResult(j.ID, res, err)
+		if deadlineHit && !userCancelled {
+			// The per-job wall-clock deadline fired; the partial best-so-far
+			// design is kept, but the job is a terminal failure, not a
+			// cancellation the user asked for.
+			result.State = StateFailed
+			result.Error = fmt.Sprintf("server: job deadline %s exceeded", m.opt.JobDeadline)
 		}
-		// The root span stays open — the next incarnation re-attaches the
-		// same trace context — but the spans so far must survive the
-		// process, so snapshot without ending.
-		m.snapshotTrace(j, "shutdown")
-		m.jlog(j).Info("job checkpointed for restart", "state", StateQueued)
-		return
-	}
-
-	now := time.Now()
-	result := BuildJobResult(j.ID, res, err)
-	if deadlineHit && !userCancelled {
-		// The per-job wall-clock deadline fired; the partial best-so-far
-		// design is kept, but the job is a terminal failure, not a
-		// cancellation the user asked for.
-		result.State = StateFailed
-		result.Error = fmt.Sprintf("server: job deadline %s exceeded", m.opt.JobDeadline)
-	}
-	state := result.State
-	if res != nil {
-		if n := res.Failures.Unstable; n > 0 {
-			m.mUnstable.Add(int64(n))
-		}
-		for name, cf := range res.Failures.Corners {
-			if cf.Fails > 0 {
-				m.reg.Counter("oblxd_corner_eval_failures_total", "corner", name).Add(int64(cf.Fails))
-				m.reg.SetHelp("oblxd_corner_eval_failures_total", "per-corner evaluation failures in worst-case runs (post-retry)")
-			}
-			if cf.Quarantined {
-				m.jlog(j).Warn("corner quarantined for the rest of the run",
-					"corner", name, "fails", cf.Fails, "retries", cf.Retries)
-			}
-		}
-		if res.Degraded {
-			m.reg.Counter("oblxd_jobs_degraded_total").Inc()
-			m.reg.SetHelp("oblxd_jobs_degraded_total", "worst-case jobs that finished with at least one corner quarantined")
-		}
-		if res.CheckpointErr != nil {
+		if res != nil && res.CheckpointErr != nil {
 			m.jlog(j).Warn("checkpoint writes failed", "err", res.CheckpointErr)
 		}
+		m.finish(j, StateRunning, result)
 	}
+}
 
-	// Remove the crash-recovery checkpoint before the terminal state
-	// becomes observable, so "terminal ⇒ no checkpoint" holds for every
-	// watcher. If the daemon dies in the window before the terminal
-	// record persists below, recovery sees a running record with no
-	// checkpoint and re-runs the job from scratch — at-least-once, never
-	// lost.
-	m.removeCheckpoint(j, state)
-	// Likewise the cache entry and the finished-job metrics land first: a
-	// client that sees the terminal state must hit when it resubmits at
-	// once, and must find the job counted when it scrapes at once.
-	m.cacheStore(j, state, result)
+// startRun marks a dequeued job running, for a local worker (which
+// passes the run's cancel func) or a fleet claim (nil). It reports
+// false, with no side effect, when the job left the queue after the pop:
+// a Cancel finished it, or is finishing it.
+func (m *Manager) startRun(j *Job, cancel context.CancelFunc) bool {
 	j.mu.Lock()
-	started := j.started
+	if j.state != StateQueued || j.finishing {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = StateRunning
+	j.started = time.Now()
+	j.lastTick = j.started
+	j.cancel = cancel
+	attempt := j.attempts + 1
+	j.publishLocked(Event{Type: "state", State: StateRunning})
 	j.mu.Unlock()
+
+	m.persist(j)
+	m.noteClaimed(j)
+	m.jlog(j).Info("job running", "state", StateRunning, "attempt", attempt)
+	return true
+}
+
+// finish is the one terminal transition: a local run's outcome, a fleet
+// commit, a poisoning and the cancel of a queued job all end here. It
+// reports false, with no side effect, unless the job is in state from
+// (running, or queued for a cancel) and no other call is finishing it.
+//
+// Before the terminal state is published, the checkpoint is removed, a
+// done result is cached and the job is counted, so a watcher that sees
+// the state finds no checkpoint, hits the cache when it resubmits and
+// finds the job counted when it scrapes. If the daemon dies before the
+// terminal record persists, recovery finds a record with no checkpoint
+// and re-runs the job from scratch: at-least-once, never lost. No file
+// is written under j.mu, so status and SSE readers never wait on one.
+func (m *Manager) finish(j *Job, from State, result *JobResult) bool {
+	j.mu.Lock()
+	if j.state != from || j.finishing {
+		j.mu.Unlock()
+		return false
+	}
+	j.finishing = true
+	started, attempts := j.started, j.attempts
+	j.mu.Unlock()
+
+	state := result.State
+	now := time.Now()
+	m.removeCheckpoint(j)
+	m.cacheStore(j, result)
 	m.reg.Counter("oblxd_jobs_finished_total", "state", string(state)).Inc()
 	if !started.IsZero() {
 		m.mJobSecs.Observe(now.Sub(started).Seconds())
 	}
+	m.recordFailures(j, result.Result)
 
 	j.mu.Lock()
 	j.state = state
@@ -1304,15 +1294,80 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	j.publishLocked(Event{Type: "state", State: state, Error: result.Error})
 	j.mu.Unlock()
 
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
+	m.persist(j)
+	// A poisoned job's trace keeps the failure that exhausted it.
+	cause := string(state)
+	if n := len(result.History); state == StatePoisoned && n > 0 {
+		cause = result.History[n-1].Error
 	}
-	m.endJobTrace(j, traceStatus(state), string(state))
-	if result.Error != "" {
-		m.jlog(j).Warn("job finished", "state", state, "err", result.Error)
-	} else {
-		m.jlog(j).Info("job finished", "state", state)
+	m.endJobTrace(j, traceStatus(state), cause)
+	switch lg := m.jlog(j); {
+	case state == StatePoisoned:
+		lg.Error("job poisoned", "state", state, "attempt", attempts, "cause", cause)
+	case result.Error != "":
+		lg.Warn("job finished", "state", state, "err", result.Error)
+	default:
+		lg.Info("job finished", "state", state)
 	}
+	return true
+}
+
+// recordFailures counts the failures a finished run absorbed, from its
+// result view, so runs on fleet workers count like local ones: unstable
+// fits, per-corner failures and quarantines, and a degraded result.
+func (m *Manager) recordFailures(j *Job, v *oblx.ResultView) {
+	if v == nil {
+		return
+	}
+	if n := v.Failures.Unstable; n > 0 {
+		m.mUnstable.Add(int64(n))
+	}
+	for name, cf := range v.Failures.Corners {
+		if cf.Fails > 0 {
+			m.reg.Counter("oblxd_corner_eval_failures_total", "corner", name).Add(int64(cf.Fails))
+			m.reg.SetHelp("oblxd_corner_eval_failures_total", "per-corner evaluation failures in worst-case runs (post-retry)")
+		}
+		if cf.Quarantined {
+			m.jlog(j).Warn("corner quarantined for the rest of the run",
+				"corner", name, "fails", cf.Fails, "retries", cf.Retries)
+		}
+	}
+	if v.Degraded {
+		m.reg.Counter("oblxd_jobs_degraded_total").Inc()
+		m.reg.SetHelp("oblxd_jobs_degraded_total", "worst-case jobs that finished with at least one corner quarantined")
+	}
+}
+
+// release hands a running job back to the queue without burning an
+// attempt: a local run interrupted by shutdown, or a fleet worker's
+// graceful drain. A single-run job resumes from the checkpoint its run
+// left at its last move: on disk after a shutdown, in j.resume when a
+// fleet worker shipped it. The root span stays open, and the spans so
+// far are snapshotted so they outlive the process. A draining manager
+// leaves the job queued on disk for the next incarnation; otherwise it
+// goes to the head of its lane, since it was claimed first.
+func (m *Manager) release(j *Job, cause string) {
+	j.mu.Lock()
+	if j.state != StateRunning || j.finishing {
+		j.mu.Unlock()
+		return
+	}
+	j.state = StateQueued
+	j.started = time.Time{}
+	j.publishLocked(Event{Type: "state", State: StateQueued})
+	j.mu.Unlock()
+
+	m.persist(j)
+	m.snapshotTrace(j, cause)
+	m.markQueued(j)
+	m.mu.Lock()
+	if !m.draining {
+		m.sched.PushFront(j.Tenant, j)
+		m.tenantQueued[j.Tenant]++
+		m.cond.Signal()
+	}
+	m.mu.Unlock()
+	m.jlog(j).Info("job released", "state", StateQueued, "cause", cause)
 }
 
 // traceStatus maps a terminal job state onto a span status.
@@ -1330,11 +1385,9 @@ func traceStatus(s State) string {
 // cacheStore records a successfully finished job's result in the
 // result cache (rw mode only; no-op otherwise). Only clean StateDone
 // outcomes are cacheable — a cancelled or failed run's partial result
-// must never be served as the answer to a fresh submission. Callers
-// store before publishing the terminal state, so a job seen as done
-// already has its entry on disk.
-func (m *Manager) cacheStore(j *Job, state State, result *JobResult) {
-	if state != StateDone || result == nil || j.cacheKey == "" {
+// must never be served as the answer to a fresh submission.
+func (m *Manager) cacheStore(j *Job, result *JobResult) {
+	if result.State != StateDone || j.cacheKey == "" {
 		return
 	}
 	data, err := json.Marshal(result)
@@ -1393,45 +1446,20 @@ func BuildJobResult(id string, res *oblx.Result, runErr error) *JobResult {
 	return result
 }
 
-// retryOrPoison handles a watchdog-killed run: record the failure,
+// retryOrPoison is the one requeue that burns an attempt, for a
+// watchdog-killed run or a revoked fleet lease: record the failure,
 // requeue with exponential backoff while attempts remain, and poison the
 // job — terminally, with its history attached — once they run out.
 func (m *Manager) retryOrPoison(j *Job, cause string) {
-	// Snapshot the trace first: the root span's last move events are the
-	// evidence the post-mortem needs, and the next attempt keeps
-	// appending to the same root span.
-	m.snapshotTrace(j, cause)
-
 	j.mu.Lock()
 	j.attempts++
 	attempt := j.attempts
 	j.history = append(j.history, JobFailure{Attempt: attempt, Error: cause, Time: time.Now()})
-
 	if m.rpol.Exhausted(attempt) {
+		result := &JobResult{ID: j.ID, State: StatePoisoned, History: j.history,
+			Error: fmt.Sprintf("server: poisoned after %d attempts; last: %s", attempt, cause)}
 		j.mu.Unlock()
-		// Same ordering as finishJob: checkpoint gone before the terminal
-		// state is observable.
-		m.removeCheckpoint(j, StatePoisoned)
-
-		errMsg := fmt.Sprintf("server: poisoned after %d attempts; last: %s", attempt, cause)
-		j.mu.Lock()
-		j.state = StatePoisoned
-		j.err = errMsg
-		j.finished = time.Now()
-		j.result = &JobResult{ID: j.ID, State: StatePoisoned, Error: errMsg, History: j.history}
-		j.publishLocked(Event{Type: "state", State: StatePoisoned, Error: errMsg})
-		started := j.started
-		j.mu.Unlock()
-
-		m.reg.Counter("oblxd_jobs_finished_total", "state", string(StatePoisoned)).Inc()
-		if !started.IsZero() {
-			m.mJobSecs.Observe(time.Since(started).Seconds())
-		}
-		if err := m.persist(j); err != nil {
-			m.jlog(j).Error("persist failed", "err", err)
-		}
-		m.jlog(j).Error("job poisoned", "state", StatePoisoned, "attempt", attempt, "cause", cause)
-		m.endJobTrace(j, "error", cause)
+		m.finish(j, StateRunning, result)
 		return
 	}
 
@@ -1447,13 +1475,14 @@ func (m *Manager) retryOrPoison(j *Job, cause string) {
 	j.publishLocked(Event{Type: "state", State: StateQueued, Error: cause})
 	j.mu.Unlock()
 
+	// The root span's last move events are the evidence a post-mortem
+	// needs; the next attempt keeps appending to the same root span.
+	m.snapshotTrace(j, cause)
 	m.mRetries.Inc()
 	// The backoff is queue time: the next queue-wait span opens now, so
 	// submit→claim latency counts the supervisor's delay too.
 	m.markQueued(j)
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
+	m.persist(j)
 	delay := m.rpol.Backoff(attempt)
 	m.jlog(j).Warn("job requeued", "state", StateQueued, "backoff", delay.Round(time.Millisecond),
 		"attempt", attempt, "max_attempts", m.rpol.MaxAttempts, "cause", cause)

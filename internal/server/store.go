@@ -13,7 +13,6 @@ import (
 
 	"astrx/internal/durable"
 	"astrx/internal/oblx"
-	"astrx/internal/tenancy"
 	"astrx/internal/trace"
 )
 
@@ -25,7 +24,7 @@ import (
 //
 // Records are sealed in a checksummed durable envelope and written
 // atomically; the startup fsck in recover verifies every file before
-// trusting it.
+// trusting it, and reads only sealed records at jobRecordVersion.
 type jobRecord struct {
 	Version int        `json:"version"`
 	ID      string     `json:"id"`
@@ -41,11 +40,9 @@ type jobRecord struct {
 	Attempts int          `json:"attempts,omitempty"`
 	History  []JobFailure `json:"history,omitempty"`
 	// RequestID keeps the submit-time correlation ID across restarts, so
-	// the whole lifecycle stays greppable by one ID. Optional, so
-	// version-2 records from before the field are still valid.
+	// the whole lifecycle stays greppable by one ID.
 	RequestID string `json:"request_id,omitempty"`
-	// Tenant names the submitting principal; empty (pre-v3 records)
-	// recovers as the default tenant.
+	// Tenant names the submitting principal.
 	Tenant string `json:"tenant,omitempty"`
 	// DeckHash is the deck's canonical content hash.
 	DeckHash string `json:"deck_hash,omitempty"`
@@ -54,8 +51,7 @@ type jobRecord struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Traceparent is the job's distributed-trace propagation context
 	// (trace ID + deterministic root span ID), so a restarted daemon
-	// keeps extending the same trace. Optional, like RequestID, so
-	// records from before the field are still valid.
+	// keeps extending the same trace.
 	Traceparent string `json:"traceparent,omitempty"`
 	// TraceRemoteParent is the client span ID the trace root is
 	// remotely parented to, so the link survives a restart.
@@ -63,8 +59,8 @@ type jobRecord struct {
 }
 
 // jobRecordVersion 3 added the tenancy and result-cache fields; 2 added
-// the envelope seal and the supervision fields. Version-1 records (raw
-// JSON) and version-2 records are still readable.
+// the envelope seal and the supervision fields. Only version 3 is read:
+// the fsck quarantines older records, and raw-JSON ones, with a reason.
 const jobRecordVersion = 3
 
 // quarantineDir is where the startup fsck moves files it refuses to
@@ -84,7 +80,8 @@ func (m *Manager) checkpointPath(id string) string {
 // manager without a state directory persists nothing. Success and
 // failure feed the degraded-mode flag: an unwritable state directory
 // turns the daemon read-only in-memory instead of crashing it, and the
-// next successful write turns it back.
+// next successful write turns it back. A failure is logged here, so
+// callers that can do nothing more about it ignore the error.
 func (m *Manager) persist(j *Job) error {
 	if m.opt.StateDir == "" {
 		return nil
@@ -111,13 +108,14 @@ func (m *Manager) persist(j *Job) error {
 	rec.TraceRemoteParent = j.traceRemote
 
 	data, err := json.MarshalIndent(&rec, "", "  ")
+	if err == nil {
+		err = m.writeState(m.jobPath(j.ID), data)
+	}
 	if err != nil {
-		return fmt.Errorf("server: marshal job %s: %w", j.ID, err)
+		err = fmt.Errorf("server: persist job %s: %w", j.ID, err)
+		m.jlog(j).Error("persist failed", "err", err)
 	}
-	if err := m.writeState(m.jobPath(j.ID), data); err != nil {
-		return fmt.Errorf("server: persist job %s: %w", j.ID, err)
-	}
-	return nil
+	return err
 }
 
 // writeState writes one state-directory file as a sealed envelope and
@@ -160,10 +158,10 @@ func (m *Manager) Degraded() bool {
 	return m.degraded
 }
 
-// removeCheckpoint deletes a job's checkpoint once it reaches a terminal
-// state — the snapshot only exists to survive a crash mid-run.
-func (m *Manager) removeCheckpoint(j *Job, st State) {
-	if m.opt.StateDir == "" || !st.terminal() {
+// removeCheckpoint deletes a job's checkpoint as it turns terminal —
+// the snapshot only exists to survive a crash mid-run.
+func (m *Manager) removeCheckpoint(j *Job) {
+	if m.opt.StateDir == "" {
 		return
 	}
 	if err := m.fsys.Remove(m.checkpointPath(j.ID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -238,7 +236,12 @@ func (m *Manager) recover() error {
 			continue
 		}
 
-		rec, why := m.loadRecord(name)
+		data, err := m.fsys.ReadFile(filepath.Join(m.opt.StateDir, name))
+		if err != nil {
+			m.quarantine(name, fmt.Sprintf("unreadable: %v", err))
+			continue
+		}
+		rec, why := loadRecord(name, data)
 		if rec == nil {
 			m.quarantine(name, why)
 			continue
@@ -247,16 +250,12 @@ func (m *Manager) recover() error {
 			m.quarantine(name, fmt.Sprintf("duplicate job ID %s", rec.ID))
 			continue
 		}
-		tenant := rec.Tenant
-		if tenant == "" {
-			tenant = tenancy.DefaultTenantName
-		}
 		j := &Job{
 			ID:        rec.ID,
 			Deck:      rec.Deck,
 			Options:   rec.Options,
 			Created:   rec.Created,
-			Tenant:    tenant,
+			Tenant:    rec.Tenant,
 			DeckHash:  rec.DeckHash,
 			state:     rec.State,
 			err:       rec.Error,
@@ -267,22 +266,19 @@ func (m *Manager) recover() error {
 			cacheHit:  rec.CacheHit,
 			bestCost:  math.NaN(),
 		}
-		// Recompute the cache key (and a missing hash) so a recovered
-		// job's eventual result still lands in the cache.
-		if dh, ck, err := cacheKeyFor(rec.Deck, rec.Options); err == nil {
+		// Recompute the cache key so a recovered job's eventual result
+		// still lands in the cache.
+		if _, ck, err := cacheKeyFor(rec.Deck, rec.Options); err == nil {
 			j.cacheKey = ck
-			if j.DeckHash == "" {
-				j.DeckHash = dh
-			}
 		}
 		switch rec.State {
 		case StateDone, StateFailed, StateCancelled, StatePoisoned:
 			// No live recorder: GET /trace serves the durable snapshot the
-			// terminal transition sealed (409 for pre-tracing records).
+			// terminal transition sealed (409 when there is none).
 			j.events = append(j.events, Event{Type: "state", State: rec.State, Error: rec.Error})
 		case StateQueued, StateRunning:
-			// Re-attach the persisted trace context (or derive one for
-			// pre-tracing records) and replay the previous incarnation's
+			// Re-attach the persisted trace context (or derive one when it
+			// does not parse) and replay the previous incarnation's
 			// completed spans, so the resumed job stays one trace tree.
 			if tc, terr := trace.Parse(rec.Traceparent); terr == nil {
 				m.attachJobTrace(j, tc, rec.TraceRemoteParent)
@@ -345,28 +341,22 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// loadRecord reads and verifies one job-<id>.json. On failure it returns
-// a nil record and the quarantine reason.
-func (m *Manager) loadRecord(name string) (*jobRecord, string) {
-	data, err := m.fsys.ReadFile(filepath.Join(m.opt.StateDir, name))
-	if err != nil {
-		return nil, fmt.Sprintf("unreadable: %v", err)
-	}
+// loadRecord verifies the contents of one job-<id>.json: a sealed
+// envelope holding a jobRecordVersion record whose ID matches the file
+// name. On failure it returns a nil record and the quarantine reason.
+func loadRecord(name string, data []byte) (*jobRecord, string) {
 	if len(data) == 0 {
 		return nil, "zero-byte record"
 	}
-	payload := data
-	if durable.IsSealed(data) {
-		payload, err = durable.Open(data)
-		if err != nil {
-			return nil, fmt.Sprintf("envelope verification failed: %v", err)
-		}
+	payload, err := durable.Open(data)
+	if err != nil {
+		return nil, fmt.Sprintf("envelope verification failed: %v", err)
 	}
 	var rec jobRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, fmt.Sprintf("corrupt JSON: %v", err)
 	}
-	if rec.Version < 1 || rec.Version > jobRecordVersion {
+	if rec.Version != jobRecordVersion {
 		return nil, fmt.Sprintf("unsupported record version %d", rec.Version)
 	}
 	if rec.ID == "" {

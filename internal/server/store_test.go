@@ -163,41 +163,111 @@ func TestFsckRunningRecordWithoutCheckpoint(t *testing.T) {
 	}
 }
 
-// TestFsckAcceptsLegacyRawRecord: version-1 records predate the sealed
-// envelope; a raw-JSON record must still recover so an upgraded daemon
-// serves history written by its predecessor.
-func TestFsckAcceptsLegacyRawRecord(t *testing.T) {
+// TestFsckQuarantinesLegacyRecords: the daemon writes only sealed
+// records at jobRecordVersion, so a raw-JSON record from before the
+// envelope and a sealed record of an older version are quarantined with
+// their reasons — kept for inspection, never dropped — and startup goes
+// on without them.
+func TestFsckQuarantinesLegacyRecords(t *testing.T) {
 	dir := t.TempDir()
-	rec := jobRecord{
+	raw := jobRecord{
 		Version: 1, ID: "1234aaaabbbb", Deck: testDeck,
 		Created: time.Now(), State: StateFailed, Error: "legacy failure",
 		Result: &JobResult{ID: "1234aaaabbbb", State: StateFailed, Error: "legacy failure"},
 	}
-	data, err := json.MarshalIndent(&rec, "", "  ")
+	data, err := json.MarshalIndent(&raw, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "job-1234aaaabbbb.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	v2 := jobRecord{Version: 2, ID: "5678aaaabbbb", Deck: testDeck,
+		Created: time.Now(), State: StateQueued, Options: JobOptions{Seed: 1, MaxMoves: 3000, Runs: 1}}
+	writeSealedRecord(t, dir, "job-5678aaaabbbb.json", v2)
 
 	m := newTestManager(t, Options{StateDir: dir, Workers: 1})
-	j := m.Get("1234aaaabbbb")
-	if j == nil || j.State() != StateFailed {
-		t.Fatalf("legacy record not recovered: %+v", j)
+	quarantinedWithReason(t, dir, "job-1234aaaabbbb.json", "no envelope header")
+	quarantinedWithReason(t, dir, "job-5678aaaabbbb.json", "unsupported record version 2")
+	if got := len(m.Jobs()); got != 0 {
+		t.Errorf("recovered %d jobs from legacy records, want 0", got)
 	}
-	if res := j.Result(); res == nil || res.Error != "legacy failure" {
-		t.Errorf("legacy result: %+v", res)
+}
+
+// TestFsckCheckpointWithoutAnnealState: a running job's checkpoint that
+// has the right version but no annealer state, sealed or raw, is
+// quarantined and the job restarts from scratch; recovery must never
+// read the move of an annealer state that is not there.
+func TestFsckCheckpointWithoutAnnealState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"sealed", durable.Seal([]byte(`{"version":1}`))},
+		{"raw", []byte(`{"version":1}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			rec := jobRecord{
+				Version: jobRecordVersion, ID: "abcd33334444", Deck: testDeck,
+				Options: JobOptions{Seed: 1, MaxMoves: 3000, Runs: 1},
+				Created: time.Now(), State: StateRunning, Tenant: "default",
+			}
+			writeSealedRecord(t, dir, "job-abcd33334444.json", rec)
+			if err := os.WriteFile(filepath.Join(dir, "job-abcd33334444.ckpt"), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m := newTestManager(t, Options{StateDir: dir, ExternalExec: true})
+			quarantinedWithReason(t, dir, "job-abcd33334444.ckpt", "unreadable checkpoint")
+			j := m.Get("abcd33334444")
+			if j == nil || j.State() != StateQueued {
+				t.Fatalf("job not requeued: %v", j)
+			}
+			if m.ResumePayload(j) != nil {
+				t.Error("job resumes from a quarantined checkpoint")
+			}
+		})
 	}
-	// The next persist upgrades it to a sealed envelope in place.
-	if err := m.persist(j); err != nil {
-		t.Fatal(err)
+}
+
+// FuzzJobRecord holds the job-record reader to never panicking, and to
+// accepting only sealed records at jobRecordVersion whose ID matches the
+// file name.
+func FuzzJobRecord(f *testing.F) {
+	good := func(rec jobRecord) []byte {
+		data, err := json.Marshal(&rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return durable.Seal(data)
 	}
-	upgraded, err := os.ReadFile(filepath.Join(dir, "job-1234aaaabbbb.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !durable.IsSealed(upgraded) {
-		t.Error("persist did not upgrade the legacy record to a sealed envelope")
-	}
+	f.Add("job-aaaa11112222.json", good(jobRecord{Version: jobRecordVersion, ID: "aaaa11112222",
+		Deck: testDeck, State: StateDone, Tenant: "default"}))
+	f.Add("job-aaaa11112222.json", good(jobRecord{Version: 2, ID: "aaaa11112222", State: StateQueued}))
+	f.Add("job-bbbb.json", good(jobRecord{Version: jobRecordVersion, ID: "aaaa11112222"}))
+	f.Add("job-aaaa11112222.json", []byte(`{"version":3,"id":"aaaa11112222","state":"done"}`))
+	f.Add("job-.json", good(jobRecord{Version: jobRecordVersion}))
+	f.Add("job-x.json", []byte{})
+	f.Fuzz(func(t *testing.T, name string, data []byte) {
+		rec, why := loadRecord(name, data)
+		if rec == nil {
+			if why == "" {
+				t.Fatal("refused record without a reason")
+			}
+			return
+		}
+		payload, err := durable.Open(data)
+		if err != nil {
+			t.Fatalf("accepted an unsealed record: %v", err)
+		}
+		var raw struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(payload, &raw); err != nil || raw.Version != jobRecordVersion {
+			t.Fatalf("accepted record version %d (err %v), want %d", raw.Version, err, jobRecordVersion)
+		}
+		if rec.Version != jobRecordVersion || rec.ID == "" || name != "job-"+rec.ID+".json" {
+			t.Fatalf("accepted record version %d ID %q as %q", rec.Version, rec.ID, name)
+		}
+	})
 }
