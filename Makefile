@@ -54,15 +54,18 @@ race:
 # and to accepting only current-version checkpoints with annealer and
 # weight state; FuzzJobRecord holds the job-record reader to never
 # panicking and to accepting only sealed current-version records whose
-# ID matches the file name.
+# ID matches the file name. Every line bounds input minimization to 100
+# runs: at the default 60 s budget a worker that found a new input could
+# spend the rest of the 10 s minimizing it, fuzzing a few thousand
+# inputs per target instead of exploring.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s ./internal/devices
-	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s ./internal/astrx
-	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s ./internal/netlist
-	$(GO) test -run '^$$' -fuzz '^FuzzPadeSearch$$' -fuzztime=10s ./internal/awe
-	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime=10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/oblx
-	$(GO) test -run '^$$' -fuzz '^FuzzJobRecord$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzMOSEvalSplit$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/devices
+	$(GO) test -run '^$$' -fuzz '^FuzzJigReuse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/astrx
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzPadeSearch$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/awe
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/oblx
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRecord$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -63,7 +63,7 @@ func main() {
 
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		telemSample = flag.Int("telemetry-sample", 64, "sample 1 in N evaluations for per-stage timing (0: off)")
+		telemSample = flag.Int("telemetry-sample", telemetry.DefaultSampleEvery, "sample 1 in N evaluations for per-stage timing (0: off)")
 		traceRecs   = flag.Int("trace-records", 0, "per-job sampled-eval trace-span ring size (0: default 256)")
 
 		apiKeysFile = flag.String("api-keys-file", "", "JSON tenant/API-key file; requests must then authenticate (empty: open mode). SIGHUP reloads it")

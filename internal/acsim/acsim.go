@@ -34,7 +34,7 @@ type Analyzer struct {
 	// pattern is frequency-independent away from exact cancellations, so
 	// after the first point every factorization is a sparse replay over
 	// the cached symbolic analysis instead of a fresh dense allocation.
-	lu linalg.AutoCLU
+	lu linalg.AutoLU[complex128]
 }
 
 // NewAnalyzer prepares an analyzer for the given system.

@@ -140,20 +140,25 @@ type TracePoint struct {
 	Quality []float64
 }
 
-// Options tunes a Run. The zero value gives sensible defaults.
+// Freezing: a run stops early when, for freezeStages consecutive stages
+// of stageMoves moves, no accepted move changed a discrete variable and
+// accepted continuous changes stayed below freezeTol relative to the
+// variable range. Stages also pace the Hustin selector's decay.
+const (
+	stageMoves   = 1000
+	freezeStages = 8
+	freezeTol    = 1e-4
+)
+
+// Options tunes a Run. The zero value gives sensible defaults; the
+// initial temperature is always calibrated from a short random walk.
 type Options struct {
 	Seed     int64
-	MaxMoves int     // total move budget (0 → 200_000)
-	T0       float64 // initial temperature (0 → auto-calibrated)
+	MaxMoves int // total move budget (0 → 200_000)
 
-	// Freezing: stop early when, for FreezeStages consecutive stages
-	// (one stage = StageMoves moves), no accepted move changed a discrete
-	// variable and accepted continuous changes stayed below FreezeTol
-	// relative to the variable range. A negative FreezeStages disables
-	// freezing entirely (fixed-budget runs).
-	StageMoves   int     // 0 → 1000
-	FreezeStages int     // 0 → 8; < 0 → never freeze
-	FreezeTol    float64 // 0 → 1e-4
+	// NoFreeze disables freezing, so the run consumes its whole move
+	// budget (fixed-budget runs).
+	NoFreeze bool
 
 	// Trace, when set, receives a TracePoint every TraceEvery moves.
 	Trace      func(TracePoint)
@@ -196,15 +201,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.MaxMoves == 0 {
 		o.MaxMoves = 200_000
-	}
-	if o.StageMoves == 0 {
-		o.StageMoves = 1000
-	}
-	if o.FreezeStages == 0 {
-		o.FreezeStages = 8
-	}
-	if o.FreezeTol == 0 {
-		o.FreezeTol = 1e-4
 	}
 	if o.TraceEvery == 0 {
 		o.TraceEvery = 500
@@ -317,10 +313,7 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 
 		// --- Initial temperature: Aarts/White style calibration from the
 		// cost deltas of a short random walk.
-		temp = opt.T0
-		if temp <= 0 {
-			temp = calibrateT0(p, moves, cur, curCost, rng)
-		}
+		temp = calibrateT0(p, moves, cur, curCost, rng)
 		// Warming is bounded: cost cliffs (failed evaluations) must not
 		// run the temperature away.
 		tMax = temp * 1e3
@@ -490,8 +483,8 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 		}
 
 		// Stage bookkeeping for the freezing criterion.
-		if (mv+1)%opt.StageMoves == 0 {
-			if !stageDiscreteChanged && stageMaxContChange < opt.FreezeTol {
+		if (mv+1)%stageMoves == 0 {
+			if !stageDiscreteChanged && stageMaxContChange < freezeTol {
 				frozenStages++
 			} else {
 				frozenStages = 0
@@ -499,7 +492,7 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 			stageDiscreteChanged = false
 			stageMaxContChange = 0
 			sel.stageReset()
-			if opt.FreezeStages > 0 && frozenStages >= opt.FreezeStages {
+			if !opt.NoFreeze && frozenStages >= freezeStages {
 				froze = true
 				mv++
 				break

@@ -37,7 +37,7 @@ func TestRunCancellationReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var cancelledAt int
 	opt := Options{
-		Seed: 5, MaxMoves: 1_000_000, FreezeStages: -1,
+		Seed: 5, MaxMoves: 1_000_000, NoFreeze: true,
 		TraceEvery: 100,
 		Trace: func(tp TracePoint) {
 			if tp.Move >= 2000 && cancelledAt == 0 {
@@ -89,7 +89,7 @@ func TestNonFiniteCostsAreRejected(t *testing.T) {
 	// stay outside the poisoned region.
 	p := quadProblem(2, func(x []float64) bool { return x[0] > 2 })
 	res, err := Run(context.Background(), p, stdMoves(p), Options{
-		Seed: 3, MaxMoves: 20_000, FreezeStages: -1,
+		Seed: 3, MaxMoves: 20_000, NoFreeze: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestNonFiniteInitialCost(t *testing.T) {
 	// Start point is poisoned: the run must not wedge on a NaN best.
 	p := quadProblem(2, func(x []float64) bool { return x[0] == 0 && x[1] == 0 })
 	res, err := Run(context.Background(), p, stdMoves(p), Options{
-		Seed: 4, MaxMoves: 5_000, FreezeStages: -1,
+		Seed: 4, MaxMoves: 5_000, NoFreeze: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func resumeRun(t *testing.T, p Problem, opt Options, cancelAt int) *Result {
 
 func TestCheckpointResumeIsDeterministic(t *testing.T) {
 	mk := func() Problem { return quadProblem(3, nil) }
-	opt := Options{Seed: 17, MaxMoves: 12_000, FreezeStages: -1}
+	opt := Options{Seed: 17, MaxMoves: 12_000, NoFreeze: true}
 
 	full, err := Run(context.Background(), mk(), stdMoves(mk()), opt)
 	if err != nil {

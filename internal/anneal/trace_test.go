@@ -29,7 +29,7 @@ func TestTracePointFlightFields(t *testing.T) {
 
 	var progress, trace []TracePoint
 	_, err := Run(context.Background(), p, moves, Options{
-		Seed: 7, MaxMoves: 4000, FreezeStages: -1,
+		Seed: 7, MaxMoves: 4000, NoFreeze: true,
 		Progress: func(tp TracePoint) { progress = append(progress, tp) }, ProgressEvery: 100,
 		Trace: func(tp TracePoint) { trace = append(trace, tp) }, TraceEvery: 100,
 	})

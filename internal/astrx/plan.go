@@ -342,7 +342,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	// Dotted spec identifiers: resolve the device and validate the
 	// parameter name once (both are value-independent).
 	for _, s := range c.Deck.Specs {
-		walkExpr(s.Expr, func(n expr.Node) {
+		expr.Walk(s.Expr, func(n expr.Node) {
 			v, ok := n.(*expr.Var)
 			if !ok {
 				return
@@ -442,11 +442,11 @@ func (p *evalPlan) linkSeriesResistors(c *Compiled) {
 func fittedTFs(specs []*netlist.Spec) map[string]bool {
 	fitted := make(map[string]bool)
 	for _, s := range specs {
-		walkExpr(s.Expr, func(n expr.Node) {
+		expr.Walk(s.Expr, func(n expr.Node) {
 			// Measurements name their transfer function in the first
 			// argument, as a bare identifier.
 			c, ok := n.(*expr.Call)
-			if !ok || !tfFuncs[c.Fn] || c.Fn == "dc_gain" || len(c.Args) == 0 {
+			if !ok || !netlist.IsTFMeasure(c.Fn) || c.Fn == "dc_gain" || len(c.Args) == 0 {
 				return
 			}
 			if v, ok := c.Args[0].(*expr.Var); ok {
@@ -537,24 +537,6 @@ func qJacSelection(bN, eN, cN int) []qjacSel {
 		}
 	}
 	return sel
-}
-
-// walkExpr visits every node of an expression tree, parents before
-// their operands and function-call arguments (Call.Eval resolves bare
-// identifier arguments through Env.Var as well).
-func walkExpr(n expr.Node, fn func(expr.Node)) {
-	fn(n)
-	switch t := n.(type) {
-	case *expr.Call:
-		for _, a := range t.Args {
-			walkExpr(a, fn)
-		}
-	case *expr.Unary:
-		walkExpr(t.X, fn)
-	case *expr.Binary:
-		walkExpr(t.L, fn)
-		walkExpr(t.R, fn)
-	}
 }
 
 // buildPowerPlan simulates the golden-file power() peeling loop, which is

@@ -11,6 +11,7 @@ import (
 	"astrx/internal/expr"
 	"astrx/internal/linalg"
 	"astrx/internal/mna"
+	"astrx/internal/netlist"
 	"astrx/internal/telemetry"
 )
 
@@ -916,13 +917,6 @@ type wsSpecEnv struct {
 	backend TFBackend
 }
 
-// tfFuncs lists the measurement functions that take a transfer-function
-// name as their first argument.
-var tfFuncs = map[string]bool{
-	"dc_gain": true, "ugf": true, "phase_margin": true, "bw3db": true,
-	"pole": true, "zero": true, "gain_at": true,
-}
-
 func (e *wsSpecEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
 
 // Var resolves design variables, constants, and precompiled dotted
@@ -945,7 +939,7 @@ func (e *wsSpecEnv) Var(name string) (float64, bool) {
 // the bias circuit, falling back to the math built-ins.
 func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 	ws := e.ws
-	if e.backend != nil && tfFuncs[fn] && len(args) >= 1 && args[0].IsName {
+	if e.backend != nil && netlist.IsTFMeasure(fn) && len(args) >= 1 && args[0].IsName {
 		v, handled, err := e.backend.Measure(fn, args[0].Name, args[1:])
 		if err != nil {
 			return 0, err

@@ -28,7 +28,7 @@ type Engine struct {
 	// sampled per-stage timers. A nil clock costs a single branch.
 	Clock *telemetry.Clock
 
-	lu       linalg.AutoLU
+	lu       linalg.AutoLU[float64]
 	cur, nxt []float64 // moment recursion scratch
 	cnz      []cEntry  // nonzero entries of C, row-major
 

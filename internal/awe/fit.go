@@ -90,16 +90,9 @@ func growC(s []complex128, n int) []complex128 {
 	return s[:n]
 }
 
-func reuseMat(m *linalg.Matrix, r, c int) {
+func reuseMat[T linalg.Scalar](m *linalg.Dense[T], r, c int) {
 	if cap(m.Data) < r*c {
-		m.Data = make([]float64, r*c)
-	}
-	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
-}
-
-func reuseCMat(m *linalg.CMatrix, r, c int) {
-	if cap(m.Data) < r*c {
-		m.Data = make([]complex128, r*c)
+		m.Data = make([]T, r*c)
 	}
 	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
 }
@@ -397,7 +390,7 @@ func (ws *FitWorkspace) fitOrder(mu []float64, q int) (float64, bool) {
 		}
 	}
 	// Residue recovery: μ_k = Σ c_i λ_i^k for k = 0..q-1 (Vandermonde).
-	reuseCMat(&ws.v, q, q)
+	reuseMat(&ws.v, q, q)
 	for i := 0; i < q; i++ {
 		p := complex128(1)
 		for k := 0; k < q; k++ {

@@ -173,7 +173,7 @@ func (ws *FitWorkspace) refTryFit(mu []float64, q int) (float64, bool) {
 		}
 	}
 	// Residue recovery: μ_k = Σ c_i λ_i^k for k = 0..q-1 (Vandermonde).
-	reuseCMat(&ws.v, q, q)
+	reuseMat(&ws.v, q, q)
 	for i := 0; i < q; i++ {
 		p := complex128(1)
 		for k := 0; k < q; k++ {

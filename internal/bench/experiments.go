@@ -199,7 +199,7 @@ func FormatAWEScaling(pts []AWEPoint) string {
 			p.Nodes, p.AWETime.Round(time.Microsecond), p.ACTime.Round(time.Microsecond),
 			p.Speedup, p.MaxRelErr)
 	}
-	fmt.Fprintf(&b, "empirical AWE cost exponent: O(n^%.2f) (dense LU here; the paper's sparse implementation gave ~O(n^1.4))\n",
+	fmt.Fprintf(&b, "empirical AWE cost exponent: O(n^%.2f) (sparse LU here and in the paper, which gave ~O(n^1.4))\n",
 		FitExponent(pts))
 	return b.String()
 }

@@ -66,7 +66,7 @@ type Workspace struct {
 	// reused Workspace, every subsequent factor is a sparse replay — and
 	// falls back to dense partial pivoting when a pivot guard trips, so
 	// singular-Jacobian verdicts are identical to the dense-only solver.
-	lu linalg.AutoLU
+	lu linalg.AutoLU[float64]
 }
 
 // size readies every buffer for an n-unknown solve.

@@ -190,6 +190,26 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + string(b.Op) + b.R.String() + ")"
 }
 
+// Walk visits every node of an expression tree in preorder: a node
+// before its operands and call arguments, left to right.
+func Walk(n Node, visit func(Node)) {
+	if n == nil {
+		return
+	}
+	visit(n)
+	switch t := n.(type) {
+	case *Unary:
+		Walk(t.X, visit)
+	case *Binary:
+		Walk(t.L, visit)
+		Walk(t.R, visit)
+	case *Call:
+		for _, a := range t.Args {
+			Walk(a, visit)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // SPICE-style number parsing
 

@@ -275,3 +275,29 @@ func TestCallStringContainsArgs(t *testing.T) {
 		t.Errorf("String() = %q, want pole call rendering", s)
 	}
 }
+
+// TestWalkPreorder pins the visiting order the deck validator and the
+// plan compiler rely on: each node before its operands and arguments,
+// left to right; a nil tree visits nothing.
+func TestWalkPreorder(t *testing.T) {
+	var got []string
+	Walk(MustParse("-db(dc_gain(tf)) + 2*x"), func(n Node) {
+		switch n := n.(type) {
+		case *Num:
+			got = append(got, n.String())
+		case *Var:
+			got = append(got, n.Name)
+		case *Call:
+			got = append(got, n.Fn+"()")
+		case *Unary:
+			got = append(got, "neg")
+		case *Binary:
+			got = append(got, string(n.Op))
+		}
+	})
+	want := "+ neg db() dc_gain() tf * 2 x"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("preorder %q, want %q", s, want)
+	}
+	Walk(nil, func(Node) { t.Error("visited a nil tree") })
+}

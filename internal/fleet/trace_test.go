@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"astrx/internal/retry"
 	"astrx/internal/server"
+	"astrx/internal/telemetry"
 	"astrx/internal/trace"
 )
 
@@ -157,6 +159,48 @@ func TestFleetTraceparentPropagation(t *testing.T) {
 				t.Errorf("claim spans: %d, want 1", len(byName["claim"]))
 			}
 		})
+	}
+}
+
+// TestFleetStageTiming: a fleet lease times its evaluations at the
+// daemon's cadence, so a committed job's anneal span carries the
+// stage.<name>_us means a local job's does, and the samples arrive as
+// eval spans under it. The worker beats only every two seconds, so one
+// ship buffer collects more eval spans than the eval ring holds, and
+// the anneal span must still ship.
+func TestFleetStageTiming(t *testing.T) {
+	opt := fastFleetOptions()
+	opt.LeaseTTL, opt.HeartbeatEvery = 10*time.Second, 2*time.Second
+	f := startFleet(t, server.Options{}, opt)
+	f.startWorker(WorkerOptions{ID: "w1"})
+	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 8000, NoFreeze: true})
+	f.waitState(id, server.StateDone, 120*time.Second)
+
+	byName := map[string][]*trace.Node{}
+	flatten(f.getTrace(id).Tree, byName)
+	if len(byName["anneal"]) != 1 {
+		t.Fatalf("anneal spans: %d, want 1", len(byName["anneal"]))
+	}
+	anneal := byName["anneal"][0]
+	for _, st := range telemetry.StageNames() {
+		if _, err := strconv.ParseFloat(anneal.Attrs["stage."+st+"_us"], 64); err != nil {
+			t.Errorf("anneal span stage.%s_us = %q", st, anneal.Attrs["stage."+st+"_us"])
+		}
+	}
+	evals := 0
+	var count func([]*trace.Node)
+	count = func(nodes []*trace.Node) {
+		for _, n := range nodes {
+			if strings.HasPrefix(n.Name, "eval:") {
+				evals++
+			}
+			count(n.Children)
+		}
+	}
+	count(anneal.Children)
+	t.Logf("%d eval spans under the anneal span", evals)
+	if evals == 0 {
+		t.Error("no eval spans under the anneal span")
 	}
 }
 

@@ -6,52 +6,12 @@ import (
 	"math/cmplx"
 )
 
-// CMatrix is a dense, row-major complex matrix, used for direct AC
-// analysis where the MNA system is (G + jωC).
-type CMatrix struct {
-	Rows, Cols int
-	Data       []complex128
-}
-
-// NewCMatrix returns a zeroed r×c complex matrix.
-func NewCMatrix(r, c int) *CMatrix {
-	if r < 0 || c < 0 {
-		panic("linalg: negative matrix dimension")
-	}
-	return &CMatrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
-}
-
-// At returns the element at row i, column j.
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
-// Add adds v to the element at row i, column j.
-func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
-
-// Zero resets every element without reallocating.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // CLU is an LU factorization with partial pivoting of a square complex
 // matrix.
 type CLU struct {
 	n     int
 	lu    []complex128
 	pivot []int
-}
-
-// FactorCLU factors the square complex matrix a; a is not modified.
-func FactorCLU(a *CMatrix) (*CLU, error) {
-	f := new(CLU)
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Factor recomputes the factorization of a in place, reusing the
@@ -155,24 +115,13 @@ func (f *CLU) SolveInPlace(b []complex128) {
 	}
 }
 
-// PolyRoots finds all complex roots of the polynomial
-//
-//	c[0] + c[1]·x + c[2]·x² + … + c[n]·xⁿ
-//
-// using the Aberth–Ehrlich simultaneous iteration, which is robust for
-// the modest degrees (q ≤ 10) that AWE Padé reduction needs and
-// converges cubically — a typical Padé characteristic polynomial
-// finishes in under a dozen sweeps where Durand–Kerner needed several
-// times that. Leading zero coefficients are trimmed. It returns an
-// error when the iteration fails to converge.
-func PolyRoots(c []complex128) ([]complex128, error) {
-	var rf RootFinder
-	return rf.Roots(c)
-}
-
-// RootFinder is a reusable-storage polynomial root finder. The zero
-// value is ready to use; after the first call, Roots allocates nothing
-// for polynomials of the same or smaller degree.
+// RootFinder finds all complex roots of a polynomial with the
+// Aberth–Ehrlich simultaneous iteration, which is robust for the modest
+// degrees (q ≤ 10) that AWE Padé reduction needs and converges
+// cubically — a typical Padé characteristic polynomial finishes in
+// under a dozen sweeps where Durand–Kerner needed several times that.
+// The zero value is ready to use; after the first call, Roots allocates
+// nothing for polynomials of the same or smaller degree.
 type RootFinder struct {
 	coef  []complex128
 	roots []complex128
@@ -181,9 +130,14 @@ type RootFinder struct {
 	hullY []float64
 }
 
-// Roots behaves exactly like PolyRoots but reuses the receiver's
-// buffers. The returned slice aliases the finder's storage and is only
-// valid until the next Roots call.
+// Roots returns the roots of the polynomial
+//
+//	c[0] + c[1]·x + c[2]·x² + … + c[n]·xⁿ
+//
+// after trimming leading zero coefficients. It returns an error when
+// the degree is below 1 or the iteration fails to converge. The
+// returned slice aliases the finder's storage and is only valid until
+// the next Roots call.
 func (rf *RootFinder) Roots(c []complex128) ([]complex128, error) {
 	// Trim leading (highest-degree) zeros.
 	deg := len(c) - 1
@@ -191,7 +145,7 @@ func (rf *RootFinder) Roots(c []complex128) ([]complex128, error) {
 		deg--
 	}
 	if deg <= 0 {
-		return nil, fmt.Errorf("linalg: PolyRoots degree %d polynomial has no roots", deg)
+		return nil, fmt.Errorf("linalg: Roots: degree %d polynomial has no roots", deg)
 	}
 	// Normalize to monic to improve conditioning.
 	if cap(rf.coef) < deg+1 {
@@ -296,7 +250,7 @@ func (rf *RootFinder) Roots(c []complex128) ([]complex128, error) {
 			return roots, nil
 		}
 	}
-	return roots, fmt.Errorf("linalg: PolyRoots failed to converge for degree %d", deg)
+	return roots, fmt.Errorf("linalg: Roots failed to converge for degree %d", deg)
 }
 
 // initialGuesses seeds the iteration using Bini's Newton-polygon

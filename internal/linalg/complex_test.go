@@ -25,8 +25,8 @@ func TestCLUSolveKnown(t *testing.T) {
 	// (1+j)x = 2j  =>  x = 2j/(1+j) = 1+j
 	a := NewCMatrix(1, 1)
 	a.Set(0, 0, 1+1i)
-	f, err := FactorCLU(a)
-	if err != nil {
+	var f CLU
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	x := f.Solve([]complex128{2i})
@@ -41,8 +41,9 @@ func TestCLUSingular(t *testing.T) {
 	a.Set(0, 1, 1i)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 2i)
-	if _, err := FactorCLU(a); err == nil {
-		t.Error("FactorCLU on singular complex matrix returned nil error")
+	var f CLU
+	if err := f.Factor(a); err == nil {
+		t.Error("Factor on singular complex matrix returned nil error")
 	}
 }
 
@@ -79,8 +80,8 @@ func TestCLURoundTrip(t *testing.T) {
 			}
 			b[i] = s
 		}
-		f, err := FactorCLU(a)
-		if err != nil {
+		var f CLU
+		if err := f.Factor(a); err != nil {
 			t.Fatal(err)
 		}
 		got := f.Solve(b)
@@ -103,7 +104,7 @@ func sortRoots(r []complex128) {
 
 func TestPolyRootsQuadratic(t *testing.T) {
 	// (x-1)(x-2) = x² - 3x + 2
-	roots, err := PolyRoots([]complex128{2, -3, 1})
+	roots, err := new(RootFinder).Roots([]complex128{2, -3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestPolyRootsQuadratic(t *testing.T) {
 
 func TestPolyRootsComplexPair(t *testing.T) {
 	// x² + 1 = 0 → ±j
-	roots, err := PolyRoots([]complex128{1, 0, 1})
+	roots, err := new(RootFinder).Roots([]complex128{1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPolyRootsComplexPair(t *testing.T) {
 
 func TestPolyRootsScaledLeading(t *testing.T) {
 	// 3(x-5)(x+2) — non-monic input must be normalized.
-	roots, err := PolyRoots([]complex128{-30, -9, 3})
+	roots, err := new(RootFinder).Roots([]complex128{-30, -9, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPolyRootsScaledLeading(t *testing.T) {
 
 func TestPolyRootsTrimsLeadingZeros(t *testing.T) {
 	// 2 - 2x + 0x² → single root at 1.
-	roots, err := PolyRoots([]complex128{2, -2, 0})
+	roots, err := new(RootFinder).Roots([]complex128{2, -2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPolyRootsTrimsLeadingZeros(t *testing.T) {
 }
 
 func TestPolyRootsDegreeZero(t *testing.T) {
-	if _, err := PolyRoots([]complex128{5}); err == nil {
+	if _, err := new(RootFinder).Roots([]complex128{5}); err == nil {
 		t.Error("degree-0 polynomial should return an error")
 	}
 }
@@ -177,7 +178,7 @@ func TestPolyRootsReconstruction(t *testing.T) {
 			}
 			coef = next
 		}
-		roots, err := PolyRoots(coef)
+		roots, err := new(RootFinder).Roots(coef)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

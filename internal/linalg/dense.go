@@ -1,15 +1,17 @@
-// Package linalg provides the small dense linear-algebra kernel that the
-// rest of the system builds on: real and complex dense matrices, LU
-// factorization with partial pivoting, linear solves, and a polynomial
-// root finder used by the AWE Padé step.
+// Package linalg provides the linear-algebra kernel that the rest of
+// the system builds on: dense real and complex matrices, a sparse LU
+// factorizer for both scalar types, the dense partial-pivot LUs it
+// falls back on, and a polynomial root finder used by the AWE Padé
+// step.
 //
 // Everything is written against the standard library only. Matrices are
-// dense and row-major. Hot paths factor through AutoLU/AutoCLU
-// (sparse.go): a symbolic analysis cached per sparsity pattern, replayed
-// as flat index programs, with the dense partial-pivot LU here as the
-// fallback when a pivot guard trips. The dense code skips the
-// structural zeros of the pivot row and of the factors, which circuit
-// matrices keep many of (see DESIGN.md §4).
+// stored dense and row-major. Hot paths factor through AutoLU
+// (sparse.go), generic over float64 and complex128: a symbolic analysis
+// cached per sparsity pattern, replayed as flat index programs, with a
+// dense partial-pivot LU as the fallback when a pivot guard trips (LU
+// for real systems, CLU for complex ones). The real dense code skips
+// the structural zeros of the pivot row and of the factors, which
+// circuit matrices keep many of (see DESIGN.md §4).
 package linalg
 
 import (
@@ -22,69 +24,74 @@ import (
 // (numerically) singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// Matrix is a dense, row-major real matrix.
-type Matrix struct {
+// Scalar is the element type of the matrices and factorizers here.
+type Scalar interface{ float64 | complex128 }
+
+// Dense is a dense, row-major matrix.
+type Dense[T Scalar] struct {
 	Rows, Cols int
-	Data       []float64 // len == Rows*Cols
+	Data       []T // len == Rows*Cols
 }
 
-// NewMatrix returns a zeroed r×c matrix.
-func NewMatrix(r, c int) *Matrix {
+// Matrix is a dense real matrix: the MNA G and C matrices, Newton
+// Jacobians.
+type Matrix = Dense[float64]
+
+// CMatrix is a dense complex matrix, used for direct AC analysis where
+// the MNA system is (G + jωC).
+type CMatrix = Dense[complex128]
+
+// NewMatrix returns a zeroed r×c real matrix.
+func NewMatrix(r, c int) *Matrix { return newDense[float64](r, c) }
+
+// NewCMatrix returns a zeroed r×c complex matrix.
+func NewCMatrix(r, c int) *CMatrix { return newDense[complex128](r, c) }
+
+func newDense[T Scalar](r, c int) *Dense[T] {
 	if r < 0 || c < 0 {
 		panic("linalg: negative matrix dimension")
 	}
-	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
+	return &Dense[T]{Rows: r, Cols: c, Data: make([]T, r*c)}
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Add adds v to the element at row i, column j (the natural operation for
 // MNA stamping).
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
+func (m *Dense[T]) Add(i, j int, v T) { m.Data[i*m.Cols+j] += v }
 
 // Zero resets every element to 0 without reallocating.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Dense[T]) Zero() { clear(m.Data) }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	out := newDense[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
 // MulVec computes y = m·x. The result slice is freshly allocated.
-func (m *Matrix) MulVec(x []float64) []float64 {
+func (m *Dense[T]) MulVec(x []T) []T {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
 	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
+	y := make([]T, m.Rows)
+	m.MulVecInto(y, x)
 	return y
 }
 
 // MulVecInto computes dst = m·x without allocating; dst must have length
 // m.Rows and must not alias x.
-func (m *Matrix) MulVecInto(dst, x []float64) {
+func (m *Dense[T]) MulVecInto(dst, x []T) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("linalg: MulVecInto dimension mismatch")
 	}
 	for i := 0; i < m.Rows; i++ {
-		s := 0.0
+		var s T
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, a := range row {
 			s += a * x[j]
@@ -94,7 +101,7 @@ func (m *Matrix) MulVecInto(dst, x []float64) {
 }
 
 // String renders the matrix for debugging.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	s := ""
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
@@ -111,7 +118,6 @@ type LU struct {
 	n     int
 	lu    []float64 // packed L\U factors, row-major
 	pivot []int     // row permutation
-	sign  float64   // determinant sign from row swaps
 	scale []float64 // equilibration scratch, reused across Factor calls
 
 	// The factors' nonzero structure, indexed after the last row swap:
@@ -136,17 +142,6 @@ type LU struct {
 // A skipped product is ±0 only while the other factor is finite: a
 // non-finite multiplier, pivot-row entry or solution value makes 0·Inf
 // a NaN that must propagate, so those cases run the plain loops.
-
-// FactorLU computes the LU factorization of the square matrix a. The
-// input matrix is not modified. It returns ErrSingular when a pivot
-// underflows a scaled tolerance.
-func FactorLU(a *Matrix) (*LU, error) {
-	f := new(LU)
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
 
 // Factor recomputes the factorization of a in place, reusing the
 // receiver's factor, pivot, and scaling storage. This is the
@@ -174,7 +169,6 @@ func (f *LU) Factor(a *Matrix) error {
 	f.lu = f.lu[:n*n]
 	f.pivot = f.pivot[:n]
 	f.scale = f.scale[:n]
-	f.sign = 1
 	copy(f.lu, a.Data)
 
 	// Row scaling factors for implicit equilibration in pivot choice.
@@ -232,7 +226,6 @@ func (f *LU) Factor(a *Matrix) error {
 			}
 			scale[k], scale[p] = scale[p], scale[k]
 			rowID[k], rowID[p] = rowID[p], rowID[k]
-			f.sign = -f.sign
 		}
 		f.pivot[k] = p
 		piv := f.lu[k*n+k]
@@ -351,24 +344,6 @@ func (f *LU) SolveInPlace(b []float64) {
 			plain = true
 		}
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveLinear is a convenience that factors a and solves a·x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
 }
 
 // VecNormInf returns the infinity norm of v.

@@ -60,10 +60,11 @@ func TestLUSolveKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	x, err := SolveLinear(a, []float64{5, 10})
-	if err != nil {
+	var f LU
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
+	x := f.Solve([]float64{5, 10})
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("solution = %v, want [1 3]", x)
 	}
@@ -75,41 +76,13 @@ func TestLUSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := FactorLU(a); err == nil {
-		t.Error("FactorLU on singular matrix returned nil error")
+	var f LU
+	if err := f.Factor(a); err == nil {
+		t.Error("Factor on singular matrix returned nil error")
 	}
 	z := NewMatrix(3, 3) // all-zero row triggers the scaling check
-	if _, err := FactorLU(z); err == nil {
-		t.Error("FactorLU on zero matrix returned nil error")
-	}
-}
-
-func TestLUDeterminant(t *testing.T) {
-	a := NewMatrix(3, 3)
-	vals := [][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-24) > 1e-12 {
-		t.Errorf("Det = %v, want 24", d)
-	}
-	// Swap two rows: determinant flips sign.
-	a.Set(0, 0, 0)
-	a.Set(0, 1, 3)
-	a.Set(1, 1, 0)
-	a.Set(1, 0, 2)
-	f, err = FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d+24) > 1e-12 {
-		t.Errorf("Det after row swap = %v, want -24", d)
+	if err := f.Factor(z); err == nil {
+		t.Error("Factor on zero matrix returned nil error")
 	}
 }
 
@@ -144,10 +117,11 @@ func TestLUSolveRoundTripProperty(t *testing.T) {
 			x[i] = r.NormFloat64() * 10
 		}
 		b := a.MulVec(x)
-		got, err := SolveLinear(a, b)
-		if err != nil {
+		var lu LU
+		if err := lu.Factor(a); err != nil {
 			return false
 		}
+		got := lu.Solve(b)
 		scale := VecNormInf(x) + 1
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-8*scale {
@@ -162,14 +136,14 @@ func TestLUSolveRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: det(P·A) where a row permutation is applied only changes sign.
+// Property: A·Solve(b) reproduces b on diagonally dominant matrices.
 func TestLUSolveMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		n := rng.Intn(15) + 2
 		a := randomDiagDominant(rng, n)
-		f, err := FactorLU(a)
-		if err != nil {
+		var f LU
+		if err := f.Factor(a); err != nil {
 			t.Fatal(err)
 		}
 		b := make([]float64, n)
@@ -189,8 +163,8 @@ func TestLUSolveMatchesMulVec(t *testing.T) {
 func TestSolveInPlaceNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomDiagDominant(rng, 30)
-	f, err := FactorLU(a)
-	if err != nil {
+	var f LU
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	b := make([]float64, 30)
@@ -233,10 +207,11 @@ func TestLUPivotHeavy(t *testing.T) {
 			a.Set(i, j, rows[i][j])
 		}
 	}
-	x, err := SolveLinear(a, []float64{0, 0, 1, 0})
-	if err != nil {
+	var f LU
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
+	x := f.Solve([]float64{0, 0, 1, 0})
 	want := []float64{1, 5, 0, -5e-3}
 	for i := range want {
 		if math.Abs(x[i]-want[i]) > 1e-12 {
@@ -263,8 +238,8 @@ func TestLURandomGeneralResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		f, err := FactorLU(a)
-		if err != nil {
+		var f LU
+		if err := f.Factor(a); err != nil {
 			continue // singular by chance; skip
 		}
 		x := f.Solve(b)
@@ -315,7 +290,6 @@ func refLUFactor(f *LU, a *Matrix) error {
 	f.lu = f.lu[:n*n]
 	f.pivot = f.pivot[:n]
 	f.scale = f.scale[:n]
-	f.sign = 1
 	copy(f.lu, a.Data)
 
 	// Row scaling factors for implicit equilibration in pivot choice.
@@ -349,7 +323,6 @@ func refLUFactor(f *LU, a *Matrix) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			scale[k], scale[p] = scale[p], scale[k]
-			f.sign = -f.sign
 		}
 		f.pivot[k] = p
 		piv := f.lu[k*n+k]
@@ -450,9 +423,9 @@ func randomSparseLU(rng *rand.Rand, n, variant int) *Matrix {
 
 // TestDenseSkipsMatchReference holds the structural-zero skips to the
 // plain loops they replaced: identical ErrSingular verdicts, and on
-// success bit-identical factors, pivots and sign. Solutions must match
+// success bit-identical factors and pivots. Solutions must match
 // bit for bit except that an exact zero may differ in sign (see the
-// comment above FactorLU); right-hand sides hold −0, zeros and, now and
+// comment above LU.Factor); right-hand sides hold −0, zeros and, now and
 // then, a non-finite entry.
 func TestDenseSkipsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -478,8 +451,8 @@ func TestDenseSkipsMatchReference(t *testing.T) {
 					trial, n, variant, i/n, i%n, got.lu[i], w)
 			}
 		}
-		if !slices.Equal(got.pivot, want.pivot) || got.sign != want.sign {
-			t.Fatalf("trial %d: pivots %v sign %v, reference %v sign %v", trial, got.pivot, got.sign, want.pivot, want.sign)
+		if !slices.Equal(got.pivot, want.pivot) {
+			t.Fatalf("trial %d: pivots %v, reference %v", trial, got.pivot, want.pivot)
 		}
 		for k, p := range want.pivot {
 			if p != k {

@@ -20,14 +20,13 @@ import (
 //     storage into packed factor storage, per-step divide and
 //     multiply-subtract index triples for the numeric factorization, and
 //     forward/backward substitution programs for the solves.
-//   - SparseLU / SparseCLU replay those programs over real or complex
-//     numeric arrays with no branching on structure and no allocation
-//     after warm-up.
-//   - AutoLU / AutoCLU front the whole thing with a per-factor pattern
-//     scan, an LRU cache of symbolic analyses, and numeric guards (tiny
-//     static pivot, element growth) that fall back to the dense
-//     partial-pivot factorization when the static ordering goes
-//     numerically bad.
+//   - SparseLU replays those programs over real or complex numeric
+//     arrays with no branching on structure and no allocation after
+//     warm-up.
+//   - AutoLU fronts the whole thing with a per-factor pattern scan, an
+//     LRU cache of symbolic analyses, and numeric guards (tiny static
+//     pivot, element growth) that fall back to the dense partial-pivot
+//     factorization when the static ordering goes numerically bad.
 //
 // Determinism matters more than cleverness here: the symbolic analysis
 // is a pure function of the scanned pattern, and the guards are pure
@@ -69,24 +68,10 @@ type Pattern struct {
 	Pos []int32
 }
 
-// Scan fills p with the nonzero positions of a.
-func (p *Pattern) Scan(a *Matrix) {
+// scanPattern fills p with the nonzero positions of a.
+func scanPattern[T Scalar](p *Pattern, a *Dense[T]) {
 	if a.Rows != a.Cols {
-		panic("linalg: Pattern.Scan requires a square matrix")
-	}
-	p.N = a.Rows
-	p.Pos = p.Pos[:0]
-	for i, v := range a.Data {
-		if v != 0 {
-			p.Pos = append(p.Pos, int32(i))
-		}
-	}
-}
-
-// ScanComplex fills p with the nonzero positions of a.
-func (p *Pattern) ScanComplex(a *CMatrix) {
-	if a.Rows != a.Cols {
-		panic("linalg: Pattern.ScanComplex requires a square matrix")
+		panic("linalg: pattern scan requires a square matrix")
 	}
 	p.N = a.Rows
 	p.Pos = p.Pos[:0]
@@ -577,50 +562,109 @@ func (c *symCache) pushFront(idx int16) {
 }
 
 // SparseLU replays a Symbolic's factor and solve programs over packed
-// real numeric storage.
-type SparseLU struct {
+// numeric storage: real for AWE and the Newton moves, complex for the
+// AC sweep's (G + jωC), whose pattern is shared across ω.
+type SparseLU[T Scalar] struct {
 	sym    *Symbolic
-	v      []float64
-	pivInv []float64
-	w      []float64
+	v      []T
+	pivInv []T
+	w      []T
 }
 
 // reset points the numeric storage at sym, reallocating only on growth.
-func (f *SparseLU) reset(sym *Symbolic) {
+func (f *SparseLU[T]) reset(sym *Symbolic) {
 	f.sym = sym
 	if cap(f.v) < sym.lunnz {
-		f.v = make([]float64, sym.lunnz)
+		f.v = make([]T, sym.lunnz)
 	}
 	f.v = f.v[:sym.lunnz]
 	if cap(f.pivInv) < sym.n {
-		f.pivInv = make([]float64, sym.n)
-		f.w = make([]float64, sym.n)
+		f.pivInv = make([]T, sym.n)
+		f.w = make([]T, sym.n)
 	}
 	f.pivInv = f.pivInv[:sym.n]
 	f.w = f.w[:sym.n]
 }
 
+// The guards compare magnitudes: |x| for real entries, |re| + |im| for
+// complex ones (within √2 of the modulus, which order-of-magnitude
+// guards do not care about). Generic code cannot call math.Abs or real
+// on a T, so mag, maxMag and scatter switch on the type; the last two
+// switch once per slice, since a switch per element would double their
+// loops.
+
+// mag returns the guard magnitude of x.
+func mag[T Scalar](x T) float64 {
+	switch x := any(x).(type) {
+	case float64:
+		return math.Abs(x)
+	case complex128:
+		return math.Abs(real(x)) + math.Abs(imag(x))
+	}
+	panic("unreachable")
+}
+
+// maxMag returns the largest guard magnitude in v, skipping NaN (0 for
+// an empty or all-NaN slice).
+func maxMag[T Scalar](v []T) float64 {
+	m := 0.0
+	switch v := any(v).(type) {
+	case []float64:
+		for _, x := range v {
+			if a := math.Abs(x); a > m {
+				m = a
+			}
+		}
+	case []complex128:
+		for _, x := range v {
+			if a := math.Abs(real(x)) + math.Abs(imag(x)); a > m {
+				m = a
+			}
+		}
+	}
+	return m
+}
+
+// scatter copies the entries of a at the pattern positions pos into v
+// at the packed slots slot and returns their largest guard magnitude,
+// skipping NaN.
+func scatter[T Scalar](v, a []T, pos, slot []int32) float64 {
+	m := 0.0
+	switch v := any(v).(type) {
+	case []float64:
+		a := any(a).([]float64)
+		for t, p := range pos {
+			x := a[p]
+			v[slot[t]] = x
+			if ax := math.Abs(x); ax > m {
+				m = ax
+			}
+		}
+	case []complex128:
+		a := any(a).([]complex128)
+		for t, p := range pos {
+			x := a[p]
+			v[slot[t]] = x
+			if ax := math.Abs(real(x)) + math.Abs(imag(x)); ax > m {
+				m = ax
+			}
+		}
+	}
+	return m
+}
+
 // Factor scatters a's nonzeros (which must match the symbolic pattern)
 // into packed storage and replays the factor program. It returns
 // errSparseGuard when a numeric guard rejects the static pivot order.
-func (f *SparseLU) Factor(a *Matrix) error {
+func (f *SparseLU[T]) Factor(a *Dense[T]) error {
 	s := f.sym
 	v := f.v
-	for i := range v {
-		v[i] = 0
-	}
-	maxA := 0.0
-	for t, pos := range s.pat.Pos {
-		x := a.Data[pos]
-		v[s.scatter[t]] = x
-		if ax := math.Abs(x); ax > maxA {
-			maxA = ax
-		}
-	}
+	clear(v)
+	maxA := scatter(v, a.Data, s.pat.Pos, s.scatter)
+	minPiv := max(sparseTinyPivot, sparsePivRel*maxA)
 	for k := 0; k < s.n; k++ {
 		piv := v[s.pivIdx[k]]
-		apiv := math.Abs(piv)
-		if !(apiv >= sparseTinyPivot && apiv >= sparsePivRel*maxA) { // catches 0 and NaN
+		if !(mag(piv) >= minPiv) { // catches 0 and NaN
 			return errSparseGuard
 		}
 		inv := 1 / piv
@@ -638,13 +682,7 @@ func (f *SparseLU) Factor(a *Matrix) error {
 	// Element-growth guard: large growth means the static order was
 	// numerically bad for these values (the negated comparison also
 	// catches NaN); the caller falls back to dense partial pivoting.
-	maxU := 0.0
-	for _, x := range v {
-		if ax := math.Abs(x); ax > maxU {
-			maxU = ax
-		}
-	}
-	if !(maxU <= sparseGrowthLimit*maxA) {
+	if !(maxMag(v) <= sparseGrowthLimit*maxA) {
 		return errSparseGuard
 	}
 	return nil
@@ -652,7 +690,7 @@ func (f *SparseLU) Factor(a *Matrix) error {
 
 // SolveInPlace solves A·x = b overwriting b, replaying the substitution
 // programs over the packed factors.
-func (f *SparseLU) SolveInPlace(b []float64) {
+func (f *SparseLU[T]) SolveInPlace(b []T) {
 	s := f.sym
 	w := f.w
 	for k, r := range s.rowPerm {
@@ -683,17 +721,35 @@ func (f *SparseLU) SolveInPlace(b []float64) {
 	}
 }
 
-// AutoLU is the adaptive real factorizer used on evaluation hot paths:
-// each Factor scans the matrix pattern, reuses (or builds and caches)
-// the matching symbolic analysis, and replays the sparse numeric
-// program, falling back to dense partial-pivot LU when the pattern is
-// structurally singular or a numeric guard trips. Solves dispatch to
-// whichever factorization Factor produced, so AutoLU is a drop-in
-// replacement for LU in Factor/Solve call sites. Its API mirrors LU:
-// after warm-up no call allocates.
-type AutoLU struct {
-	dense  LU
-	sp     SparseLU
+// denseLU is the dense partial-pivot factorization an AutoLU falls back
+// on: LU for real systems, CLU for complex ones. They are different
+// algorithms (LU pivots on row-scaled magnitudes and skips structural
+// zeros, CLU pivots on the modulus), so they stay two types.
+type denseLU[T Scalar] interface {
+	Factor(a *Dense[T]) error
+	SolveInPlace(b []T)
+}
+
+// newDenseLU returns the dense fallback for T.
+func newDenseLU[T Scalar]() denseLU[T] {
+	var d any = new(LU)
+	if _, ok := any(*new(T)).(complex128); ok {
+		d = new(CLU)
+	}
+	return d.(denseLU[T])
+}
+
+// AutoLU is the adaptive factorizer used on evaluation hot paths:
+// AutoLU[float64] for AWE and the Newton moves, AutoLU[complex128] for
+// the AC sweep. Each Factor scans the matrix pattern, reuses (or builds
+// and caches) the matching symbolic analysis, and replays the sparse
+// numeric program, falling back to dense partial-pivot LU when the
+// pattern is structurally singular or a numeric guard trips. Solves
+// dispatch to whichever factorization Factor produced. The zero value
+// is ready to use; after warm-up no call allocates.
+type AutoLU[T Scalar] struct {
+	dense  denseLU[T] // created on the first fallback
+	sp     SparseLU[T]
 	scan   Pattern
 	cache  symCache
 	sparse bool // which factorization is current
@@ -705,8 +761,8 @@ type AutoLU struct {
 // Factor factors a, choosing the sparse replay or the dense fallback.
 // The choice is a deterministic function of a's values, so two solvers
 // handed bit-identical matrices factor identically.
-func (f *AutoLU) Factor(a *Matrix) error {
-	f.scan.Scan(a)
+func (f *AutoLU[T]) Factor(a *Dense[T]) error {
+	scanPattern(&f.scan, a)
 	sym, ok := f.cache.lookup(&f.scan)
 	if ok {
 		f.sp.reset(sym)
@@ -718,11 +774,14 @@ func (f *AutoLU) Factor(a *Matrix) error {
 	}
 	f.sparse = false
 	f.denseFactors++
+	if f.dense == nil {
+		f.dense = newDenseLU[T]()
+	}
 	return f.dense.Factor(a)
 }
 
 // SolveInPlace solves A·x = b overwriting b.
-func (f *AutoLU) SolveInPlace(b []float64) {
+func (f *AutoLU[T]) SolveInPlace(b []T) {
 	if f.sparse {
 		f.sp.SolveInPlace(b)
 	} else {
@@ -731,7 +790,7 @@ func (f *AutoLU) SolveInPlace(b []float64) {
 }
 
 // SolveInto solves A·x = b writing x into dst; dst may alias b.
-func (f *AutoLU) SolveInto(dst, b []float64) {
+func (f *AutoLU[T]) SolveInto(dst, b []T) {
 	if len(dst) != len(b) {
 		panic("linalg: AutoLU.SolveInto dimension mismatch")
 	}
@@ -740,10 +799,10 @@ func (f *AutoLU) SolveInto(dst, b []float64) {
 }
 
 // Sparse reports whether the last Factor used the sparse path.
-func (f *AutoLU) Sparse() bool { return f.sparse }
+func (f *AutoLU[T]) Sparse() bool { return f.sparse }
 
 // Stats describes the last factorization.
-func (f *AutoLU) Stats() FactorStats {
+func (f *AutoLU[T]) Stats() FactorStats {
 	if f.sparse {
 		return f.sp.sym.Stats()
 	}
@@ -753,167 +812,6 @@ func (f *AutoLU) Stats() FactorStats {
 
 // Counts returns how many factorizations took each path and how many
 // symbolic analyses the cache missed on.
-func (f *AutoLU) Counts() FactorCounts {
-	return FactorCounts{Sparse: f.sparseFactors, Dense: f.denseFactors, SymbolicMisses: f.cache.misses}
-}
-
-// SparseCLU replays a Symbolic's programs over complex numeric storage
-// (the AC-analysis (G + jωC) system shares one pattern across ω).
-type SparseCLU struct {
-	sym    *Symbolic
-	v      []complex128
-	pivInv []complex128
-	w      []complex128
-}
-
-func (f *SparseCLU) reset(sym *Symbolic) {
-	f.sym = sym
-	if cap(f.v) < sym.lunnz {
-		f.v = make([]complex128, sym.lunnz)
-	}
-	f.v = f.v[:sym.lunnz]
-	if cap(f.pivInv) < sym.n {
-		f.pivInv = make([]complex128, sym.n)
-		f.w = make([]complex128, sym.n)
-	}
-	f.pivInv = f.pivInv[:sym.n]
-	f.w = f.w[:sym.n]
-}
-
-// cmag is a cheap complex magnitude for guard comparisons (within √2 of
-// the 2-norm, which the order-of-magnitude guards don't care about).
-func cmag(z complex128) float64 { return math.Abs(real(z)) + math.Abs(imag(z)) }
-
-// Factor is the complex counterpart of SparseLU.Factor.
-func (f *SparseCLU) Factor(a *CMatrix) error {
-	s := f.sym
-	v := f.v
-	for i := range v {
-		v[i] = 0
-	}
-	maxA := 0.0
-	for t, pos := range s.pat.Pos {
-		x := a.Data[pos]
-		v[s.scatter[t]] = x
-		if ax := cmag(x); ax > maxA {
-			maxA = ax
-		}
-	}
-	for k := 0; k < s.n; k++ {
-		piv := v[s.pivIdx[k]]
-		apiv := cmag(piv)
-		if !(apiv >= sparseTinyPivot && apiv >= sparsePivRel*maxA) {
-			return errSparseGuard
-		}
-		inv := 1 / piv
-		f.pivInv[k] = inv
-		for _, d := range s.lIdx[s.lPtr[k]:s.lPtr[k+1]] {
-			v[d] *= inv
-		}
-		mt := s.mulT[s.mulPtr[k]:s.mulPtr[k+1]]
-		ml := s.mulL[s.mulPtr[k]:s.mulPtr[k+1]]
-		mu := s.mulU[s.mulPtr[k]:s.mulPtr[k+1]]
-		for o, t := range mt {
-			v[t] -= v[ml[o]] * v[mu[o]]
-		}
-	}
-	maxU := 0.0
-	for _, x := range v {
-		if ax := cmag(x); ax > maxU {
-			maxU = ax
-		}
-	}
-	if !(maxU <= sparseGrowthLimit*maxA) {
-		return errSparseGuard
-	}
-	return nil
-}
-
-// SolveInPlace solves A·x = b overwriting b.
-func (f *SparseCLU) SolveInPlace(b []complex128) {
-	s := f.sym
-	w := f.w
-	for k, r := range s.rowPerm {
-		w[k] = b[r]
-	}
-	for k := 0; k < s.n; k++ {
-		bk := w[k]
-		if bk == 0 {
-			continue
-		}
-		rows := s.lRow[s.lPtr[k]:s.lPtr[k+1]]
-		idxs := s.lIdx[s.lPtr[k]:s.lPtr[k+1]]
-		for o, r := range rows {
-			w[r] -= f.v[idxs[o]] * bk
-		}
-	}
-	for k := s.n - 1; k >= 0; k-- {
-		sum := w[k]
-		cols := s.uCol[s.uPtr[k]:s.uPtr[k+1]]
-		idxs := s.uIdx[s.uPtr[k]:s.uPtr[k+1]]
-		for o, c := range cols {
-			sum -= f.v[idxs[o]] * w[c]
-		}
-		w[k] = sum * f.pivInv[k]
-	}
-	for k, c := range s.colPerm {
-		b[c] = w[k]
-	}
-}
-
-// AutoCLU is the complex counterpart of AutoLU (AC sweeps factor
-// (G + jωC) per frequency against one cached symbolic analysis).
-type AutoCLU struct {
-	dense  CLU
-	sp     SparseCLU
-	scan   Pattern
-	cache  symCache
-	sparse bool
-
-	denseFactors  uint64
-	sparseFactors uint64
-}
-
-// Factor factors a, preferring the sparse replay.
-func (f *AutoCLU) Factor(a *CMatrix) error {
-	f.scan.ScanComplex(a)
-	sym, ok := f.cache.lookup(&f.scan)
-	if ok {
-		f.sp.reset(sym)
-		if err := f.sp.Factor(a); err == nil {
-			f.sparse = true
-			f.sparseFactors++
-			return nil
-		}
-	}
-	f.sparse = false
-	f.denseFactors++
-	return f.dense.Factor(a)
-}
-
-// SolveInPlace solves A·x = b overwriting b.
-func (f *AutoCLU) SolveInPlace(b []complex128) {
-	if f.sparse {
-		f.sp.SolveInPlace(b)
-	} else {
-		f.dense.SolveInPlace(b)
-	}
-}
-
-// SolveInto solves A·x = b writing x into dst; dst may alias b.
-func (f *AutoCLU) SolveInto(dst, b []complex128) {
-	if len(dst) != len(b) {
-		panic("linalg: AutoCLU.SolveInto dimension mismatch")
-	}
-	copy(dst, b)
-	f.SolveInPlace(dst)
-}
-
-// Sparse reports whether the last Factor used the sparse path.
-func (f *AutoCLU) Sparse() bool { return f.sparse }
-
-// Counts returns how many factorizations took each path and how many
-// symbolic analyses the cache missed on.
-func (f *AutoCLU) Counts() FactorCounts {
+func (f *AutoLU[T]) Counts() FactorCounts {
 	return FactorCounts{Sparse: f.sparseFactors, Dense: f.denseFactors, SymbolicMisses: f.cache.misses}
 }

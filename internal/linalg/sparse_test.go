@@ -75,7 +75,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // on both paths and demands 1e-12 agreement of the solutions.
 func TestSparseMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var auto AutoLU
+	var auto AutoLU[float64]
 	var dense LU
 	sparseRuns := 0
 	for trial := 0; trial < 300; trial++ {
@@ -119,7 +119,7 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 // singular matrices report ErrSingular identically on both paths.
 func TestSparseSingularParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var auto AutoLU
+	var auto AutoLU[float64]
 	var dense LU
 	for trial := 0; trial < 100; trial++ {
 		a := mnaRandom(rng, 2+rng.Intn(8), rng.Intn(2))
@@ -174,18 +174,18 @@ func TestSparseGrowthFallback(t *testing.T) {
 	}
 	var sym Symbolic
 	var pat Pattern
-	pat.Scan(a)
+	scanPattern(&pat, a)
 	s := NewSymbolic(&pat)
 	if s == nil {
 		t.Fatal("dense pattern should have a symbolic analysis")
 	}
 	sym = *s
-	var slu SparseLU
+	var slu SparseLU[float64]
 	slu.reset(&sym)
 	if err := slu.Factor(a); err != errSparseGuard {
 		t.Fatalf("sparse factor error = %v, want guard trip", err)
 	}
-	var auto AutoLU
+	var auto AutoLU[float64]
 	if err := auto.Factor(a); err != nil {
 		t.Fatalf("auto factor: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestSparseGrowthFallback(t *testing.T) {
 // variant with (G + jωC)-shaped values.
 func TestSparseComplexMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var auto AutoCLU
+	var auto AutoLU[complex128]
 	var dense CLU
 	sparseRuns := 0
 	for trial := 0; trial < 200; trial++ {
@@ -265,24 +265,40 @@ func TestSymbolicStructurallySingular(t *testing.T) {
 	a.Set(1, 1, 1)
 	// row 2 empty
 	var pat Pattern
-	pat.Scan(a)
+	scanPattern(&pat, a)
 	if s := NewSymbolic(&pat); s != nil {
 		t.Fatal("expected nil symbolic for structurally singular pattern")
 	}
 }
 
-// TestAutoLUZeroAlloc pins the warm steady state: repeated factor+solve
-// cycles with a stable pattern must not allocate.
+// TestAutoLUZeroAlloc pins the warm steady state of both
+// instantiations: repeated factor+solve cycles with a stable pattern
+// must not allocate.
 func TestAutoLUZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := mnaRandom(rng, 10, 2)
-	n := a.Rows
+	ar := mnaRandom(rng, 10, 2)
+	n := ar.Rows
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	var auto AutoLU
-	x := make([]float64, n)
+	t.Run("float64", func(t *testing.T) { autoLUZeroAlloc(t, ar, b) })
+	ac := NewCMatrix(n, n)
+	for i, v := range ar.Data {
+		if v != 0 {
+			ac.Data[i] = complex(v, rng.NormFloat64()*math.Abs(v))
+		}
+	}
+	bc := make([]complex128, n)
+	for i := range bc {
+		bc[i] = complex(b[i], rng.NormFloat64())
+	}
+	t.Run("complex128", func(t *testing.T) { autoLUZeroAlloc(t, ac, bc) })
+}
+
+func autoLUZeroAlloc[T Scalar](t *testing.T, a *Dense[T], b []T) {
+	var auto AutoLU[T]
+	x := make([]T, len(b))
 	if err := auto.Factor(a); err != nil {
 		t.Fatalf("warmup factor: %v", err)
 	}
@@ -524,7 +540,7 @@ func randomMNAPattern(rng *rand.Rand, nNodes, nBranch int, empty int) *Pattern {
 		}
 	}
 	var p Pattern
-	p.Scan(a)
+	scanPattern(&p, a)
 	return &p
 }
 

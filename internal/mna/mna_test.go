@@ -34,11 +34,11 @@ func solveDC(t *testing.T, s *System, src string) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := linalg.SolveLinear(s.G, b)
-	if err != nil {
+	var lu linalg.LU
+	if err := lu.Factor(s.G); err != nil {
 		t.Fatal(err)
 	}
-	return x
+	return lu.Solve(b)
 }
 
 func TestVoltageDivider(t *testing.T) {

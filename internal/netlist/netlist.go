@@ -84,6 +84,15 @@ type Spec struct {
 // Maximize reports whether larger values of the spec are better.
 func (s *Spec) Maximize() bool { return s.Good > s.Bad }
 
+// Met reports whether v reaches the Good anchor: v ≥ Good for a spec
+// whose larger values are better, v ≤ Good otherwise. NaN never meets.
+func (s *Spec) Met(v float64) bool {
+	if s.Maximize() {
+		return v >= s.Good
+	}
+	return v <= s.Good
+}
+
 // TFReq is a `.pz` transfer-function request inside a jig.
 type TFReq struct {
 	Name   string // expression-visible name, e.g. "tf"

@@ -446,3 +446,23 @@ func TestIncludeCard(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecMet pins the met rule verify and yield share: a maximized
+// spec is met at or above Good, a minimized one at or below, and NaN
+// never.
+func TestSpecMet(t *testing.T) {
+	gain := &Spec{Good: 60, Bad: 40}
+	pwr := &Spec{Good: 2.5e-3, Bad: 5e-3}
+	for _, c := range []struct {
+		s    *Spec
+		v    float64
+		want bool
+	}{
+		{gain, 60, true}, {gain, 61, true}, {gain, 59.9, false}, {gain, math.NaN(), false},
+		{pwr, 2.5e-3, true}, {pwr, 1e-3, true}, {pwr, 3e-3, false}, {pwr, math.NaN(), false},
+	} {
+		if got := c.s.Met(c.v); got != c.want {
+			t.Errorf("Spec{Good: %g, Bad: %g}.Met(%g) = %v, want %v", c.s.Good, c.s.Bad, c.v, got, c.want)
+		}
+	}
+}

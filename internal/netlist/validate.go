@@ -123,7 +123,7 @@ func (d *Deck) Validate() error {
 		// resolve against the flattened circuit.
 		tfArg := make(map[*expr.Var]string) // arg → measure name
 		exempt := make(map[*expr.Var]bool)
-		walkExpr(s.Expr, func(n expr.Node) {
+		expr.Walk(s.Expr, func(n expr.Node) {
 			c, ok := n.(*expr.Call)
 			if !ok {
 				return
@@ -134,14 +134,14 @@ func (d *Deck) Validate() error {
 					continue
 				}
 				switch {
-				case tfMeasures[c.Fn]:
+				case IsTFMeasure(c.Fn):
 					tfArg[v] = c.Fn
 				case c.Fn == "v":
 					exempt[v] = true
 				}
 			}
 		})
-		walkExpr(s.Expr, func(n expr.Node) {
+		expr.Walk(s.Expr, func(n expr.Node) {
 			t, ok := n.(*expr.Var)
 			if !ok || exempt[t] {
 				return
@@ -191,33 +191,13 @@ func (d *Deck) Validate() error {
 	return errors.Join(errs...)
 }
 
-// tfMeasures lists the measurement functions whose bare-identifier
-// arguments name transfer functions.
-var tfMeasures = map[string]bool{
-	"dc_gain":      true,
-	"ugf":          true,
-	"phase_margin": true,
-	"bw3db":        true,
-	"pole":         true,
-	"zero":         true,
-	"gain_at":      true,
-}
-
-// walkExpr visits every node of an expression tree in preorder.
-func walkExpr(n expr.Node, visit func(expr.Node)) {
-	if n == nil {
-		return
+// IsTFMeasure reports whether fn is a measurement function whose
+// first, bare-identifier argument names a transfer function. Validate
+// and the evaluator share this list.
+func IsTFMeasure(fn string) bool {
+	switch fn {
+	case "dc_gain", "ugf", "phase_margin", "bw3db", "pole", "zero", "gain_at":
+		return true
 	}
-	visit(n)
-	switch t := n.(type) {
-	case *expr.Unary:
-		walkExpr(t.X, visit)
-	case *expr.Binary:
-		walkExpr(t.L, visit)
-		walkExpr(t.R, visit)
-	case *expr.Call:
-		for _, a := range t.Args {
-			walkExpr(a, visit)
-		}
-	}
+	return false
 }

@@ -51,9 +51,6 @@ type Options struct {
 	// tests want deterministic move counts.
 	NoFreeze bool
 
-	// Cost passes through to the compiler.
-	Cost astrx.CostOptions
-
 	// Corners selects the operating corners to synthesize against: the
 	// run compiles one evaluation plan per corner and anneals on the
 	// worst spec value over all of them (plus the nominal). nil means
@@ -505,7 +502,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	cs, err := astrx.CompileCorners(deck, cornerNames, opt.Cost)
+	cs, err := astrx.CompileCorners(deck, cornerNames, astrx.CostOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -586,6 +583,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	annealOpt := anneal.Options{
 		Seed:        opt.Seed,
 		MaxMoves:    opt.MaxMoves,
+		NoFreeze:    opt.NoFreeze,
 		Trace:       adapt,
 		TraceEvery:  weightAdaptEvery,
 		BestResetAt: weightFreeze,
@@ -632,9 +630,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			ev.SpanID = asp.ID()
 			opt.Progress(ev)
 		}
-	}
-	if opt.NoFreeze {
-		annealOpt.FreezeStages = -1
 	}
 	if opt.Resume != nil {
 		annealOpt.Resume = opt.Resume.Anneal

@@ -8,13 +8,13 @@ import (
 )
 
 // telemetrySampleEvery resolves the manager's sampling cadence: 0 means
-// the default of one in 64 evaluations, negative disables stage timing.
+// telemetry.DefaultSampleEvery, negative disables stage timing.
 func (m *Manager) telemetrySampleEvery() int {
 	switch every := m.opt.TelemetrySampleEvery; {
 	case every < 0:
 		return 0
 	case every == 0:
-		return 64
+		return telemetry.DefaultSampleEvery
 	default:
 		return every
 	}

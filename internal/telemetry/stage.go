@@ -81,6 +81,10 @@ type EvalTimer struct {
 	onSample func(Stage, time.Duration)
 }
 
+// DefaultSampleEvery is oblxd's stage-timing cadence: one in 64
+// evaluations, for local jobs and fleet leases alike.
+const DefaultSampleEvery = 64
+
 // NewEvalTimer returns a timer that samples one in every `every`
 // evaluations per attached clock. every <= 0 disables sampling entirely:
 // the timer still exists but records nothing and its clocks are no-ops.

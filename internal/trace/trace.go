@@ -223,7 +223,10 @@ const DefaultRingCap = 256
 // only guards against a pathological retry storm.
 const lifecycleCap = 256
 
-// pendingCap bounds the ship buffer on workers between drains.
+// pendingCap bounds the ship buffer of lifecycle spans on workers
+// between drains. Sampled eval spans wait in a ring of their own, as
+// large as the eval ring, so a burst of them cannot crowd out a
+// lifecycle span.
 const pendingCap = 512
 
 // MaxSpanEvents bounds the events one span keeps. A job's root span
@@ -244,7 +247,8 @@ type Recorder struct {
 	open       []*Active
 	evalParent string
 	shipping   bool
-	pending    []Span
+	pending    []Span // lifecycle spans to ship
+	shipEvals  ring   // eval spans to ship once their parent has ended
 	onEnd      func(name string, d time.Duration)
 }
 
@@ -271,6 +275,7 @@ func (r *Recorder) EnableShipping() {
 	}
 	r.mu.Lock()
 	r.shipping = true
+	r.shipEvals = ring{max: r.evals.max}
 	r.mu.Unlock()
 }
 
@@ -482,9 +487,14 @@ func (r *Recorder) commitLocked(sp Span) {
 		r.dropped++
 	}
 	if r.shipping {
-		if len(r.pending) < pendingCap {
+		switch {
+		case sp.Kind == KindEval:
+			if r.shipEvals.push(sp) {
+				r.dropped++
+			}
+		case len(r.pending) < pendingCap:
 			r.pending = append(r.pending, sp)
-		} else {
+		default:
 			r.dropped++
 		}
 	}
@@ -577,17 +587,40 @@ func (r *Recorder) Add(sp Span) {
 }
 
 // DrainNew returns spans completed since the previous drain and clears
-// the pending buffer. Spans lost to a failed ship are gone, like a
+// the pending buffer; a sampled eval span whose parent is still open
+// waits for a later drain. Spans lost to a failed ship are gone, like a
 // dropped SSE frame — tracing is lossy telemetry, not an audit log.
 func (r *Recorder) DrainNew() []Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := r.pending
 	r.pending = nil
-	r.mu.Unlock()
+	// An eval span waits until its parent, the anneal span, has ended,
+	// so it ships with the parent or after it and the receiving side
+	// never holds an eval span whose parent it has not seen.
+	evals := r.shipEvals.appendTo(nil)
+	r.shipEvals = ring{max: r.evals.max}
+	for _, sp := range evals {
+		if r.openLocked(sp.Parent) {
+			r.shipEvals.push(sp)
+		} else {
+			out = append(out, sp)
+		}
+	}
 	return out
+}
+
+// openLocked reports whether span id is still open.
+func (r *Recorder) openLocked(id string) bool {
+	for _, a := range r.open {
+		if a.sp.SpanID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Dropped reports how many spans and span events were evicted or

@@ -349,6 +349,41 @@ func TestShippingDrainAndAdd(t *testing.T) {
 	}
 }
 
+// TestShippingEvalSpans: a worker ships a sampled eval span only once
+// its parent, the anneal span, has ended, so a heartbeat mid-run never
+// hands the coordinator an orphan; and the eval spans wait in a ring as
+// large as the eval ring, so a burst of them between two drains neither
+// crowds out the anneal span nor ships more samples than the
+// coordinator keeps.
+func TestShippingEvalSpans(t *testing.T) {
+	tid := TraceIDFromRequest("req-burst")
+	worker := NewRecorder(Context{TraceID: tid, SpanID: RootSpanID(tid)}, 0)
+	worker.EnableShipping()
+	for round := 0; round < 2; round++ {
+		sp := worker.Begin("anneal", "")
+		worker.SetEvalParent(sp.ID())
+		for i := 0; i < 2*pendingCap; i++ {
+			worker.RecordEval("fit", time.Microsecond)
+		}
+		if got := worker.DrainNew(); len(got) != 0 {
+			t.Fatalf("round %d: drained %d spans while the anneal span is open, want 0", round, len(got))
+		}
+		sp.End("")
+		evals, anneals := 0, 0
+		for _, s := range worker.DrainNew() {
+			switch {
+			case s.Name == "eval:fit" && s.Parent == sp.ID():
+				evals++
+			case s.Name == "anneal":
+				anneals++
+			}
+		}
+		if anneals != 1 || evals != DefaultRingCap {
+			t.Fatalf("round %d shipped %d anneal and %d eval spans, want 1 and %d", round, anneals, evals, DefaultRingCap)
+		}
+	}
+}
+
 func TestSnapshotEncodeDecode(t *testing.T) {
 	tid := TraceIDFromRequest("req-snap")
 	rec := NewRecorder(Context{TraceID: tid, SpanID: RootSpanID(tid)}, 0)

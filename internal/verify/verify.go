@@ -124,14 +124,10 @@ func Design(c *astrx.Compiled, x []float64, predicted map[string]float64) (*Repo
 		}
 		pred := predicted[s.Name]
 		rel := math.Abs(pred-sim) / math.Max(math.Abs(sim), 1e-12)
-		met := sim >= s.Good
-		if !s.Maximize() {
-			met = sim <= s.Good
-		}
 		rep.Specs = append(rep.Specs, SpecResult{
 			Name: s.Name, Objective: s.Objective,
 			Good: s.Good, Bad: s.Bad,
-			Predicted: pred, Simulated: sim, RelErr: rel, Met: met,
+			Predicted: pred, Simulated: sim, RelErr: rel, Met: s.Met(sim),
 		})
 		if rel > rep.WorstRelErr {
 			rep.WorstRelErr = rel

@@ -296,14 +296,7 @@ func MonteCarlo(ctx context.Context, deckSrc string, x []float64, n int, mm Mism
 		for _, s := range baseDeck.Specs {
 			v := r.specs[s.Name]
 			acc[s.Name] = append(acc[s.Name], v)
-			if s.Objective {
-				continue
-			}
-			met := v >= s.Good
-			if !s.Maximize() {
-				met = v <= s.Good
-			}
-			if !met {
+			if !s.Objective && !s.Met(v) {
 				allMet = false
 			}
 		}
@@ -326,11 +319,7 @@ func MonteCarlo(ctx context.Context, deckSrc string, x []float64, n int, mm Mism
 			if v > st.Max {
 				st.Max = v
 			}
-			met := v >= s.Good
-			if !s.Maximize() {
-				met = v <= s.Good
-			}
-			if !s.Objective && !met {
+			if !s.Objective && !s.Met(v) {
 				st.FailCount++
 			}
 		}
