@@ -39,8 +39,10 @@ race:
 # capacitances) to a verbatim copy of the unsplit one, bit for bit, for
 # every library MOS model at random finite biases and geometries;
 # FuzzJigReuse holds a cornered lane set that keeps the factors and
-# models of jigs whose matrices repeat to a fresh lane set, bit for bit,
-# over random sequences of repeats, moves and readouts; FuzzCanonical
+# models of jigs whose matrices repeat, and the operating points of
+# devices whose inputs repeat, to a fresh lane set, bit for bit, over
+# random sequences of repeats, moves, readouts, ±0 and NaN node voltages
+# and Newton replays; FuzzCanonical
 # holds the deck parser and validator to never panicking on arbitrary
 # text, and canonical deck text (the result cache's key) to being a
 # fixed point; FuzzPadeSearch holds the Padé order search, and the
@@ -159,6 +161,8 @@ bench-check:
 # compiled in but disabled (nil recorder) adds zero allocations to the
 # eval hot path. The third step pins a Newton iteration's bias work (one
 # residual replay plus one Jacobian at its point) to zero allocations.
+# The fourth pins a proposal of either Newton move class to zero
+# allocations, whether the move solves it or answers it from its memo.
 telemetry-guard:
 	@tmp=$$(mktemp) && \
 	$(GO) test -run '^$$' -bench Table2Eval -benchmem -benchtime 100x . > $$tmp && \
@@ -166,6 +170,7 @@ telemetry-guard:
 	rc=$$?; rm -f $$tmp; exit $$rc
 	$(GO) test -run 'TestBatchZeroAlloc|TestWorkspaceZeroAlloc|TestTraceOffZeroAlloc' -count=1 ./internal/bench
 	$(GO) test -run 'TestDCProblemZeroAlloc' -count=1 ./internal/astrx
+	$(GO) test -run 'TestNewtonMoveZeroAlloc' -count=1 ./internal/oblx
 
 # oblxbench runs the end-to-end benchmark declared in BENCHMARK.json
 # (synth-nominal, synth-corners, serve-mixed) as many times as the

@@ -375,9 +375,10 @@ func writeSpans(path, label, cause string, rec *trace.Recorder) error {
 
 // printStages renders the sampled per-stage eval timing collected under
 // -stage-sample: where each evaluated circuit actually spends its time,
-// which factorization path the run's evaluations took, how much
-// bias-problem work the Newton moves did beside them, and how the Padé
-// fits searched and ended.
+// which factorization path the run's evaluations took, how many device
+// evaluations kept a stored operating point, how much bias-problem work
+// the Newton moves did beside them and how many of their proposals a
+// move's memo answered, and how the Padé fits searched and ended.
 func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 	bd := timer.Breakdown()
 	if len(bd) == 0 {
@@ -392,8 +393,10 @@ func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 	fc, nc, ft := res.FactorCounts, res.NewtonCounts, res.FitCounts
 	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses, %d reused (matrices repeated)\n",
 		fc.Sparse, fc.Dense, fc.SymbolicMisses, fc.Reused)
-	fmt.Printf("  newton: %d residual replays, %d jacobians (%d at the residual's replay)\n",
-		nc.Residuals, nc.Jacobians, nc.JacobiansReused)
+	fmt.Printf("  devices: %d evaluated in cost evaluations (%d reused a stored point), %d in newton replays (%d reused)\n",
+		res.DeviceCounts.Evals, res.DeviceCounts.Reused, nc.Devices.Evals, nc.Devices.Reused)
+	fmt.Printf("  newton: %d proposals (%d answered by the move's memo), %d residual replays, %d jacobians (%d at the residual's replay)\n",
+		res.NewtonProposals.Proposals, res.NewtonProposals.Reused, nc.Residuals, nc.Jacobians, nc.JacobiansReused)
 	fmt.Printf("  fit: %d fits, %d orders attempted, %d deferred (cannot be stable); %d stable validated, %d unstable validated, %d unvalidated, %d constant\n",
 		ft.Fits, ft.Attempts, ft.Deferred, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant)
 }

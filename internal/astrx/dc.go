@@ -2,7 +2,6 @@ package astrx
 
 import (
 	"fmt"
-	"math"
 
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
@@ -34,10 +33,13 @@ type DCProblem struct {
 }
 
 // NewtonCounts counts a workspace's Newton-problem work since it was
-// created: Residual replays, Jacobians, and the Jacobians that reused
-// the replay of the Residual before them.
+// created: Residual replays, Jacobians, the Jacobians that reused the
+// replay of the Residual before them, and the device evaluations of the
+// bias-only replays (a Residual, a Jacobian away from its Residual's
+// point, EvaluateBias).
 type NewtonCounts struct {
 	Residuals, Jacobians, JacobiansReused uint64
+	Devices                               DeviceCounts
 }
 
 // Add accumulates o into n.
@@ -45,6 +47,7 @@ func (n *NewtonCounts) Add(o NewtonCounts) {
 	n.Residuals += o.Residuals
 	n.Jacobians += o.Jacobians
 	n.JacobiansReused += o.JacobiansReused
+	n.Devices.Add(o.Devices)
 }
 
 // NewtonCounts returns the workspace's Newton-problem counts.
@@ -187,7 +190,7 @@ func (p *DCProblem) atResidual(v []float64) bool {
 		return false
 	}
 	for i, x := range last {
-		if math.Float64bits(x) != math.Float64bits(v[i]) {
+		if !sameBits(x, v[i]) {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"astrx/internal/awe"
+	"astrx/internal/devices"
 )
 
 // EvalSnapshot is a copy of what a cost evaluation leaves in a
@@ -18,6 +19,11 @@ type EvalSnapshot struct {
 	Unstable      int
 	Region, KCL   float64
 	FactorsReused uint64
+	// MOSOps and BJTOps are the device operating points in plan order,
+	// as the evaluation left them; nil when it stopped before every
+	// device.
+	MOSOps []devices.MOSOp
+	BJTOps []devices.BJTOp
 }
 
 // Snapshot copies the last evaluation out of ws without completing it
@@ -32,6 +38,10 @@ func (ws *EvalWorkspace) Snapshot() EvalSnapshot {
 	}
 	if ws.err != nil {
 		s.Err = ws.err.Error()
+	}
+	if ws.geomOK {
+		s.MOSOps = append([]devices.MOSOp(nil), ws.mosOps...)
+		s.BJTOps = append([]devices.BJTOp(nil), ws.bjtOps...)
 	}
 	for _, jp := range ws.plan.jigs {
 		for i := range jp.tfs {
@@ -67,10 +77,15 @@ func (c *Compiled) TFNames() []string {
 
 // DiffSnapshots describes the first way got differs from want, comparing
 // floats by their bits and the unstable counts as given; "" means
-// identical.
+// identical. After a failed evaluation only the error and the device
+// operating points are compared: the rest is what earlier evaluations
+// left.
 func DiffSnapshots(got, want EvalSnapshot) string {
 	if got.Err != want.Err {
 		return fmt.Sprintf("error %q, want %q", got.Err, want.Err)
+	}
+	if d := diffDevices(got, want); d != "" || got.Err != "" {
+		return d
 	}
 	if d := diffFloats("spec value", got.SpecVals, want.SpecVals); d != "" {
 		return d
@@ -113,6 +128,44 @@ func DiffTFs(got, want *awe.TF) string {
 		}
 	}
 	return diffFloats("moment", got.Moments, want.Moments)
+}
+
+// diffDevices compares two snapshots' device operating points, floats
+// by their bits.
+func diffDevices(got, want EvalSnapshot) string {
+	if (got.MOSOps == nil) != (want.MOSOps == nil) || len(got.MOSOps) != len(want.MOSOps) || len(got.BJTOps) != len(want.BJTOps) {
+		return fmt.Sprintf("%d MOS and %d BJT operating points (every device reached: %v), want %d and %d (%v)",
+			len(got.MOSOps), len(got.BJTOps), got.MOSOps != nil, len(want.MOSOps), len(want.BJTOps), want.MOSOps != nil)
+	}
+	for i := range want.MOSOps {
+		if d := DiffMOSOp(got.MOSOps[i], want.MOSOps[i]); d != "" {
+			return fmt.Sprintf("MOS %d: %s", i, d)
+		}
+	}
+	for i := range want.BJTOps {
+		g, w := got.BJTOps[i], want.BJTOps[i]
+		if d := diffFloats("field", []float64{g.Ic, g.Ib, g.Gm, g.Gpi, g.Go, g.Gmu, g.Cpi, g.Cmu, g.Vbe, g.Vbc},
+			[]float64{w.Ic, w.Ib, w.Gm, w.Gpi, w.Go, w.Gmu, w.Cpi, w.Cmu, w.Vbe, w.Vbc}); d != "" || g.Forward != w.Forward {
+			return fmt.Sprintf("BJT %d: %s (forward %v, want %v)", i, d, g.Forward, w.Forward)
+		}
+	}
+	return ""
+}
+
+// DiffMOSOp compares two MOS operating points field by field, floats by
+// their bits; "" means identical.
+func DiffMOSOp(got, want devices.MOSOp) string {
+	g, w := got, want
+	if d := diffFloats("field", []float64{g.Ids, g.Gm, g.Gds, g.Gmbs, g.Vth, g.Vdsat, g.Vgs, g.Vds, g.Vbs,
+		g.Caps.Cgs, g.Caps.Cgd, g.Caps.Cgb, g.Caps.Cdb, g.Caps.Csb},
+		[]float64{w.Ids, w.Gm, w.Gds, w.Gmbs, w.Vth, w.Vdsat, w.Vgs, w.Vds, w.Vbs,
+			w.Caps.Cgs, w.Caps.Cgd, w.Caps.Cgb, w.Caps.Cdb, w.Caps.Csb}); d != "" {
+		return d
+	}
+	if g.Region != w.Region || g.Swapped != w.Swapped {
+		return fmt.Sprintf("region/swap %v/%v, want %v/%v", g.Region, g.Swapped, w.Region, w.Swapped)
+	}
+	return ""
 }
 
 func diffFloats(what string, got, want []float64) string {

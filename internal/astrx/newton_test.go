@@ -189,18 +189,8 @@ func mosOpsDiff(got, want map[string]devices.MOSOp) string {
 		return fmt.Sprintf("%d operating points, want %d", len(got), len(want))
 	}
 	for name, w := range want {
-		g := got[name]
-		gf := [...]float64{g.Ids, g.Gm, g.Gds, g.Gmbs, g.Vth, g.Vdsat, g.Vgs, g.Vds, g.Vbs,
-			g.Caps.Cgs, g.Caps.Cgd, g.Caps.Cgb, g.Caps.Cdb, g.Caps.Csb}
-		wf := [...]float64{w.Ids, w.Gm, w.Gds, w.Gmbs, w.Vth, w.Vdsat, w.Vgs, w.Vds, w.Vbs,
-			w.Caps.Cgs, w.Caps.Cgd, w.Caps.Cgb, w.Caps.Cdb, w.Caps.Csb}
-		for i := range gf {
-			if math.Float64bits(gf[i]) != math.Float64bits(wf[i]) {
-				return fmt.Sprintf("%s field %d: %g, want %g", name, i, gf[i], wf[i])
-			}
-		}
-		if g.Region != w.Region || g.Swapped != w.Swapped {
-			return fmt.Sprintf("%s: region/swap %v/%v, want %v/%v", name, g.Region, g.Swapped, w.Region, w.Swapped)
+		if d := astrx.DiffMOSOp(got[name], w); d != "" {
+			return name + ": " + d
 		}
 	}
 	return ""

@@ -2,6 +2,8 @@ package astrx_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -373,24 +375,33 @@ func dcsolveBestEffort(c *astrx.Compiled, x []float64) []float64 {
 }
 
 // FuzzJigReuse runs random sequences of repeats, single-variable moves,
-// nominal-node-only moves and readouts on the cornered Simple OTA lane
-// set. After every step each lane must match a fresh lane set bit for
-// bit. Each three bytes of input are one step: kind, which variable or
-// lane, and how far.
+// nominal-node-only moves, readouts, node voltages at +0 or −0, a NaN
+// node voltage, and Newton replays on the cornered Simple OTA lane set.
+// After every step each lane must match a fresh lane set bit for bit,
+// device operating points included. A Newton step runs a residual and a
+// Jacobian at one lane's point on that lane's compiled problem's shared
+// workspace, whose cost evaluation there must then match a fresh
+// workspace's. Each three bytes of input are one step: kind, which
+// variable or lane, and how far.
 func FuzzJigReuse(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 6, 20, 2, 1, 30, 0, 0, 0, 3, 1, 0, 1, 0, 200})
 	f.Add([]byte{2, 0, 1, 2, 0, 255, 1, 9, 3, 3, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 100, 0, 0, 0, 1, 12, 128, 3, 2, 0})
+	f.Add([]byte{4, 0, 0, 4, 1, 0, 4, 1, 255, 0, 0, 0, 4, 1, 1, 5, 2, 0, 6, 0, 0, 6, 1, 0})
+	f.Add([]byte{6, 0, 0, 0, 0, 0, 6, 0, 0, 2, 3, 50, 6, 2, 0, 5, 0, 0, 3, 0, 0})
 	cs := cornerLanes(f)
 	x0 := cornerStart(f, cs)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		bw := cs.NewCornerBatch()
+		// newton is compiled on the first Newton step, so its lanes'
+		// shared workspaces start fresh for each input.
+		var newton *astrx.CornerSet
 		x := append([]float64(nil), x0...)
 		checkLanes(t, "start", cs, bw, x)
 		for k := 0; k+2 < len(ops) && k < 3*24; k += 3 {
 			which, amt := int(ops[k+1]), float64(int8(ops[k+2]))
 			step := "repeat"
-			switch ops[k] % 4 {
+			switch ops[k] % 7 {
 			case 1:
 				i := which % len(x)
 				if i < cs.NUser {
@@ -407,6 +418,30 @@ func FuzzJigReuse(f *testing.F) {
 				l := which % cs.K()
 				checkReadouts(t, "readouts, lane "+cs.LaneName(l), cs.Lane(l), bw.Lane(l), cs.LaneX(l, x, nil))
 				step = "after readouts"
+			case 4:
+				i := cs.NUser + which%(len(x)-cs.NUser)
+				x[i] = 0
+				if amt < 0 {
+					x[i] = math.Copysign(0, -1)
+				}
+				step = fmt.Sprintf("%s at %v", cs.Vars()[i].Name, x[i])
+			case 5:
+				i := cs.NUser + which%(len(x)-cs.NUser)
+				checkLanes(t, cs.Vars()[i].Name+" at NaN", cs, bw, with(x, i, math.NaN()))
+				step = "back from NaN"
+			case 6:
+				if newton == nil {
+					newton = cornerLanes(t)
+				}
+				l := which % cs.K()
+				c, lx := newton.Lane(l), cs.LaneX(l, x, nil)
+				p := c.DCProblem(lx)
+				v := lx[c.NUser:]
+				if p.Residual(v, make([]float64, p.N())) == nil {
+					p.Jacobian(v, linalg.NewMatrix(p.N(), p.N()))
+				}
+				checkEval(t, "cost after a Newton replay, lane "+cs.LaneName(l), c, c.Workspace(), lx)
+				step = "after a Newton replay"
 			}
 			checkLanes(t, step, cs, bw, x)
 		}

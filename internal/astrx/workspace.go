@@ -21,10 +21,13 @@ import (
 // reused, and node, device and transfer-function names resolve through
 // compile-time index tables into slices. A jig whose stamped (G, C)
 // pair repeats the one its engine factored last keeps its factors and
-// the transfer-function models computed from them (evalJig). After
-// warm-up a steady-state evaluation performs no heap allocation, which
-// is what makes the annealer's move loop cheap. Expression variables still resolve by
-// name through the plan's valIdx map (wsValEnv.Var).
+// the transfer-function models computed from them (evalJig), and a
+// device whose geometry and terminal voltages repeat, bit for bit, the
+// inputs of the operating point it holds keeps that point (evalMOS,
+// evalBJT). After warm-up a steady-state evaluation performs no heap
+// allocation, which is what makes the annealer's move loop cheap.
+// Expression variables still resolve by name through the plan's valIdx
+// map (wsValEnv.Var).
 //
 // A workspace is single-goroutine state, like the adaptive weights it
 // updates. An annealing run evaluates through its lane set's workspaces
@@ -39,10 +42,12 @@ type EvalWorkspace struct {
 	vals   []float64
 	nodeV  []float64
 	mosOps []devices.MOSOp
-	// mosDevs sits beside mosOps: each MOS's geometry and the parts of
-	// its operating point the run that last reached it left out.
+	// mosDevs and bjtDevs sit beside mosOps and bjtOps: the inputs each
+	// stored operating point was evaluated from, and for a MOS the parts
+	// of it still to compute.
 	mosDevs  []mosDev
 	bjtOps   []devices.BJTOp
+	bjtDevs  []bjtDev
 	kclRes   []float64
 	kclFlow  []float64
 	specVals []float64
@@ -92,17 +97,55 @@ type EvalWorkspace struct {
 	// even an armed clock allocates nothing (telemetry.Clock).
 	clock *telemetry.Clock
 
+	// devices counts the device evaluations of full runs; those of
+	// bias-only runs count in newton.Devices.
+	devices DeviceCounts
+
 	dc     DCProblem
 	newton NewtonCounts
 }
 
-// mosDev is the workspace's per-MOS state beside its operating point.
-type mosDev struct {
-	g devices.MOSGeom
-	// lack flags the operating-point parts still to compute
-	// (completeOps); zero for a device no run has reached.
-	lack opParts
+// DeviceCounts counts device evaluations: the operating points a
+// workspace's plan replays asked for, and how many of them kept the
+// stored point because the device's inputs repeated bit for bit.
+type DeviceCounts struct {
+	Evals, Reused uint64
 }
+
+// Add accumulates o into d.
+func (d *DeviceCounts) Add(o DeviceCounts) {
+	d.Evals += o.Evals
+	d.Reused += o.Reused
+}
+
+// DeviceCounts returns the device evaluations of the workspace's full
+// runs (cost evaluations, Evaluate) since it was created.
+func (ws *EvalWorkspace) DeviceCounts() DeviceCounts { return ws.devices }
+
+// mosDev is the workspace's per-MOS state beside its operating point:
+// the geometry and terminal voltages (d, g, s, b) the stored point was
+// evaluated at, whether it holds one, and the parts of it still to
+// compute. A run writes the point and its inputs together, so a device
+// never holds a point computed from other inputs than its key.
+type mosDev struct {
+	g    devices.MOSGeom
+	v    [4]float64
+	has  bool
+	lack opParts // completeOps computes these parts on demand
+}
+
+// bjtDev is the workspace's per-BJT state beside its operating point:
+// the area and terminal voltages (c, b, e) the stored point was
+// evaluated at, and whether it holds one.
+type bjtDev struct {
+	area float64
+	v    [3]float64
+	has  bool
+}
+
+// sameBits reports whether a and b are the same float64 bit pattern:
+// −0 and +0 differ, and a NaN matches only itself.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // opParts names parts of a MOS operating point beyond the current part
 // (devices.EvalMOSCurrent).
@@ -154,6 +197,7 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		mosOps:   make([]devices.MOSOp, p.nMOS),
 		mosDevs:  make([]mosDev, p.nMOS),
 		bjtOps:   make([]devices.BJTOp, p.nBJT),
+		bjtDevs:  make([]bjtDev, p.nBJT),
 		kclRes:   make([]float64, p.nNodes),
 		kclFlow:  make([]float64, p.nNodes),
 		specVals: make([]float64, len(c.Deck.Specs)),
@@ -348,6 +392,10 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	}
 
 	// Device operating points.
+	cnt := &ws.newton.Devices
+	if full {
+		cnt = &ws.devices
+	}
 	for i := range p.devs {
 		d := &p.devs[i]
 		if d.kind == DevMOS {
@@ -356,16 +404,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 				ws.err = err
 				return
 			}
-			md := &ws.mosDevs[d.op]
-			md.g = g
-			vd, vg, vs, vb := ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]), ws.nv(d.t[3])
-			if full {
-				ws.mosOps[d.op] = devices.EvalMOS(d.mos.Model, g, vd, vg, vs, vb)
-				md.lack = 0
-			} else {
-				ws.mosOps[d.op] = devices.EvalMOSCurrent(d.mos.Model, g, vd, vg, vs, vb)
-				md.lack = opPartials | opCaps
-			}
+			ws.evalMOS(d, g, full, cnt)
 		} else {
 			ws.resetArgs()
 			area, err := d.elem.EvalParam("area", 1, env)
@@ -373,8 +412,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 				ws.err = err
 				return
 			}
-			ws.bjtOps[d.op] = devices.EvalBJT(d.bjt.Model, area,
-				ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]))
+			ws.evalBJT(d, area, cnt)
 		}
 	}
 	ws.geomOK = true
@@ -432,29 +470,81 @@ func (ws *EvalWorkspace) geometry(d *devPlan) (devices.MOSGeom, error) {
 	return devices.MOSGeom{W: w, L: l, M: m}, nil
 }
 
-// completeOps computes the operating-point parts in want that the runs
-// which last reached each MOS left out, from the geometry and bias those
-// runs stored: the values a full evaluation there gives, bit for bit.
+// evalMOS brings MOS d's operating point to geometry g at the current
+// node voltages: in full for a full run, else at least its current part
+// (the rest left to completeOps). A stored point evaluated from the same
+// inputs, bit for bit, is kept: a full run computes only the parts it
+// lacks, and a bias-only run leaves it and its lack flags as they are.
+// The key leaves the model out: a workspace evaluates one compiled plan,
+// whose models never change.
+func (ws *EvalWorkspace) evalMOS(d *devPlan, g devices.MOSGeom, full bool, cnt *DeviceCounts) {
+	md := &ws.mosDevs[d.op]
+	v := [4]float64{ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]), ws.nv(d.t[3])}
+	cnt.Evals++
+	if md.has && sameBits(md.g.W, g.W) && sameBits(md.g.L, g.L) && sameBits(md.g.M, g.M) &&
+		sameBits(md.v[0], v[0]) && sameBits(md.v[1], v[1]) &&
+		sameBits(md.v[2], v[2]) && sameBits(md.v[3], v[3]) {
+		cnt.Reused++
+		if full {
+			ws.completeMOS(d, opPartials|opCaps)
+		}
+		return
+	}
+	var op devices.MOSOp
+	var lack opParts
+	if full {
+		op = devices.EvalMOS(d.mos.Model, g, v[0], v[1], v[2], v[3])
+	} else {
+		op = devices.EvalMOSCurrent(d.mos.Model, g, v[0], v[1], v[2], v[3])
+		lack = opPartials | opCaps
+	}
+	ws.mosOps[d.op] = op
+	*md = mosDev{g: g, v: v, has: true, lack: lack}
+}
+
+// evalBJT brings BJT d's operating point to area at the current node
+// voltages, keeping a stored point evaluated from the same inputs, bit
+// for bit. A BJT is always evaluated in full.
+func (ws *EvalWorkspace) evalBJT(d *devPlan, area float64, cnt *DeviceCounts) {
+	bd := &ws.bjtDevs[d.op]
+	v := [3]float64{ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2])}
+	cnt.Evals++
+	if bd.has && sameBits(bd.area, area) &&
+		sameBits(bd.v[0], v[0]) && sameBits(bd.v[1], v[1]) && sameBits(bd.v[2], v[2]) {
+		cnt.Reused++
+		return
+	}
+	ws.bjtOps[d.op] = devices.EvalBJT(d.bjt.Model, area, v[0], v[1], v[2])
+	*bd = bjtDev{area: area, v: v, has: true}
+}
+
+// completeOps computes the operating-point parts in want that each MOS's
+// stored point lacks, from the geometry and bias it was evaluated at:
+// the values a full evaluation there gives, bit for bit.
 func (ws *EvalWorkspace) completeOps(want opParts) {
 	for i := range ws.plan.devs {
-		d := &ws.plan.devs[i]
-		if d.kind != DevMOS {
-			continue
+		if d := &ws.plan.devs[i]; d.kind == DevMOS {
+			ws.completeMOS(d, want)
 		}
-		md := &ws.mosDevs[d.op]
-		todo := md.lack & want
-		if todo == 0 {
-			continue
-		}
-		op := &ws.mosOps[d.op]
-		if todo&opPartials != 0 {
-			devices.EvalMOSPartials(d.mos.Model, md.g, op)
-		}
-		if todo&opCaps != 0 {
-			devices.EvalMOSCaps(d.mos.Model, md.g, op)
-		}
-		md.lack &^= todo
 	}
+}
+
+// completeMOS computes the parts in want that MOS d's stored point
+// lacks.
+func (ws *EvalWorkspace) completeMOS(d *devPlan, want opParts) {
+	md := &ws.mosDevs[d.op]
+	todo := md.lack & want
+	if todo == 0 {
+		return
+	}
+	op := &ws.mosOps[d.op]
+	if todo&opPartials != 0 {
+		devices.EvalMOSPartials(d.mos.Model, md.g, op)
+	}
+	if todo&opCaps != 0 {
+		devices.EvalMOSCaps(d.mos.Model, md.g, op)
+	}
+	md.lack &^= todo
 }
 
 // evalKCL accumulates the DC current residuals by replaying the KCL

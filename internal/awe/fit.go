@@ -15,8 +15,8 @@ type FitWorkspace struct {
 
 	// solveHankel and fitOrder scratch
 	h      linalg.Matrix
-	hlu    linalg.LU
-	rhs    []float64
+	hscale []float64
+	hpiv   []int
 	acoef  []float64
 	poly   []complex128
 	rf     linalg.RootFinder
@@ -335,18 +335,114 @@ func cannotBeStable(a []float64) bool {
 // false when the system is singular.
 func (ws *FitWorkspace) solveHankel(mu []float64, q int) bool {
 	reuseMat(&ws.h, q, q)
-	ws.rhs = growF(ws.rhs, q)
-	for k := 0; k < q; k++ {
-		for j := 0; j < q; j++ {
-			ws.h.Set(k, j, mu[k+j])
-		}
-		ws.rhs[k] = -mu[k+q]
-	}
-	if err := ws.hlu.Factor(&ws.h); err != nil {
-		return false
-	}
 	ws.acoef = growF(ws.acoef, q)
-	ws.hlu.SolveInto(ws.acoef, ws.rhs)
+	for k := 0; k < q; k++ {
+		copy(ws.h.Data[k*q:k*q+q], mu[k:k+q])
+		ws.acoef[k] = -mu[k+q]
+	}
+	ws.hscale = growF(ws.hscale, q)
+	if cap(ws.hpiv) < q {
+		ws.hpiv = make([]int, q)
+	}
+	return luSolve(ws.h.Data, q, ws.acoef, ws.hscale, ws.hpiv[:q])
+}
+
+// luSolve solves the n×n system a·x = b in place: a (row-major) is
+// overwritten by its LU factors and b by x; scale and piv are n-long
+// scratch. It reports false where linalg.LU.Factor returns ErrSingular.
+//
+// It is linalg.LU's arithmetic without that factorizer's bookkeeping:
+// the same implicit row scaling and pivot rule, multipliers formed as
+// x·(1/pivot), the row permutation applied before forward substitution,
+// and the same zero skips in both solves, so every bit of x, signed
+// zeros included, matches LU.Factor then LU.SolveInto. LU also scans
+// for −0 and non-finite entries and records the factors' nonzero
+// structure so that sparse MNA solves can skip structural zeros; the
+// elimination here runs the plain loops, which LU's own comment shows
+// give the same factors, and a dense Hankel system of order 8 or less
+// has no structure worth recording.
+func luSolve(a []float64, n int, b, scale []float64, piv []int) bool {
+	for i := 0; i < n; i++ {
+		big := 0.0
+		for _, x := range a[i*n : i*n+n] {
+			if v := math.Abs(x); v > big {
+				big = v
+			}
+		}
+		if big == 0 {
+			return false
+		}
+		scale[i] = 1 / big
+	}
+	for k := 0; k < n; k++ {
+		p, big := k, 0.0
+		for i := k; i < n; i++ {
+			if v := scale[i] * math.Abs(a[i*n+k]); v > big {
+				big, p = v, i
+			}
+		}
+		if p != k {
+			rk, rp := a[k*n:k*n+n], a[p*n:p*n+n]
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			scale[k], scale[p] = scale[p], scale[k]
+		}
+		piv[k] = p
+		pv := a[k*n+k]
+		if math.Abs(pv) < 1e-300 {
+			return false
+		}
+		inv := 1 / pv
+		rowk := a[k*n+k+1 : k*n+n]
+		for i := k + 1; i < n; i++ {
+			l := a[i*n+k] * inv
+			a[i*n+k] = l
+			if l == 0 {
+				continue
+			}
+			rowi := a[i*n+k+1 : i*n+n]
+			for j, u := range rowk {
+				rowi[j] -= l * u
+			}
+		}
+	}
+	for k, p := range piv {
+		if p != k {
+			b[k], b[p] = b[p], b[k]
+		}
+	}
+	// Forward substitution skips a zero right-hand side and, unless it
+	// is non-finite, the zero multipliers; back substitution skips the
+	// zeros of U until a solved entry is non-finite. Subtracting a zero
+	// product could turn a −0 target into +0.
+	for k := 0; k < n; k++ {
+		bk := b[k]
+		if bk == 0 {
+			continue
+		}
+		all := bk-bk != 0 // ±Inf or NaN
+		for i := k + 1; i < n; i++ {
+			if l := a[i*n+k]; l != 0 || all {
+				b[i] -= l * bk
+			}
+		}
+	}
+	plain := false
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		row := a[i*n : i*n+n]
+		for j := i + 1; j < n; j++ {
+			if u := row[j]; u != 0 || plain {
+				s -= u * b[j]
+			}
+		}
+		x := s / row[i]
+		b[i] = x
+		if x-x != 0 {
+			plain = true
+		}
+	}
 	return true
 }
 

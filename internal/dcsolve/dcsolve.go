@@ -48,9 +48,10 @@ type Options struct {
 	FailHook func() bool
 	// Work, when set, supplies reusable iteration storage so repeated
 	// solves on same-sized problems allocate nothing (OBLX performs one
-	// small solve per Newton annealing move). With Work set, Result.V
-	// and Step's return alias the workspace and are only valid until the
-	// next solve that uses it — copy what must be kept.
+	// small solve per Newton annealing move). With Work set, the Result,
+	// Step's return and a non-convergence error alias the workspace and
+	// are only valid until the next solve that uses it — copy what must
+	// be kept.
 	Work *Workspace
 }
 
@@ -67,6 +68,10 @@ type Workspace struct {
 	// falls back to dense partial pivoting when a pivot guard trips, so
 	// singular-Jacobian verdicts are identical to the dense-only solver.
 	lu linalg.AutoLU[float64]
+	// res and noConv hold newton's result and non-convergence error, so
+	// a solve returns them without allocating.
+	res    Result
+	noConv convergenceError
 }
 
 // size readies every buffer for an n-unknown solve.
@@ -126,6 +131,37 @@ type Result struct {
 	V          []float64
 	Iterations int
 	ResidNorm  float64
+}
+
+// result records a solve's outcome in the workspace and returns it.
+func (w *Workspace) result(v []float64, iters int, norm float64) *Result {
+	w.res = Result{V: v, Iterations: iters, ResidNorm: norm}
+	return &w.res
+}
+
+// convergenceError is newton's ErrNoConvergence with the residual norm
+// and iteration count it gave up at. It formats its text only when read,
+// so a best-effort caller that discards it allocates nothing.
+type convergenceError struct {
+	stalled bool // no backtracking step improved the residual
+	norm    float64
+	iters   int
+}
+
+func (e *convergenceError) Error() string {
+	if e.stalled {
+		return fmt.Sprintf("%v: stalled at |F| = %g after %d iterations", ErrNoConvergence, e.norm, e.iters)
+	}
+	return fmt.Sprintf("%v: |F| = %g after %d iterations", ErrNoConvergence, e.norm, e.iters)
+}
+
+func (e *convergenceError) Unwrap() error { return ErrNoConvergence }
+
+// noConvergence records a non-convergence error in the workspace and
+// returns it.
+func (w *Workspace) noConvergence(stalled bool, norm float64, iters int) error {
+	w.noConv = convergenceError{stalled: stalled, norm: norm, iters: iters}
+	return &w.noConv
 }
 
 // Solve runs (optionally gmin-stepped) damped Newton-Raphson from v0.
@@ -234,13 +270,13 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 
 	for it := 1; it <= opt.MaxIter; it++ {
 		if norm < opt.AbsTol {
-			return &Result{V: v, Iterations: it - 1, ResidNorm: norm}, nil
+			return w.result(v, it-1, norm), nil
 		}
 		select {
 		case <-ctx.Done():
 			err := fmt.Errorf("dcsolve: %w", ctx.Err())
 			if opt.BestEffort {
-				return &Result{V: v, Iterations: it - 1, ResidNorm: norm}, err
+				return w.result(v, it-1, norm), err
 			}
 			return nil, err
 		default:
@@ -298,11 +334,11 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 			// Accept the tiny step anyway — near machine precision the
 			// norm can stagnate while still being acceptable.
 			if norm < 1e3*opt.AbsTol {
-				return &Result{V: v, Iterations: it, ResidNorm: norm}, nil
+				return w.result(v, it, norm), nil
 			}
-			err := fmt.Errorf("%w: stalled at |F| = %g after %d iterations", ErrNoConvergence, norm, it)
+			err := w.noConvergence(true, norm, it)
 			if opt.BestEffort {
-				return &Result{V: v, Iterations: it, ResidNorm: norm}, err
+				return w.result(v, it, norm), err
 			}
 			return nil, err
 		}
@@ -316,15 +352,15 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 			}
 		}
 		if stepMax < opt.RelTol && norm < 1e6*opt.AbsTol {
-			return &Result{V: v, Iterations: it, ResidNorm: norm}, nil
+			return w.result(v, it, norm), nil
 		}
 	}
 	if norm < 1e3*opt.AbsTol {
-		return &Result{V: v, Iterations: opt.MaxIter, ResidNorm: norm}, nil
+		return w.result(v, opt.MaxIter, norm), nil
 	}
-	err := fmt.Errorf("%w: |F| = %g after %d iterations", ErrNoConvergence, norm, opt.MaxIter)
+	err := w.noConvergence(false, norm, opt.MaxIter)
 	if opt.BestEffort {
-		return &Result{V: v, Iterations: opt.MaxIter, ResidNorm: norm}, err
+		return w.result(v, opt.MaxIter, norm), err
 	}
 	return nil, err
 }

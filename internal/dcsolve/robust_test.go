@@ -3,6 +3,7 @@ package dcsolve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -80,5 +81,43 @@ func TestFailHookRateZeroEquivalent(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Error("hook was never polled")
+	}
+}
+
+// TestNoConvergenceErrorText pins the texts of the two non-convergence
+// errors, which verify wraps into its report, and that both still match
+// ErrNoConvergence: a stall (no backtracking step improves the
+// residual of v² + 1, which has no root) and an exhausted iteration
+// budget (a linear problem held to 0.1 V steps).
+func TestNoConvergenceErrorText(t *testing.T) {
+	noRoot := &scalarProblem{
+		n:  1,
+		f:  func(v, f []float64) { f[0] = v[0]*v[0] + 1 },
+		jf: func(v []float64, j *linalg.Matrix) { j.Set(0, 0, 2*v[0]) },
+	}
+	cases := []struct {
+		name   string
+		p      Problem
+		opt    Options
+		format string
+	}{
+		{"stalled", noRoot, Options{BestEffort: true}, "dcsolve: no convergence: stalled at |F| = %g after %d iterations"},
+		{"budget", linProblem(), Options{BestEffort: true, MaxIter: 2, MaxStep: 0.1}, "dcsolve: no convergence: |F| = %g after %d iterations"},
+	}
+	for _, c := range cases {
+		for _, work := range []*Workspace{nil, new(Workspace)} {
+			opt := c.opt
+			opt.Work = work
+			r, err := Solve(context.Background(), c.p, []float64{0}, opt)
+			if r == nil || err == nil {
+				t.Fatalf("%s: result %v, error %v; want a best-effort result and an error", c.name, r, err)
+			}
+			if !errors.Is(err, ErrNoConvergence) {
+				t.Errorf("%s: %v does not match ErrNoConvergence", c.name, err)
+			}
+			if want := fmt.Sprintf(c.format, r.ResidNorm, r.Iterations); err.Error() != want {
+				t.Errorf("%s: error %q, want %q", c.name, err, want)
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"astrx/internal/metrics"
 	"astrx/internal/retry"
 	"astrx/internal/server"
 	"astrx/internal/telemetry"
@@ -201,6 +202,31 @@ func TestFleetStageTiming(t *testing.T) {
 	t.Logf("%d eval spans under the anneal span", evals)
 	if evals == 0 {
 		t.Error("no eval spans under the anneal span")
+	}
+}
+
+// TestFleetStageHistograms: a lease's sampled stage timings arrive at
+// the coordinator only as eval:<stage> spans, and each one ingested must
+// also land in that stage's oblxd_eval_stage_seconds histogram, so
+// /debug/metrics reports fleet jobs' stage timing as it does local
+// jobs'. Every ingested span is counted once in its span-duration
+// histogram, so after one job the two counts agree stage by stage.
+func TestFleetStageHistograms(t *testing.T) {
+	reg := metrics.New()
+	f := startFleet(t, server.Options{Registry: reg}, fastFleetOptions())
+	f.startWorker(WorkerOptions{ID: "w1"})
+	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 4000, NoFreeze: true})
+	f.waitState(id, server.StateDone, 120*time.Second)
+
+	for _, st := range telemetry.StageNames() {
+		spans := reg.Histogram("oblxd_span_duration_seconds", metrics.DurationBuckets, "span", "eval:"+st).Count()
+		stage := reg.Histogram("oblxd_eval_stage_seconds", telemetry.StageBuckets, "stage", st).Count()
+		if spans == 0 {
+			t.Errorf("stage %s: no eval spans ingested", st)
+		}
+		if stage != spans {
+			t.Errorf("stage %s: oblxd_eval_stage_seconds count %d, want the %d eval:%s spans ingested", st, stage, spans, st)
+		}
 	}
 }
 

@@ -237,6 +237,14 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 // next move, so a resume from the cancellation checkpoint would start
 // from a state the uninterrupted run never reached. Each solve is bounded
 // by iters, so ignoring the cancel costs at most a few iterations.
+//
+// Without a fault injector a proposal depends only on the start vector
+// and the lanes' quarantine flags, so the move answers a repeat of its
+// previous proposal's, bit for bit, from a memo instead of solving
+// again: a run of declined moves leaves the start vector as it was. A
+// fault hook draws from the injector on every solve, so with one
+// attached every proposal solves. The memo is not checkpointed; a
+// resumed run solves its first proposal, which gives the same bits.
 func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal.Move {
 	cs := p.cs
 	// The move closure owns its solver scratch: steady-state annealing
@@ -248,11 +256,20 @@ func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal
 		vbuf     []float64
 		nomNodes []float64
 		lbuf     [][]float64 = make([][]float64, cs.K())
+		memo     proposalMemo
 	)
+	useMemo := p.inj == nil
 	solveCtx := context.WithoutCancel(ctx)
 	return &anneal.FuncMove{
 		Label: label,
 		Fn: func(cur, next []float64, rng *rand.Rand) bool {
+			p.proposals.Proposals++
+			if useMemo {
+				if ok, hit := memo.answer(cur, next, p.lanes); hit {
+					p.proposals.Reused++
+					return ok
+				}
+			}
 			any := false
 			nomNodes = nomNodes[:0]
 			for i := 0; i < cs.K(); i++ {
@@ -301,9 +318,54 @@ func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal
 				}
 				any = true
 			}
+			if useMemo {
+				memo.store(cur, next, p.lanes, any)
+			}
 			return any
 		},
 	}
+}
+
+// proposalMemo is a Newton move's previous proposal: its start vector
+// (empty before the first) and the lanes' quarantine flags, and the
+// verdict and proposed vector they gave.
+type proposalMemo struct {
+	start []float64
+	quar  []bool // quar[i]: lane i was quarantined
+	ok    bool
+	next  []float64
+}
+
+// answer copies the previous proposal into next and returns its verdict
+// when cur and the lanes' quarantine flags repeat its inputs bit for
+// bit; hit reports whether they did.
+func (m *proposalMemo) answer(cur, next []float64, lanes []cornerLane) (ok, hit bool) {
+	if len(cur) != len(m.start) {
+		return false, false
+	}
+	for i, l := range lanes {
+		if l.quarantined != m.quar[i] {
+			return false, false
+		}
+	}
+	for i, v := range cur {
+		if math.Float64bits(v) != math.Float64bits(m.start[i]) {
+			return false, false
+		}
+	}
+	copy(next, m.next)
+	return m.ok, true
+}
+
+// store records a proposal from cur under the lanes' quarantine flags.
+func (m *proposalMemo) store(cur, next []float64, lanes []cornerLane, ok bool) {
+	m.start = append(m.start[:0], cur...)
+	m.next = append(m.next[:0], next...)
+	m.quar = m.quar[:0]
+	for _, l := range lanes {
+		m.quar = append(m.quar, l.quarantined)
+	}
+	m.ok = ok
 }
 
 // sameValues reports whether a and b hold equal values, element by

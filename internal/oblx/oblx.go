@@ -97,8 +97,12 @@ type Options struct {
 	// "anneal" span per Run (with a resume event when restoring from a
 	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
 	// attributes, Result.FactorCounts as factor.sparse, factor.dense,
-	// factor.symbolic_misses and factor.reused, Result.NewtonCounts as
-	// newton.residuals, newton.jacobians and newton.jacobians_reused, and
+	// factor.symbolic_misses and factor.reused, Result.DeviceCounts as
+	// device.evals and device.reused, Result.NewtonCounts as
+	// newton.residuals, newton.jacobians, newton.jacobians_reused,
+	// newton.device_evals and newton.device_reused,
+	// Result.NewtonProposals as newton.proposals and
+	// newton.proposals_reused, and
 	// Result.FitCounts as fit.fits, fit.attempts, fit.deferred,
 	// fit.validated_stable, fit.validated_unstable, fit.unvalidated and
 	// fit.constant)
@@ -350,6 +354,14 @@ type Result struct {
 	// residual replays, Jacobians, and Jacobians that reused the
 	// residual's replay.
 	NewtonCounts astrx.NewtonCounts
+	// DeviceCounts sums the lanes' device evaluations in cost
+	// evaluations over the same span, and those that kept a stored
+	// operating point because the device's inputs repeated bit for bit.
+	// The Newton moves' device evaluations are in NewtonCounts.Devices.
+	DeviceCounts astrx.DeviceCounts
+	// NewtonProposals counts the Newton moves' proposals over the same
+	// span, and those a move answered from its memo of its previous one.
+	NewtonProposals ProposalCounts
 	// FitCounts sums the lanes' Padé searches over the same span: fits,
 	// orders attempted, orders deferred because they cannot be stable and
 	// never attempted, and how each fit ended (a stable or an unstable
@@ -366,6 +378,14 @@ type Result struct {
 	// only its own.
 	evalTime   time.Duration
 	evalsTimed int
+}
+
+// ProposalCounts counts Newton-move proposals: those the annealer asked
+// for, and those a move answered from its memo because the start vector
+// and the lanes' quarantine flags repeated its previous proposal's bit
+// for bit.
+type ProposalCounts struct {
+	Proposals, Reused uint64
 }
 
 // TimePerEval returns the mean wall time per circuit evaluation — the
@@ -424,6 +444,9 @@ type problem struct {
 	nanCosts    int
 	retries     int
 	quarantined int
+	// proposals counts the Newton moves' proposals, and those their
+	// memos answered.
+	proposals ProposalCounts
 
 	// evalTime and evalsTimed time this process's Cost calls, retries
 	// included (Result.TimePerEval).
@@ -673,15 +696,18 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		fc linalg.FactorCounts
 		nc astrx.NewtonCounts
 		ft awe.FitCounts
+		dc astrx.DeviceCounts
 	)
 	for i := 0; i < p.bw.K(); i++ {
 		fc.Add(p.bw.Lane(i).FactorCounts())
 		ft.Add(p.bw.Lane(i).FitCounts())
+		dc.Add(p.bw.Lane(i).DeviceCounts())
 		// Newton moves solve on each lane's compiled problem's shared
 		// workspace, not on the lane set's.
 		nc.Add(cs.Lane(i).Workspace().NewtonCounts())
 	}
 	unstable := p.unstableCount()
+	proposals := p.proposals
 
 	// Polish: a final full Newton solve from the best point tightens the
 	// bias to simulator-grade dc-correctness (the annealer's freezing
@@ -715,12 +741,14 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			RejectedMoves:   res.NonFinite,
 			Unstable:        unstable,
 		},
-		FactorCounts:  fc,
-		NewtonCounts:  nc,
-		FitCounts:     ft,
-		CheckpointErr: ckErr,
-		evalTime:      p.evalTime,
-		evalsTimed:    p.evalsTimed,
+		FactorCounts:    fc,
+		NewtonCounts:    nc,
+		DeviceCounts:    dc,
+		NewtonProposals: proposals,
+		FitCounts:       ft,
+		CheckpointErr:   ckErr,
+		evalTime:        p.evalTime,
+		evalsTimed:      p.evalsTimed,
 	}
 	// A nominal-only run reports no corner breakdown.
 	if len(cs.Corners) > 0 {
@@ -751,9 +779,15 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("factor.dense", strconv.FormatUint(fc.Dense, 10))
 	asp.SetAttr("factor.symbolic_misses", strconv.FormatUint(fc.SymbolicMisses, 10))
 	asp.SetAttr("factor.reused", strconv.FormatUint(fc.Reused, 10))
+	asp.SetAttr("device.evals", strconv.FormatUint(dc.Evals, 10))
+	asp.SetAttr("device.reused", strconv.FormatUint(dc.Reused, 10))
 	asp.SetAttr("newton.residuals", strconv.FormatUint(nc.Residuals, 10))
 	asp.SetAttr("newton.jacobians", strconv.FormatUint(nc.Jacobians, 10))
 	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))
+	asp.SetAttr("newton.device_evals", strconv.FormatUint(nc.Devices.Evals, 10))
+	asp.SetAttr("newton.device_reused", strconv.FormatUint(nc.Devices.Reused, 10))
+	asp.SetAttr("newton.proposals", strconv.FormatUint(proposals.Proposals, 10))
+	asp.SetAttr("newton.proposals_reused", strconv.FormatUint(proposals.Reused, 10))
 	asp.SetAttr("fit.fits", strconv.FormatUint(ft.Fits, 10))
 	asp.SetAttr("fit.attempts", strconv.FormatUint(ft.Attempts, 10))
 	asp.SetAttr("fit.deferred", strconv.FormatUint(ft.Deferred, 10))

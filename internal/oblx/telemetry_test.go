@@ -137,16 +137,23 @@ func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 }
 
 // checkNewtonAttrs requires the anneal span to carry the run's Newton
-// counts, the run to have made Newton moves, and every Jacobian to have
-// reused the replay of the residual before it: dcsolve always asks for
-// the Jacobian at the point it has just evaluated.
+// and device counts, the run to have made Newton moves, every Jacobian
+// to have reused the replay of the residual before it (dcsolve always
+// asks for the Jacobian at the point it has just evaluated), and no
+// count of reuses to exceed the count it is part of.
 func checkNewtonAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	t.Helper()
-	nc := res.NewtonCounts
+	nc, dc, pc := res.NewtonCounts, res.DeviceCounts, res.NewtonProposals
 	for name, want := range map[string]uint64{
 		"newton.residuals":        nc.Residuals,
 		"newton.jacobians":        nc.Jacobians,
 		"newton.jacobians_reused": nc.JacobiansReused,
+		"newton.device_evals":     nc.Devices.Evals,
+		"newton.device_reused":    nc.Devices.Reused,
+		"newton.proposals":        pc.Proposals,
+		"newton.proposals_reused": pc.Reused,
+		"device.evals":            dc.Evals,
+		"device.reused":           dc.Reused,
 	} {
 		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
 		if err != nil || got != want {
@@ -155,6 +162,11 @@ func checkNewtonAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 	}
 	if nc.Jacobians == 0 || nc.JacobiansReused != nc.Jacobians || nc.Residuals < nc.Jacobians {
 		t.Errorf("newton counts %+v: want Jacobians > 0, all reused, and no more Jacobians than residuals", nc)
+	}
+	if nc.Devices.Evals == 0 || nc.Devices.Reused > nc.Devices.Evals || dc.Evals == 0 || dc.Reused > dc.Evals ||
+		pc.Proposals == 0 || pc.Reused > pc.Proposals {
+		t.Errorf("device counts %+v, newton device counts %+v, proposals %+v: want evaluations and proposals, each with no more reused than made",
+			dc, nc.Devices, pc)
 	}
 	checkFitAttrs(t, anneal, res)
 }

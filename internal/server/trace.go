@@ -3,10 +3,12 @@ package server
 import (
 	"net/http"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"astrx/internal/durable"
 	"astrx/internal/metrics"
+	"astrx/internal/telemetry"
 	"astrx/internal/trace"
 )
 
@@ -72,11 +74,33 @@ func (j *Job) TraceContext() string { return j.trace.Traceparent() }
 
 // AddTraceSpans ingests spans shipped by the job's fleet leaseholder.
 // The coordinator calls it only after epoch fencing succeeds, so a
-// zombie worker's spans never pollute the trace.
+// zombie worker's spans never pollute the trace. A lease's sampled stage
+// timings arrive only as eval spans, so each ingested eval:<stage> span
+// is observed into that stage's oblxd_eval_stage_seconds histogram, as
+// jobTimer observes a local job's samples.
 func (m *Manager) AddTraceSpans(j *Job, spans []trace.Span) {
 	for _, sp := range spans {
-		j.trace.Add(sp)
+		if !j.trace.Add(sp) {
+			continue
+		}
+		if s, ok := evalStage(sp.Name); ok {
+			m.mStage[s].Observe(time.Duration(sp.DurationNS).Seconds())
+		}
 	}
+}
+
+// evalStage maps an eval span's name, eval:<stage>, to its stage.
+func evalStage(name string) (telemetry.Stage, bool) {
+	stage, ok := strings.CutPrefix(name, "eval:")
+	if !ok {
+		return 0, false
+	}
+	for s, n := range telemetry.StageNames() {
+		if n == stage {
+			return telemetry.Stage(s), true
+		}
+	}
+	return 0, false
 }
 
 // markQueued notes that the job entered (or re-entered) the queue: it

@@ -575,15 +575,17 @@ func (r *Recorder) RecordEval(stage string, d time.Duration) {
 }
 
 // Add ingests a completed span produced elsewhere (a worker's shipped
-// spans, or a snapshot being re-seeded after recovery). Spans from a
-// different trace are dropped.
-func (r *Recorder) Add(sp Span) {
+// spans, or a snapshot being re-seeded after recovery) and reports
+// whether it did. Open spans and spans from a different trace are
+// dropped.
+func (r *Recorder) Add(sp Span) bool {
 	if r == nil || sp.TraceID != r.tc.TraceID || sp.Open {
-		return
+		return false
 	}
 	r.mu.Lock()
 	r.commitLocked(sp)
 	r.mu.Unlock()
+	return true
 }
 
 // DrainNew returns spans completed since the previous drain and clears
