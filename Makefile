@@ -56,7 +56,14 @@ race:
 # and to accepting only current-version checkpoints with annealer and
 # weight state; FuzzJobRecord holds the job-record reader to never
 # panicking and to accepting only sealed current-version records whose
-# ID matches the file name. Every line bounds input minimization to 100
+# ID matches the file name. The input parsers come last: FuzzExprParse
+# holds the expression parser to never panicking and to a round trip
+# (an accepted expression's String() parses to a node with the same
+# String(), and both evaluate to the same bits or the same error), seeded
+# with the bench decks' spec expressions; FuzzTraceparent holds the W3C
+# traceparent parser to never panicking and an accepted value's context
+# to a round trip through Context.Traceparent(). Every line bounds input
+# minimization to 100
 # runs: at the default 60 s budget a worker that found a new input could
 # spend the rest of the 10 s minimizing it, fuzzing a few thousand
 # inputs per target instead of exploring.
@@ -68,6 +75,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/oblx
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRecord$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzExprParse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/expr
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -62,14 +62,14 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	y := append([]float64(nil), x...)
 	y[comp.NUser] += 1e-3
 	pts := [2][]float64{x, y}
-	ws := comp.Workspace()
-	comp.Cost(x) // warm the workspace so steady-state allocations are measured
-	comp.Cost(y)
+	ws := comp.NewWorkspace()
+	ws.Cost(x) // warm the workspace so steady-state allocations are measured
+	ws.Cost(y)
 	reused := ws.FactorCounts().Reused
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cost := comp.Cost(pts[i&1]); cost <= 0 {
+		if cost := ws.Cost(pts[i&1]); cost <= 0 {
 			b.Fatal("degenerate cost")
 		}
 	}
@@ -77,7 +77,7 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	if n := ws.FactorCounts().Reused - reused; n != 0 {
 		b.Fatalf("%d evaluations reused a factorization; the benchmark must time the whole pipeline", n)
 	}
-	comp.Cost(x) // leave the start point's factorization for the stats below
+	ws.Cost(x) // leave the start point's factorization for the stats below
 	// Per-deck matrix shape: dimension of the largest jig system, total
 	// structural nonzeros and factor fill across the factored matrices
 	// (one per distinct jig stamp program), and the fraction of them
@@ -310,7 +310,7 @@ func BenchmarkNewtonBias(b *testing.B) {
 	for i, v := range comp.Vars() {
 		x[i] = v.Start()
 	}
-	p := comp.DCProblem(x)
+	p := comp.NewWorkspace().DCProblem(x)
 	v0 := make([]float64, p.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -371,9 +371,9 @@ vb in 0 1
 
 func TestCostFailurePath(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	// Wrong length vector → failed evaluation → FailCost.
+	// Wrong length vector → failed evaluation → failCost.
 	cb := c.NewWorkspace().CostDetail([]float64{1})
-	if !cb.Failed || cb.Total != c.Opt.FailCost {
+	if !cb.Failed || cb.Total != failCost {
 		t.Errorf("bad-length cost = %+v", cb)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // internal nodes, resolves models, and runs the tree-link analysis that
 // splits nodes into determined (source-fixed) and free (relaxed-dc
 // variables).
-func compileBias(deck *netlist.Deck, opt CostOptions) (*BiasCkt, error) {
+func compileBias(deck *netlist.Deck) (*BiasCkt, error) {
 	flat, err := circuit.Flatten("bias", deck.Bias.Elements, deck.Modules, deck.Models)
 	if err != nil {
 		return nil, fmt.Errorf("astrx: bias: %w", err)

@@ -171,46 +171,34 @@ type Compiled struct {
 	// Weights holds the (adaptive) weight state for cost assembly.
 	Weights *Weights
 
-	// Options for cost evaluation.
-	Opt CostOptions
-
-	// plan is the precompiled evaluation program (plan.go); ws is the
-	// lazily created shared workspace behind Cost (workspace.go).
+	// plan is the precompiled evaluation program (plan.go); every
+	// EvalWorkspace replays it (workspace.go).
 	plan *evalPlan
-	ws   *EvalWorkspace
 }
 
-// CostOptions tunes cost evaluation.
-type CostOptions struct {
-	// AWEOrder is the requested reduced-model order (0 → awe default).
-	AWEOrder int
-	// Gmin is the conductance tied from every small-signal node to
-	// ground so AWE's G matrix is never singular (0 → 1e-12 S).
-	Gmin float64
-	// KCLTolAbs is τ_abs in the paper's eq. (3) (0 → 1e-9 A).
-	KCLTolAbs float64
-	// FailCost is returned when an evaluation cannot complete (0 → 1e9).
-	FailCost float64
-}
+// CostOptions is Compile's option set, and it is empty: the
+// reduced-model order, the jig ground conductance, the KCL tolerance
+// and the failure cost are fixed (the package values below).
+type CostOptions struct{}
 
-func (o *CostOptions) defaults() {
-	if o.AWEOrder == 0 {
-		o.AWEOrder = 8
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
-	if o.KCLTolAbs == 0 {
-		o.KCLTolAbs = 1e-9
-	}
-	if o.FailCost == 0 {
-		o.FailCost = 1e9
-	}
-}
+// The cost function's fixed settings.
+const (
+	// aweOrder is the requested reduced-model order.
+	aweOrder = 8
+	// kclTolAbs is τ_abs in the paper's eq. (3), in amperes.
+	kclTolAbs = 1e-9
+	// failCost is C(x) of an evaluation that cannot complete.
+	failCost = 1e9
+)
+
+// gmin is the conductance (S) tied from every small-signal node to
+// ground so AWE's G matrix is never singular. It is a variable, not a
+// constant: the jig plans stamp 1/(1/gmin) rounded twice at run time,
+// and a constant expression would fold exactly.
+var gmin = 1e-12
 
 // Compile translates a deck into an evaluatable synthesis problem.
-func Compile(deck *netlist.Deck, opt CostOptions) (*Compiled, error) {
-	opt.defaults()
+func Compile(deck *netlist.Deck, _ CostOptions) (*Compiled, error) {
 	if deck.Bias == nil {
 		return nil, fmt.Errorf("astrx: deck has no .bias circuit")
 	}
@@ -221,7 +209,7 @@ func Compile(deck *netlist.Deck, opt CostOptions) (*Compiled, error) {
 		return nil, fmt.Errorf("astrx: deck declares no .var design variables")
 	}
 
-	c := &Compiled{Deck: deck, Opt: opt}
+	c := &Compiled{Deck: deck}
 
 	// (a) user variables.
 	for _, v := range deck.Vars {
@@ -234,7 +222,7 @@ func Compile(deck *netlist.Deck, opt CostOptions) (*Compiled, error) {
 	c.NUser = len(c.VarList)
 
 	// (b) + (c): the bias circuit.
-	bias, err := compileBias(deck, opt)
+	bias, err := compileBias(deck)
 	if err != nil {
 		return nil, err
 	}

@@ -335,7 +335,7 @@ func assemble(c *Compiled, lanes []*EvalWorkspace, include, evaluated []bool) Co
 	w := c.Weights
 	if !include[0] || !evaluated[0] {
 		out.Failed = true
-		out.Total = c.Opt.FailCost
+		out.Total = failCost
 		return out
 	}
 
@@ -396,7 +396,7 @@ func assemble(c *Compiled, lanes []*EvalWorkspace, include, evaluated []bool) Co
 	out.Total = out.Objective + out.Perf + out.Dev + out.DC
 	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
 		out.Failed = true
-		out.Total = c.Opt.FailCost
+		out.Total = failCost
 	}
 	return out
 }

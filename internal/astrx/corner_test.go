@@ -251,7 +251,7 @@ func TestWorstCaseQuarantineDegrades(t *testing.T) {
 	// Nominal failure fails the candidate.
 	set4, bw4, _ := mk()
 	dead := set4.WorstCase(bw4, all, []bool{false, true, true})
-	if !dead.Failed || dead.Total != set4.Nominal.Opt.FailCost {
-		t.Errorf("dead nominal: %+v, want Failed at FailCost", dead)
+	if !dead.Failed || dead.Total != failCost {
+		t.Errorf("dead nominal: %+v, want Failed at failCost", dead)
 	}
 }

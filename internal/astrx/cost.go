@@ -129,16 +129,16 @@ type CostBreakdown struct {
 	Perf      float64 // C^perf — spec constraint penalties
 	Dev       float64 // C^dev — region constraint penalties
 	DC        float64 // C^dc — relaxed-dc KCL penalties
-	Failed    bool    // evaluation failed; Total = FailCost
+	Failed    bool    // evaluation failed; Total = failCost
 	Total     float64
 }
 
 // Cost evaluates C(x) (implements anneal.Problem together with Vars) on
-// the compiled problem's shared workspace, allocation-free after
-// warm-up. Code that must not disturb that workspace's counters
-// evaluates through its own NewWorkspace.
+// a fresh workspace, so each call pays the workspace's allocation and
+// warm-up. It suits a one-off evaluation; a loop holds its own
+// NewWorkspace and calls its Cost.
 func (c *Compiled) Cost(x []float64) float64 {
-	return c.Workspace().Cost(x)
+	return c.NewWorkspace().Cost(x)
 }
 
 // Vars implements anneal.Problem.

@@ -165,14 +165,6 @@ func TestRegionVariants(t *testing.T) {
 	}
 }
 
-func TestCostOptionsDefaults(t *testing.T) {
-	var o CostOptions
-	o.defaults()
-	if o.AWEOrder == 0 || o.Gmin == 0 || o.KCLTolAbs == 0 || o.FailCost == 0 {
-		t.Errorf("defaults not applied: %+v", o)
-	}
-}
-
 func TestSeriesRExpr(t *testing.T) {
 	e := &seriesRExpr{rw: 8e-4, w: expr.MustParse("W"), m: expr.MustParse("2")}
 	env := expr.MapEnv{"W": 10e-6}
@@ -265,7 +257,7 @@ func TestGeometryReadersAfterFailedRun(t *testing.T) {
 
 func TestDCProblemWrongSizes(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	p := c.DCProblem([]float64{1000, 0})
+	p := c.NewWorkspace().DCProblem([]float64{1000, 0})
 	f := make([]float64, p.N())
 	// Residual with a non-finite design var: expression still evaluates,
 	// so drive the error path via a broken value instead.

@@ -11,17 +11,18 @@ import (
 // DCProblem adapts the compiled bias circuit to dcsolve.Problem: the
 // unknowns are the free node voltages, the user design variables are
 // frozen at the values carried in the prefix of x. It runs on the
-// compiled problem's shared workspace: Residual and Jacobian replay the
-// precompiled KCL program with no per-call allocation, and successive
-// DCProblem calls on one Compiled reuse the same storage (the annealer
-// builds one per Newton move).
+// workspace that built it: Residual and Jacobian replay the precompiled
+// KCL program with no per-call allocation, and successive DCProblem
+// calls on one workspace reuse the same storage (the annealer builds
+// one per lane and Newton move). A device whose inputs repeat those of
+// the workspace's last run, a cost evaluation's included, keeps its
+// operating point.
 //
 // A Residual replay evaluates device currents only. Newton asks for the
 // Jacobian at the point whose residual it has just computed, so a
 // Jacobian at exactly that point adds the devices' conductances to the
 // residual's replay instead of replaying again.
 type DCProblem struct {
-	c     *Compiled
 	ws    *EvalWorkspace
 	userX []float64 // length NUser
 	full  []float64 // the last replayed vector: userX, then v
@@ -53,12 +54,12 @@ func (n *NewtonCounts) Add(o NewtonCounts) {
 // NewtonCounts returns the workspace's Newton-problem counts.
 func (ws *EvalWorkspace) NewtonCounts() NewtonCounts { return ws.newton }
 
-// DCProblem builds the Newton problem with the design variables taken
-// from the prefix of x (the rest of x is ignored).
-func (c *Compiled) DCProblem(x []float64) *DCProblem {
-	ws := c.Workspace()
+// DCProblem builds the Newton problem on the workspace, with the design
+// variables taken from the prefix of x (the rest of x is ignored). It
+// replaces the workspace's previous DCProblem.
+func (ws *EvalWorkspace) DCProblem(x []float64) *DCProblem {
+	c := ws.c
 	p := &ws.dc
-	p.c = c
 	p.ws = ws
 	p.userX = append(p.userX[:0], x[:c.NUser]...)
 	if cap(p.full) < len(c.VarList) {
@@ -70,13 +71,13 @@ func (c *Compiled) DCProblem(x []float64) *DCProblem {
 }
 
 // N returns the number of free node voltages.
-func (p *DCProblem) N() int { return len(p.c.Bias.FreeNodes) }
+func (p *DCProblem) N() int { return len(p.ws.c.Bias.FreeNodes) }
 
 // eval runs the bias-only part of the plan (node voltages, device
 // currents, KCL) on the workspace.
 func (p *DCProblem) eval(v []float64) error {
 	copy(p.full, p.userX)
-	copy(p.full[p.c.NUser:], v)
+	copy(p.full[p.ws.c.NUser:], v)
 	p.ws.run(p.full, false)
 	return p.ws.err
 }
@@ -185,7 +186,7 @@ func (p *DCProblem) atResidual(v []float64) bool {
 	if p.resRun == 0 || p.resRun != p.ws.runs {
 		return false
 	}
-	last := p.full[p.c.NUser:]
+	last := p.full[p.ws.c.NUser:]
 	if len(v) != len(last) {
 		return false
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestDCProblemDivider(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	p := c.DCProblem([]float64{1000})
+	p := c.NewWorkspace().DCProblem([]float64{1000})
 	if p.N() != 1 {
 		t.Fatalf("N = %d", p.N())
 	}
@@ -36,7 +36,7 @@ func TestDCProblemJacobianMatchesFD(t *testing.T) {
 	for i, v := range c.VarList {
 		x[i] = v.Start()
 	}
-	p := c.DCProblem(x)
+	p := c.NewWorkspace().DCProblem(x)
 	n := p.N()
 	v := make([]float64, n)
 	for i := range v {
@@ -78,7 +78,8 @@ func TestDCProblemSolvesDiffAmpBias(t *testing.T) {
 	}
 	// Reasonable design-variable values: W=50u, L=2u, I=50u, Vb=1.2.
 	x[0], x[1], x[2], x[3] = 50e-6, 2e-6, 50e-6, 1.2
-	p := c.DCProblem(x)
+	ws := c.NewWorkspace()
+	p := ws.DCProblem(x)
 	n := p.N()
 	v0 := make([]float64, n)
 	r, err := dcsolve.Solve(context.Background(), p, v0, dcsolve.Options{GminSteps: 8, MaxIter: 200})
@@ -96,7 +97,7 @@ func TestDCProblemSolvesDiffAmpBias(t *testing.T) {
 
 	// Inject the solved voltages and check the full state.
 	copy(x[c.NUser:], r.V)
-	st := c.NewWorkspace().Evaluate(x)
+	st := ws.Evaluate(x)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}

@@ -122,17 +122,17 @@ func TestDeviceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestDeviceReuseAfterNewton runs a Newton residual, then a Jacobian, at
-// a point on the compiled problem's shared workspace, and then a cost
-// evaluation there: it keeps every device's current-only point and
-// computes the parts the Newton replay left out.
+// a point on a workspace, and then a cost evaluation there: it keeps
+// every device's current-only point and computes the parts the Newton
+// replay left out.
 func TestDeviceReuseAfterNewton(t *testing.T) {
 	for _, tc := range devReuseCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, x := tc.c, tc.x
-			ws := c.Workspace()
+			ws := c.NewWorkspace()
 			devEval(t, "elsewhere", c, ws, with(x, 0, x[0]*1.2))
 			for _, jac := range []bool{false, true} {
-				p := c.DCProblem(x)
+				p := ws.DCProblem(x)
 				v := x[c.NUser:]
 				if err := p.Residual(v, make([]float64, p.N())); err != nil {
 					t.Fatal(err)
@@ -152,7 +152,7 @@ func TestDeviceReuseAfterNewton(t *testing.T) {
 			}
 			// A Newton replay at a repeated point keeps every device's
 			// point, and the Jacobian it feeds matches a fresh problem's.
-			p := c.DCProblem(x)
+			p := ws.DCProblem(x)
 			v := x[c.NUser:]
 			mustResidual(t, p, v)
 			before := ws.NewtonCounts().Devices
@@ -161,7 +161,7 @@ func TestDeviceReuseAfterNewton(t *testing.T) {
 			if n, r := after.Evals-before.Evals, after.Reused-before.Reused; n == 0 || r != n {
 				t.Fatalf("repeated residual: %d of %d device evaluations reused, want all", r, n)
 			}
-			want := jacobianOf(tc.compile().DCProblem(x), v)
+			want := jacobianOf(tc.compile().NewWorkspace().DCProblem(x), v)
 			if d := jacDiff(jacobianOf(p, v), want); d != "" {
 				t.Fatalf("Jacobian after a repeated residual: %s", d)
 			}

@@ -150,7 +150,6 @@ func (st *EvalState) smallSignalNetlist(j *JigCkt) (*circuit.Netlist, error) {
 	// first so the MNA unknown ordering is pinned to AllNodes order (the
 	// ties cover every node), which the compiled evaluation plan
 	// (plan.go) stamps against.
-	gmin := st.C.Opt.Gmin
 	for i, n := range j.AllNodes {
 		elems = append(elems, &circuit.Element{
 			Name: fmt.Sprintf("gmin#%d", i), Kind: circuit.KindR,

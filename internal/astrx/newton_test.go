@@ -29,7 +29,7 @@ func newtonPoint(t *testing.T, ckt bench.Circuit) []float64 {
 	for i, v := range c.VarList {
 		x[i] = v.Start()
 	}
-	r, _ := dcsolve.Solve(context.Background(), c.DCProblem(x), x[c.NUser:],
+	r, _ := dcsolve.Solve(context.Background(), c.NewWorkspace().DCProblem(x), x[c.NUser:],
 		dcsolve.Options{MaxIter: 20, BestEffort: true})
 	if r == nil {
 		t.Fatalf("%s: no start bias", ckt)
@@ -52,10 +52,10 @@ func jacobianOf(p *astrx.DCProblem, v []float64) jacResult {
 }
 
 // freshJacobian computes the Jacobian at (x's design variables, v) on a
-// newly compiled deck, whose workspace has never run.
+// new workspace of a newly compiled deck.
 func freshJacobian(t *testing.T, ckt bench.Circuit, x, v []float64) jacResult {
 	t.Helper()
-	return jacobianOf(compileSrc(t, bench.DeckSource(ckt)).DCProblem(x), v)
+	return jacobianOf(compileSrc(t, bench.DeckSource(ckt)).NewWorkspace().DCProblem(x), v)
 }
 
 // jacDiff describes how two Jacobian results differ, comparing matrix
@@ -121,32 +121,32 @@ func TestJacobianReuseGuard(t *testing.T) {
 				reuse bool
 				// seq leaves the workspace in the case's state and
 				// returns the problem and point for the Jacobian.
-				seq  func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64)
+				seq  func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64)
 				want jacResult
 			}{
-				{"a/residual-then-jacobian", true, func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64) {
-					p := c.DCProblem(x1)
+				{"a/residual-then-jacobian", true, func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64) {
+					p := ws.DCProblem(x1)
 					mustResidual(t, p, v1)
 					return p, v1
 				}, at11},
-				{"b/cost-between", false, func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64) {
-					p := c.DCProblem(x1)
+				{"b/cost-between", false, func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64) {
+					p := ws.DCProblem(x1)
 					mustResidual(t, p, v1)
-					c.Workspace().Cost(append(x2[:nu:nu], v2...))
+					ws.Cost(append(x2[:nu:nu], v2...))
 					return p, v1
 				}, at11},
-				{"c/other-design-variables", false, func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64) {
-					mustResidual(t, c.DCProblem(x1), v1)
-					return c.DCProblem(x2), v1
+				{"c/other-design-variables", false, func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64) {
+					mustResidual(t, ws.DCProblem(x1), v1)
+					return ws.DCProblem(x2), v1
 				}, freshJacobian(t, ckt, x2, v1)},
-				{"d/other-point", false, func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64) {
-					p := c.DCProblem(x1)
+				{"d/other-point", false, func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64) {
+					p := ws.DCProblem(x1)
 					mustResidual(t, p, v1)
 					return p, v2
 				}, freshJacobian(t, ckt, x1, v2)},
-				{"e/failed-residual", false, func(t *testing.T, c *astrx.Compiled) (*astrx.DCProblem, []float64) {
-					mustResidual(t, c.DCProblem(x1), v1)
-					p := c.DCProblem(bad)
+				{"e/failed-residual", false, func(t *testing.T, ws *astrx.EvalWorkspace) (*astrx.DCProblem, []float64) {
+					mustResidual(t, ws.DCProblem(x1), v1)
+					p := ws.DCProblem(bad)
 					if err := p.Residual(v1, make([]float64, p.N())); err == nil {
 						t.Fatal("residual at nonpositive geometry succeeded")
 					}
@@ -155,14 +155,14 @@ func TestJacobianReuseGuard(t *testing.T) {
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
-					c := compileSrc(t, bench.DeckSource(ckt))
-					p, v := tc.seq(t, c)
-					before := c.Workspace().NewtonCounts()
+					ws := compileSrc(t, bench.DeckSource(ckt)).NewWorkspace()
+					p, v := tc.seq(t, ws)
+					before := ws.NewtonCounts()
 					got := jacobianOf(p, v)
 					if d := jacDiff(got, tc.want); d != "" {
 						t.Errorf("Jacobian differs from a fresh workspace's: %s", d)
 					}
-					after := c.Workspace().NewtonCounts()
+					after := ws.NewtonCounts()
 					if after.Jacobians != before.Jacobians+1 {
 						t.Errorf("Jacobians counted %d → %d, want one more", before.Jacobians, after.Jacobians)
 					}
@@ -196,16 +196,17 @@ func mosOpsDiff(got, want map[string]devices.MOSOp) string {
 	return ""
 }
 
-// TestNewtonLeavesCompleteOps solves the bias on the shared workspace,
-// as a Newton move does, and requires State and EvaluateBias there to
-// report the operating points a fresh workspace's EvaluateBias gives,
-// conductances and capacitances included.
+// TestNewtonLeavesCompleteOps solves the bias on a workspace, as a
+// Newton move does on its lane's, and requires State and EvaluateBias
+// there to report the operating points a fresh workspace's EvaluateBias
+// gives, conductances and capacitances included.
 func TestNewtonLeavesCompleteOps(t *testing.T) {
 	for _, ckt := range bench.Table2Suite {
 		t.Run(string(ckt), func(t *testing.T) {
 			c := compileSrc(t, bench.DeckSource(ckt))
 			x := newtonPoint(t, ckt)
-			p := c.DCProblem(x)
+			ws := c.NewWorkspace()
+			p := ws.DCProblem(x)
 			r, _ := dcsolve.Solve(context.Background(), p, x[c.NUser:],
 				dcsolve.Options{MaxIter: 10, BestEffort: true})
 			if r == nil {
@@ -221,7 +222,6 @@ func TestNewtonLeavesCompleteOps(t *testing.T) {
 			if d := mosOpsDiff(want, compileSrc(t, bench.DeckSource(ckt)).NewWorkspace().Evaluate(xr).MOSOps); d != "" {
 				t.Errorf("fresh EvaluateBias vs fresh Evaluate: %s", d)
 			}
-			ws := c.Workspace()
 			// After a residual replay (currents only), after a Jacobian
 			// at its point (no capacitances yet), and from EvaluateBias.
 			mustResidual(t, p, r.V)
@@ -249,7 +249,7 @@ func TestDCProblemZeroAlloc(t *testing.T) {
 	for _, ckt := range bench.Table2Suite {
 		c := compileSrc(t, bench.DeckSource(ckt))
 		x := newtonPoint(t, ckt)
-		p := c.DCProblem(x)
+		p := c.NewWorkspace().DCProblem(x)
 		v := x[c.NUser:]
 		f := make([]float64, p.N())
 		j := linalg.NewMatrix(p.N(), p.N())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"astrx/internal/awe"
 	"astrx/internal/circuit"
 	"astrx/internal/devices"
 	"astrx/internal/expr"
@@ -659,7 +658,7 @@ func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(st
 // that smallSignalNetlist emits.
 func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, fitted map[string]bool, tfSlot *int) *jigPlan {
 	jp := &jigPlan{name: j.Name, nNodes: len(j.AllNodes)}
-	jp.gstamp = 1 / (1 / c.Opt.Gmin)
+	jp.gstamp = 1 / (1 / gmin)
 
 	idx := make(map[string]int, len(j.AllNodes))
 	for i, n := range j.AllNodes {
@@ -714,13 +713,7 @@ func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, fitted 
 		})
 	}
 
-	q := c.Opt.AWEOrder
-	if q <= 0 {
-		q = awe.DefaultOrder
-	}
-	if q > jp.size {
-		q = jp.size
-	}
+	q := min(aweOrder, jp.size)
 	for _, req := range j.TFs {
 		tp := tfPlan{name: req.Name, ip: nslot(req.OutPos), in: -1, q: q, dcOnly: !fitted[req.Name]}
 		// Slots were numbered in declaration order across all jigs.

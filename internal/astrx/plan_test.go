@@ -104,7 +104,7 @@ func TestPlanSharesJigMatrices(t *testing.T) {
 		if got := matrices(c); got != want {
 			t.Errorf("%s: %d factored matrices, want %d (%+v)", ckt, got, want, c.Stats().AWE)
 		}
-		if got := len(c.Workspace().JigStats()); got != want {
+		if got := len(c.NewWorkspace().JigStats()); got != want {
 			t.Errorf("%s: JigStats reports %d matrices, want %d", ckt, got, want)
 		}
 	}

@@ -30,10 +30,14 @@ import (
 // map (wsValEnv.Var).
 //
 // A workspace is single-goroutine state, like the adaptive weights it
-// updates. An annealing run evaluates through its lane set's workspaces
-// (NewCornerBatch) and solves its Newton problems on Compiled.Workspace;
-// reporting code that must not disturb the annealer's counters and
-// clock evaluates through its own NewWorkspace. Results are pinned by
+// updates, and the compiled problem holds none: each user builds its
+// own with NewWorkspace. An annealing run evaluates its candidates and
+// solves its Newton problems (DCProblem) on its lane set's workspaces
+// (NewCornerBatch), one per lane; reporting code that must not disturb
+// the annealer's counters and clock evaluates through its own. A
+// workspace's results depend only on the inputs of its last run, never
+// on the runs before it, so sharing one between cost evaluations and
+// Newton replays moves no bit. Results are pinned by
 // internal/bench/testdata/eval_golden.json.
 type EvalWorkspace struct {
 	c    *Compiled
@@ -225,16 +229,6 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		}
 	}
 	return ws
-}
-
-// Workspace returns the compiled problem's lazily created shared
-// workspace. Like the adaptive weights, it is not safe for concurrent
-// use: parallel annealing runs each compile their own problem.
-func (c *Compiled) Workspace() *EvalWorkspace {
-	if c.ws == nil {
-		c.ws = c.NewWorkspace()
-	}
-	return c.ws
 }
 
 // SetClock attaches a sampled per-stage timer to this workspace's cost
@@ -921,10 +915,10 @@ func (ws *EvalWorkspace) kclViolation() float64 {
 	kclViol := 0.0
 	for _, slot := range ws.plan.freeIdx {
 		res := math.Abs(ws.kclRes[slot])
-		if res <= ws.c.Opt.KCLTolAbs {
+		if res <= kclTolAbs {
 			continue
 		}
-		kclViol += (res - ws.c.Opt.KCLTolAbs) / (ws.kclFlow[slot] + 1e-6)
+		kclViol += (res - kclTolAbs) / (ws.kclFlow[slot] + 1e-6)
 	}
 	return kclViol
 }

@@ -193,7 +193,7 @@ func checkDigest(t *testing.T, digest map[string]digestEntry, shape digestEntry)
 	// factorized matrix of each lane) and matrices the sparse guards
 	// reject (dense fallbacks).
 	fc := res.FactorCounts
-	mats := max(1, len(res.Corners)) * len(res.Compiled.Workspace().JigStats())
+	mats := max(1, len(res.Corners)) * len(res.Compiled.NewWorkspace().JigStats())
 	if fc.SymbolicMisses <= uint64(mats) || fc.Dense == 0 {
 		t.Errorf("factorizations %+v over %d matrices: the run never missed the symbolic cache after warm-up or never took the dense fallback",
 			fc, mats)

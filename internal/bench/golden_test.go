@@ -153,10 +153,10 @@ func loadGolden(t *testing.T) map[string][]goldenEval {
 }
 
 // TestWorkspaceMatchesGolden replays each deck's recorded sequence
-// through one compiled problem's shared workspace (the annealer's path)
-// and requires every recorded quantity to agree to 1e-12 relative. The
-// adaptive weights only change on Adapt, so a fresh Compile sees the
-// same weights the recording saw.
+// through one long-lived workspace (the annealer's path) and requires
+// every recorded quantity to agree to 1e-12 relative. The adaptive
+// weights only change on Adapt, so a fresh Compile sees the same
+// weights the recording saw.
 func TestWorkspaceMatchesGolden(t *testing.T) {
 	golden := loadGolden(t)
 	for _, ckt := range Table2Suite {
@@ -170,7 +170,7 @@ func TestWorkspaceMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws := c.Workspace()
+			ws := c.NewWorkspace()
 			for k, g := range evals {
 				x := make([]float64, len(g.X))
 				for i, v := range g.X {
@@ -263,8 +263,9 @@ func TestWorkspaceReuseIsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ws := shared.NewWorkspace()
 			for k, x := range evalSequence(shared, 20) {
-				got := shared.Cost(x)                // one reused workspace
+				got := ws.Cost(x)                    // one reused workspace
 				want := fresh.NewWorkspace().Cost(x) // a new workspace every time
 				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 					t.Fatalf("eval %d: reused workspace cost %.17g, fresh workspace cost %.17g", k, got, want)

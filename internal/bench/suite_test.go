@@ -79,7 +79,7 @@ func TestEveryDeckEvaluates(t *testing.T) {
 			for i, v := range comp.Vars() {
 				x[i] = v.Start()
 			}
-			cb := comp.Workspace().CostDetail(x)
+			cb := comp.NewWorkspace().CostDetail(x)
 			if cb.Failed {
 				t.Fatalf("cost evaluation failed at the starting point")
 			}

@@ -186,8 +186,15 @@ func (b *Binary) Eval(env Env) (float64, error) {
 	return 0, fmt.Errorf("expr: unknown operator %q", b.Op)
 }
 
+// String parenthesizes every operation, and a negated or signed right
+// operand once more: "a - -b" rendered as "(a--b)" would read back as
+// "a-" minus b, since names such as out- may end in a sign.
 func (b *Binary) String() string {
-	return "(" + b.L.String() + string(b.Op) + b.R.String() + ")"
+	r := b.R.String()
+	if _, ok := b.R.(*Unary); ok {
+		r = "(" + r + ")"
+	}
+	return "(" + b.L.String() + string(b.Op) + r + ")"
 }
 
 // Walk visits every node of an expression tree in preorder: a node
@@ -287,7 +294,11 @@ func ParseNumber(s string) (float64, error) {
 			return 0, fmt.Errorf("expr: trailing garbage %q in number %q", rest, s)
 		}
 	}
-	return num * scale, nil
+	v := num * scale
+	if math.IsInf(v, 0) {
+		return 0, fmt.Errorf("expr: numeric literal %q out of range", s)
+	}
+	return v, nil
 }
 
 // IsNumber reports whether s parses as a SPICE-style numeric literal.

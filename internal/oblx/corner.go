@@ -282,7 +282,7 @@ func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal
 				if i > 0 && iters > 1 && len(nomNodes) == cs.NFree {
 					copy(lx[c.NUser:], nomNodes)
 				}
-				dp := c.DCProblem(lx)
+				dp := p.bw.Lane(i).DCProblem(lx)
 				if dp.N() == 0 {
 					continue
 				}
@@ -393,7 +393,7 @@ func polishLanes(ctx context.Context, p *problem, x []float64) ([]float64, bool,
 			continue
 		}
 		lx := cs.LaneX(i, out, nil)
-		lx, ok := polishDC(ctx, cs.Lane(i), p.inj, lx)
+		ok := polishDC(ctx, p.bw.Lane(i), p.inj, lx, cs.NUser)
 		laneDC[i] = ok
 		if ok {
 			cs.StoreLaneNodes(i, lx, out)
@@ -404,26 +404,27 @@ func polishLanes(ctx context.Context, p *problem, x []float64) ([]float64, bool,
 	return out, allOK, laneDC
 }
 
-// polishDC runs a full Newton solve on the node voltages of one lane's
-// vector x. A finished design must be dc-correct within simulator
+// polishDC runs a full Newton solve of the node voltages of one lane's
+// vector x (those after its nu user variables) on the lane's workspace
+// ws. A finished design must be dc-correct within simulator
 // tolerances — the paper's formulation guarantees the predicted
 // performance only at a KCL-consistent point — so a converged Newton
 // bias is kept even when the (penalty-weighted) cost rises slightly:
-// reporting performance at a dc-inconsistent point would be fiction. On
-// solver failure the original vector is returned unchanged.
-func polishDC(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, x []float64) ([]float64, bool) {
-	dp := c.DCProblem(x)
+// reporting performance at a dc-inconsistent point would be fiction.
+// polishDC writes the solution into x and reports whether the solve
+// converged; on solver failure x is left unchanged.
+func polishDC(ctx context.Context, ws *astrx.EvalWorkspace, inj *faults.Injector, x []float64, nu int) bool {
+	dp := ws.DCProblem(x)
 	if dp.N() == 0 {
-		return x, true
+		return true
 	}
-	v0 := append([]float64(nil), x[c.NUser:]...)
+	v0 := append([]float64(nil), x[nu:]...)
 	r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{
 		MaxIter: 200, GminSteps: 4, FailHook: inj.NewtonHook(),
 	})
 	if err != nil {
-		return x, false
+		return false
 	}
-	out := append([]float64(nil), x...)
-	copy(out[c.NUser:], r.V)
-	return out, true
+	copy(x[nu:], r.V)
+	return true
 }

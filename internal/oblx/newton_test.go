@@ -76,11 +76,11 @@ func sameProposal(a, b proposal) bool {
 	return true
 }
 
-// newtonCounts sums the lanes' Newton-problem counts.
-func newtonCounts(cs *astrx.CornerSet) astrx.NewtonCounts {
+// newtonCounts sums the Newton-problem counts of p's lane workspaces.
+func newtonCounts(p *problem) astrx.NewtonCounts {
 	var n astrx.NewtonCounts
-	for i := 0; i < cs.K(); i++ {
-		n.Add(cs.Lane(i).Workspace().NewtonCounts())
+	for i := 0; i < p.bw.K(); i++ {
+		n.Add(p.bw.Lane(i).NewtonCounts())
 	}
 	return n
 }
@@ -109,12 +109,12 @@ func TestNewtonMoveMemo(t *testing.T) {
 				if want := freshProposal(t, d.src, mc.label, mc.iters, x, quar); !sameProposal(first, want) {
 					t.Fatal("first proposal differs from a fresh move's")
 				}
-				before := newtonCounts(cs)
+				before := newtonCounts(p)
 				again := propose(m, x)
 				if !sameProposal(again, first) {
 					t.Fatal("a repeated proposal differs from the first")
 				}
-				if after := newtonCounts(cs); after != before {
+				if after := newtonCounts(p); after != before {
 					t.Fatalf("a repeated proposal solved: Newton counts %+v → %+v", before, after)
 				}
 				if p.proposals != (ProposalCounts{Proposals: 2, Reused: 1}) {
@@ -125,9 +125,9 @@ func TestNewtonMoveMemo(t *testing.T) {
 				flipped := append([]float64(nil), x...)
 				k := cs.NUser
 				flipped[k] = math.Float64frombits(math.Float64bits(flipped[k]) ^ 1)
-				before = newtonCounts(cs)
+				before = newtonCounts(p)
 				got := propose(m, flipped)
-				if newtonCounts(cs) == before {
+				if newtonCounts(p) == before {
 					t.Fatal("a start vector one bit away was answered from the memo")
 				}
 				if want := freshProposal(t, d.src, mc.label, mc.iters, flipped, quar); !sameProposal(got, want) {
@@ -144,15 +144,43 @@ func TestNewtonMoveMemo(t *testing.T) {
 				propose(m, x)
 				p.lanes[cs.K()-1].quarantined = true
 				quar[cs.K()-1] = true
-				before = newtonCounts(cs)
+				before = newtonCounts(p)
 				got = propose(m, x)
-				if newtonCounts(cs) == before {
+				if newtonCounts(p) == before {
 					t.Fatal("a proposal under a changed quarantine flag was answered from the memo")
 				}
 				if want := freshProposal(t, d.src, mc.label, mc.iters, x, quar); !sameProposal(got, want) {
 					t.Fatal("proposal under the quarantine differs from a fresh move's")
 				}
 			})
+		}
+	}
+}
+
+// TestNewtonStepReusesLaneEvaluation pins one workspace per lane: a
+// Newton move solves each lane's bias on the workspace that evaluates
+// the lane's candidates, so a newton-step proposal from the point the
+// lanes have just evaluated keeps every device's operating point on
+// each lane's first residual replay. (newton-full warm-starts the corner
+// lanes from the nominal section it has just solved, so their first
+// replay is at another point.)
+func TestNewtonStepReusesLaneEvaluation(t *testing.T) {
+	cs, x := newtonSetup(t, diffAmpDeck+corneredDiffAmpCards)
+	p := newProblem(cs, nil)
+	p.eval(x)
+	for i := 0; i < cs.K(); i++ {
+		if !p.evaluated[i] {
+			t.Fatalf("lane %s did not evaluate the start point", cs.LaneName(i))
+		}
+	}
+	propose(newtonMove(context.Background(), p, "newton-step", 1), x)
+	for i := 0; i < cs.K(); i++ {
+		nc := p.bw.Lane(i).NewtonCounts()
+		if nc.Residuals != 1 {
+			t.Fatalf("lane %s: %d residual replays on the lane's workspace, want 1", cs.LaneName(i), nc.Residuals)
+		}
+		if d := nc.Devices; d.Evals == 0 || d.Reused != d.Evals {
+			t.Errorf("lane %s: the residual replay kept %d of %d device points, want all", cs.LaneName(i), d.Reused, d.Evals)
 		}
 	}
 }
@@ -164,9 +192,9 @@ func TestNewtonMoveMemoOffWithFaults(t *testing.T) {
 	p := newProblem(cs, faults.New(3, faults.Rates{NewtonFail: 0.01}))
 	m := newtonMove(context.Background(), p, "newton-full", 12)
 	propose(m, x)
-	before := newtonCounts(cs)
+	before := newtonCounts(p)
 	propose(m, x)
-	if newtonCounts(cs) == before {
+	if newtonCounts(p) == before {
 		t.Fatal("with a fault injector a repeated proposal was answered from the memo")
 	}
 	if p.proposals != (ProposalCounts{Proposals: 2}) {

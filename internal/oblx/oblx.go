@@ -702,9 +702,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		fc.Add(p.bw.Lane(i).FactorCounts())
 		ft.Add(p.bw.Lane(i).FitCounts())
 		dc.Add(p.bw.Lane(i).DeviceCounts())
-		// Newton moves solve on each lane's compiled problem's shared
-		// workspace, not on the lane set's.
-		nc.Add(cs.Lane(i).Workspace().NewtonCounts())
+		nc.Add(p.bw.Lane(i).NewtonCounts())
 	}
 	unstable := p.unstableCount()
 	proposals := p.proposals

@@ -140,6 +140,9 @@ func traceparentID(tp string) string {
 //	GET    /debug/pprof/        runtime profiles (only with Options.EnableProfiling)
 //	GET    /healthz             JSON health detail; 200 ok/degraded, 503 draining
 //
+// A submit (a batch child too) whose max_moves exceeds the daemon's
+// -max-moves-limit, or whose runs exceed 64 (maxRuns), is a 400.
+//
 // Every response carries an X-Request-Id header (the client's, or a
 // minted one); error responses also carry a Retry-After hint.
 func (m *Manager) Handler() http.Handler {

@@ -86,7 +86,7 @@ type JobOptions struct {
 	// Runs is the number of independent seeded anneals (best kept).
 	// Checkpoint/resume is a single-run feature: jobs with Runs > 1
 	// restart from scratch after a daemon kill instead of resuming.
-	Runs     int  `json:"runs,omitempty"` // 0 → 1
+	Runs     int  `json:"runs,omitempty"` // 0 → 1; at most maxRuns
 	NoFreeze bool `json:"no_freeze,omitempty"`
 	// Corners selects the worst-case corner set: nil → every corner the
 	// deck declares, empty → nominal-only, else named .corner cards.
@@ -97,6 +97,11 @@ type JobOptions struct {
 	// events (0 → the manager default).
 	ProgressEvery int `json:"progress_every,omitempty"`
 }
+
+// maxRuns bounds JobOptions.Runs. Each run is a concurrent anneal with
+// its own compile and workspaces, and a fleet coordinator queues a lease
+// per run; the paper's practice is 5–10 runs.
+const maxRuns = 64
 
 func (o *JobOptions) defaults() {
 	if o.Seed == 0 {
@@ -754,6 +759,9 @@ func (m *Manager) SubmitTraced(deckSrc string, opt JobOptions, requestID, tenant
 	if m.opt.MaxMovesLimit > 0 && opt.MaxMoves > m.opt.MaxMovesLimit {
 		return nil, &DeckError{Err: fmt.Errorf("server: max_moves %d exceeds the daemon limit %d",
 			opt.MaxMoves, m.opt.MaxMovesLimit)}
+	}
+	if opt.Runs > maxRuns {
+		return nil, &DeckError{Err: fmt.Errorf("server: runs %d exceeds the limit %d", opt.Runs, maxRuns)}
 	}
 	// A deck that parses always canonicalizes; treat failure as a deck
 	// error rather than guessing at a key.

@@ -306,6 +306,39 @@ func TestSubmitRejectsBadDecks(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsTooManyRuns: runs above maxRuns is HTTP 400 whether
+// it comes as a query parameter, in the JSON body or on a batch child,
+// and queues nothing. The manager runs no job itself, so no anneal could
+// start even if a submit got through.
+func TestSubmitRejectsTooManyRuns(t *testing.T) {
+	m := newTestManager(t, Options{ExternalExec: true})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+
+	over := JobOptions{Seed: 1, MaxMoves: 100, Runs: maxRuns + 1}
+	jobBody, _ := json.Marshal(submitRequest{Deck: testDeck, Options: over})
+	batchBody, _ := json.Marshal(batchRequest{Jobs: []batchItem{{Deck: testDeck, Options: over}}})
+	for _, c := range []struct{ name, path, ct, body string }{
+		{"query", fmt.Sprintf("/v1/jobs?max_moves=100&runs=%d", maxRuns+1), "text/plain", testDeck},
+		{"json", "/v1/jobs", "application/json", string(jobBody)},
+		{"batch", "/v1/batches", "application/json", string(batchBody)},
+	} {
+		resp, err := http.Post(ts.URL+c.path, c.ct, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "runs") {
+			t.Errorf("%s: status %d (%s), want 400 naming runs", c.name, resp.StatusCode, e.Error)
+		}
+	}
+	if n, jobs := m.QueueDepth(), len(m.Jobs()); n != 0 || jobs != 0 {
+		t.Errorf("%d queued of %d jobs after the rejected submits, want none", n, jobs)
+	}
+}
+
 // TestSubmitRefusesIncludeCard: a submitted deck cannot make the daemon
 // read its files. An .include card is a deck error that names the card
 // and quotes nothing of the named file.

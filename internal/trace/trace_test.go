@@ -9,30 +9,35 @@ import (
 	"time"
 )
 
+// validTraceparent is the W3C specification's example header.
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// parseCases are traceparent values with Parse's verdict on each; they
+// also seed FuzzTraceparent.
+var parseCases = []struct {
+	name string
+	tp   string
+	ok   bool
+}{
+	{"valid", validTraceparent, true},
+	{"future version extra fields", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true},
+	{"empty", "", false},
+	{"garbage", "garbage", false},
+	{"three fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false},
+	{"version 00 extra fields", validTraceparent + "-extra", false},
+	{"version ff forbidden", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+	{"uppercase version", "0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+	{"uppercase trace id", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false},
+	{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},
+	{"short trace id", "00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01", false},
+	{"all-zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},
+	{"non-hex parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902g7-01", false},
+	{"non-hex flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", false},
+	{"short flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-1", false},
+}
+
 func TestParseTable(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	cases := []struct {
-		name string
-		tp   string
-		ok   bool
-	}{
-		{"valid", valid, true},
-		{"future version extra fields", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true},
-		{"empty", "", false},
-		{"garbage", "garbage", false},
-		{"three fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false},
-		{"version 00 extra fields", valid + "-extra", false},
-		{"version ff forbidden", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
-		{"uppercase version", "0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
-		{"uppercase trace id", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false},
-		{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},
-		{"short trace id", "00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01", false},
-		{"all-zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},
-		{"non-hex parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902g7-01", false},
-		{"non-hex flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", false},
-		{"short flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-1", false},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := Parse(tc.tp)
 			if tc.ok != (err == nil) {
@@ -54,6 +59,24 @@ func TestContextRoundTrip(t *testing.T) {
 	if back != tc {
 		t.Fatalf("round trip: got %+v want %+v", back, tc)
 	}
+}
+
+// FuzzTraceparent holds the traceparent parser to never panicking and
+// an accepted value's Context to a round trip through Traceparent().
+func FuzzTraceparent(f *testing.F) {
+	for _, tc := range parseCases {
+		f.Add(tc.tp)
+	}
+	f.Fuzz(func(t *testing.T, tp string) {
+		c, err := Parse(tp)
+		if err != nil {
+			return
+		}
+		back, err := Parse(c.Traceparent())
+		if err != nil || back != c {
+			t.Fatalf("%q parses to %+v, whose traceparent %q parses to %+v, %v", tp, c, c.Traceparent(), back, err)
+		}
+	})
 }
 
 func TestTraceIDFromRequest(t *testing.T) {

@@ -78,8 +78,10 @@ func Design(c *astrx.Compiled, x []float64, predicted map[string]float64) (*Repo
 	if n := len(c.Vars()); len(x) > n {
 		x = x[:n]
 	}
-	// 1. Reference bias: full Newton from OBLX's node voltages.
-	dp := c.DCProblem(x)
+	// 1. Reference bias: full Newton from OBLX's node voltages, on the
+	// workspace that then evaluates the design.
+	ws := c.NewWorkspace()
+	dp := ws.DCProblem(x)
 	xref := append([]float64(nil), x...)
 	iters := 0
 	converged := true
@@ -97,7 +99,6 @@ func Design(c *astrx.Compiled, x []float64, predicted map[string]float64) (*Repo
 		copy(xref[c.NUser:], r.V)
 		iters = r.Iterations
 	}
-	ws := c.NewWorkspace()
 	st := ws.Evaluate(xref)
 	if st.Err != nil {
 		return nil, fmt.Errorf("verify: %w", st.Err)

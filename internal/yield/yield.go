@@ -125,7 +125,8 @@ func TopSensitivities(ss []Sensitivity, n int) []Sensitivity {
 // simulateAt evaluates all specs at a true (Newton-solved) bias point.
 func simulateAt(ctx context.Context, c *astrx.Compiled, x []float64) (map[string]float64, error) {
 	xr := append([]float64(nil), x...)
-	dp := c.DCProblem(xr)
+	ws := c.NewWorkspace()
+	dp := ws.DCProblem(xr)
 	if dp.N() > 0 {
 		v0 := append([]float64(nil), xr[c.NUser:]...)
 		r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{MaxIter: 250, GminSteps: 5})
@@ -134,7 +135,7 @@ func simulateAt(ctx context.Context, c *astrx.Compiled, x []float64) (map[string
 		}
 		copy(xr[c.NUser:], r.V)
 	}
-	st := c.NewWorkspace().Evaluate(xr)
+	st := ws.Evaluate(xr)
 	if st.Err != nil {
 		return nil, st.Err
 	}
