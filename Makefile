@@ -166,9 +166,11 @@ bench-check:
 # The second step pins the scalar workspace and one cornered eval (a
 # Run over nominal plus two corners and its WorstCase assembly) to zero
 # allocations via their dedicated alloc-count tests
-# (testing.AllocsPerRun is exact and timing-free), and proves tracing
-# compiled in but disabled (nil recorder) adds zero allocations to the
-# eval hot path. The third step pins a Newton iteration's bias work (one
+# (testing.AllocsPerRun is exact and timing-free), each at candidates
+# below unity gain (no spec reads a model, so none is fitted) and above
+# it (the model is fitted as ugf reads it), and proves tracing compiled
+# in but disabled (nil recorder) adds zero allocations to the eval hot
+# path. The third step pins a Newton iteration's bias work (one
 # residual replay plus one Jacobian at its point) to zero allocations.
 # The fourth pins a proposal of either Newton move class to zero
 # allocations, whether the move solves it or answers it from its memo.

@@ -46,10 +46,12 @@ func BenchmarkTable1Compile(b *testing.B) {
 // "time/ckt eval" metric (Table 2's second-to-last row) for a circuit.
 // Iterations alternate between the start point and the start point with
 // its first free node voltage 1 mV higher. The two points' stamped
-// matrices differ, so every evaluation factors and fits its jigs, as a
-// run's evaluations of new points do; evaluating one point over and
-// over would time only the path that keeps a repeated jig's factors
-// and models.
+// matrices differ, so every evaluation factors its jigs and solves its
+// transfer functions, as a run's evaluations of new points do;
+// evaluating one point over and over would time only the path that
+// keeps a repeated jig's factors and models. Neither point has gain, so
+// no spec reads a model and none is fitted, as in most of a run's
+// evaluations.
 func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	comp, err := bench.Compile(c)
 	if err != nil {
@@ -129,8 +131,8 @@ func BenchmarkTable2EvalBiCMOS(b *testing.B) { benchmarkCostEval(b, bench.BiCMOS
 // can derive ns per corner evaluation and compare it against the
 // single-lane numbers. Like the scalar rows, iterations alternate
 // between two points, here the second one with the first node voltage
-// of every lane's section 1 mV higher, so every lane factors and fits
-// in every iteration.
+// of every lane's section 1 mV higher, so every lane factors in every
+// iteration; as there, no lane has gain, so none fits.
 func BenchmarkTable2EvalCorners(b *testing.B) {
 	src := bench.DeckSource(bench.SimpleOTA) +
 		"\n.corner slow temp=85 nmos3.vto=0.95 vdd=2.4\n.corner fast temp=-40 vdd=2.6\n"

@@ -123,9 +123,9 @@ func main() {
 		}
 		fmt.Printf("  AWE circuit %d (%s): %d nodes, %d elements%s\n", i+1, a.Name, j.Nodes, j.Elements, share)
 		for _, tf := range a.TFs {
-			how := "moments and Padé fit"
+			how := "one solve; moments and Padé fit when a spec reads the model"
 			if tf.DCOnly {
-				how = "read only by dc_gain: one solve, no fit"
+				how = "read only by dc_gain: one solve, never fitted"
 			}
 			fmt.Printf("    tf %-8s %s\n", tf.Name, how)
 		}

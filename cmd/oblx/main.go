@@ -397,8 +397,8 @@ func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 		res.DeviceCounts.Evals, res.DeviceCounts.Reused, nc.Devices.Evals, nc.Devices.Reused)
 	fmt.Printf("  newton: %d proposals (%d answered by the move's memo), %d residual replays, %d jacobians (%d at the residual's replay)\n",
 		res.NewtonProposals.Proposals, res.NewtonProposals.Reused, nc.Residuals, nc.Jacobians, nc.JacobiansReused)
-	fmt.Printf("  fit: %d fits, %d orders attempted, %d deferred (cannot be stable); %d stable validated, %d unstable validated, %d unvalidated, %d constant\n",
-		ft.Fits, ft.Attempts, ft.Deferred, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant)
+	fmt.Printf("  fit: %d fits, %d orders attempted, %d deferred (cannot be stable); %d stable validated, %d unstable validated, %d unvalidated, %d constant; %d unread (no spec read the model)\n",
+		ft.Fits, ft.Attempts, ft.Deferred, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant, ft.Unread)
 }
 
 // printMetrics renders the run's statistics through the same metrics

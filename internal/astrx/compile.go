@@ -148,11 +148,13 @@ type AWEStats struct {
 }
 
 // TFStats reports how one cost evaluation computes a transfer function.
+// Every evaluation solves for its zeroth moment; the pole/zero model is
+// fitted only when a spec of the evaluation reads it.
 type TFStats struct {
 	Name string
 	// DCOnly reports that no spec reads the transfer function through
-	// anything but dc_gain, so the cost function solves for its zeroth
-	// moment alone and fits no pole/zero model.
+	// anything but dc_gain, so no spec ever reads its model and the cost
+	// function never fits it.
 	DCOnly bool
 }
 

@@ -13,8 +13,9 @@ import (
 type EvalSnapshot struct {
 	Err      string
 	SpecVals []float64
-	// TFs holds each transfer function's model in slot order. A dcOnly
-	// one holds μ0 alone, all the cost function reads of it.
+	// TFs holds each transfer function's model in slot order, as a
+	// reader (State, a spec measuring it) sees it: fitted from the
+	// factors its μ0 came from.
 	TFs           []awe.TF
 	Unstable      int
 	Region, KCL   float64
@@ -26,8 +27,9 @@ type EvalSnapshot struct {
 	BJTOps []devices.BJTOp
 }
 
-// Snapshot copies the last evaluation out of ws without completing it
-// (State would fit the dcOnly transfer functions).
+// Snapshot copies the last evaluation out of ws without completing it:
+// a model no reader has fitted yet is fitted on scratch storage, so the
+// slot stays as the evaluation left it (State would fit it in place).
 func (ws *EvalWorkspace) Snapshot() EvalSnapshot {
 	s := EvalSnapshot{
 		SpecVals:      append([]float64(nil), ws.specVals...),
@@ -43,24 +45,33 @@ func (ws *EvalWorkspace) Snapshot() EvalSnapshot {
 		s.MOSOps = append([]devices.MOSOp(nil), ws.mosOps...)
 		s.BJTOps = append([]devices.BJTOp(nil), ws.bjtOps...)
 	}
-	for _, jp := range ws.plan.jigs {
-		for i := range jp.tfs {
-			tp := &jp.tfs[i]
-			tf := ws.tfs[tp.tfIdx]
-			cp := awe.TF{
-				Poles:    append([]complex128(nil), tf.Poles...),
-				Residues: append([]complex128(nil), tf.Residues...),
-				Zeros:    append([]complex128(nil), tf.Zeros...),
-				Moments:  append([]float64(nil), tf.Moments...),
-				Order:    tf.Order,
-			}
-			if tp.dcOnly {
-				cp = awe.TF{Moments: cp.Moments[:min(1, len(cp.Moments))]}
-			}
-			s.TFs = append(s.TFs, cp)
-		}
+	for i := range ws.slots {
+		s.TFs = append(s.TFs, ws.readerModel(i))
 	}
 	return s
+}
+
+// readerModel returns a copy of the model a reader of TF slot i sees,
+// leaving the slot as it is: the slot's model when it is fitted or its
+// factors are gone, else a fit from its jig engine's current factors in
+// scratch storage, with the moment and fit calls model makes.
+func (ws *EvalWorkspace) readerModel(i int) awe.TF {
+	tf := &ws.tfs[i]
+	r, sl := ws.plan.tfRefs[i], &ws.slots[i]
+	if jw := &ws.jigs[r.mat]; !sl.fitted && sl.gen != 0 && sl.gen == jw.eng.Gen() {
+		mu := make([]float64, 2*r.tp.q)
+		jw.eng.MomentsInto(mu, r.tp.b, r.tp.ip, r.tp.in)
+		var fw awe.FitWorkspace
+		tf = &awe.TF{}
+		fw.FitMomentsInto(tf, mu, r.tp.q)
+	}
+	return awe.TF{
+		Poles:    append([]complex128(nil), tf.Poles...),
+		Residues: append([]complex128(nil), tf.Residues...),
+		Zeros:    append([]complex128(nil), tf.Zeros...),
+		Moments:  append([]float64(nil), tf.Moments...),
+		Order:    tf.Order,
+	}
 }
 
 // TFNames lists the compiled problem's transfer functions in slot

@@ -143,10 +143,19 @@ type tfPlan struct {
 	tfIdx int
 	err   error
 	// dcOnly marks a transfer function that no spec reads through
-	// anything but dc_gain, which returns the exact zeroth moment: the
-	// cost function solves for μ0 alone and skips the Padé fit.
-	// EvalWorkspace.completeTFs fits the model for readers outside it.
+	// anything but dc_gain, which returns the exact zeroth moment, so no
+	// spec ever reads its model. Every evaluation solves for μ0 alone;
+	// the model is fitted when something reads it (EvalWorkspace.model),
+	// which for a dcOnly transfer function is only a reader outside the
+	// cost function.
 	dcOnly bool
+}
+
+// tfRef locates a transfer-function slot's plan and the jig whose engine
+// solves it (jigPlan.mat).
+type tfRef struct {
+	tp  *tfPlan
+	mat int
 }
 
 // jigPlan is the compiled stamp program for one test jig. Node slots
@@ -195,6 +204,8 @@ type evalPlan struct {
 
 	tfIdx map[string]int
 	nTFs  int
+	// tfRefs is indexed by transfer-function slot.
+	tfRefs []tfRef
 
 	vsrcs    []*circuit.Element
 	power    []powerStep
@@ -401,6 +412,13 @@ func buildPlan(c *Compiled) *evalPlan {
 		p.jigs = append(p.jigs, buildJigPlan(c, j, devIdx, fitted, &tfSlot))
 	}
 	p.shareMatrices()
+	p.tfRefs = make([]tfRef, p.nTFs)
+	for _, jp := range p.jigs {
+		for i := range jp.tfs {
+			tp := &jp.tfs[i]
+			p.tfRefs[tp.tfIdx] = tfRef{tp: tp, mat: jp.mat}
+		}
+	}
 	return p
 }
 

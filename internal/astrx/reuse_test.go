@@ -378,17 +378,24 @@ func dcsolveBestEffort(c *astrx.Compiled, x []float64) []float64 {
 // nominal-node-only moves, readouts, node voltages at +0 or −0, a NaN
 // node voltage, and Newton replays on the cornered Simple OTA lane set.
 // After every step each lane must match a fresh lane set bit for bit,
-// device operating points included. A Newton step runs a residual and a
-// Jacobian on one lane's workspace, as a Newton move does, at that
-// lane's node voltages moved by at most 12.8 mV, so the next evaluation
-// there meets the current-only points the replay left. Each three bytes
-// of input are one step: kind, which variable or lane, and how far.
+// device operating points and the models a reader sees included. A
+// Newton step runs a residual and a Jacobian on one lane's workspace, as
+// a Newton move does, at that lane's node voltages moved by at most
+// 12.8 mV, so the next evaluation there meets the current-only points
+// the replay left. A readout step reads one lane as State and
+// MeasureSpec do (ugf, phase_margin and dc_gain), by every measurement
+// of every transfer function, or by an Evaluate at the lane's point, and
+// compares it with a fresh workspace's; each fits models the cost
+// function left at μ0, which later steps then keep or replace. Each
+// three bytes of input are one step: kind, which variable or lane, and
+// how far.
 func FuzzJigReuse(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 6, 20, 2, 1, 30, 0, 0, 0, 3, 1, 0, 1, 0, 200})
 	f.Add([]byte{2, 0, 1, 2, 0, 255, 1, 9, 3, 3, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 100, 0, 0, 0, 1, 12, 128, 3, 2, 0})
 	f.Add([]byte{4, 0, 0, 4, 1, 0, 4, 1, 255, 0, 0, 0, 4, 1, 1, 5, 2, 0, 6, 0, 0, 6, 1, 0})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 6, 0, 0, 2, 3, 50, 6, 2, 0, 5, 0, 0, 3, 0, 0})
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 8, 1, 0, 2, 0, 10, 7, 2, 0, 8, 0, 0, 1, 6, 20, 7, 1, 0})
 	cs := cornerLanes(f)
 	x0 := cornerStart(f, cs)
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -398,7 +405,7 @@ func FuzzJigReuse(f *testing.F) {
 		for k := 0; k+2 < len(ops) && k < 3*24; k += 3 {
 			which, amt := int(ops[k+1]), float64(int8(ops[k+2]))
 			step := "repeat"
-			switch ops[k] % 7 {
+			switch ops[k] % 9 {
 			case 1:
 				i := which % len(x)
 				if i < cs.NUser {
@@ -435,6 +442,18 @@ func FuzzJigReuse(f *testing.F) {
 					p.Jacobian(v, linalg.NewMatrix(p.N(), p.N()))
 				}
 				step = "after a Newton replay, lane " + cs.LaneName(l)
+			case 7, 8:
+				l := which % cs.K()
+				lx := cs.LaneX(l, x, nil)
+				fresh := cs.Lane(l).NewWorkspace()
+				fresh.CostDetail(lx)
+				readout := "measure"
+				if ops[k]%9 == 8 {
+					readout = "evaluate"
+				}
+				checkReadoutsMatch(t, lazyStep{readout + " readout, lane " + cs.LaneName(l), readout, lx},
+					bw.Lane(l), fresh, cs.Lane(l).TFNames())
+				step = "after a " + readout + " readout, lane " + cs.LaneName(l)
 			}
 			checkLanes(t, step, cs, bw, x)
 		}

@@ -19,13 +19,17 @@ import (
 // precompiled plan (plan.go) into persistent, index-addressed storage:
 // matrices are re-stamped in place, LU factors and AWE scratch are
 // reused, and node, device and transfer-function names resolve through
-// compile-time index tables into slices. A jig whose stamped (G, C)
-// pair repeats the one its engine factored last keeps its factors and
-// the transfer-function models computed from them (evalJig), and a
-// device whose geometry and terminal voltages repeat, bit for bit, the
-// inputs of the operating point it holds keeps that point (evalMOS,
-// evalBJT). After warm-up a steady-state evaluation performs no heap
-// allocation, which is what makes the annealer's move loop cheap.
+// compile-time index tables into slices. The jig pass solves each
+// transfer function for μ0 alone, and a model is fitted only when
+// something reads it (model): most candidates' gain is below unity,
+// where ugf and phase_margin read nothing but μ0. A jig whose stamped
+// (G, C) pair repeats the one its engine factored last keeps its
+// factors and the transfer-function models computed from them
+// (evalJig), and a device whose geometry and terminal voltages repeat,
+// bit for bit, the inputs of the operating point it holds keeps that
+// point (evalMOS, evalBJT). After warm-up a steady-state evaluation
+// performs no heap allocation, which is what makes the annealer's move
+// loop cheap.
 // Expression variables still resolve by name through the plan's valIdx
 // map (wsValEnv.Var).
 //
@@ -69,14 +73,15 @@ type EvalWorkspace struct {
 	// State leaves TFs and spec values out after a bias-only or failed
 	// run.
 	full bool
-	// pending records that the last full run reached every jig, so
-	// completeTFs may fit the dcOnly transfer functions it left at
-	// order-0 models.
-	pending bool
-	// unstable counts the cost function's transfer-function fits that
-	// produced a model with right-half-plane poles. The model is still
-	// measured; the count surfaces how often the fit degraded.
+	// unstable counts the models with right-half-plane poles that the
+	// cost function's specs read, once per run per transfer function.
+	// The model is still measured; the count surfaces how often the fit
+	// degraded.
 	unstable int
+	// unread counts, over the runs that reached the specs, the transfer
+	// functions whose model the deck's specs read (not dcOnly) that no
+	// spec read in that run: the fits the lazy rule skipped.
+	unread uint64
 	// slots sits beside tfs: where each model came from, and its
 	// unity-gain frequency.
 	slots []tfSlot
@@ -107,6 +112,10 @@ type EvalWorkspace struct {
 
 	dc     DCProblem
 	newton NewtonCounts
+
+	// jigPass evaluates one jig of a full run: evalJig. It is a field so
+	// that tests can hold the lazy fit to the eager jig pass it replaced.
+	jigPass func(ws *EvalWorkspace, jp *jigPlan, jw *jigWS, factor bool) error
 }
 
 // DeviceCounts counts device evaluations: the operating points a
@@ -162,18 +171,22 @@ const (
 
 // tfSlot records where a TF slot's model came from, so an evaluation
 // that finds its jig's factors unchanged keeps the model instead of
-// recomputing the same bits.
+// recomputing the same bits, and a reader can fit it from those factors.
 type tfSlot struct {
 	// gen is the generation (awe.Engine.Gen) of the factors the model
 	// was computed from; 0 before the first write completes.
 	gen uint64
 	// fitted marks a Padé model; false is the order-0 model of μ0 alone
-	// that the cost function gives a dcOnly transfer function.
+	// that the jig pass leaves until something reads the model.
 	fitted bool
-	// unstable records that the cost function's fit of the model was
-	// unstable, so keeping the model counts it again, as refitting
-	// would.
+	// unstable records that the fitted model has right-half-plane
+	// poles, so a spec reading a kept model counts it again, as
+	// refitting would.
 	unstable bool
+	// read is the run (EvalWorkspace.runs) whose specs last read the
+	// model: each run counts a model's instability, or its not being
+	// read, once.
+	read uint64
 	// version is bumped on every write of the slot. The UGF memo is
 	// keyed on it: ugf and phase_margin of one model share one search,
 	// across evaluations for as long as the model is kept.
@@ -209,9 +222,10 @@ func (c *Compiled) NewWorkspace() *EvalWorkspace {
 		slots:    make([]tfSlot, p.nTFs),
 		jigs:     make([]jigWS, len(p.jigs)),
 		vI:       make([]float64, len(p.vsrcs)),
+		jigPass:  (*EvalWorkspace).evalJig,
 	}
 	ws.valEnv.ws = ws
-	ws.specEnv.ws = ws
+	ws.specEnv.ws, ws.specEnv.cost = ws, true
 	for _, ci := range p.consts {
 		ws.vals[ci.idx] = ci.v
 	}
@@ -272,15 +286,22 @@ func (ws *EvalWorkspace) FactorCounts() linalg.FactorCounts {
 }
 
 // FitCounts returns the workspace's Padé search counts since it was
-// created: every fit it ran, for the cost function or for a reader of
-// its models (completeTFs), with the orders each tried and its outcome.
-// A model kept because its jig's factors repeated is not fitted again
-// and is not counted.
-func (ws *EvalWorkspace) FitCounts() awe.FitCounts { return ws.fit.Counts() }
+// created: every fit it ran, for the cost function's specs or for a
+// reader of its models (State, MeasureSpec), with the orders each tried
+// and its outcome, and the models the specs could read that a run's
+// specs did not (Unread). A model kept because its jig's factors
+// repeated is not fitted again and is not counted as a fit.
+func (ws *EvalWorkspace) FitCounts() awe.FitCounts {
+	fc := ws.fit.Counts()
+	fc.Unread = ws.unread
+	return fc
+}
 
-// UnstableCount returns how many of this workspace's cost-function fits
-// produced a model with right-half-plane poles. Only fitted transfer
-// functions count: a dcOnly one is not fitted in the cost function.
+// UnstableCount returns how many times this workspace's cost-function
+// specs read a model with right-half-plane poles: once per run per
+// transfer function, a kept model counting again in each run that reads
+// it. A model no spec of the run read (a dcOnly one, or one whose gain
+// stayed below unity for ugf) is not counted.
 func (ws *EvalWorkspace) UnstableCount() int { return ws.unstable }
 
 // SetUnstableCount restores the rejection counter when resuming from a
@@ -420,14 +441,12 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 		return
 	}
 
-	ws.pending = false
 	for i, jp := range p.jigs {
-		if err := ws.evalJig(jp, &ws.jigs[jp.mat], jp.mat == i); err != nil {
+		if err := ws.jigPass(ws, jp, &ws.jigs[jp.mat], jp.mat == i); err != nil {
 			ws.err = err
 			return
 		}
 	}
-	ws.pending = true
 
 	for i, s := range c.Deck.Specs {
 		ws.resetArgs()
@@ -437,6 +456,11 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 			continue
 		}
 		ws.specVals[i] = v
+	}
+	for _, r := range p.tfRefs {
+		if !r.tp.dcOnly && ws.slots[r.tp.tfIdx].read != ws.runs {
+			ws.unread++
+		}
 	}
 	ws.full = true
 	ws.clock.Mark(telemetry.StageSpecs)
@@ -603,22 +627,17 @@ func (ws *EvalWorkspace) evalKCL() error {
 // evalJig computes one jig's transfer functions on the engine jw. A jig
 // that factors its own matrix (factor) first re-stamps the (G, C) pair
 // and refactors; a jig sharing an earlier jig's matrix solves against
-// the factors that jig left. A dcOnly transfer function costs one solve
-// for μ0; every other one is fitted.
+// the factors that jig left. Each transfer function costs one solve, for
+// μ0: its order-0 model, all that dc_gain reads, and all that ugf and
+// phase_margin read while the gain is at most unity. The full model is
+// fitted from the same factors when something reads it (model).
 //
 // A model computed from the engine's current factors is kept: its
 // moments, and so its fit, would repeat bit for bit. That holds when the
 // stamped pair repeats the last one, which is common: a move that
 // changes only bias currents or another lane's nodes leaves every
-// small-signal parameter as it was. A kept dcOnly model may be a full
-// fit (completeTFs); dc_gain reads μ0 from either.
-//
-// An unstable fit means no stable order reproduced the moments. The
-// model is still measured — often the RHP pole is a Padé artifact at
-// the edge of moment resolution, not a physically unstable circuit —
-// but the event is counted, so runs dominated by unstable fits of a
-// model some spec reads are visible in FailureStats.Unstable and the
-// daemon's oblxd_eval_unstable_total metric.
+// small-signal parameter as it was. A kept model may be a full fit;
+// dc_gain reads μ0 from either.
 func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS, factor bool) error {
 	if factor {
 		if err := ws.stampJig(jp, jw); err != nil {
@@ -637,31 +656,27 @@ func (ws *EvalWorkspace) evalJig(jp *jigPlan, jw *jigWS, factor bool) error {
 		}
 		s := &ws.slots[tp.tfIdx]
 		if s.gen == gen {
-			if s.unstable {
-				ws.unstable++
-			}
 			continue
 		}
-		if tp.dcOnly {
-			s.version++
-			mu := jw.mu[:1]
-			jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
-			ws.tfs[tp.tfIdx].SetConstant(mu)
-			ws.clock.Mark(telemetry.StageMoments)
-			s.gen, s.fitted, s.unstable = gen, false, false
-			continue
-		}
-		if tf := ws.fitTF(tp, jw); tf.Order > 0 && !tf.Stable() {
-			s.unstable = true
-			ws.unstable++
-		}
+		s.version++
+		mu := jw.mu[:1]
+		jw.eng.MomentsInto(mu, tp.b, tp.ip, tp.in)
+		ws.tfs[tp.tfIdx].SetConstant(mu)
+		ws.clock.Mark(telemetry.StageMoments)
+		s.gen, s.fitted, s.unstable = gen, false, false
 	}
 	return nil
 }
 
 // fitTF computes one transfer function's 2q moments on the engine jw
 // and reduces them to a pole/zero model in the workspace's TF slot,
-// recorded as fitted from the engine's current factors and not unstable.
+// recorded as fitted from the engine's current factors. An unstable fit
+// means no stable order reproduced the moments. The model is still
+// measured — often the RHP pole is a Padé artifact at the edge of moment
+// resolution, not a physically unstable circuit — but the slot records
+// it, so runs dominated by unstable models some spec reads are visible
+// in FailureStats.Unstable and the daemon's oblxd_eval_unstable_total
+// metric.
 func (ws *EvalWorkspace) fitTF(tp *tfPlan, jw *jigWS) *awe.TF {
 	s := &ws.slots[tp.tfIdx]
 	s.version++
@@ -671,30 +686,35 @@ func (ws *EvalWorkspace) fitTF(tp *tfPlan, jw *jigWS) *awe.TF {
 	tf := &ws.tfs[tp.tfIdx]
 	ws.fit.FitMomentsInto(tf, mu, tp.q)
 	ws.clock.Mark(telemetry.StageFit)
-	s.gen, s.fitted, s.unstable = jw.eng.Gen(), true, false
+	s.gen, s.fitted, s.unstable = jw.eng.Gen(), true, tf.Order > 0 && !tf.Stable()
 	return tf
 }
 
-// completeTFs fits the dcOnly transfer functions the last full run left
-// at order-0 models, from the factors that run left in the engines; one
-// already fitted from those factors stays as it is. It makes the moment
-// and fit calls evalJig makes for a fitted transfer function, so readers
-// outside the cost function (State, MeasureSpec) see the models a full
-// fit gives. These fits are not counted as unstable: no spec reads their
-// models.
-func (ws *EvalWorkspace) completeTFs() {
-	if !ws.pending {
-		return
-	}
-	ws.pending = false
-	for _, jp := range ws.plan.jigs {
-		jw := &ws.jigs[jp.mat]
-		for i := range jp.tfs {
-			tp := &jp.tfs[i]
-			if s := &ws.slots[tp.tfIdx]; tp.dcOnly && !(s.fitted && s.gen == jw.eng.Gen()) {
-				ws.fitTF(tp, jw)
-			}
+// model returns TF slot i's full model. The jig pass leaves μ0 alone in
+// the slot; the first reader fits the model from the factors μ0 came
+// from, which its jig's engine holds until a later run refactors it. A
+// stage clock armed for a cost evaluation books the fit as moments,
+// solve and fit, and the spec time before it as specs. The model's
+// factors are gone only when a later run failed in its jig pass; such a
+// model stays at order 0, and no cost evaluation reads it (a failed run
+// evaluates no spec, and State reports no model after one).
+func (ws *EvalWorkspace) model(i int) *awe.TF {
+	if s := &ws.slots[i]; !s.fitted {
+		r := ws.plan.tfRefs[i]
+		if jw := &ws.jigs[r.mat]; s.gen != 0 && s.gen == jw.eng.Gen() {
+			ws.clock.Mark(telemetry.StageSpecs)
+			ws.fitTF(r.tp, jw)
 		}
+	}
+	return &ws.tfs[i]
+}
+
+// completeTFs fits every model the last full run left at μ0, so that
+// State reports full models. It makes the moment and fit calls a spec's
+// read makes, and counts no unstable model: no spec read them.
+func (ws *EvalWorkspace) completeTFs() {
+	for i := range ws.slots {
+		ws.model(i)
 	}
 }
 
@@ -925,8 +945,8 @@ func (ws *EvalWorkspace) kclViolation() float64 {
 
 // State projects the workspace's last evaluation into a name-keyed
 // EvalState for inspection and verification code. Transfer functions
-// the cost function read only at DC are fitted first (completeTFs), so
-// every TF is a full model. The maps are freshly allocated, but TF
+// whose model no spec read are fitted first (completeTFs), so every TF
+// is a full model. The maps are freshly allocated, but TF
 // pointers alias workspace storage: they are valid only until the next
 // evaluation. Contents are meaningful when Err is
 // nil; after a failed run they are best-effort, partially filled.
@@ -981,11 +1001,11 @@ func (ws *EvalWorkspace) State() *EvalState {
 
 // MeasureSpec evaluates a spec expression against the last evaluation.
 // Transfer-function measurements go to backend first; anything it
-// leaves unhandled reads the AWE models, fitted in full as for State. Package verify uses this to
-// re-measure the specs with direct AC sweeps.
+// leaves unhandled reads the AWE models, each fitted in full when read,
+// as in the cost function. Package verify uses this to re-measure the
+// specs with direct AC sweeps.
 func (ws *EvalWorkspace) MeasureSpec(e expr.Node, backend TFBackend) (float64, error) {
 	ws.completeOps(opPartials | opCaps)
-	ws.completeTFs()
 	ws.resetArgs()
 	return e.Eval(&wsSpecEnv{ws: ws, backend: backend})
 }
@@ -999,6 +1019,10 @@ func (ws *EvalWorkspace) MeasureSpec(e expr.Node, backend TFBackend) (float64, e
 type wsSpecEnv struct {
 	ws      *EvalWorkspace
 	backend TFBackend
+	// cost marks the cost function's environment (ws.specEnv): the
+	// models its specs read count as read in the run, and an unstable
+	// one counts toward UnstableCount.
+	cost bool
 }
 
 func (e *wsSpecEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
@@ -1032,74 +1056,72 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return v, nil
 		}
 	}
-	tfArg := func() (int, *awe.TF, error) {
+	tfArg := func() (int, error) {
 		if len(args) < 1 || !args[0].IsName {
-			return 0, nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
+			return 0, fmt.Errorf("astrx: %s needs a transfer function name", fn)
 		}
 		i, ok := ws.plan.tfIdx[args[0].Name]
 		if !ok {
-			return 0, nil, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
+			return 0, fmt.Errorf("astrx: unknown transfer function %q", args[0].Name)
 		}
-		// An unstable model is still measured: the fitter already
-		// preferred any stable order that reproduced the moments, so
-		// this is the best available model. The fit site counted the
-		// event; FailureStats.Unstable and the daemon's
-		// oblxd_eval_unstable_total metric tell operators how much to
-		// trust the numbers.
-		return i, &ws.tfs[i], nil
+		return i, nil
 	}
 	switch fn {
-	case "dc_gain":
-		_, tf, err := tfArg()
+	case "dc_gain": // μ0, exact without a fit
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return tf.DCGain(), nil
+		return ws.tfs[i].DCGain(), nil
 	case "ugf": // unity-gain frequency in Hz
-		i, _, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return ws.tfUGF(i) / (2 * math.Pi), nil
+		return e.ugf(i) / (2 * math.Pi), nil
 	case "phase_margin":
-		i, tf, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return tf.PhaseMarginAt(ws.tfUGF(i)), nil
+		wu := e.ugf(i)
+		if wu == 0 { // no crossing: PhaseMarginAt reads no model
+			return 0, nil
+		}
+		return e.model(i).PhaseMarginAt(wu), nil
 	case "bw3db": // -3 dB bandwidth in Hz
-		_, tf, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
-		return tf.BW3dB() / (2 * math.Pi), nil
+		return e.model(i).BW3dB() / (2 * math.Pi), nil
 	case "pole": // magnitude of i-th slowest pole, Hz (1-based)
-		_, tf, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		if len(args) != 2 {
 			return 0, fmt.Errorf("astrx: pole(tf, i) needs an index")
 		}
-		return ws.nthRootMag(tf.Poles, int(args[1].Value))
+		return ws.nthRootMag(e.model(i).Poles, int(args[1].Value))
 	case "zero":
-		_, tf, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		if len(args) != 2 {
 			return 0, fmt.Errorf("astrx: zero(tf, i) needs an index")
 		}
-		return ws.nthRootMag(tf.Zeros, int(args[1].Value))
+		return ws.nthRootMag(e.model(i).Zeros, int(args[1].Value))
 	case "gain_at": // |H| at frequency f (Hz)
-		_, tf, err := tfArg()
+		i, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		if len(args) != 2 {
 			return 0, fmt.Errorf("astrx: gain_at(tf, hz) needs a frequency")
 		}
-		return tf.GainMagAt(2 * math.Pi * args[1].Value), nil
+		return e.model(i).GainMagAt(2 * math.Pi * args[1].Value), nil
 	case "v": // bias-circuit node voltage
 		if len(args) != 1 || !args[0].IsName {
 			return 0, fmt.Errorf("astrx: v(node) needs a node name")
@@ -1116,6 +1138,37 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 		return ws.power()
 	}
 	return expr.MathCall(fn, args)
+}
+
+// model returns TF slot i's full model for a measurement (see
+// EvalWorkspace.model). The cost function's specs mark it read for the
+// run, and count it once per run if it is unstable: an unstable model is
+// still measured, since the fitter already preferred any stable order
+// that reproduced the moments, but FailureStats.Unstable and the
+// daemon's oblxd_eval_unstable_total metric tell operators how much to
+// trust the numbers.
+func (e *wsSpecEnv) model(i int) *awe.TF {
+	ws := e.ws
+	tf := ws.model(i)
+	if s := &ws.slots[i]; e.cost && s.read != ws.runs {
+		s.read = ws.runs
+		if s.unstable {
+			ws.unstable++
+		}
+	}
+	return tf
+}
+
+// ugf returns TF slot i's unity-gain frequency (rad/s). A gain of at
+// most unity in magnitude at DC has none: that is awe.TF.UGF's first
+// test, which reads only μ0 (a NaN gain fails it), so such a model is
+// neither read nor fitted.
+func (e *wsSpecEnv) ugf(i int) float64 {
+	if math.Abs(e.ws.tfs[i].DCGain()) <= 1 {
+		return 0
+	}
+	e.model(i)
+	return e.ws.tfUGF(i)
 }
 
 // tfUGF returns TF slot i's unity-gain frequency (rad/s), computing it

@@ -60,6 +60,10 @@ type FitCounts struct {
 	// Constant fits that returned the constant model because no order
 	// fitted at all (or every moment was zero).
 	ValidatedStable, ValidatedUnstable, Unvalidated, Constant uint64
+	// Unread counts fits an evaluator skipped: per evaluation, each
+	// transfer function whose model a spec could read that no spec read
+	// (astrx.EvalWorkspace.FitCounts). A FitWorkspace never counts it.
+	Unread uint64
 }
 
 // Add accumulates o into c.
@@ -71,6 +75,7 @@ func (c *FitCounts) Add(o FitCounts) {
 	c.ValidatedUnstable += o.ValidatedUnstable
 	c.Unvalidated += o.Unvalidated
 	c.Constant += o.Constant
+	c.Unread += o.Unread
 }
 
 // Counts returns the workspace's fit counts.

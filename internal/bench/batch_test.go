@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"astrx/internal/astrx"
+	"astrx/internal/awe"
+	"astrx/internal/dcsolve"
+	"astrx/internal/expr"
 	"astrx/internal/netlist"
 )
 
@@ -115,13 +120,60 @@ func checkAllocs(t *testing.T, what string, eval func(), reused func() uint64, w
 	}
 }
 
+// checkFits runs eval once and requires it to fit a model a spec reads
+// (Fits grows, Unread does not) when wantFit, and otherwise to leave
+// every such model unread (Unread grows, Fits does not).
+func checkFits(t *testing.T, what string, eval func(), counts func() awe.FitCounts, wantFit bool) {
+	t.Helper()
+	before := counts()
+	eval()
+	after := counts()
+	fitted, unread := after.Fits > before.Fits, after.Unread > before.Unread
+	if fitted != wantFit || unread == wantFit {
+		t.Errorf("%s: fits %d → %d, unread %d → %d; want a fit %v", what,
+			before.Fits, after.Fits, before.Unread, after.Unread, wantFit)
+	}
+}
+
+// livePoint returns a point of c whose transfer function tf has a gain
+// above unity, so ugf and phase_margin read its model: the first of a
+// fixed random sequence of designs whose bias, solved from the start
+// voltages, has one. Start points have no gain.
+func livePoint(t *testing.T, c *astrx.Compiled) []float64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	ws := c.NewWorkspace()
+	dc := expr.MustParse("dc_gain(tf)")
+	for k := 0; k < 20; k++ {
+		x := evalSequence(c, 0)[0]
+		for i, v := range c.Vars()[:c.NUser] {
+			x[i] = v.Min + rng.Float64()*(v.Max-v.Min)
+		}
+		r, _ := dcsolve.Solve(context.Background(), ws.DCProblem(x), x[c.NUser:],
+			dcsolve.Options{MaxIter: 50, BestEffort: true})
+		if r == nil {
+			continue
+		}
+		copy(x[c.NUser:], r.V)
+		ws.Cost(x)
+		if g, err := ws.MeasureSpec(dc, nil); ws.Err() == nil && err == nil && math.Abs(g) > 1 {
+			return x
+		}
+	}
+	t.Fatal("no design with gain above unity")
+	return nil
+}
+
 // TestWorkspaceZeroAlloc pins the scalar hot path: after warm-up one
 // cost evaluation on the compiled-plan workspace — sparse factorization
 // included — performs zero heap allocations. Alternating two points
 // pins the whole pipeline; repeating one pins the path that keeps a
-// jig's factors and models. The eval benchmarks measure the same thing
-// with -benchmem, but this exact count runs in the plain test suite and
-// in make telemetry-guard without timing noise.
+// jig's factors and models. Both run at start points, whose gain is
+// below unity so that no spec reads a model and none is fitted, and at
+// points above unity, where ugf and phase_margin read the model and the
+// evaluation fits it. The eval benchmarks measure the same thing with
+// -benchmem, but this exact count runs in the plain test suite and in
+// make telemetry-guard without timing noise.
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	for _, ckt := range Table2Suite {
 		ckt := ckt
@@ -130,17 +182,24 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := evalSequence(c, 0)[0]
-			y := nodeMoved(c, x)
-			ws := c.NewWorkspace()
-			ws.Cost(x) // warm up lazy scratch at both points
-			ws.Cost(y)
-			reused := func() uint64 { return ws.FactorCounts().Reused }
-			checkAllocs(t, "scalar eval of two points in turn", func() { ws.Cost(x); ws.Cost(y) }, reused, false)
-			checkAllocs(t, "scalar eval of a repeated point", func() { ws.Cost(x) }, reused, true)
-			for j, s := range ws.JigStats() {
-				if !s.Sparse {
-					t.Errorf("matrix %d took the dense path at the start point", j)
+			for _, side := range []struct {
+				name string
+				x    []float64
+				fit  bool
+			}{{"below unity", evalSequence(c, 0)[0], false}, {"above unity", livePoint(t, c), true}} {
+				x := side.x
+				y := nodeMoved(c, x)
+				ws := c.NewWorkspace()
+				ws.Cost(x) // warm up lazy scratch at both points
+				ws.Cost(y)
+				reused := func() uint64 { return ws.FactorCounts().Reused }
+				checkAllocs(t, "scalar eval of two points in turn "+side.name, func() { ws.Cost(x); ws.Cost(y) }, reused, false)
+				checkAllocs(t, "scalar eval of a repeated point "+side.name, func() { ws.Cost(x) }, reused, true)
+				checkFits(t, "scalar eval of a new point "+side.name, func() { ws.Cost(y) }, ws.FitCounts, side.fit)
+				for j, s := range ws.JigStats() {
+					if !s.Sparse {
+						t.Errorf("matrix %d took the dense path %s", j, side.name)
+					}
 				}
 			}
 		})
@@ -150,8 +209,10 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 // TestBatchZeroAlloc pins the cornered hot path: after warm-up one
 // worst-case evaluation — a Run over nominal plus two corners and the
 // WorstCase assembly — performs zero heap allocations, like the scalar
-// path, whether every lane's matrices change or repeat, and whether or
-// not a lane is skipped, as a quarantined corner is.
+// path, whether every lane's matrices change or repeat, whether the
+// lanes' gain is below unity (no model read or fitted) or above it (the
+// model fitted as ugf reads it), and whether or not a lane is skipped,
+// as a quarantined corner is.
 func TestBatchZeroAlloc(t *testing.T) {
 	cs := compileCorneredOTA(t, "")
 	if cs.K() != 3 {
@@ -161,14 +222,22 @@ func TestBatchZeroAlloc(t *testing.T) {
 	for i, v := range cs.Vars() {
 		x[i] = v.Start()
 	}
-	y := cornerNodesMoved(cs, x)
-	xs := make([][]float64, cs.K())
-	ys := make([][]float64, cs.K())
+	// Every lane's nodes at the nominal bias solved from the start: each
+	// lane's gain is above unity there.
+	live := append([]float64(nil), x...)
+	nom := cs.LaneX(0, live, nil)
+	r, _ := dcsolve.Solve(context.Background(), cs.Nominal.NewWorkspace().DCProblem(nom), nom[cs.NUser:],
+		dcsolve.Options{MaxIter: 20, BestEffort: true})
+	if r == nil {
+		t.Fatal("no nominal bias")
+	}
+	copy(nom[cs.NUser:], r.V)
+	for i := 0; i < cs.K(); i++ {
+		cs.StoreLaneNodes(i, nom, live)
+	}
 	include := make([]bool, cs.K())
 	evaluated := make([]bool, cs.K())
-	for i := range xs {
-		xs[i] = cs.LaneX(i, x, nil)
-		ys[i] = cs.LaneX(i, y, nil)
+	for i := range include {
 		include[i] = true
 	}
 	bw := cs.NewCornerBatch()
@@ -179,21 +248,45 @@ func TestBatchZeroAlloc(t *testing.T) {
 		}
 		cs.WorstCase(bw, include, evaluated)
 	}
-	eval(ys) // warm up lazy scratch at both points
-	eval(xs)
-	for i, ok := range evaluated {
-		if !ok {
-			t.Fatalf("lane %s failed at the start point", cs.LaneName(i))
+	fits := func() awe.FitCounts {
+		var fc awe.FitCounts
+		for i := 0; i < cs.K(); i++ {
+			fc.Add(bw.Lane(i).FitCounts())
 		}
+		return fc
 	}
-	// Each lane's reuse count is checked on its own, so a lane taking the
-	// wrong path cannot hide behind the others.
-	for i := 0; i < cs.K(); i++ {
-		lane := bw.Lane(i)
-		reused := func() uint64 { return lane.FactorCounts().Reused }
-		name := cs.LaneName(i)
-		checkAllocs(t, "cornered eval of two points in turn, lane "+name, func() { eval(ys); eval(xs) }, reused, false)
-		checkAllocs(t, "cornered eval of a repeated point, lane "+name, func() { eval(xs) }, reused, true)
+	laneXs := func(x []float64) [][]float64 {
+		xs := make([][]float64, cs.K())
+		for i := range xs {
+			xs[i] = cs.LaneX(i, x, nil)
+		}
+		return xs
+	}
+	var xs, ys [][]float64
+	for _, side := range []struct {
+		name string
+		x    []float64
+		fit  bool
+	}{{"above unity", live, true}, {"below unity", x, false}} {
+		xs, ys = laneXs(side.x), laneXs(cornerNodesMoved(cs, side.x))
+		eval(ys) // warm up lazy scratch at both points
+		eval(xs)
+		for i, ok := range evaluated {
+			if !ok {
+				t.Fatalf("lane %s failed %s", cs.LaneName(i), side.name)
+			}
+		}
+		// Each lane's reuse count is checked on its own, so a lane taking
+		// the wrong path cannot hide behind the others.
+		for i := 0; i < cs.K(); i++ {
+			lane := bw.Lane(i)
+			reused := func() uint64 { return lane.FactorCounts().Reused }
+			name := cs.LaneName(i) + " " + side.name
+			checkAllocs(t, "cornered eval of two points in turn, lane "+name, func() { eval(ys); eval(xs) }, reused, false)
+			checkAllocs(t, "cornered eval of a repeated point, lane "+name, func() { eval(xs) }, reused, true)
+		}
+		checkFits(t, "cornered eval of a new point "+side.name, func() { eval(ys) }, fits, side.fit)
+		eval(xs) // end on xs, so the next eval of ys refactors
 	}
 
 	// Skip the slow corner in both point sets, as a run that quarantined

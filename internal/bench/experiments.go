@@ -112,11 +112,18 @@ func AWEScaling(sizes []int) ([]AWEPoint, error) {
 		}
 		out1 := fmt.Sprintf("n%d", n)
 
-		// Time AWE (build analyzer + extract TF), best of a few reps.
-		reps := 5
-		start := time.Now()
+		// Time both sides as the best of reps interleaved repetitions: an
+		// AWE extraction (build analyzer + extract TF), then an AC sweep.
+		// Load on the machine then slows both alike, and each side's
+		// minimum is its least disturbed run.
+		const reps = 5
+		ac := acsim.NewAnalyzer(sys)
+		wLo, wHi := 1e3, 1e9
+		aweTime, acTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 		var tf *awe.TF
+		var sw *acsim.Sweep
 		for r := 0; r < reps; r++ {
+			start := time.Now()
 			an, err := awe.NewAnalyzer(sys)
 			if err != nil {
 				return nil, err
@@ -125,18 +132,15 @@ func AWEScaling(sizes []int) ([]AWEPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-		}
-		aweTime := time.Since(start) / time.Duration(reps)
+			aweTime = min(aweTime, time.Since(start))
 
-		// Time the AC sweep.
-		ac := acsim.NewAnalyzer(sys)
-		wLo, wHi := 1e3, 1e9
-		start = time.Now()
-		sw, err := ac.LogSweep("vin", out1, "", wLo, wHi, sweepPts)
-		if err != nil {
-			return nil, err
+			start = time.Now()
+			sw, err = ac.LogSweep("vin", out1, "", wLo, wHi, sweepPts)
+			if err != nil {
+				return nil, err
+			}
+			acTime = min(acTime, time.Since(start))
 		}
-		acTime := time.Since(start)
 
 		// Accuracy across the band (relative to the passband magnitude —
 		// deep in the stopband both responses are ~0 and the paper's

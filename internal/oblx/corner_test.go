@@ -324,8 +324,9 @@ func TestCornerSelectionErrors(t *testing.T) {
 
 // TestCornerStageTiming checks that a cornered run is clocked like a
 // nominal one: with every eval sampled, each corner lane's evaluation
-// reports the pipeline stages it ran to the shared timer (all seven,
-// or all but solve, moments and fit when its matrices repeated), and
+// reports the pipeline stages it ran to the shared timer (all seven
+// when a spec read a model it had to fit, all but fit when no spec read
+// one, all but solve, moments and fit when its matrices repeated), and
 // the anneal span carries their means as stage.<name>_us attrs beside
 // the factorization counts summed over the lanes.
 func TestCornerStageTiming(t *testing.T) {
@@ -358,14 +359,23 @@ func TestCornerStageTiming(t *testing.T) {
 	for _, want := range telemetry.StageNames() {
 		// Every eval of the run samples all three healthy lanes. A lane
 		// whose matrices repeated keeps its factors and models, so it
-		// samples no solve, moments or fit: its reuse counts instead.
+		// samples no solve, moments or fit: its reuse counts instead. A
+		// lane whose specs read no model samples no fit either: its
+		// unread model counts instead. Fit is sampled only where a lane
+		// fitted, so never more often than the lanes fitted before the
+		// counts were read plus once per lane for the final evaluation.
 		n, floor := stages[want], int64(len(res.Corners)*res.EvalCount)
 		switch want {
-		case "solve", "moments", "fit":
+		case "solve", "moments":
 			n += int64(res.FactorCounts.Reused)
+		case "fit":
+			if most := res.FitCounts.Fits + uint64(len(res.Corners)); n == 0 || uint64(n) > most {
+				t.Errorf("stage fit: %d sampled lane evals, want between 1 and %d (fits plus the final evaluation's lanes)", n, most)
+			}
+			n += int64(res.FactorCounts.Reused + res.FitCounts.Unread)
 		}
 		if n < floor {
-			t.Errorf("stage %s: %d sampled lane evals (reuses included for solve, moments and fit), want ≥ %d", want, n, floor)
+			t.Errorf("stage %s: %d sampled lane evals (reuses included for solve, moments and fit, unread models for fit), want ≥ %d", want, n, floor)
 		}
 		if _, err := strconv.ParseFloat(anneal.Attrs["stage."+want+"_us"], 64); err != nil {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])

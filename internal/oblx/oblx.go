@@ -104,8 +104,8 @@ type Options struct {
 	// Result.NewtonProposals as newton.proposals and
 	// newton.proposals_reused, and
 	// Result.FitCounts as fit.fits, fit.attempts, fit.deferred,
-	// fit.validated_stable, fit.validated_unstable, fit.unvalidated and
-	// fit.constant)
+	// fit.validated_stable, fit.validated_unstable, fit.unvalidated,
+	// fit.constant and fit.unread)
 	// and one "corner:<name>" span per lane of a worst-case run, with
 	// quarantine/retry events as they happen.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
@@ -260,13 +260,15 @@ type FailureStats struct {
 	// RejectedMoves counts moves the annealer rejected for a non-finite
 	// cost (per move class in Result.MoveStats[].Failed).
 	RejectedMoves int `json:"rejected_moves"`
-	// Unstable counts the cost function's transfer-function fits where
-	// the AWE Padé reduction produced a model with right-half-plane
-	// poles. Only fits whose model some spec reads count: a transfer
-	// function read only through dc_gain is not fitted in the cost
-	// function. The model is still measured — the RHP pole is frequently
+	// Unstable counts the cost function's reads of transfer-function
+	// models where the AWE Padé reduction produced right-half-plane
+	// poles: once per evaluation per transfer function whose model a
+	// spec of that evaluation read, a kept model counting again each
+	// time it is read. A model no spec read (one read only through
+	// dc_gain, or one whose gain stayed below unity for ugf) is not
+	// counted. The model is still measured — the RHP pole is frequently
 	// a fit artifact rather than real instability — but a run dominated
-	// by unstable fits deserves scrutiny, so the count is surfaced here
+	// by unstable models deserves scrutiny, so the count is surfaced here
 	// and as the daemon's oblxd_eval_unstable_total metric.
 	Unstable int `json:"unstable,omitempty"`
 	// Corners itemizes the failures per corner for worst-case runs (nil
@@ -364,9 +366,11 @@ type Result struct {
 	NewtonProposals ProposalCounts
 	// FitCounts sums the lanes' Padé searches over the same span: fits,
 	// orders attempted, orders deferred because they cannot be stable and
-	// never attempted, and how each fit ended (a stable or an unstable
+	// never attempted, how each fit ended (a stable or an unstable
 	// validated order, the best-scoring unvalidated order, or the
-	// constant model).
+	// constant model), and the fits skipped because no spec of an
+	// evaluation read a model the specs could read (Unread; a gain below
+	// unity leaves ugf and phase_margin nothing to read).
 	FitCounts awe.FitCounts
 	// CheckpointErr records the last checkpoint-write failure, if any —
 	// a checkpoint that cannot be written must not kill the run it
@@ -793,6 +797,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("fit.validated_unstable", strconv.FormatUint(ft.ValidatedUnstable, 10))
 	asp.SetAttr("fit.unvalidated", strconv.FormatUint(ft.Unvalidated, 10))
 	asp.SetAttr("fit.constant", strconv.FormatUint(ft.Constant, 10))
+	asp.SetAttr("fit.unread", strconv.FormatUint(ft.Unread, 10))
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

@@ -186,6 +186,7 @@ func checkFitAttrs(t *testing.T, anneal *trace.Span, res *Result) {
 		"fit.validated_unstable": ft.ValidatedUnstable,
 		"fit.unvalidated":        ft.Unvalidated,
 		"fit.constant":           ft.Constant,
+		"fit.unread":             ft.Unread,
 	} {
 		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
 		if err != nil || got != want {

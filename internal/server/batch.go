@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"astrx/internal/netlist"
 )
 
 // This file is the batch API: POST /v1/batches accepts N decks in one
@@ -76,12 +74,13 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// SubmitBatch validates every deck upfront and submits them as child
-// jobs, all-or-nothing: a deck error rejects the whole batch before
-// any child exists, and a mid-batch admission failure (quota, queue
-// full, draining) rolls already-created children back by cancelling
-// them. On success every child is queued (or already done via the
-// result cache) under the tenant's lane.
+// SubmitBatch admits every child upfront and submits them as child
+// jobs, all-or-nothing: a child that fails the checks a single submit
+// runs (its deck, corners, option limits and cache key; admit) rejects
+// the whole batch before any child exists, and a mid-batch admission
+// failure (quota, queue full, draining) rolls already-created children
+// back by cancelling them. On success every child is queued (or already
+// done via the result cache) under the tenant's lane.
 func (m *Manager) SubmitBatch(items []batchItem, requestID, tenant string) (*Batch, error) {
 	if len(items) == 0 {
 		return nil, &DeckError{Err: fmt.Errorf("server: batch has no jobs")}
@@ -90,22 +89,20 @@ func (m *Manager) SubmitBatch(items []batchItem, requestID, tenant string) (*Bat
 		return nil, &DeckError{Err: fmt.Errorf("server: batch of %d jobs exceeds the limit %d",
 			len(items), maxBatchJobs)}
 	}
-	// Upfront validation — the same parse/validate path SubmitAs runs —
-	// so a bad deck names its index and rejects the batch before any
-	// child job exists.
+	// Upfront admission — the checks SubmitAs runs — so a bad child
+	// names its index and rejects the batch before any child job exists.
+	admitted := make([]admission, len(items))
 	for i, it := range items {
-		d, err := netlist.Parse(it.Deck)
-		if err == nil {
-			err = d.Validate()
-		}
+		a, err := m.admit(it.Deck, it.Options)
 		if err != nil {
 			return nil, &DeckError{Err: fmt.Errorf("server: batch job %d: %w", i, err)}
 		}
+		admitted[i] = a
 	}
 
 	b := &Batch{ID: newID(), Tenant: tenant, Created: time.Now()}
-	for i, it := range items {
-		j, err := m.SubmitAs(it.Deck, it.Options, requestID, tenant)
+	for i, a := range admitted {
+		j, err := m.submitAdmitted(a, requestID, tenant, "", time.Now())
 		if err != nil {
 			// Roll back: cancel the children created so far (still
 			// queued or instant cache hits; cancelling a terminal child

@@ -603,7 +603,7 @@ func New(opt Options) (*Manager, error) {
 	m.mQuarantine = reg.Counter("oblxd_quarantined_files_total")
 	reg.SetHelp("oblxd_quarantined_files_total", "state files quarantined by the startup fsck")
 	m.mUnstable = reg.Counter("oblxd_eval_unstable_total")
-	reg.SetHelp("oblxd_eval_unstable_total", "transfer-function fits whose reduced model kept an RHP pole (still measured, but degraded)")
+	reg.SetHelp("oblxd_eval_unstable_total", "spec reads of transfer-function models that kept an RHP pole, once per evaluation per model read (still measured, but degraded)")
 	reg.GaugeFunc("oblxd_degraded", func() float64 {
 		if m.Degraded() {
 			return 1
@@ -740,48 +740,79 @@ func (m *Manager) SubmitAs(deckSrc string, opt JobOptions, requestID, tenant str
 // ID derives from the request ID instead.
 func (m *Manager) SubmitTraced(deckSrc string, opt JobOptions, requestID, tenant, traceparent string) (*Job, error) {
 	submitStart := time.Now()
-	if tenant == "" {
-		tenant = tenancy.DefaultTenantName
-	}
-	d, err := netlist.Parse(deckSrc)
+	a, err := m.admit(deckSrc, opt)
 	if err != nil {
 		return nil, &DeckError{Err: err}
 	}
+	return m.submitAdmitted(a, requestID, tenant, traceparent, submitStart)
+}
+
+// admission is a submission that passed the checks every submit runs
+// before any job exists (admit), with its options defaulted and its
+// result-cache key built.
+type admission struct {
+	deck               string
+	opt                JobOptions
+	deckHash, cacheKey string
+}
+
+// admit runs the checks every single or batch submit runs before any
+// job exists: the deck parses and validates, its corner selection names
+// declared corners, and the options are within the daemon's limits. It
+// defaults the options and builds the result-cache key. Every error it
+// returns is the submitter's (a DeckError, HTTP 400).
+func (m *Manager) admit(deckSrc string, opt JobOptions) (admission, error) {
+	d, err := netlist.Parse(deckSrc)
+	if err != nil {
+		return admission{}, err
+	}
 	if err := d.Validate(); err != nil {
-		return nil, &DeckError{Err: err}
+		return admission{}, err
 	}
 	// Corner selection is part of the cost function: reject unknown
 	// names at the door instead of queueing a job doomed to fail.
 	if _, err := astrx.SelectCorners(d, opt.Corners); err != nil {
-		return nil, &DeckError{Err: err}
+		return admission{}, err
 	}
 	opt.defaults()
 	if m.opt.MaxMovesLimit > 0 && opt.MaxMoves > m.opt.MaxMovesLimit {
-		return nil, &DeckError{Err: fmt.Errorf("server: max_moves %d exceeds the daemon limit %d",
-			opt.MaxMoves, m.opt.MaxMovesLimit)}
+		return admission{}, fmt.Errorf("server: max_moves %d exceeds the daemon limit %d",
+			opt.MaxMoves, m.opt.MaxMovesLimit)
 	}
 	if opt.Runs > maxRuns {
-		return nil, &DeckError{Err: fmt.Errorf("server: runs %d exceeds the limit %d", opt.Runs, maxRuns)}
+		return admission{}, fmt.Errorf("server: runs %d exceeds the limit %d", opt.Runs, maxRuns)
 	}
 	// A deck that parses always canonicalizes; treat failure as a deck
 	// error rather than guessing at a key.
 	deckHash, cacheKey, err := cacheKeyFor(deckSrc, opt)
 	if err != nil {
-		return nil, &DeckError{Err: err}
+		return admission{}, err
 	}
+	return admission{deck: deckSrc, opt: opt, deckHash: deckHash, cacheKey: cacheKey}, nil
+}
+
+// submitAdmitted creates the job of an admitted submission: served from
+// the result cache, or queued in the tenant's lane once the daemon is
+// not draining, the queue has room and the tenant's quota admits it.
+// submitStart is when the submission arrived, for its submit span.
+func (m *Manager) submitAdmitted(a admission, requestID, tenant, traceparent string, submitStart time.Time) (*Job, error) {
+	if tenant == "" {
+		tenant = tenancy.DefaultTenantName
+	}
+	opt := a.opt
 	m.ensureTenantMetrics(tenant)
 
 	j := &Job{
 		ID:        newID(),
-		Deck:      deckSrc,
+		Deck:      a.deck,
 		Options:   opt,
 		Created:   time.Now(),
 		Tenant:    tenant,
-		DeckHash:  deckHash,
+		DeckHash:  a.deckHash,
 		state:     StateQueued,
 		bestCost:  math.NaN(),
 		requestID: requestID,
-		cacheKey:  cacheKey,
+		cacheKey:  a.cacheKey,
 	}
 	m.initJobTrace(j, traceparent)
 
@@ -790,7 +821,7 @@ func (m *Manager) SubmitTraced(deckSrc string, opt JobOptions, requestID, tenant
 	if m.Draining() {
 		return nil, ErrDraining
 	}
-	if payload, ok := m.cache.Get(cacheKey); ok {
+	if payload, ok := m.cache.Get(a.cacheKey); ok {
 		jj, cerr := m.completeFromCache(j, payload)
 		if cerr == nil {
 			j.trace.AddTimed("submit", "", submitStart, time.Since(submitStart),

@@ -581,6 +581,41 @@ func TestBatchAPI(t *testing.T) {
 	}
 }
 
+// TestBatchAdmitsEveryChildFirst: a batch whose later child fails the
+// checks a single submit runs — runs above the cap, max_moves above the
+// daemon limit, an unknown corner — is a 400 that creates no job, so no
+// earlier child is left behind as a cancelled job.
+func TestBatchAdmitsEveryChildFirst(t *testing.T) {
+	m := newTestManager(t, Options{ExternalExec: true, MaxMovesLimit: 50000})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	cancelled := m.reg.Counter("oblxd_jobs_finished_total", "state", string(StateCancelled))
+	for _, bad := range []JobOptions{
+		{Seed: 2, MaxMoves: 1000, Runs: maxRuns + 1},
+		{Seed: 2, MaxMoves: 50001},
+		{Seed: 2, MaxMoves: 1000, Corners: []string{"nosuch"}},
+	} {
+		body, _ := json.Marshal(batchRequest{Jobs: []batchItem{
+			{Deck: testDeck, Options: JobOptions{Seed: 1, MaxMoves: 1000}},
+			{Deck: testDeck, Options: bad},
+		}})
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch with second child %+v: %d, want 400", bad, resp.StatusCode)
+		}
+		if n := len(m.Jobs()); n != 0 {
+			t.Errorf("batch with second child %+v created %d jobs, want 0", bad, n)
+		}
+		if n := cancelled.Value(); n != 0 {
+			t.Errorf("batch with second child %+v: oblxd_jobs_finished_total{state=\"cancelled\"} = %d, want 0", bad, n)
+		}
+	}
+}
+
 // TestTenantLogAttr: every job-scoped log line carries the tenant.
 func TestTenantLogAttr(t *testing.T) {
 	logBuf := &lockedBuffer{}
