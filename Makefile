@@ -32,7 +32,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace
+	$(GO) test -race ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace ./internal/bench
 
 # fuzz runs the repo's fuzz targets for 10 s each: FuzzMOSEvalSplit holds
 # the split MOS evaluation (current part, then partials, then

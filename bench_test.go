@@ -67,7 +67,7 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 	ws := comp.NewWorkspace()
 	ws.Cost(x) // warm the workspace so steady-state allocations are measured
 	ws.Cost(y)
-	reused := ws.FactorCounts().Reused
+	reused := ws.Counts()[astrx.FactorReused]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +76,7 @@ func benchmarkCostEval(b *testing.B, c bench.Circuit) {
 		}
 	}
 	b.StopTimer()
-	if n := ws.FactorCounts().Reused - reused; n != 0 {
+	if n := ws.Counts()[astrx.FactorReused] - reused; n != 0 {
 		b.Fatalf("%d evaluations reused a factorization; the benchmark must time the whole pipeline", n)
 	}
 	ws.Cost(x) // leave the start point's factorization for the stats below
@@ -168,7 +168,7 @@ func BenchmarkTable2EvalCorners(b *testing.B) {
 	reused := func() uint64 {
 		var n uint64
 		for i := 0; i < cs.K(); i++ {
-			n += bw.Lane(i).FactorCounts().Reused
+			n += bw.Lane(i).Counts()[astrx.FactorReused]
 		}
 		return n
 	}

@@ -20,25 +20,6 @@ import (
 	"astrx/internal/netlist"
 )
 
-// parseCornersFlag maps the -corners flag value onto the SelectCorners
-// convention: "" and "all" select every declared corner (nil), "none"
-// forces nominal-only (empty non-nil), anything else is a name list.
-func parseCornersFlag(v string) []string {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "", "all":
-		return nil
-	case "none":
-		return []string{}
-	}
-	var out []string
-	for _, n := range strings.Split(v, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 func main() {
 	benchName := flag.String("bench", "", "compile a builtin benchmark instead of a file")
 	list := flag.Bool("list", false, "list builtin benchmarks")
@@ -138,7 +119,7 @@ func main() {
 		fmt.Printf("  var %-10s [%.3g, %.3g] %s\n", v.Name, v.Min, v.Max, kind)
 	}
 
-	names, err := astrx.SelectCorners(deck, parseCornersFlag(*cornersFlag))
+	names, err := astrx.SelectCorners(deck, astrx.ParseCorners(*cornersFlag))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astrx:", err)
 		os.Exit(1)

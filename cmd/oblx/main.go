@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"astrx/internal/astrx"
 	"astrx/internal/bench"
 	"astrx/internal/faults"
 	"astrx/internal/metrics"
@@ -68,25 +69,6 @@ func flagProblems(moves, runs, ckptEvery, stageSample int, ckptPath string, resu
 		}
 	}
 	return probs
-}
-
-// parseCornersFlag maps the -corners flag value onto the SelectCorners
-// convention: "" and "all" select every declared corner (nil), "none"
-// forces nominal-only (empty non-nil), anything else is a name list.
-func parseCornersFlag(v string) []string {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "", "all":
-		return nil
-	case "none":
-		return []string{}
-	}
-	var out []string
-	for _, n := range strings.Split(v, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func main() {
@@ -179,7 +161,7 @@ func main() {
 		NoFreeze:        *noFreeze,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
-		Corners:         parseCornersFlag(*cornersFlag),
+		Corners:         astrx.ParseCorners(*cornersFlag),
 	}
 	var timer *telemetry.EvalTimer
 	if *stageSample > 0 {
@@ -190,7 +172,8 @@ func main() {
 	// oblxd serves at GET /v1/jobs/{id}/trace, produced offline: a move
 	// event on the root span per progress sample (every 500 moves),
 	// stage.<name>_us attributes on the anneal span under -stage-sample,
-	// and eval spans on the -stage-sample cadence.
+	// and eval spans on the -stage-sample cadence (oblx.Run records
+	// them).
 	var spanRec *trace.Recorder
 	var rootSpan *trace.Active
 	if *traceSpans != "" {
@@ -200,11 +183,6 @@ func main() {
 		rootSpan = spanRec.BeginRoot("oblx", "")
 		rootSpan.SetAttr("deck", title)
 		opt.Progress = func(ev oblx.ProgressEvent) { rootSpan.Event("move", ev.MoveAttrs()...) }
-		if timer != nil {
-			timer.OnSample(func(s telemetry.Stage, d time.Duration) {
-				spanRec.RecordEval(s.String(), d)
-			})
-		}
 	}
 	if *faultPanic > 0 || *faultNaN > 0 || *faultNewton > 0 || *faultCorner != "" {
 		rates := faults.Rates{
@@ -374,11 +352,10 @@ func writeSpans(path, label, cause string, rec *trace.Recorder) error {
 }
 
 // printStages renders the sampled per-stage eval timing collected under
-// -stage-sample: where each evaluated circuit actually spends its time,
-// which factorization path the run's evaluations took, how many device
-// evaluations kept a stored operating point, how much bias-problem work
-// the Newton moves did beside them and how many of their proposals a
-// move's memo answered, and how the Padé fits searched and ended.
+// -stage-sample — where each evaluated circuit actually spends its time —
+// and then the run's work counts, one line per group (factor, device,
+// newton, fit), each count under its name on the anneal span
+// (astrx.Count).
 func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 	bd := timer.Breakdown()
 	if len(bd) == 0 {
@@ -390,15 +367,21 @@ func printStages(timer *telemetry.EvalTimer, res *oblx.Result) {
 		fmt.Printf("    %-10s %12v mean over %d samples\n",
 			b.Stage, mean.Round(time.Nanosecond), b.SampledEvals)
 	}
-	fc, nc, ft := res.FactorCounts, res.NewtonCounts, res.FitCounts
-	fmt.Printf("  factorizations: %d sparse, %d dense fallback, %d symbolic-cache misses, %d reused (matrices repeated)\n",
-		fc.Sparse, fc.Dense, fc.SymbolicMisses, fc.Reused)
-	fmt.Printf("  devices: %d evaluated in cost evaluations (%d reused a stored point), %d in newton replays (%d reused)\n",
-		res.DeviceCounts.Evals, res.DeviceCounts.Reused, nc.Devices.Evals, nc.Devices.Reused)
-	fmt.Printf("  newton: %d proposals (%d answered by the move's memo), %d residual replays, %d jacobians (%d at the residual's replay)\n",
-		res.NewtonProposals.Proposals, res.NewtonProposals.Reused, nc.Residuals, nc.Jacobians, nc.JacobiansReused)
-	fmt.Printf("  fit: %d fits, %d orders attempted, %d deferred (cannot be stable); %d stable validated, %d unstable validated, %d unvalidated, %d constant; %d unread (no spec read the model)\n",
-		ft.Fits, ft.Attempts, ft.Deferred, ft.ValidatedStable, ft.ValidatedUnstable, ft.Unvalidated, ft.Constant, ft.Unread)
+	group := ""
+	for i, n := range res.Counts {
+		g, name, _ := strings.Cut(astrx.Count(i).String(), ".")
+		if g != group {
+			if group != "" {
+				fmt.Println()
+			}
+			fmt.Printf("  %s:", g)
+			group = g
+		} else {
+			fmt.Print(",")
+		}
+		fmt.Printf(" %s %d", name, n)
+	}
+	fmt.Println()
 }
 
 // printMetrics renders the run's statistics through the same metrics

@@ -70,17 +70,17 @@ func TestWorkspaceStageClock(t *testing.T) {
 	}
 	sampled(map[string]int64{"bias": evals, "stamp": evals, "factor": evals,
 		"solve": evals, "moments": evals, "fit": evals / 2, "specs": evals})
-	if fc := ws.FactorCounts(); fc.Reused != 0 {
-		t.Fatalf("distinct points reused %d factorizations", fc.Reused)
+	if n := ws.Counts()[FactorReused]; n != 0 {
+		t.Fatalf("distinct points reused %d factorizations", n)
 	}
-	if ft := ws.FitCounts(); ft.Fits != evals/2 || ft.Unread != evals/2 {
-		t.Fatalf("fit counts %+v, want %d fits and %d unread", ft, evals/2, evals/2)
+	if c := ws.Counts(); c[FitFits] != evals/2 || c[FitUnread] != evals/2 {
+		t.Fatalf("%d fits and %d unread, want %d and %d", c[FitFits], c[FitUnread], evals/2, evals/2)
 	}
 	eval(pts[evals-1])
 	sampled(map[string]int64{"bias": evals + 1, "stamp": evals + 1, "factor": evals + 1,
 		"solve": evals, "moments": evals, "fit": evals / 2, "specs": evals + 1})
-	if fc := ws.FactorCounts(); fc.Reused != 1 {
-		t.Fatalf("repeat reused %d factorizations, want 1", fc.Reused)
+	if n := ws.Counts()[FactorReused]; n != 1 {
+		t.Fatalf("repeat reused %d factorizations, want 1", n)
 	}
 
 	// The annealer's promise: zero allocations per evaluation, clock or
@@ -148,7 +148,7 @@ func diffAmpLive(t *testing.T, c *Compiled) []float64 {
 	return x
 }
 
-// TestUnreadCountsSkippedFits checks FitCounts.Unread: a candidate whose
+// TestUnreadCountsSkippedFits checks the FitUnread count: a candidate whose
 // gain is below unity leaves the model ugf would read unread (1), one
 // above unity reads and fits it (0).
 func TestUnreadCountsSkippedFits(t *testing.T) {
@@ -167,8 +167,8 @@ func TestUnreadCountsSkippedFits(t *testing.T) {
 		if ws.Err() != nil {
 			t.Fatalf("%s: %v", tc.name, ws.Err())
 		}
-		if ft := ws.FitCounts(); ft.Unread != tc.unread || ft.Fits != tc.fits {
-			t.Errorf("%s: %d unread, %d fits; want %d and %d", tc.name, ft.Unread, ft.Fits, tc.unread, tc.fits)
+		if c := ws.Counts(); c[FitUnread] != tc.unread || c[FitFits] != tc.fits {
+			t.Errorf("%s: %d unread, %d fits; want %d and %d", tc.name, c[FitUnread], c[FitFits], tc.unread, tc.fits)
 		}
 	}
 }

@@ -182,6 +182,27 @@ type CornerSet struct {
 	NFree   int
 }
 
+// ParseCorners maps a corner-selection text (the -corners flag of the
+// commands, oblxd's corners= query parameter) onto the SelectCorners
+// convention: "" and "all" select every declared corner (nil), "none"
+// forces nominal-only (empty non-nil), anything else is a
+// comma-separated name list whose blank entries are dropped.
+func ParseCorners(v string) []string {
+	switch strings.ToLower(strings.TrimSpace(v)) {
+	case "", "all":
+		return nil
+	case "none":
+		return []string{}
+	}
+	var out []string
+	for _, n := range strings.Split(v, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // SelectCorners resolves a job's corner selection against the deck:
 // nil → every declared corner; an explicit list → those corners, in
 // deck declaration order (unknown names error); an explicit empty,

@@ -2,6 +2,7 @@ package astrx
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"astrx/internal/netlist"
@@ -22,6 +23,36 @@ func parseCornered(t *testing.T) *netlist.Deck {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestParseCorners holds the corner-selection text to the SelectCorners
+// convention: nil selects every corner, an empty non-nil list none, and
+// a list names corners, blank entries dropped. Case is left to
+// SelectCorners, which also resolves the selection on a deck here.
+func TestParseCorners(t *testing.T) {
+	deck := parseCornered(t)
+	for _, tc := range []struct {
+		in       string
+		want     []string
+		selected []string
+	}{
+		{"", nil, []string{"slow", "fast"}},
+		{"all", nil, []string{"slow", "fast"}},
+		{" ALL ", nil, []string{"slow", "fast"}},
+		{"none", []string{}, nil},
+		{"fast, ,SLOW,", []string{"fast", "SLOW"}, []string{"slow", "fast"}},
+		{" fast ", []string{"fast"}, []string{"fast"}},
+	} {
+		got := ParseCorners(tc.in)
+		if !reflect.DeepEqual(got, tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("ParseCorners(%q) = %#v, want %#v", tc.in, got, tc.want)
+			continue
+		}
+		sel, err := SelectCorners(deck, got)
+		if err != nil || !reflect.DeepEqual(sel, tc.selected) {
+			t.Errorf("SelectCorners(ParseCorners(%q)) = %#v, %v; want %#v", tc.in, sel, err, tc.selected)
+		}
+	}
 }
 
 func TestDeriveCornerDeck(t *testing.T) {

@@ -33,27 +33,6 @@ type DCProblem struct {
 	resRun uint64
 }
 
-// NewtonCounts counts a workspace's Newton-problem work since it was
-// created: Residual replays, Jacobians, the Jacobians that reused the
-// replay of the Residual before them, and the device evaluations of the
-// bias-only replays (a Residual, a Jacobian away from its Residual's
-// point, EvaluateBias).
-type NewtonCounts struct {
-	Residuals, Jacobians, JacobiansReused uint64
-	Devices                               DeviceCounts
-}
-
-// Add accumulates o into n.
-func (n *NewtonCounts) Add(o NewtonCounts) {
-	n.Residuals += o.Residuals
-	n.Jacobians += o.Jacobians
-	n.JacobiansReused += o.JacobiansReused
-	n.Devices.Add(o.Devices)
-}
-
-// NewtonCounts returns the workspace's Newton-problem counts.
-func (ws *EvalWorkspace) NewtonCounts() NewtonCounts { return ws.newton }
-
 // DCProblem builds the Newton problem on the workspace, with the design
 // variables taken from the prefix of x (the rest of x is ignored). It
 // replaces the workspace's previous DCProblem.
@@ -85,7 +64,7 @@ func (p *DCProblem) eval(v []float64) error {
 // Residual fills f with the KCL residual (current leaving) at each free
 // node.
 func (p *DCProblem) Residual(v, f []float64) error {
-	p.ws.newton.Residuals++
+	p.ws.counts[NewtonResiduals]++
 	if err := p.eval(v); err != nil {
 		return err
 	}
@@ -104,9 +83,9 @@ func (p *DCProblem) Residual(v, f []float64) error {
 // conductances to that replay; otherwise it replays v first.
 func (p *DCProblem) Jacobian(v []float64, j *linalg.Matrix) error {
 	ws := p.ws
-	ws.newton.Jacobians++
+	ws.counts[NewtonJacobians]++
 	if p.atResidual(v) {
-		ws.newton.JacobiansReused++
+		ws.counts[NewtonJacobiansReused]++
 	} else if err := p.eval(v); err != nil {
 		return err
 	}

@@ -45,10 +45,10 @@ func devReuseCases(t *testing.T) []devReuseCase {
 // asked for and how many of them kept a stored point.
 func devEval(t *testing.T, step string, c *astrx.Compiled, ws *astrx.EvalWorkspace, x []float64) (evals, reused uint64) {
 	t.Helper()
-	before := ws.DeviceCounts()
+	before := ws.Counts()
 	checkEval(t, step, c, ws, x)
-	after := ws.DeviceCounts()
-	return after.Evals - before.Evals, after.Reused - before.Reused
+	after := ws.Counts()
+	return after[astrx.DeviceEvals] - before[astrx.DeviceEvals], after[astrx.DeviceReused] - before[astrx.DeviceReused]
 }
 
 // zeroSignNode returns x with every free node at +0, and the same vector
@@ -155,10 +155,11 @@ func TestDeviceReuseAfterNewton(t *testing.T) {
 			p := ws.DCProblem(x)
 			v := x[c.NUser:]
 			mustResidual(t, p, v)
-			before := ws.NewtonCounts().Devices
+			before := ws.Counts()
 			mustResidual(t, p, v)
-			after := ws.NewtonCounts().Devices
-			if n, r := after.Evals-before.Evals, after.Reused-before.Reused; n == 0 || r != n {
+			after := ws.Counts()
+			n := after[astrx.NewtonDeviceEvals] - before[astrx.NewtonDeviceEvals]
+			if r := after[astrx.NewtonDeviceReused] - before[astrx.NewtonDeviceReused]; n == 0 || r != n {
 				t.Fatalf("repeated residual: %d of %d device evaluations reused, want all", r, n)
 			}
 			want := jacobianOf(tc.compile().NewWorkspace().DCProblem(x), v)

@@ -36,7 +36,7 @@ func (ws *EvalWorkspace) Snapshot() EvalSnapshot {
 		Unstable:      ws.unstable,
 		Region:        ws.regionViolation(),
 		KCL:           ws.kclViolation(),
-		FactorsReused: ws.FactorCounts().Reused,
+		FactorsReused: ws.Counts()[FactorReused],
 	}
 	if ws.err != nil {
 		s.Err = ws.err.Error()

@@ -157,16 +157,16 @@ func TestJacobianReuseGuard(t *testing.T) {
 				t.Run(tc.name, func(t *testing.T) {
 					ws := compileSrc(t, bench.DeckSource(ckt)).NewWorkspace()
 					p, v := tc.seq(t, ws)
-					before := ws.NewtonCounts()
+					before := ws.Counts()
 					got := jacobianOf(p, v)
 					if d := jacDiff(got, tc.want); d != "" {
 						t.Errorf("Jacobian differs from a fresh workspace's: %s", d)
 					}
-					after := ws.NewtonCounts()
-					if after.Jacobians != before.Jacobians+1 {
-						t.Errorf("Jacobians counted %d → %d, want one more", before.Jacobians, after.Jacobians)
+					after := ws.Counts()
+					if after[astrx.NewtonJacobians] != before[astrx.NewtonJacobians]+1 {
+						t.Errorf("Jacobians counted %d → %d, want one more", before[astrx.NewtonJacobians], after[astrx.NewtonJacobians])
 					}
-					if reused := after.JacobiansReused > before.JacobiansReused; reused != tc.reuse {
+					if reused := after[astrx.NewtonJacobiansReused] > before[astrx.NewtonJacobiansReused]; reused != tc.reuse {
 						t.Errorf("Jacobian reused the residual's replay: %v, want %v", reused, tc.reuse)
 					}
 				})

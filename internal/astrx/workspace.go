@@ -78,10 +78,6 @@ type EvalWorkspace struct {
 	// The model is still measured; the count surfaces how often the fit
 	// degraded.
 	unstable int
-	// unread counts, over the runs that reached the specs, the transfer
-	// functions whose model the deck's specs read (not dcOnly) that no
-	// spec read in that run: the fits the lazy rule skipped.
-	unread uint64
 	// slots sits beside tfs: where each model came from, and its
 	// unity-gain frequency.
 	slots []tfSlot
@@ -106,34 +102,16 @@ type EvalWorkspace struct {
 	// even an armed clock allocates nothing (telemetry.Clock).
 	clock *telemetry.Clock
 
-	// devices counts the device evaluations of full runs; those of
-	// bias-only runs count in newton.Devices.
-	devices DeviceCounts
+	// counts records the workspace's device, Newton-problem and unread
+	// counts; Counts adds the jig engines' and the fit workspace's.
+	counts Counts
 
-	dc     DCProblem
-	newton NewtonCounts
+	dc DCProblem
 
 	// jigPass evaluates one jig of a full run: evalJig. It is a field so
 	// that tests can hold the lazy fit to the eager jig pass it replaced.
 	jigPass func(ws *EvalWorkspace, jp *jigPlan, jw *jigWS, factor bool) error
 }
-
-// DeviceCounts counts device evaluations: the operating points a
-// workspace's plan replays asked for, and how many of them kept the
-// stored point because the device's inputs repeated bit for bit.
-type DeviceCounts struct {
-	Evals, Reused uint64
-}
-
-// Add accumulates o into d.
-func (d *DeviceCounts) Add(o DeviceCounts) {
-	d.Evals += o.Evals
-	d.Reused += o.Reused
-}
-
-// DeviceCounts returns the device evaluations of the workspace's full
-// runs (cost evaluations, Evaluate) since it was created.
-func (ws *EvalWorkspace) DeviceCounts() DeviceCounts { return ws.devices }
 
 // mosDev is the workspace's per-MOS state beside its operating point:
 // the geometry and terminal voltages (d, g, s, b) the stored point was
@@ -274,27 +252,28 @@ func (ws *EvalWorkspace) JigStats() []linalg.FactorStats {
 	return out
 }
 
-// FactorCounts sums the jig engines' factorization counts since the
-// workspace was created: sparse replays, dense fallbacks, and symbolic
-// analyses run on a pattern-cache miss.
-func (ws *EvalWorkspace) FactorCounts() linalg.FactorCounts {
-	var fc linalg.FactorCounts
+// Counts returns the workspace's work since it was created: its jig
+// engines' factorizations, its device evaluations, its Newton problems'
+// replays and its Padé searches (Count).
+func (ws *EvalWorkspace) Counts() Counts {
+	c := ws.counts
 	for i := range ws.jigs {
-		fc.Add(ws.jigs[i].eng.FactorCounts())
+		e := &ws.jigs[i].eng
+		fc := e.FactorCounts()
+		c[FactorSparse] += fc.Sparse
+		c[FactorDense] += fc.Dense
+		c[FactorSymbolicMisses] += fc.SymbolicMisses
+		c[FactorReused] += e.Reused()
 	}
-	return fc
-}
-
-// FitCounts returns the workspace's Padé search counts since it was
-// created: every fit it ran, for the cost function's specs or for a
-// reader of its models (State, MeasureSpec), with the orders each tried
-// and its outcome, and the models the specs could read that a run's
-// specs did not (Unread). A model kept because its jig's factors
-// repeated is not fitted again and is not counted as a fit.
-func (ws *EvalWorkspace) FitCounts() awe.FitCounts {
-	fc := ws.fit.Counts()
-	fc.Unread = ws.unread
-	return fc
+	ft := ws.fit.Counts()
+	c[FitFits] += ft.Fits
+	c[FitAttempts] += ft.Attempts
+	c[FitDeferred] += ft.Deferred
+	c[FitValidatedStable] += ft.ValidatedStable
+	c[FitValidatedUnstable] += ft.ValidatedUnstable
+	c[FitUnvalidated] += ft.Unvalidated
+	c[FitConstant] += ft.Constant
+	return c
 }
 
 // UnstableCount returns how many times this workspace's cost-function
@@ -407,19 +386,20 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	}
 
 	// Device operating points.
-	cnt := &ws.newton.Devices
+	evals, reused := NewtonDeviceEvals, NewtonDeviceReused
 	if full {
-		cnt = &ws.devices
+		evals, reused = DeviceEvals, DeviceReused
 	}
 	for i := range p.devs {
 		d := &p.devs[i]
+		var kept bool
 		if d.kind == DevMOS {
 			g, err := ws.geometry(d)
 			if err != nil {
 				ws.err = err
 				return
 			}
-			ws.evalMOS(d, g, full, cnt)
+			kept = ws.evalMOS(d, g, full)
 		} else {
 			ws.resetArgs()
 			area, err := d.elem.EvalParam("area", 1, env)
@@ -427,7 +407,11 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 				ws.err = err
 				return
 			}
-			ws.evalBJT(d, area, cnt)
+			kept = ws.evalBJT(d, area)
+		}
+		ws.counts[evals]++
+		if kept {
+			ws.counts[reused]++
 		}
 	}
 	ws.geomOK = true
@@ -459,7 +443,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	}
 	for _, r := range p.tfRefs {
 		if !r.tp.dcOnly && ws.slots[r.tp.tfIdx].read != ws.runs {
-			ws.unread++
+			ws.counts[FitUnread]++
 		}
 	}
 	ws.full = true
@@ -494,19 +478,18 @@ func (ws *EvalWorkspace) geometry(d *devPlan) (devices.MOSGeom, error) {
 // inputs, bit for bit, is kept: a full run computes only the parts it
 // lacks, and a bias-only run leaves it and its lack flags as they are.
 // The key leaves the model out: a workspace evaluates one compiled plan,
-// whose models never change.
-func (ws *EvalWorkspace) evalMOS(d *devPlan, g devices.MOSGeom, full bool, cnt *DeviceCounts) {
+// whose models never change. It reports whether it kept the stored
+// point.
+func (ws *EvalWorkspace) evalMOS(d *devPlan, g devices.MOSGeom, full bool) (kept bool) {
 	md := &ws.mosDevs[d.op]
 	v := [4]float64{ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2]), ws.nv(d.t[3])}
-	cnt.Evals++
 	if md.has && sameBits(md.g.W, g.W) && sameBits(md.g.L, g.L) && sameBits(md.g.M, g.M) &&
 		sameBits(md.v[0], v[0]) && sameBits(md.v[1], v[1]) &&
 		sameBits(md.v[2], v[2]) && sameBits(md.v[3], v[3]) {
-		cnt.Reused++
 		if full {
 			ws.completeMOS(d, opPartials|opCaps)
 		}
-		return
+		return true
 	}
 	var op devices.MOSOp
 	var lack opParts
@@ -518,22 +501,23 @@ func (ws *EvalWorkspace) evalMOS(d *devPlan, g devices.MOSGeom, full bool, cnt *
 	}
 	ws.mosOps[d.op] = op
 	*md = mosDev{g: g, v: v, has: true, lack: lack}
+	return false
 }
 
 // evalBJT brings BJT d's operating point to area at the current node
 // voltages, keeping a stored point evaluated from the same inputs, bit
-// for bit. A BJT is always evaluated in full.
-func (ws *EvalWorkspace) evalBJT(d *devPlan, area float64, cnt *DeviceCounts) {
+// for bit. A BJT is always evaluated in full. It reports whether it
+// kept the stored point.
+func (ws *EvalWorkspace) evalBJT(d *devPlan, area float64) (kept bool) {
 	bd := &ws.bjtDevs[d.op]
 	v := [3]float64{ws.nv(d.t[0]), ws.nv(d.t[1]), ws.nv(d.t[2])}
-	cnt.Evals++
 	if bd.has && sameBits(bd.area, area) &&
 		sameBits(bd.v[0], v[0]) && sameBits(bd.v[1], v[1]) && sameBits(bd.v[2], v[2]) {
-		cnt.Reused++
-		return
+		return true
 	}
 	ws.bjtOps[d.op] = devices.EvalBJT(d.bjt.Model, area, v[0], v[1], v[2])
 	*bd = bjtDev{area: area, v: v, has: true}
+	return false
 }
 
 // completeOps computes the operating-point parts in want that each MOS's

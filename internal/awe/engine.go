@@ -54,14 +54,13 @@ type cEntry struct {
 func (e *Engine) FactorStats() linalg.FactorStats { return e.lu.Stats() }
 
 // FactorCounts reports how many factorizations took the sparse path
-// versus fell back to dense, how many symbolic analyses missed the
-// cache, and how many Refactor calls reused the current factors, since
-// the engine was created.
-func (e *Engine) FactorCounts() linalg.FactorCounts {
-	fc := e.lu.Counts()
-	fc.Reused = e.reused
-	return fc
-}
+// versus fell back to dense, and how many symbolic analyses missed the
+// cache, since the engine was created.
+func (e *Engine) FactorCounts() linalg.FactorCounts { return e.lu.Counts() }
+
+// Reused reports how many Refactor calls kept the current factors
+// because the stamped pair repeated, since the engine was created.
+func (e *Engine) Reused() uint64 { return e.reused }
 
 // Gen returns the number of the current factors: it changes whenever
 // Refactor factors again, and is 0 while there are none (before the

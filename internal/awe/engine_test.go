@@ -65,8 +65,8 @@ func TestEngineReusesRepeatedPair(t *testing.T) {
 	if got := engineMoments(t, e); !sameMoments(got, want) {
 		t.Fatalf("reused moments %v, want %v", got, want)
 	}
-	if fc := e.FactorCounts(); e.Gen() != gen || fc.Reused != 1 || fc.Sparse+fc.Dense != 1 {
-		t.Fatalf("repeat: gen %d (was %d), counts %+v; want the factors reused", e.Gen(), gen, fc)
+	if fc := e.FactorCounts(); e.Gen() != gen || e.Reused() != 1 || fc.Sparse+fc.Dense != 1 {
+		t.Fatalf("repeat: gen %d (was %d), counts %+v, %d reused; want the factors reused", e.Gen(), gen, fc, e.Reused())
 	}
 
 	ladderPair(e.G, e.C, 1e-3, 2e-12) // C moves, G does not
@@ -112,7 +112,7 @@ func TestEngineFailedFactorLeavesNothingToReuse(t *testing.T) {
 	if g := e.Gen(); g == 0 || g == gen {
 		t.Fatalf("Gen = %d after refactoring (first factors were %d), want a new generation", g, gen)
 	}
-	if fc := e.FactorCounts(); fc.Reused != 0 {
-		t.Fatalf("counts %+v: a factorization after a failure was reused", fc)
+	if n := e.Reused(); n != 0 {
+		t.Fatalf("%d reused: a factorization after a failure was reused", n)
 	}
 }

@@ -60,22 +60,6 @@ type FitCounts struct {
 	// Constant fits that returned the constant model because no order
 	// fitted at all (or every moment was zero).
 	ValidatedStable, ValidatedUnstable, Unvalidated, Constant uint64
-	// Unread counts fits an evaluator skipped: per evaluation, each
-	// transfer function whose model a spec could read that no spec read
-	// (astrx.EvalWorkspace.FitCounts). A FitWorkspace never counts it.
-	Unread uint64
-}
-
-// Add accumulates o into c.
-func (c *FitCounts) Add(o FitCounts) {
-	c.Fits += o.Fits
-	c.Attempts += o.Attempts
-	c.Deferred += o.Deferred
-	c.ValidatedStable += o.ValidatedStable
-	c.ValidatedUnstable += o.ValidatedUnstable
-	c.Unvalidated += o.Unvalidated
-	c.Constant += o.Constant
-	c.Unread += o.Unread
 }
 
 // Counts returns the workspace's fit counts.

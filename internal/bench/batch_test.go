@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"astrx/internal/astrx"
-	"astrx/internal/awe"
 	"astrx/internal/dcsolve"
 	"astrx/internal/expr"
 	"astrx/internal/netlist"
@@ -121,17 +120,17 @@ func checkAllocs(t *testing.T, what string, eval func(), reused func() uint64, w
 }
 
 // checkFits runs eval once and requires it to fit a model a spec reads
-// (Fits grows, Unread does not) when wantFit, and otherwise to leave
-// every such model unread (Unread grows, Fits does not).
-func checkFits(t *testing.T, what string, eval func(), counts func() awe.FitCounts, wantFit bool) {
+// (FitFits grows, FitUnread does not) when wantFit, and otherwise to
+// leave every such model unread (FitUnread grows, FitFits does not).
+func checkFits(t *testing.T, what string, eval func(), counts func() astrx.Counts, wantFit bool) {
 	t.Helper()
 	before := counts()
 	eval()
 	after := counts()
-	fitted, unread := after.Fits > before.Fits, after.Unread > before.Unread
-	if fitted != wantFit || unread == wantFit {
-		t.Errorf("%s: fits %d → %d, unread %d → %d; want a fit %v", what,
-			before.Fits, after.Fits, before.Unread, after.Unread, wantFit)
+	fb, fa := before[astrx.FitFits], after[astrx.FitFits]
+	ub, ua := before[astrx.FitUnread], after[astrx.FitUnread]
+	if fitted, unread := fa > fb, ua > ub; fitted != wantFit || unread == wantFit {
+		t.Errorf("%s: fits %d → %d, unread %d → %d; want a fit %v", what, fb, fa, ub, ua, wantFit)
 	}
 }
 
@@ -192,10 +191,10 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 				ws := c.NewWorkspace()
 				ws.Cost(x) // warm up lazy scratch at both points
 				ws.Cost(y)
-				reused := func() uint64 { return ws.FactorCounts().Reused }
+				reused := func() uint64 { return ws.Counts()[astrx.FactorReused] }
 				checkAllocs(t, "scalar eval of two points in turn "+side.name, func() { ws.Cost(x); ws.Cost(y) }, reused, false)
 				checkAllocs(t, "scalar eval of a repeated point "+side.name, func() { ws.Cost(x) }, reused, true)
-				checkFits(t, "scalar eval of a new point "+side.name, func() { ws.Cost(y) }, ws.FitCounts, side.fit)
+				checkFits(t, "scalar eval of a new point "+side.name, func() { ws.Cost(y) }, ws.Counts, side.fit)
 				for j, s := range ws.JigStats() {
 					if !s.Sparse {
 						t.Errorf("matrix %d took the dense path %s", j, side.name)
@@ -248,12 +247,12 @@ func TestBatchZeroAlloc(t *testing.T) {
 		}
 		cs.WorstCase(bw, include, evaluated)
 	}
-	fits := func() awe.FitCounts {
-		var fc awe.FitCounts
+	counts := func() astrx.Counts {
+		var c astrx.Counts
 		for i := 0; i < cs.K(); i++ {
-			fc.Add(bw.Lane(i).FitCounts())
+			c.Add(bw.Lane(i).Counts())
 		}
-		return fc
+		return c
 	}
 	laneXs := func(x []float64) [][]float64 {
 		xs := make([][]float64, cs.K())
@@ -280,12 +279,12 @@ func TestBatchZeroAlloc(t *testing.T) {
 		// the wrong path cannot hide behind the others.
 		for i := 0; i < cs.K(); i++ {
 			lane := bw.Lane(i)
-			reused := func() uint64 { return lane.FactorCounts().Reused }
+			reused := func() uint64 { return lane.Counts()[astrx.FactorReused] }
 			name := cs.LaneName(i) + " " + side.name
 			checkAllocs(t, "cornered eval of two points in turn, lane "+name, func() { eval(ys); eval(xs) }, reused, false)
 			checkAllocs(t, "cornered eval of a repeated point, lane "+name, func() { eval(xs) }, reused, true)
 		}
-		checkFits(t, "cornered eval of a new point "+side.name, func() { eval(ys) }, fits, side.fit)
+		checkFits(t, "cornered eval of a new point "+side.name, func() { eval(ys) }, counts, side.fit)
 		eval(xs) // end on xs, so the next eval of ys refactors
 	}
 
@@ -293,7 +292,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 	// it does.
 	xs[1], ys[1], include[1] = nil, nil, false
 	nominal := bw.Lane(0)
-	reused := func() uint64 { return nominal.FactorCounts().Reused }
+	reused := func() uint64 { return nominal.Counts()[astrx.FactorReused] }
 	checkAllocs(t, "cornered eval with a skipped lane", func() { eval(ys); eval(xs) }, reused, false)
 	if err := bw.Lane(1).Err(); err == nil || !strings.Contains(err.Error(), "skipped") {
 		t.Errorf("skipped lane: err %v, want a skip", err)

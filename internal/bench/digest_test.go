@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"astrx/internal/astrx"
 	"astrx/internal/faults"
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
@@ -192,11 +193,11 @@ func checkDigest(t *testing.T, digest map[string]digestEntry, shape digestEntry)
 	// that change as devices cut off (more misses than one cold miss per
 	// factorized matrix of each lane) and matrices the sparse guards
 	// reject (dense fallbacks).
-	fc := res.FactorCounts
+	misses, dense := res.Counts[astrx.FactorSymbolicMisses], res.Counts[astrx.FactorDense]
 	mats := max(1, len(res.Corners)) * len(res.Compiled.NewWorkspace().JigStats())
-	if fc.SymbolicMisses <= uint64(mats) || fc.Dense == 0 {
-		t.Errorf("factorizations %+v over %d matrices: the run never missed the symbolic cache after warm-up or never took the dense fallback",
-			fc, mats)
+	if misses <= uint64(mats) || dense == 0 {
+		t.Errorf("%d symbolic-cache misses and %d dense fallbacks over %d matrices: the run never missed the symbolic cache after warm-up or never took the dense fallback",
+			misses, dense, mats)
 	}
 	if got.Degraded != want.Degraded {
 		t.Errorf("degraded %v, digest %v", got.Degraded, want.Degraded)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"astrx/internal/astrx"
 	"astrx/internal/trace"
 )
 
@@ -34,15 +35,14 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 		// eval: an anneal-scoped Active, a sampled per-stage eval span,
 		// and corner-lane events — all no-ops on nil receivers.
 		span := rec.Begin("anneal", "")
-		rec.SetEvalParent(span.ID())
 		ws.Cost(x)
-		rec.RecordEval("eval", time.Microsecond)
+		rec.RecordEval(span.ID(), "eval", time.Microsecond)
 		span.SetAttr("moves", "1")
 		span.Event("corner-retry", "corner", "ss_cold")
 		span.End("ok")
 		rec.AddTimed("corner:tt", "", time.Now(), time.Microsecond)
 	}
-	reused := func() uint64 { return ws.FactorCounts().Reused }
+	reused := func() uint64 { return ws.Counts()[astrx.FactorReused] }
 	checkAllocs(t, "eval of two points in turn with tracing off", func() { traced(x); traced(y) }, reused, false)
 	checkAllocs(t, "eval of a repeated point with tracing off", func() { traced(x) }, reused, true)
 }

@@ -26,17 +26,21 @@ type Problem interface {
 	Jacobian(v []float64, j *linalg.Matrix) error
 }
 
+// The solver's fixed tolerances and limits.
+const (
+	absTol    = 1e-12 // residual tolerance, A
+	relTol    = 1e-9  // per-unknown relative step tolerance
+	maxStep   = 1.0   // voltage-step limit per iteration, V
+	finalGmin = 1e-12 // final diagonal conductance, S
+)
+
 // Options tunes the solve.
 type Options struct {
-	MaxIter int     // 0 → 120
-	AbsTol  float64 // residual tolerance (0 → 1e-12)
-	RelTol  float64 // per-unknown relative step tolerance (0 → 1e-9)
-	MaxStep float64 // voltage-step limit per iteration (0 → 1.0 V)
+	MaxIter int // 0 → 120
 	// GminSteps enables continuation: the solver first solves with a
 	// large diagonal conductance and re-solves while stepping it down to
-	// Gmin over this many decades (0 → direct solve only).
+	// finalGmin over this many decades (0 → direct solve only).
 	GminSteps int
-	Gmin      float64 // final diagonal conductance (0 → 1e-12)
 	// BestEffort makes Solve return the last iterate (with a non-nil
 	// *Result alongside ErrNoConvergence) instead of discarding partial
 	// progress — what OBLX's gradient-directed moves want.
@@ -93,18 +97,6 @@ func (w *Workspace) size(n int) {
 func (o *Options) defaults() {
 	if o.MaxIter == 0 {
 		o.MaxIter = 120
-	}
-	if o.AbsTol == 0 {
-		o.AbsTol = 1e-12
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-9
-	}
-	if o.MaxStep == 0 {
-		o.MaxStep = 1.0
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
 	}
 }
 
@@ -179,11 +171,10 @@ func Solve(ctx context.Context, p Problem, v0 []float64, opt Options) (*Result, 
 	// so v0 can be handed over directly.
 	v := v0
 	if opt.GminSteps > 0 {
-		// Continuation from a heavily loaded system down to Gmin.
+		// Continuation from a heavily loaded system down to finalGmin.
 		g := 1e-3
-		target := opt.Gmin
 		steps := opt.GminSteps
-		factor := math.Pow(target/g, 1/float64(steps))
+		factor := math.Pow(finalGmin/g, 1/float64(steps))
 		for i := 0; i < steps; i++ {
 			if ctx.Err() != nil {
 				break
@@ -195,7 +186,7 @@ func Solve(ctx context.Context, p Problem, v0 []float64, opt Options) (*Result, 
 			g *= factor
 		}
 	}
-	return newton(ctx, p, v, opt.Gmin, opt)
+	return newton(ctx, p, v, finalGmin, opt)
 }
 
 // Step performs exactly one damped Newton iteration from v0 and returns
@@ -226,7 +217,7 @@ func Step(p Problem, v0 []float64, opt Options) ([]float64, error) {
 		return nil, fmt.Errorf("dcsolve: %w", err)
 	}
 	for i := 0; i < n; i++ {
-		j.Add(i, i, opt.Gmin)
+		j.Add(i, i, finalGmin)
 	}
 	if err := w.lu.Factor(j); err != nil {
 		return nil, fmt.Errorf("dcsolve: singular Jacobian: %w", err)
@@ -235,14 +226,7 @@ func Step(p Problem, v0 []float64, opt Options) ([]float64, error) {
 	dv := w.dv
 	out := append(w.trial[:0], v0...)
 	for i := range out {
-		step := dv[i]
-		if step > opt.MaxStep {
-			step = opt.MaxStep
-		}
-		if step < -opt.MaxStep {
-			step = -opt.MaxStep
-		}
-		out[i] -= step
+		out[i] -= math.Max(-maxStep, math.Min(dv[i], maxStep))
 	}
 	return out, nil
 }
@@ -269,7 +253,7 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 	norm := residNorm(v, f, gmin)
 
 	for it := 1; it <= opt.MaxIter; it++ {
-		if norm < opt.AbsTol {
+		if norm < absTol {
 			return w.result(v, it-1, norm), nil
 		}
 		select {
@@ -304,8 +288,8 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 		// Voltage-step limiting.
 		maxdv := linalg.VecNormInf(dv)
 		scale := 1.0
-		if maxdv > opt.MaxStep {
-			scale = opt.MaxStep / maxdv
+		if maxdv > maxStep {
+			scale = maxStep / maxdv
 		}
 
 		// Backtracking line search on the residual norm.
@@ -321,7 +305,7 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 				continue
 			}
 			tn := residNorm(trial, ftrial, gmin)
-			if tn < norm || tn < opt.AbsTol {
+			if tn < norm || tn < absTol {
 				copy(v, trial)
 				copy(f, ftrial)
 				bestNorm = tn
@@ -333,7 +317,7 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 		if !improved {
 			// Accept the tiny step anyway — near machine precision the
 			// norm can stagnate while still being acceptable.
-			if norm < 1e3*opt.AbsTol {
+			if norm < 1e3*absTol {
 				return w.result(v, it, norm), nil
 			}
 			err := w.noConvergence(true, norm, it)
@@ -351,11 +335,11 @@ func newton(ctx context.Context, p Problem, v0 []float64, gmin float64, opt Opti
 				stepMax = s
 			}
 		}
-		if stepMax < opt.RelTol && norm < 1e6*opt.AbsTol {
+		if stepMax < relTol && norm < 1e6*absTol {
 			return w.result(v, it, norm), nil
 		}
 	}
-	if norm < 1e3*opt.AbsTol {
+	if norm < 1e3*absTol {
 		return w.result(v, opt.MaxIter, norm), nil
 	}
 	err := w.noConvergence(false, norm, opt.MaxIter)

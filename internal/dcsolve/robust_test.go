@@ -88,7 +88,8 @@ func TestFailHookRateZeroEquivalent(t *testing.T) {
 // errors, which verify wraps into its report, and that both still match
 // ErrNoConvergence: a stall (no backtracking step improves the
 // residual of v² + 1, which has no root) and an exhausted iteration
-// budget (a linear problem held to 0.1 V steps).
+// budget (a linear problem given one iteration, whose step is held to
+// maxStep).
 func TestNoConvergenceErrorText(t *testing.T) {
 	noRoot := &scalarProblem{
 		n:  1,
@@ -102,7 +103,7 @@ func TestNoConvergenceErrorText(t *testing.T) {
 		format string
 	}{
 		{"stalled", noRoot, Options{BestEffort: true}, "dcsolve: no convergence: stalled at |F| = %g after %d iterations"},
-		{"budget", linProblem(), Options{BestEffort: true, MaxIter: 2, MaxStep: 0.1}, "dcsolve: no convergence: |F| = %g after %d iterations"},
+		{"budget", linProblem(), Options{BestEffort: true, MaxIter: 1}, "dcsolve: no convergence: |F| = %g after %d iterations"},
 	}
 	for _, c := range cases {
 		for _, work := range []*Workspace{nil, new(Workspace)} {

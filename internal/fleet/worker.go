@@ -159,18 +159,15 @@ func (w *Worker) runLease(ctx context.Context, cr *ClaimResponse) {
 	var latest *oblx.ProgressEvent
 
 	// Stage timing at the daemon's cadence: the anneal span carries the
-	// stage.<name>_us means, and each sample is an eval span shipped
-	// with the lease's other spans, as for a local job.
-	timer := telemetry.NewEvalTimer(telemetry.DefaultSampleEvery)
-	timer.OnSample(func(s telemetry.Stage, d time.Duration) { rec.RecordEval(s.String(), d) })
-
+	// stage.<name>_us means, and oblx.Run records each sample as an eval
+	// span shipped with the lease's other spans, as for a local job.
 	opt := oblx.Options{
 		Seed:          cr.Options.Seed,
 		MaxMoves:      cr.Options.MaxMoves,
 		NoFreeze:      cr.Options.NoFreeze,
 		Corners:       cr.Options.Corners,
 		ProgressEvery: cr.Options.ProgressEvery,
-		StageTimer:    timer,
+		StageTimer:    telemetry.NewEvalTimer(telemetry.DefaultSampleEvery),
 		Trace:         rec,
 		Progress: func(ev oblx.ProgressEvent) {
 			ev.Run = cr.Run

@@ -107,17 +107,6 @@ type FactorCounts struct {
 	// SymbolicMisses counts symbolic analyses run because the scanned
 	// pattern was not in the factorizer's cache.
 	SymbolicMisses uint64
-	// Reused counts factorizations a caller skipped because the matrix
-	// repeated the one its current factors came from (awe.Engine).
-	Reused uint64
-}
-
-// Add accumulates o into c.
-func (c *FactorCounts) Add(o FactorCounts) {
-	c.Sparse += o.Sparse
-	c.Dense += o.Dense
-	c.SymbolicMisses += o.SymbolicMisses
-	c.Reused += o.Reused
 }
 
 // FactorStats describes the last factorization a solver performed, for

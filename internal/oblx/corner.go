@@ -263,10 +263,10 @@ func newtonMove(ctx context.Context, p *problem, label string, iters int) anneal
 	return &anneal.FuncMove{
 		Label: label,
 		Fn: func(cur, next []float64, rng *rand.Rand) bool {
-			p.proposals.Proposals++
+			p.counts[astrx.NewtonProposals]++
 			if useMemo {
 				if ok, hit := memo.answer(cur, next, p.lanes); hit {
-					p.proposals.Reused++
+					p.counts[astrx.NewtonProposalsReused]++
 					return ok
 				}
 			}

@@ -367,12 +367,12 @@ func TestCornerStageTiming(t *testing.T) {
 		n, floor := stages[want], int64(len(res.Corners)*res.EvalCount)
 		switch want {
 		case "solve", "moments":
-			n += int64(res.FactorCounts.Reused)
+			n += int64(res.Counts[astrx.FactorReused])
 		case "fit":
-			if most := res.FitCounts.Fits + uint64(len(res.Corners)); n == 0 || uint64(n) > most {
+			if most := res.Counts[astrx.FitFits] + uint64(len(res.Corners)); n == 0 || uint64(n) > most {
 				t.Errorf("stage fit: %d sampled lane evals, want between 1 and %d (fits plus the final evaluation's lanes)", n, most)
 			}
-			n += int64(res.FactorCounts.Reused + res.FitCounts.Unread)
+			n += int64(res.Counts[astrx.FactorReused] + res.Counts[astrx.FitUnread])
 		}
 		if n < floor {
 			t.Errorf("stage %s: %d sampled lane evals (reuses included for solve, moments and fit, unread models for fit), want ≥ %d", want, n, floor)
@@ -381,5 +381,5 @@ func TestCornerStageTiming(t *testing.T) {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
 		}
 	}
-	checkFactorAttrs(t, anneal, res)
+	checkCounts(t, anneal, res)
 }

@@ -76,13 +76,20 @@ func sameProposal(a, b proposal) bool {
 	return true
 }
 
-// newtonCounts sums the Newton-problem counts of p's lane workspaces.
-func newtonCounts(p *problem) astrx.NewtonCounts {
-	var n astrx.NewtonCounts
+// laneCounts sums the counts of p's lane workspaces: a proposal that
+// solves adds Newton-problem work to them.
+func laneCounts(p *problem) astrx.Counts {
+	var n astrx.Counts
 	for i := 0; i < p.bw.K(); i++ {
-		n.Add(p.bw.Lane(i).NewtonCounts())
+		n.Add(p.bw.Lane(i).Counts())
 	}
 	return n
+}
+
+// proposalCounts returns p's count of Newton proposals and of those the
+// moves' memos answered.
+func proposalCounts(p *problem) [2]uint64 {
+	return [2]uint64{p.counts[astrx.NewtonProposals], p.counts[astrx.NewtonProposalsReused]}
 }
 
 func TestNewtonMoveMemo(t *testing.T) {
@@ -109,32 +116,32 @@ func TestNewtonMoveMemo(t *testing.T) {
 				if want := freshProposal(t, d.src, mc.label, mc.iters, x, quar); !sameProposal(first, want) {
 					t.Fatal("first proposal differs from a fresh move's")
 				}
-				before := newtonCounts(p)
+				before := laneCounts(p)
 				again := propose(m, x)
 				if !sameProposal(again, first) {
 					t.Fatal("a repeated proposal differs from the first")
 				}
-				if after := newtonCounts(p); after != before {
-					t.Fatalf("a repeated proposal solved: Newton counts %+v → %+v", before, after)
+				if after := laneCounts(p); after != before {
+					t.Fatalf("a repeated proposal solved: lane counts %v → %v", before, after)
 				}
-				if p.proposals != (ProposalCounts{Proposals: 2, Reused: 1}) {
-					t.Fatalf("proposal counts %+v, want 2 proposals, 1 answered by the memo", p.proposals)
+				if pc := proposalCounts(p); pc != [2]uint64{2, 1} {
+					t.Fatalf("proposal counts %v, want 2 proposals, 1 answered by the memo", pc)
 				}
 
 				// One flipped bit of the start vector solves again.
 				flipped := append([]float64(nil), x...)
 				k := cs.NUser
 				flipped[k] = math.Float64frombits(math.Float64bits(flipped[k]) ^ 1)
-				before = newtonCounts(p)
+				before = laneCounts(p)
 				got := propose(m, flipped)
-				if newtonCounts(p) == before {
+				if laneCounts(p) == before {
 					t.Fatal("a start vector one bit away was answered from the memo")
 				}
 				if want := freshProposal(t, d.src, mc.label, mc.iters, flipped, quar); !sameProposal(got, want) {
 					t.Fatal("proposal from the flipped start differs from a fresh move's")
 				}
-				if p.proposals.Reused != 1 {
-					t.Fatalf("proposal counts %+v, want still 1 answered by the memo", p.proposals)
+				if pc := proposalCounts(p); pc[1] != 1 {
+					t.Fatalf("proposal counts %v, want still 1 answered by the memo", pc)
 				}
 
 				// One flipped quarantine flag solves again.
@@ -144,9 +151,9 @@ func TestNewtonMoveMemo(t *testing.T) {
 				propose(m, x)
 				p.lanes[cs.K()-1].quarantined = true
 				quar[cs.K()-1] = true
-				before = newtonCounts(p)
+				before = laneCounts(p)
 				got = propose(m, x)
-				if newtonCounts(p) == before {
+				if laneCounts(p) == before {
 					t.Fatal("a proposal under a changed quarantine flag was answered from the memo")
 				}
 				if want := freshProposal(t, d.src, mc.label, mc.iters, x, quar); !sameProposal(got, want) {
@@ -175,12 +182,12 @@ func TestNewtonStepReusesLaneEvaluation(t *testing.T) {
 	}
 	propose(newtonMove(context.Background(), p, "newton-step", 1), x)
 	for i := 0; i < cs.K(); i++ {
-		nc := p.bw.Lane(i).NewtonCounts()
-		if nc.Residuals != 1 {
-			t.Fatalf("lane %s: %d residual replays on the lane's workspace, want 1", cs.LaneName(i), nc.Residuals)
+		c := p.bw.Lane(i).Counts()
+		if c[astrx.NewtonResiduals] != 1 {
+			t.Fatalf("lane %s: %d residual replays on the lane's workspace, want 1", cs.LaneName(i), c[astrx.NewtonResiduals])
 		}
-		if d := nc.Devices; d.Evals == 0 || d.Reused != d.Evals {
-			t.Errorf("lane %s: the residual replay kept %d of %d device points, want all", cs.LaneName(i), d.Reused, d.Evals)
+		if n, r := c[astrx.NewtonDeviceEvals], c[astrx.NewtonDeviceReused]; n == 0 || r != n {
+			t.Errorf("lane %s: the residual replay kept %d of %d device points, want all", cs.LaneName(i), r, n)
 		}
 	}
 }
@@ -192,13 +199,13 @@ func TestNewtonMoveMemoOffWithFaults(t *testing.T) {
 	p := newProblem(cs, faults.New(3, faults.Rates{NewtonFail: 0.01}))
 	m := newtonMove(context.Background(), p, "newton-full", 12)
 	propose(m, x)
-	before := newtonCounts(p)
+	before := laneCounts(p)
 	propose(m, x)
-	if newtonCounts(p) == before {
+	if laneCounts(p) == before {
 		t.Fatal("with a fault injector a repeated proposal was answered from the memo")
 	}
-	if p.proposals != (ProposalCounts{Proposals: 2}) {
-		t.Fatalf("proposal counts %+v, want 2 proposals and none answered by the memo", p.proposals)
+	if pc := proposalCounts(p); pc != [2]uint64{2, 0} {
+		t.Fatalf("proposal counts %v, want 2 proposals and none answered by the memo", pc)
 	}
 }
 
@@ -231,7 +238,7 @@ func TestNewtonMoveZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { prop(a) }); n != 0 {
 			t.Errorf("%s: %.1f allocs per proposal answered by the memo, want 0", mc.label, n)
 		}
-		if p.proposals.Reused == 0 {
+		if p.counts[astrx.NewtonProposalsReused] == 0 {
 			t.Errorf("%s: no proposal answered by the memo", mc.label)
 		}
 	}

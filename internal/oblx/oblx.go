@@ -33,9 +33,7 @@ import (
 
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
-	"astrx/internal/awe"
 	"astrx/internal/faults"
-	"astrx/internal/linalg"
 	"astrx/internal/netlist"
 	"astrx/internal/telemetry"
 	"astrx/internal/trace"
@@ -93,26 +91,17 @@ type Options struct {
 	// uninstrumented.
 	StageTimer *telemetry.EvalTimer
 
-	// Trace, when non-nil, receives the run's lifecycle spans: one
-	// "anneal" span per Run (with a resume event when restoring from a
-	// checkpoint, the StageTimer's per-stage means as stage.<name>_us
-	// attributes, Result.FactorCounts as factor.sparse, factor.dense,
-	// factor.symbolic_misses and factor.reused, Result.DeviceCounts as
-	// device.evals and device.reused, Result.NewtonCounts as
-	// newton.residuals, newton.jacobians, newton.jacobians_reused,
-	// newton.device_evals and newton.device_reused,
-	// Result.NewtonProposals as newton.proposals and
-	// newton.proposals_reused, and
-	// Result.FitCounts as fit.fits, fit.attempts, fit.deferred,
-	// fit.validated_stable, fit.validated_unstable, fit.unvalidated,
-	// fit.constant and fit.unread)
-	// and one "corner:<name>" span per lane of a worst-case run, with
-	// quarantine/retry events as they happen.
+	// Trace, when non-nil, receives the run's spans: one "anneal" span
+	// per Run (with a resume event when restoring from a checkpoint, the
+	// StageTimer's per-stage means as stage.<name>_us attributes, and
+	// each count of Result.Counts under its name, astrx.Count), one
+	// "corner:<name>" span per lane of a worst-case run, with
+	// quarantine/retry events as they happen, and under the anneal span
+	// one "eval:<stage>" span per stage of each evaluation the
+	// StageTimer samples.
 	// The recorder is nil-receiver safe, so a nil Trace keeps the hot
 	// path at zero allocations — same contract as StageTimer. RunBest's
-	// parallel runs may share one recorder (it is concurrency-safe);
-	// sampled eval spans then attach to whichever run's anneal span
-	// registered last.
+	// parallel runs may share one recorder (it is concurrency-safe).
 	Trace *trace.Recorder
 }
 
@@ -346,32 +335,11 @@ type Result struct {
 
 	// Failures itemizes the numerical failures absorbed along the run.
 	Failures FailureStats
-	// FactorCounts sums the annealer's jig-engine factorizations over
-	// this incarnation of the run (every corner lane in a worst-case
-	// run): sparse replays, dense fallbacks, symbolic-cache misses, and
-	// the factorizations skipped because a jig's matrices repeated.
-	FactorCounts linalg.FactorCounts
-	// NewtonCounts sums the Newton moves' bias-problem work over the
-	// same span (every corner lane's problem in a worst-case run):
-	// residual replays, Jacobians, and Jacobians that reused the
-	// residual's replay.
-	NewtonCounts astrx.NewtonCounts
-	// DeviceCounts sums the lanes' device evaluations in cost
-	// evaluations over the same span, and those that kept a stored
-	// operating point because the device's inputs repeated bit for bit.
-	// The Newton moves' device evaluations are in NewtonCounts.Devices.
-	DeviceCounts astrx.DeviceCounts
-	// NewtonProposals counts the Newton moves' proposals over the same
-	// span, and those a move answered from its memo of its previous one.
-	NewtonProposals ProposalCounts
-	// FitCounts sums the lanes' Padé searches over the same span: fits,
-	// orders attempted, orders deferred because they cannot be stable and
-	// never attempted, how each fit ended (a stable or an unstable
-	// validated order, the best-scoring unvalidated order, or the
-	// constant model), and the fits skipped because no spec of an
-	// evaluation read a model the specs could read (Unread; a gain below
-	// unity leaves ugf and phase_margin nothing to read).
-	FitCounts awe.FitCounts
+	// Counts is the annealer's work over this incarnation of the run,
+	// summed over its lanes (every corner lane in a worst-case run), with
+	// the Newton moves' proposals: read before the polish and the final
+	// evaluation, and not checkpointed.
+	Counts astrx.Counts
 	// CheckpointErr records the last checkpoint-write failure, if any —
 	// a checkpoint that cannot be written must not kill the run it
 	// exists to protect.
@@ -382,14 +350,6 @@ type Result struct {
 	// only its own.
 	evalTime   time.Duration
 	evalsTimed int
-}
-
-// ProposalCounts counts Newton-move proposals: those the annealer asked
-// for, and those a move answered from its memo because the start vector
-// and the lanes' quarantine flags repeated its previous proposal's bit
-// for bit.
-type ProposalCounts struct {
-	Proposals, Reused uint64
 }
 
 // TimePerEval returns the mean wall time per circuit evaluation — the
@@ -448,9 +408,9 @@ type problem struct {
 	nanCosts    int
 	retries     int
 	quarantined int
-	// proposals counts the Newton moves' proposals, and those their
-	// memos answered.
-	proposals ProposalCounts
+	// counts holds the Newton moves' proposals and those their memos
+	// answered; the lanes' workspaces count the rest of the run's work.
+	counts astrx.Counts
 
 	// evalTime and evalsTimed time this process's Cost calls, retries
 	// included (Result.TimePerEval).
@@ -536,22 +496,24 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	c := cs.Nominal
 	p := newProblem(cs, opt.Faults)
 	vars := p.Vars()
-	if opt.StageTimer != nil {
-		// Each Run compiles its own problem, so its lanes are
-		// single-goroutine here; the clocks funnel into the (atomic)
-		// shared timer.
-		for i := 0; i < p.bw.K(); i++ {
-			p.bw.Lane(i).SetClock(opt.StageTimer.NewClock())
-		}
-	}
 
 	// The anneal span covers this incarnation of the run. Errors below
 	// (bad checkpoint, anneal failure) end it with status "error"; the
 	// deferred End is a no-op once the span ended normally.
 	asp := opt.Trace.Begin("anneal", "")
 	defer asp.End("error")
-	opt.Trace.SetEvalParent(asp.ID())
 	p.span = asp
+	if opt.StageTimer != nil {
+		// Each Run compiles its own problem, so its lanes are
+		// single-goroutine here; the clocks funnel into the (atomic)
+		// shared timer, and their samples into eval spans under the
+		// anneal span.
+		for i := 0; i < p.bw.K(); i++ {
+			clock := opt.StageTimer.NewClock()
+			clock.Trace(opt.Trace, asp.ID())
+			p.bw.Lane(i).SetClock(clock)
+		}
+	}
 
 	// The generic perturbation classes explore the scalar prefix only:
 	// user variables plus the nominal node section (every variable of a
@@ -696,20 +658,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	dur := baseDur + time.Since(start)
 	// Every run counter is read here, before the polish and the final
 	// evaluation, so each counts the annealer's work alone.
-	var (
-		fc linalg.FactorCounts
-		nc astrx.NewtonCounts
-		ft awe.FitCounts
-		dc astrx.DeviceCounts
-	)
+	counts := p.counts
 	for i := 0; i < p.bw.K(); i++ {
-		fc.Add(p.bw.Lane(i).FactorCounts())
-		ft.Add(p.bw.Lane(i).FitCounts())
-		dc.Add(p.bw.Lane(i).DeviceCounts())
-		nc.Add(p.bw.Lane(i).NewtonCounts())
+		counts.Add(p.bw.Lane(i).Counts())
 	}
 	unstable := p.unstableCount()
-	proposals := p.proposals
 
 	// Polish: a final full Newton solve from the best point tightens the
 	// bias to simulator-grade dc-correctness (the annealer's freezing
@@ -743,14 +696,10 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			RejectedMoves:   res.NonFinite,
 			Unstable:        unstable,
 		},
-		FactorCounts:    fc,
-		NewtonCounts:    nc,
-		DeviceCounts:    dc,
-		NewtonProposals: proposals,
-		FitCounts:       ft,
-		CheckpointErr:   ckErr,
-		evalTime:        p.evalTime,
-		evalsTimed:      p.evalsTimed,
+		Counts:        counts,
+		CheckpointErr: ckErr,
+		evalTime:      p.evalTime,
+		evalsTimed:    p.evalsTimed,
 	}
 	// A nominal-only run reports no corner breakdown.
 	if len(cs.Corners) > 0 {
@@ -777,27 +726,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	for _, b := range opt.StageTimer.Breakdown() {
 		asp.SetAttr("stage."+b.Stage+"_us", strconv.FormatFloat(b.MeanSeconds*1e6, 'f', 3, 64))
 	}
-	asp.SetAttr("factor.sparse", strconv.FormatUint(fc.Sparse, 10))
-	asp.SetAttr("factor.dense", strconv.FormatUint(fc.Dense, 10))
-	asp.SetAttr("factor.symbolic_misses", strconv.FormatUint(fc.SymbolicMisses, 10))
-	asp.SetAttr("factor.reused", strconv.FormatUint(fc.Reused, 10))
-	asp.SetAttr("device.evals", strconv.FormatUint(dc.Evals, 10))
-	asp.SetAttr("device.reused", strconv.FormatUint(dc.Reused, 10))
-	asp.SetAttr("newton.residuals", strconv.FormatUint(nc.Residuals, 10))
-	asp.SetAttr("newton.jacobians", strconv.FormatUint(nc.Jacobians, 10))
-	asp.SetAttr("newton.jacobians_reused", strconv.FormatUint(nc.JacobiansReused, 10))
-	asp.SetAttr("newton.device_evals", strconv.FormatUint(nc.Devices.Evals, 10))
-	asp.SetAttr("newton.device_reused", strconv.FormatUint(nc.Devices.Reused, 10))
-	asp.SetAttr("newton.proposals", strconv.FormatUint(proposals.Proposals, 10))
-	asp.SetAttr("newton.proposals_reused", strconv.FormatUint(proposals.Reused, 10))
-	asp.SetAttr("fit.fits", strconv.FormatUint(ft.Fits, 10))
-	asp.SetAttr("fit.attempts", strconv.FormatUint(ft.Attempts, 10))
-	asp.SetAttr("fit.deferred", strconv.FormatUint(ft.Deferred, 10))
-	asp.SetAttr("fit.validated_stable", strconv.FormatUint(ft.ValidatedStable, 10))
-	asp.SetAttr("fit.validated_unstable", strconv.FormatUint(ft.ValidatedUnstable, 10))
-	asp.SetAttr("fit.unvalidated", strconv.FormatUint(ft.Unvalidated, 10))
-	asp.SetAttr("fit.constant", strconv.FormatUint(ft.Constant, 10))
-	asp.SetAttr("fit.unread", strconv.FormatUint(ft.Unread, 10))
+	for i, n := range counts {
+		asp.SetAttr(astrx.Count(i).String(), strconv.FormatUint(n, 10))
+	}
 	if out.Degraded {
 		asp.SetAttr("degraded", "true")
 	}

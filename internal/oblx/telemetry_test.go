@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
+	"astrx/internal/astrx"
 	"astrx/internal/telemetry"
 	"astrx/internal/trace"
 )
@@ -107,95 +109,94 @@ func TestProgressFlightFields(t *testing.T) {
 			t.Errorf("anneal span stage.%s_us = %q", want, anneal.Attrs["stage."+want+"_us"])
 		}
 	}
-	checkFactorAttrs(t, anneal, res)
+	checkCounts(t, anneal, res)
 }
 
-// checkFactorAttrs requires the anneal span to carry the run's
-// factorization counts, and the counts to cover every evaluation: each
-// one factors at least one jig per lane or reuses its factors because
-// the jig's matrices repeated, and the first factorization of each jig
-// misses the empty symbolic cache.
-func checkFactorAttrs(t *testing.T, anneal *trace.Span, res *Result) {
+// TestRunRecordsEvalSpans: given a StageTimer and a Trace, Run records
+// each stage of every evaluation the timer samples as an eval:<stage>
+// span under its anneal span, with no wiring by the caller, on every
+// lane of a cornered run too.
+func TestRunRecordsEvalSpans(t *testing.T) {
+	for _, src := range []string{diffAmpDeck, diffAmpDeck + corneredDiffAmpCards} {
+		timer := telemetry.NewEvalTimer(8)
+		tid := trace.TraceIDFromRequest("eval-spans")
+		rec := trace.NewRecorder(trace.Context{TraceID: tid, SpanID: trace.RootSpanID(tid)}, 1<<15)
+		if _, err := Run(context.Background(), parse(t, src), Options{
+			Seed: 1, MaxMoves: 1000, NoFreeze: true, StageTimer: timer, Trace: rec,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		spans := rec.Snapshot()
+		var annealID string
+		for _, sp := range spans {
+			if sp.Name == "anneal" {
+				annealID = sp.SpanID
+			}
+		}
+		evals := map[string]int64{}
+		for _, sp := range spans {
+			if stage, ok := strings.CutPrefix(sp.Name, "eval:"); ok {
+				evals[stage]++
+				if sp.Parent != annealID || annealID == "" {
+					t.Fatalf("eval span %s under %q, want the anneal span %q", sp.Name, sp.Parent, annealID)
+				}
+			}
+		}
+		bd := timer.Breakdown()
+		if len(bd) != telemetry.NumStages || rec.Dropped() != 0 {
+			t.Fatalf("breakdown %+v, %d spans dropped: want every stage sampled and nothing dropped", bd, rec.Dropped())
+		}
+		for _, b := range bd {
+			if evals[b.Stage] != b.SampledEvals {
+				t.Errorf("stage %s: %d eval spans, want the %d samples the timer counted", b.Stage, evals[b.Stage], b.SampledEvals)
+			}
+		}
+	}
+}
+
+// checkCounts requires the anneal span to carry every count of the
+// run's record under its name, and the counts to hold together:
+//   - each evaluation factors at least one jig per lane or reuses its
+//     factors because the jig's matrices repeated, and the first
+//     factorization of each jig misses the empty symbolic cache;
+//   - the run made Newton moves, and every Jacobian reused the replay of
+//     the residual before it (dcsolve always asks for the Jacobian at
+//     the point it has just evaluated);
+//   - no count of reuses exceeds the count it is part of;
+//   - the run fitted, each fit ended in exactly one outcome, and every
+//     fit that did not return the constant model attempted an order.
+func checkCounts(t *testing.T, anneal *trace.Span, res *Result) {
 	t.Helper()
-	fc := res.FactorCounts
-	for name, want := range map[string]uint64{
-		"factor.sparse":          fc.Sparse,
-		"factor.dense":           fc.Dense,
-		"factor.symbolic_misses": fc.SymbolicMisses,
-		"factor.reused":          fc.Reused,
-	} {
+	c := res.Counts
+	for i, want := range c {
+		name := astrx.Count(i).String()
 		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
 		if err != nil || got != want {
 			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
 		}
 	}
-	lanes := max(1, len(res.Corners))
-	if fc.Sparse+fc.Dense+fc.Reused < uint64(lanes*res.EvalCount) || fc.SymbolicMisses < uint64(lanes) {
-		t.Errorf("factor counts %+v too low for %d evaluations over %d lanes", fc, res.EvalCount, lanes)
+	lanes := uint64(max(1, len(res.Corners)))
+	if c[astrx.FactorSparse]+c[astrx.FactorDense]+c[astrx.FactorReused] < lanes*uint64(res.EvalCount) ||
+		c[astrx.FactorSymbolicMisses] < lanes {
+		t.Errorf("factor counts %v too low for %d evaluations over %d lanes", c[:astrx.DeviceEvals], res.EvalCount, lanes)
 	}
-	checkNewtonAttrs(t, anneal, res)
-}
-
-// checkNewtonAttrs requires the anneal span to carry the run's Newton
-// and device counts, the run to have made Newton moves, every Jacobian
-// to have reused the replay of the residual before it (dcsolve always
-// asks for the Jacobian at the point it has just evaluated), and no
-// count of reuses to exceed the count it is part of.
-func checkNewtonAttrs(t *testing.T, anneal *trace.Span, res *Result) {
-	t.Helper()
-	nc, dc, pc := res.NewtonCounts, res.DeviceCounts, res.NewtonProposals
-	for name, want := range map[string]uint64{
-		"newton.residuals":        nc.Residuals,
-		"newton.jacobians":        nc.Jacobians,
-		"newton.jacobians_reused": nc.JacobiansReused,
-		"newton.device_evals":     nc.Devices.Evals,
-		"newton.device_reused":    nc.Devices.Reused,
-		"newton.proposals":        pc.Proposals,
-		"newton.proposals_reused": pc.Reused,
-		"device.evals":            dc.Evals,
-		"device.reused":           dc.Reused,
+	if c[astrx.NewtonJacobians] == 0 || c[astrx.NewtonJacobiansReused] != c[astrx.NewtonJacobians] ||
+		c[astrx.NewtonResiduals] < c[astrx.NewtonJacobians] {
+		t.Errorf("counts %v: want Jacobians > 0, all reused, and no more Jacobians than residuals", c)
+	}
+	for _, pair := range [][2]astrx.Count{
+		{astrx.DeviceEvals, astrx.DeviceReused},
+		{astrx.NewtonDeviceEvals, astrx.NewtonDeviceReused},
+		{astrx.NewtonProposals, astrx.NewtonProposalsReused},
 	} {
-		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
-		if err != nil || got != want {
-			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
+		if n, r := c[pair[0]], c[pair[1]]; n == 0 || r > n {
+			t.Errorf("%s %d, %s %d: want some, with no more reused than made", pair[0], n, pair[1], r)
 		}
 	}
-	if nc.Jacobians == 0 || nc.JacobiansReused != nc.Jacobians || nc.Residuals < nc.Jacobians {
-		t.Errorf("newton counts %+v: want Jacobians > 0, all reused, and no more Jacobians than residuals", nc)
-	}
-	if nc.Devices.Evals == 0 || nc.Devices.Reused > nc.Devices.Evals || dc.Evals == 0 || dc.Reused > dc.Evals ||
-		pc.Proposals == 0 || pc.Reused > pc.Proposals {
-		t.Errorf("device counts %+v, newton device counts %+v, proposals %+v: want evaluations and proposals, each with no more reused than made",
-			dc, nc.Devices, pc)
-	}
-	checkFitAttrs(t, anneal, res)
-}
-
-// checkFitAttrs requires the anneal span to carry the run's fit counts,
-// the run to have fitted, each fit to have ended in exactly one outcome,
-// and every fit that did not return the constant model to have
-// attempted at least one order.
-func checkFitAttrs(t *testing.T, anneal *trace.Span, res *Result) {
-	t.Helper()
-	ft := res.FitCounts
-	for name, want := range map[string]uint64{
-		"fit.fits":               ft.Fits,
-		"fit.attempts":           ft.Attempts,
-		"fit.deferred":           ft.Deferred,
-		"fit.validated_stable":   ft.ValidatedStable,
-		"fit.validated_unstable": ft.ValidatedUnstable,
-		"fit.unvalidated":        ft.Unvalidated,
-		"fit.constant":           ft.Constant,
-		"fit.unread":             ft.Unread,
-	} {
-		got, err := strconv.ParseUint(anneal.Attrs[name], 10, 64)
-		if err != nil || got != want {
-			t.Errorf("anneal span %s = %q, want %d", name, anneal.Attrs[name], want)
-		}
-	}
-	if ft.Fits == 0 || ft.ValidatedStable+ft.ValidatedUnstable+ft.Unvalidated+ft.Constant != ft.Fits ||
-		ft.Attempts < ft.Fits-ft.Constant {
-		t.Errorf("fit counts %+v: want fits > 0, one outcome per fit, and an attempt per non-constant fit", ft)
+	fits, outcomes := c[astrx.FitFits], c[astrx.FitValidatedStable]+c[astrx.FitValidatedUnstable]+
+		c[astrx.FitUnvalidated]+c[astrx.FitConstant]
+	if fits == 0 || outcomes != fits || c[astrx.FitAttempts] < fits-c[astrx.FitConstant] {
+		t.Errorf("fit counts %v: want fits > 0, one outcome per fit, and an attempt per non-constant fit", c[astrx.FitFits:])
 	}
 }
 

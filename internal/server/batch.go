@@ -198,48 +198,24 @@ func (m *Manager) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+	send := startEvents(w)
+	if send == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
 
 	ctx := r.Context()
 	agg := make(chan batchEvent, 256)
-	// One forwarder per child: replay history, then live events, until
-	// the child turns terminal or the client goes away.
+	// One follower per child, forwarding its events until the child
+	// turns terminal or the client goes away.
 	for _, j := range b.jobs {
-		replay, ch, cancel := j.Subscribe()
-		go func(id string, replay []Event, ch chan Event, cancel func()) {
-			defer cancel()
-			forward := func(ev Event) bool {
-				select {
-				case agg <- batchEvent{Job: id, Event: ev}:
-				case <-ctx.Done():
-					return false
-				}
-				return !(ev.Type == "state" && ev.State.terminal())
+		go followEvents(ctx, j, func(ev Event) bool {
+			select {
+			case agg <- batchEvent{Job: j.ID, Event: ev}:
+				return true
+			case <-ctx.Done():
+				return false
 			}
-			for _, ev := range replay {
-				if !forward(ev) {
-					return
-				}
-			}
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case ev := <-ch:
-					if !forward(ev) {
-						return
-					}
-				}
-			}
-		}(j.ID, replay, ch, cancel)
+		})
 	}
 
 	remaining := len(b.jobs)
@@ -248,20 +224,12 @@ func (m *Manager) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			return
 		case ev := <-agg:
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-			fl.Flush()
-			if ev.Type == "state" && ev.State.terminal() {
+			send(ev.Type, ev)
+			if ev.terminal() {
 				remaining--
 			}
 		}
 	}
 	// Final roll-up: every child terminal.
-	if data, err := json.Marshal(b.Status()); err == nil {
-		fmt.Fprintf(w, "event: batch\ndata: %s\n\n", data)
-		fl.Flush()
-	}
+	send("batch", b.Status())
 }

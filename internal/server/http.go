@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"astrx/internal/astrx"
 	"astrx/internal/trace"
 )
 
@@ -236,22 +237,11 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			req.Options.NoFreeze = s == "1" || s == "true"
 		}
 		// Same convention as the oblx -corners flag: absent/"all" →
-		// nil (every declared corner — cornered decks are robust by
-		// default), "none" → empty non-nil (nominal-only), otherwise a
-		// comma-separated name list validated at submit.
+		// every declared corner (cornered decks are robust by default),
+		// "none" → nominal-only, otherwise a comma-separated name list
+		// validated at submit.
 		if s := q.Get("corners"); s != "" {
-			switch strings.ToLower(strings.TrimSpace(s)) {
-			case "all":
-				req.Options.Corners = nil
-			case "none":
-				req.Options.Corners = []string{}
-			default:
-				for _, n := range strings.Split(s, ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						req.Options.Corners = append(req.Options.Corners, n)
-					}
-				}
-			}
+			req.Options.Corners = astrx.ParseCorners(s)
 		}
 	}
 	if strings.TrimSpace(req.Deck) == "" {
@@ -369,39 +359,54 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
+	if send := startEvents(w); send != nil {
+		followEvents(r.Context(), j, func(ev Event) bool { return send(ev.Type, ev) })
+	}
+}
+
+// startEvents answers a request with a Server-Sent Events stream: it
+// writes the stream's headers and returns the function that sends one
+// event, named name, with v's JSON as its data (false when v does not
+// encode). It answers 500 and returns nil when the connection cannot
+// stream.
+func startEvents(w http.ResponseWriter) func(name string, v any) bool {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
+		return nil
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-
-	replay, ch, cancel := j.Subscribe()
-	defer cancel()
-
-	send := func(ev Event) bool {
-		data, err := json.Marshal(ev)
+	return func(name string, v any) bool {
+		data, err := json.Marshal(v)
 		if err != nil {
 			return false
 		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
+		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
 		fl.Flush()
-		return !(ev.Type == "state" && ev.State.terminal())
+		return true
 	}
+}
+
+// followEvents replays j's event history, then follows its live events,
+// handing each to send, until send returns false, an event turns the job
+// terminal, or ctx ends.
+func followEvents(ctx context.Context, j *Job, send func(Event) bool) {
+	replay, ch, cancel := j.Subscribe()
+	defer cancel()
 	for _, ev := range replay {
-		if !send(ev) {
+		if !send(ev) || ev.terminal() {
 			return
 		}
 	}
 	for {
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
 		case ev := <-ch:
-			if !send(ev) {
+			if !send(ev) || ev.terminal() {
 				return
 			}
 		}

@@ -124,6 +124,10 @@ type Event struct {
 	Prog  *oblx.ProgressEvent `json:"progress,omitempty"`
 }
 
+// terminal reports whether the event turns its job terminal: the last
+// event of the job's stream.
+func (ev Event) terminal() bool { return ev.Type == "state" && ev.State.terminal() }
+
 // maxBufferedEvents caps the per-job replay buffer; SSE subscribers that
 // attach late see at most this many historical events. Progress events
 // beyond the cap evict the oldest progress entries (state transitions
@@ -513,7 +517,7 @@ type Manager struct {
 	mQuarantine *metrics.Counter
 	mUnstable   *metrics.Counter
 	// mStage holds the per-stage eval-timing histograms, indexed by
-	// telemetry.Stage; job timers feed them through OnSample.
+	// telemetry.Stage; the jobs' eval spans feed them (attachJobTrace).
 	mStage [telemetry.NumStages]*metrics.Histogram
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"runtime/debug"
-	"time"
 
 	"astrx/internal/telemetry"
 )
@@ -22,21 +21,15 @@ func (m *Manager) telemetrySampleEvery() int {
 
 // jobTimer returns the job's per-stage eval timer, creating it on first
 // use (the first supervised attempt). One timer serves a job across
-// attempts, so a retried job's stage breakdown is cumulative. Its
-// samples feed the oblxd_eval_stage_seconds histograms and the job's
-// eval spans; oblx.Run copies its breakdown onto each anneal span.
+// attempts, so a retried job's stage breakdown is cumulative. oblx.Run
+// copies its breakdown onto each anneal span and records its samples as
+// eval spans in the job's trace, which feed the
+// oblxd_eval_stage_seconds histograms (attachJobTrace).
 func (m *Manager) jobTimer(j *Job) *telemetry.EvalTimer {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.timer == nil {
-		t := telemetry.NewEvalTimer(m.telemetrySampleEvery())
-		t.OnSample(func(s telemetry.Stage, d time.Duration) {
-			m.mStage[s].Observe(d.Seconds())
-			// Each sampled stage timing doubles as an eval span in the
-			// job's trace, parented under the current anneal span.
-			j.trace.RecordEval(s.String(), d)
-		})
-		j.timer = t
+		j.timer = telemetry.NewEvalTimer(m.telemetrySampleEvery())
 	}
 	return j.timer
 }

@@ -45,12 +45,18 @@ func (m *Manager) initJobTrace(j *Job, traceparent string) {
 // attachJobTrace wires a recorder for the given trace context onto the
 // job and opens the deterministic root span. Recovery reattaches with
 // the persisted context, so a restarted daemon keeps extending the same
-// trace tree.
+// trace tree. Every span the recorder commits, a local run's or one a
+// fleet worker shipped, is observed into oblxd_span_duration_seconds,
+// and each eval:<stage> span also into that stage's
+// oblxd_eval_stage_seconds histogram: the one feed of both.
 func (m *Manager) attachJobTrace(j *Job, tc trace.Context, remoteParent string) {
 	rec := trace.NewRecorder(tc, m.opt.TraceRecords)
 	rec.OnEnd(func(name string, d time.Duration) {
 		m.reg.Histogram("oblxd_span_duration_seconds", metrics.DurationBuckets,
 			"span", name).Observe(d.Seconds())
+		if s, ok := evalStage(name); ok {
+			m.mStage[s].Observe(d.Seconds())
+		}
 	})
 	root := rec.BeginRoot("job", remoteParent)
 	root.SetAttr("job", j.ID)
@@ -74,18 +80,10 @@ func (j *Job) TraceContext() string { return j.trace.Traceparent() }
 
 // AddTraceSpans ingests spans shipped by the job's fleet leaseholder.
 // The coordinator calls it only after epoch fencing succeeds, so a
-// zombie worker's spans never pollute the trace. A lease's sampled stage
-// timings arrive only as eval spans, so each ingested eval:<stage> span
-// is observed into that stage's oblxd_eval_stage_seconds histogram, as
-// jobTimer observes a local job's samples.
+// zombie worker's spans never pollute the trace.
 func (m *Manager) AddTraceSpans(j *Job, spans []trace.Span) {
 	for _, sp := range spans {
-		if !j.trace.Add(sp) {
-			continue
-		}
-		if s, ok := evalStage(sp.Name); ok {
-			m.mStage[s].Observe(time.Duration(sp.DurationNS).Seconds())
-		}
+		j.trace.Add(sp)
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"astrx/internal/metrics"
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
+	"astrx/internal/telemetry"
 	"astrx/internal/trace"
 )
 
@@ -45,6 +47,28 @@ func findSpans(nodes []*trace.Node, into map[string][]*trace.Node) {
 	for _, n := range nodes {
 		into[n.Name] = append(into[n.Name], n)
 		findSpans(n.Children, into)
+	}
+}
+
+// TestLocalStageHistograms: a local job's stage samples reach
+// oblxd_eval_stage_seconds only through the eval spans its recorder
+// commits, as a fleet job's do (TestFleetStageHistograms), so each
+// stage's histogram counts exactly that stage's eval:<stage> spans in
+// oblxd_span_duration_seconds.
+func TestLocalStageHistograms(t *testing.T) {
+	reg := metrics.New()
+	m := newTestManager(t, Options{Registry: reg})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 4000, NoFreeze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateDone, 120*time.Second)
+	for _, st := range telemetry.StageNames() {
+		spans := reg.Histogram("oblxd_span_duration_seconds", metrics.DurationBuckets, "span", "eval:"+st).Count()
+		stage := reg.Histogram("oblxd_eval_stage_seconds", telemetry.StageBuckets, "stage", st).Count()
+		if stage == 0 || stage != spans {
+			t.Errorf("stage %s: oblxd_eval_stage_seconds count %d, want the %d eval:%s spans, and above 0", st, stage, spans, st)
+		}
 	}
 }
 

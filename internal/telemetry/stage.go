@@ -10,6 +10,8 @@ package telemetry
 import (
 	"sync/atomic"
 	"time"
+
+	"astrx/internal/trace"
 )
 
 // Stage identifies one phase of the compiled evaluation pipeline, in
@@ -75,10 +77,9 @@ type StageBreakdown struct {
 // parallel runs each attach their own Clock, and the clocks funnel into
 // the timer's atomic totals. The zero EvalTimer (and a nil one) is inert.
 type EvalTimer struct {
-	every    int
-	totals   [NumStages]atomic.Int64 // nanoseconds
-	counts   [NumStages]atomic.Int64 // sampled evals that exercised the stage
-	onSample func(Stage, time.Duration)
+	every  int
+	totals [NumStages]atomic.Int64 // nanoseconds
+	counts [NumStages]atomic.Int64 // sampled evals that exercised the stage
 }
 
 // DefaultSampleEvery is oblxd's stage-timing cadence: one in 64
@@ -99,13 +100,6 @@ func (t *EvalTimer) SampleEvery() int {
 	}
 	return t.every
 }
-
-// OnSample registers fn to be called once per stage per sampled
-// evaluation with the stage's measured duration. fn must be safe for
-// concurrent use and must not allocate if the surrounding benchmark
-// asserts a zero-alloc hot path. Set it before any clock runs; it is
-// read without synchronization afterwards.
-func (t *EvalTimer) OnSample(fn func(Stage, time.Duration)) { t.onSample = fn }
 
 // Breakdown returns the cumulative per-stage summary for every stage
 // that recorded at least one sample, in pipeline order.
@@ -151,6 +145,20 @@ type Clock struct {
 	active  bool
 	mark    time.Time
 	scratch [NumStages]int64
+	// rec and parent receive each sampled stage as an eval span (Trace).
+	rec    *trace.Recorder
+	parent string
+}
+
+// Trace makes the clock record each stage of a sampled evaluation as an
+// "eval:<stage>" span under span parent of rec, besides adding it to the
+// timer. This is the one place a stage sample becomes a span. A nil rec
+// records none.
+func (c *Clock) Trace(rec *trace.Recorder, parent string) {
+	if c == nil {
+		return
+	}
+	c.rec, c.parent = rec, parent
 }
 
 // Begin starts an evaluation. One in every `every` calls arms the clock;
@@ -184,15 +192,14 @@ func (c *Clock) Mark(s Stage) {
 }
 
 // End finishes an armed evaluation, flushing the scratch timings into the
-// shared timer and firing the timer's OnSample callback per stage hit.
-// Evaluations abandoned mid-pipeline (error paths return before End) are
-// discarded at the next Begin.
+// shared timer and recording an eval span per stage hit when the clock
+// is traced. Evaluations abandoned mid-pipeline (error paths return
+// before End) are discarded at the next Begin.
 func (c *Clock) End() {
 	if c == nil || !c.active {
 		return
 	}
 	c.active = false
-	fn := c.t.onSample
 	for s := 0; s < NumStages; s++ {
 		ns := c.scratch[s]
 		if ns == 0 {
@@ -200,8 +207,6 @@ func (c *Clock) End() {
 		}
 		c.t.totals[s].Add(ns)
 		c.t.counts[s].Add(1)
-		if fn != nil {
-			fn(Stage(s), time.Duration(ns))
-		}
+		c.rec.RecordEval(c.parent, stageNames[s], time.Duration(ns))
 	}
 }

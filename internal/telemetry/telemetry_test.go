@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"astrx/internal/trace"
 )
 
 func TestStageNames(t *testing.T) {
@@ -84,28 +86,36 @@ func TestEvalTimerAbandonedEvalDiscarded(t *testing.T) {
 	}
 }
 
-func TestEvalTimerOnSample(t *testing.T) {
-	timer := NewEvalTimer(1)
-	var mu sync.Mutex
-	seen := map[Stage]int{}
-	timer.OnSample(func(s Stage, d time.Duration) {
-		if d <= 0 {
-			t.Errorf("non-positive sample duration for %s", s)
-		}
-		mu.Lock()
-		seen[s]++
-		mu.Unlock()
-	})
+// TestClockTrace: a traced clock records each stage of a sampled
+// evaluation as an eval:<stage> span under its parent, besides adding it
+// to the timer; unsampled evaluations record nothing.
+func TestClockTrace(t *testing.T) {
+	const parent = "00f067aa0ba902b7"
+	timer := NewEvalTimer(2)
+	tid := trace.TraceIDFromRequest("clock-trace")
+	rec := trace.NewRecorder(trace.Context{TraceID: tid, SpanID: trace.RootSpanID(tid)}, 0)
 	c := timer.NewClock()
-	for i := 0; i < 3; i++ {
+	c.Trace(rec, parent)
+	for i := 0; i < 6; i++ {
 		c.Begin()
 		time.Sleep(time.Microsecond)
 		c.Mark(StageFit)
 		c.End()
 	}
-	if seen[StageFit] != 3 {
-		t.Fatalf("OnSample fired %d times for fit, want 3", seen[StageFit])
+	spans := rec.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("%d spans for 3 sampled evaluations, want 3: %+v", len(spans), spans)
 	}
+	for _, sp := range spans {
+		if sp.Name != "eval:fit" || sp.Kind != trace.KindEval || sp.Parent != parent || sp.DurationNS <= 0 {
+			t.Errorf("span %+v, want an eval:fit eval span of positive duration under %s", sp, parent)
+		}
+	}
+	if bd := timer.Breakdown(); len(bd) != 1 || bd[0].SampledEvals != 3 {
+		t.Errorf("breakdown %+v, want 3 fit samples", bd)
+	}
+	var nilClock *Clock
+	nilClock.Trace(rec, parent) // a nil clock stays a no-op
 }
 
 func TestEvalTimerConcurrentClocks(t *testing.T) {

@@ -239,17 +239,16 @@ const MaxSpanEvents = 2048
 // workers) a pending buffer drained into heartbeat/complete RPCs. All
 // methods are safe on a nil receiver and safe for concurrent use.
 type Recorder struct {
-	mu         sync.Mutex
-	tc         Context // trace ID + the span new top-level spans parent to
-	life       ring
-	evals      ring
-	dropped    int // spans and span events evicted or discarded
-	open       []*Active
-	evalParent string
-	shipping   bool
-	pending    []Span // lifecycle spans to ship
-	shipEvals  ring   // eval spans to ship once their parent has ended
-	onEnd      func(name string, d time.Duration)
+	mu        sync.Mutex
+	tc        Context // trace ID + the span new top-level spans parent to
+	life      ring
+	evals     ring
+	dropped   int // spans and span events evicted or discarded
+	open      []*Active
+	shipping  bool
+	pending   []Span // lifecycle spans to ship
+	shipEvals ring   // eval spans to ship once their parent has ended
+	onEnd     func(name string, d time.Duration)
 }
 
 // NewRecorder builds a recorder for trace tc.TraceID whose top-level
@@ -536,31 +535,21 @@ func (r *Recorder) AddTimed(name, parent string, start time.Time, d time.Duratio
 	return sp.SpanID
 }
 
-// SetEvalParent routes subsequent sampled eval spans under the given
-// span (normally the live anneal span).
-func (r *Recorder) SetEvalParent(spanID string) {
+// RecordEval records one sampled per-stage eval span, eval:<stage>,
+// into the ring under span parent (normally the run's anneal span; ""
+// means the recorder's top-level parent). Only the sampled 1-in-N clock
+// marks reach here, so the map-free span construction is cheap; with
+// tracing off (nil recorder) this is a single nil check and zero
+// allocations.
+func (r *Recorder) RecordEval(parent, stage string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.evalParent = spanID
-	r.mu.Unlock()
-}
-
-// RecordEval records one sampled per-stage eval span into the ring.
-// Only the sampled 1-in-N clock marks reach here, so the map-free span
-// construction is cheap; with tracing off (nil recorder) this is a
-// single nil check and zero allocations.
-func (r *Recorder) RecordEval(stage string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	now := time.Now()
-	r.mu.Lock()
-	parent := r.evalParent
 	if parent == "" {
 		parent = r.tc.SpanID
 	}
+	now := time.Now()
+	r.mu.Lock()
 	r.commitLocked(Span{
 		TraceID:    r.tc.TraceID,
 		SpanID:     NewSpanID(),

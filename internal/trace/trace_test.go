@@ -116,9 +116,8 @@ func TestNilRecorderNoops(t *testing.T) {
 	a.End("")
 	a.EndErr(nil)
 	r.BeginRoot("root", "").End("")
-	r.RecordEval("bias", time.Microsecond)
+	r.RecordEval("x", "bias", time.Microsecond)
 	r.AddTimed("t", "", time.Now(), 0)
-	r.SetEvalParent("x")
 	r.Add(Span{})
 	r.EnableShipping()
 	r.OnEnd(nil)
@@ -135,9 +134,8 @@ func TestRecorderLifecycleAndTree(t *testing.T) {
 	root.SetAttr("job", "j1")
 	anneal := rec.Begin("anneal", "")
 	anneal.Event("resume", "move", "42")
-	rec.SetEvalParent(anneal.ID())
 	for i := 0; i < 20; i++ { // overflow the 8-slot eval ring
-		rec.RecordEval("solve", time.Microsecond)
+		rec.RecordEval(anneal.ID(), "solve", time.Microsecond)
 	}
 	anneal.End("")
 	root.End("")
@@ -345,7 +343,7 @@ func TestShippingDrainAndAdd(t *testing.T) {
 	worker := NewRecorder(Context{TraceID: tid, SpanID: RootSpanID(tid)}, 0)
 	worker.EnableShipping()
 	sp := worker.Begin("anneal", "")
-	worker.RecordEval("fit", time.Millisecond)
+	worker.RecordEval("", "fit", time.Millisecond)
 	sp.End("")
 
 	batch := worker.DrainNew()
@@ -384,9 +382,8 @@ func TestShippingEvalSpans(t *testing.T) {
 	worker.EnableShipping()
 	for round := 0; round < 2; round++ {
 		sp := worker.Begin("anneal", "")
-		worker.SetEvalParent(sp.ID())
 		for i := 0; i < 2*pendingCap; i++ {
-			worker.RecordEval("fit", time.Microsecond)
+			worker.RecordEval(sp.ID(), "fit", time.Microsecond)
 		}
 		if got := worker.DrainNew(); len(got) != 0 {
 			t.Fatalf("round %d: drained %d spans while the anneal span is open, want 0", round, len(got))
