@@ -56,7 +56,12 @@ race:
 # and to accepting only current-version checkpoints with annealer and
 # weight state; FuzzJobRecord holds the job-record reader to never
 # panicking and to accepting only sealed current-version records whose
-# ID matches the file name. The input parsers come last: FuzzExprParse
+# ID matches the file name. The input parsers come last: FuzzSubmitBody
+# holds oblxd's admission of POST /v1/jobs and /v1/batches JSON bodies
+# to never panicking, to rejecting only with a DeckError (HTTP 400), to
+# admitted options within range (runs in [1, 64], max_moves ≥ 1 and
+# within the limit, seed ≠ 0) and to a repeated admission giving the
+# same result-cache key, seeded with the bench decks; FuzzExprParse
 # holds the expression parser to never panicking and to a round trip
 # (an accepted expression's String() parses to a node with the same
 # String(), and both evaluate to the same bits or the same error), seeded
@@ -75,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/oblx
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRecord$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzExprParse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/expr
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 

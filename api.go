@@ -15,7 +15,8 @@ import (
 type SynthConfig struct {
 	// Seed is the base random seed (default 1).
 	Seed int64
-	// MaxMoves is the annealing move budget per run (default 120 000).
+	// MaxMoves is the annealing move budget per run (default
+	// oblx.DefaultMaxMoves, 120 000).
 	MaxMoves int
 	// Runs is the number of independent seeded runs; the best is kept
 	// (default 1). The paper used "5-10 annealing runs overnight".
@@ -77,22 +78,9 @@ func SynthesizeContext(ctx context.Context, deckSource string, cfg SynthConfig) 
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.MaxMoves == 0 {
-		cfg.MaxMoves = 120_000
-	}
-	opt := oblx.Options{Seed: cfg.Seed, MaxMoves: cfg.MaxMoves}
-	var run *oblx.Result
-	if cfg.Runs > 1 {
-		var errs []error
-		run, _, errs = oblx.RunBest(ctx, d, cfg.Runs, opt)
-		if run == nil {
-			err = errors.Join(errs...)
-		}
-	} else {
-		run, err = oblx.Run(ctx, d, opt)
-	}
-	if err != nil {
-		return nil, err
+	run, errs := oblx.RunBest(ctx, d, cfg.Runs, oblx.Options{Seed: cfg.Seed, MaxMoves: cfg.MaxMoves})
+	if run == nil {
+		return nil, errors.Join(errs...)
 	}
 	return &Result{Run: run, Deck: d}, nil
 }

@@ -26,6 +26,11 @@ func main() {
 	hashOnly := flag.Bool("hash", false, "print the deck's canonical content hash (the oblxd result-cache key input) and exit")
 	cornersFlag := flag.String("corners", "", `corners to compile plans for: comma-separated .corner names, "all" (default), or "none"`)
 	flag.Parse()
+	corners, err := astrx.ParseCorners(*cornersFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "astrx: -corners:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, c := range bench.Suite {
@@ -119,7 +124,7 @@ func main() {
 		fmt.Printf("  var %-10s [%.3g, %.3g] %s\n", v.Name, v.Min, v.Max, kind)
 	}
 
-	names, err := astrx.SelectCorners(deck, astrx.ParseCorners(*cornersFlag))
+	names, err := astrx.SelectCorners(deck, corners)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astrx:", err)
 		os.Exit(1)

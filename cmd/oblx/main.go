@@ -73,12 +73,12 @@ func flagProblems(moves, runs, ckptEvery, stageSample int, ckptPath string, resu
 
 func main() {
 	benchName := flag.String("bench", "", "synthesize a builtin benchmark")
-	moves := flag.Int("moves", 120_000, "annealing move budget per run")
+	moves := flag.Int("moves", oblx.DefaultMaxMoves, "annealing move budget per run")
 	runs := flag.Int("runs", 1, "independent seeded runs (best kept)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	timeout := flag.Duration("timeout", 0, "abort after this long, keeping the best design so far")
 	ckptPath := flag.String("checkpoint", "", "write a resumable state snapshot to this file")
-	ckptEvery := flag.Int("checkpoint-every", 5000, "moves between checkpoint writes")
+	ckptEvery := flag.Int("checkpoint-every", oblx.DefaultCheckpointEvery, "moves between checkpoint writes")
 	resume := flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
 	noFreeze := flag.Bool("no-freeze", false, "disable the freezing criterion (consume the full move budget)")
 	faultPanic := flag.Float64("fault-panic", 0, "inject evaluator panics at this rate (testing)")
@@ -92,7 +92,12 @@ func main() {
 	hashOnly := flag.Bool("hash", false, "print the deck's canonical content hash (the oblxd result-cache key input) and exit")
 	flag.Parse()
 
-	if probs := flagProblems(*moves, *runs, *ckptEvery, *stageSample, *ckptPath, *resume, os.Stat); len(probs) > 0 {
+	probs := flagProblems(*moves, *runs, *ckptEvery, *stageSample, *ckptPath, *resume, os.Stat)
+	corners, err := astrx.ParseCorners(*cornersFlag)
+	if err != nil {
+		probs = append(probs, fmt.Sprintf("-corners: %v", err))
+	}
+	if len(probs) > 0 {
 		for _, p := range probs {
 			fmt.Fprintln(os.Stderr, "oblx:", p)
 		}
@@ -161,7 +166,7 @@ func main() {
 		NoFreeze:        *noFreeze,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
-		Corners:         astrx.ParseCorners(*cornersFlag),
+		Corners:         corners,
 	}
 	var timer *telemetry.EvalTimer
 	if *stageSample > 0 {
@@ -215,27 +220,16 @@ func main() {
 		}
 	}
 
-	var best *oblx.Result
-	if *runs <= 1 {
-		best, err = oblx.Run(ctx, deck, opt)
-		if err != nil {
-			dumpTrace("error")
-			fmt.Fprintln(os.Stderr, "oblx:", err)
-			os.Exit(1)
+	best, errs := oblx.RunBest(ctx, deck, *runs, opt)
+	for i, e := range errs {
+		if e != nil {
+			fmt.Fprintf(os.Stderr, "oblx: warning: run %d failed: %v\n", i, e)
 		}
-	} else {
-		var errs []error
-		best, _, errs = oblx.RunBest(ctx, deck, *runs, opt)
-		for i, e := range errs {
-			if e != nil {
-				fmt.Fprintf(os.Stderr, "oblx: warning: run %d failed: %v\n", i, e)
-			}
-		}
-		if best == nil {
-			dumpTrace("error")
-			fmt.Fprintln(os.Stderr, "oblx: all runs failed")
-			os.Exit(1)
-		}
+	}
+	if best == nil {
+		dumpTrace("error")
+		fmt.Fprintln(os.Stderr, "oblx: all runs failed")
+		os.Exit(1)
 	}
 	switch {
 	case best.Cancelled:

@@ -39,7 +39,9 @@ import (
 
 	"astrx/internal/fleet"
 	"astrx/internal/metrics"
+	"astrx/internal/oblx"
 	"astrx/internal/rescache"
+	"astrx/internal/retry"
 	"astrx/internal/server"
 	"astrx/internal/telemetry"
 	"astrx/internal/tenancy"
@@ -50,8 +52,8 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		stateDir   = flag.String("state-dir", "", "directory for job records and checkpoints (empty: in-memory only, jobs die with the daemon)")
 		workers    = flag.Int("workers", 0, "concurrent synthesis jobs (0: GOMAXPROCS)")
-		ckptEvery  = flag.Int("checkpoint-every", 5000, "moves between job checkpoints")
-		progEvery  = flag.Int("progress-every", 500, "default moves between progress events")
+		ckptEvery  = flag.Int("checkpoint-every", oblx.DefaultCheckpointEvery, "moves between job checkpoints")
+		progEvery  = flag.Int("progress-every", oblx.DefaultProgressEvery, "default moves between progress events")
 		movesLimit = flag.Int("max-moves-limit", 0, "reject jobs asking for more moves than this (0: no limit)")
 		drainGrace = flag.Duration("drain-grace", 60*time.Second, "how long shutdown waits for jobs to checkpoint")
 		pprofOn    = flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/ (see docs/profiling.md)")
@@ -211,6 +213,12 @@ func runServe(cfg daemonConfig, logger *slog.Logger) error {
 		}
 	}
 
+	// -max-attempts caps the supervised attempts of the default retry
+	// policy; the fleet coordinator paces its re-leases by the same one.
+	rpol := retry.Default()
+	if cfg.maxAttempts > 0 {
+		rpol.MaxAttempts = cfg.maxAttempts
+	}
 	mgr, err := server.New(server.Options{
 		StateDir:             cfg.stateDir,
 		Workers:              cfg.workers,
@@ -226,7 +234,7 @@ func runServe(cfg daemonConfig, logger *slog.Logger) error {
 		TraceRecords:         cfg.traceRecs,
 		MaxQueue:             cfg.maxQueue,
 		StallTimeout:         cfg.stallTimeout,
-		MaxAttempts:          cfg.maxAttempts,
+		Retry:                rpol,
 		JobDeadline:          cfg.jobDeadline,
 		ExternalExec:         cfg.mode == "coordinator",
 	})
@@ -240,11 +248,11 @@ func runServe(cfg daemonConfig, logger *slog.Logger) error {
 			LeaseTTL:       cfg.leaseTTL,
 			HeartbeatEvery: cfg.hbEvery,
 			// In coordinator mode -stall-timeout supervises eval progress
-			// across the fleet instead of a local worker pool.
-			StallTimeout:    cfg.stallTimeout,
-			CheckpointEvery: cfg.ckptEvery,
-			StateDir:        cfg.stateDir,
-			Logger:          logger,
+			// across the fleet instead of a local worker pool. Workers
+			// checkpoint at the manager's -checkpoint-every.
+			StallTimeout: cfg.stallTimeout,
+			StateDir:     cfg.stateDir,
+			Logger:       logger,
 		})
 		defer coord.Stop()
 		handler = coord.Handler()

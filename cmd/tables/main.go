@@ -24,6 +24,7 @@ import (
 
 	"astrx/internal/bench"
 	"astrx/internal/eqbase"
+	"astrx/internal/oblx"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 	fig := flag.Int("fig", 0, "regenerate a figure (2 or 3)")
 	exp := flag.String("exp", "", "run an extra experiment: models, awe")
 	all := flag.Bool("all", false, "regenerate everything")
-	moves := flag.Int("moves", 120_000, "annealing move budget per run")
+	moves := flag.Int("moves", oblx.DefaultMaxMoves, "annealing move budget per run")
 	runs := flag.Int("runs", 2, "independent runs per synthesis (best kept)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	flag.Parse()

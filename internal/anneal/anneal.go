@@ -150,11 +150,11 @@ const (
 	freezeTol    = 1e-4
 )
 
-// Options tunes a Run. The zero value gives sensible defaults; the
-// initial temperature is always calibrated from a short random walk.
+// Options tunes a Run. The initial temperature is always calibrated
+// from a short random walk.
 type Options struct {
 	Seed     int64
-	MaxMoves int // total move budget (0 → 200_000)
+	MaxMoves int // total move budget; must be positive
 
 	// NoFreeze disables freezing, so the run consumes its whole move
 	// budget (fixed-budget runs).
@@ -199,9 +199,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.MaxMoves == 0 {
-		o.MaxMoves = 200_000
-	}
 	if o.TraceEvery == 0 {
 		o.TraceEvery = 500
 	}
@@ -255,6 +252,9 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 	}
 	if len(moves) == 0 {
 		return nil, fmt.Errorf("anneal: no move classes supplied")
+	}
+	if opt.MaxMoves <= 0 {
+		return nil, fmt.Errorf("anneal: move budget %d is not positive", opt.MaxMoves)
 	}
 	src := newRNGSource(opt.Seed)
 	rng := rand.New(src)
@@ -589,7 +589,6 @@ func calibrateT0(p Problem, moves []Move, start []float64, startCost float64, rn
 type selector struct {
 	quality  []float64
 	proposed []int
-	accepted []int
 	totProp  []int
 	totAcc   []int
 }
@@ -599,7 +598,6 @@ func newSelector(moves []Move) *selector {
 	s := &selector{
 		quality:  make([]float64, n),
 		proposed: make([]int, n),
-		accepted: make([]int, n),
 		totProp:  make([]int, n),
 		totAcc:   make([]int, n),
 	}
@@ -631,7 +629,6 @@ func (s *selector) feedback(i int, accepted bool, dCost float64) {
 	s.proposed[i]++
 	s.totProp[i]++
 	if accepted {
-		s.accepted[i]++
 		s.totAcc[i]++
 		s.quality[i] += math.Abs(dCost)
 	}
@@ -654,7 +651,6 @@ func (s *selector) stageReset() {
 			s.quality[i] = 1 + s.quality[i]*0.5
 		}
 		s.proposed[i] = 0
-		s.accepted[i] = 0
 	}
 }
 

@@ -188,6 +188,12 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(context.Background(), p2, nil, Options{}); err == nil {
 		t.Error("no moves must error")
 	}
+	for _, budget := range []int{0, -1} {
+		if _, err := Run(context.Background(), p2, []Move{NewAllStep("a", p2.vars)},
+			Options{MaxMoves: budget}); err == nil {
+			t.Errorf("move budget %d must error", budget)
+		}
+	}
 }
 
 func TestVarSpecSnapProperties(t *testing.T) {

@@ -44,11 +44,13 @@ type Checkpoint struct {
 	ClassFails []int `json:"class_fails"`
 }
 
-// SelectorState is the serializable Hustin-selector state.
+// SelectorState is the serializable Hustin-selector state: each class's
+// quality, its proposals this stage, and its run totals. A checkpoint
+// written when the state also held per-stage accepted counts still
+// decodes: nothing read them, and the decoder skips the field.
 type SelectorState struct {
 	Quality  []float64 `json:"quality"`
 	Proposed []int     `json:"proposed"`
-	Accepted []int     `json:"accepted"`
 	TotProp  []int     `json:"tot_prop"`
 	TotAcc   []int     `json:"tot_acc"`
 }
@@ -69,8 +71,7 @@ func (ck *Checkpoint) validate(nVars, nMoves, maxMoves int) error {
 		return fmt.Errorf("anneal: checkpoint has %d move classes, palette has %d",
 			len(ck.MoveStates), nMoves)
 	case len(ck.Selector.Quality) != nMoves || len(ck.Selector.Proposed) != nMoves ||
-		len(ck.Selector.Accepted) != nMoves || len(ck.Selector.TotProp) != nMoves ||
-		len(ck.Selector.TotAcc) != nMoves:
+		len(ck.Selector.TotProp) != nMoves || len(ck.Selector.TotAcc) != nMoves:
 		return fmt.Errorf("anneal: checkpoint selector state does not match %d move classes", nMoves)
 	}
 	return nil
@@ -81,7 +82,6 @@ func (s *selector) state() SelectorState {
 	return SelectorState{
 		Quality:  append([]float64(nil), s.quality...),
 		Proposed: append([]int(nil), s.proposed...),
-		Accepted: append([]int(nil), s.accepted...),
 		TotProp:  append([]int(nil), s.totProp...),
 		TotAcc:   append([]int(nil), s.totAcc...),
 	}
@@ -91,7 +91,6 @@ func (s *selector) state() SelectorState {
 func (s *selector) restore(st SelectorState) {
 	copy(s.quality, st.Quality)
 	copy(s.proposed, st.Proposed)
-	copy(s.accepted, st.Accepted)
 	copy(s.totProp, st.TotProp)
 	copy(s.totAcc, st.TotAcc)
 }

@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -132,6 +133,13 @@ func TestNonFiniteInitialCost(t *testing.T) {
 // final result of the second leg.
 func resumeRun(t *testing.T, p Problem, opt Options, cancelAt int) *Result {
 	t.Helper()
+	return resumeRunEdited(t, p, opt, cancelAt, nil)
+}
+
+// resumeRunEdited is resumeRun with the checkpoint's JSON passed through
+// edit (when non-nil) before the second leg decodes it.
+func resumeRunEdited(t *testing.T, p Problem, opt Options, cancelAt int, edit func([]byte) []byte) *Result {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var last *Checkpoint
 	leg1 := opt
@@ -158,6 +166,9 @@ func resumeRun(t *testing.T, p Problem, opt Options, cancelAt int) *Result {
 	data, err := json.Marshal(last)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if edit != nil {
+		data = edit(data)
 	}
 	restored := &Checkpoint{}
 	if err := json.Unmarshal(data, restored); err != nil {
@@ -202,12 +213,63 @@ func TestCheckpointResumeIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithSelectorAcceptedResumes: checkpoints written while
+// the selector still recorded per-stage accepted counts (a field nothing
+// read) decode and resume bit for bit like a current one.
+func TestCheckpointWithSelectorAcceptedResumes(t *testing.T) {
+	mk := func() Problem { return quadProblem(3, nil) }
+	opt := Options{Seed: 17, MaxMoves: 12_000, NoFreeze: true}
+	current := resumeRun(t, mk(), opt, 4000)
+	addAccepted := func(data []byte) []byte {
+		var ck map[string]json.RawMessage
+		if err := json.Unmarshal(data, &ck); err != nil {
+			t.Fatal(err)
+		}
+		var sel map[string]json.RawMessage
+		if err := json.Unmarshal(ck["selector"], &sel); err != nil {
+			t.Fatal(err)
+		}
+		var n []int
+		if err := json.Unmarshal(sel["proposed"], &n); err != nil {
+			t.Fatal(err)
+		}
+		acc, _ := json.Marshal(n) // any per-class counts: nothing reads them
+		sel["accepted"] = acc
+		var err error
+		if ck["selector"], err = json.Marshal(sel); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(out, []byte(`"accepted":[`)) {
+			t.Fatal("edited checkpoint carries no selector accepted counts")
+		}
+		return out
+	}
+	legacy := resumeRunEdited(t, mk(), opt, 4000, addAccepted)
+	if legacy.BestCost != current.BestCost || legacy.FinalCost != current.FinalCost ||
+		legacy.Moves != current.Moves || legacy.Accepted != current.Accepted ||
+		legacy.FinalTemp != current.FinalTemp {
+		t.Errorf("resumed with accepted counts: best %g final %g moves %d accepted %d temp %g; "+
+			"without: %g %g %d %d %g", legacy.BestCost, legacy.FinalCost, legacy.Moves,
+			legacy.Accepted, legacy.FinalTemp, current.BestCost, current.FinalCost,
+			current.Moves, current.Accepted, current.FinalTemp)
+	}
+	for i := range current.Best {
+		if legacy.Best[i] != current.Best[i] {
+			t.Fatalf("best[%d]: %g with accepted counts, %g without", i, legacy.Best[i], current.Best[i])
+		}
+	}
+}
+
 func TestCheckpointValidation(t *testing.T) {
 	p := quadProblem(2, nil)
 	good := &Checkpoint{
 		Seed: 1, MaxMoves: 1000, Move: 10,
 		Cur: []float64{0, 0}, Best: []float64{0, 0},
-		Selector:   SelectorState{Quality: []float64{1, 1}, Proposed: []int{0, 0}, Accepted: []int{0, 0}, TotProp: []int{0, 0}, TotAcc: []int{0, 0}},
+		Selector:   SelectorState{Quality: []float64{1, 1}, Proposed: []int{0, 0}, TotProp: []int{0, 0}, TotAcc: []int{0, 0}},
 		MoveStates: [][]float64{nil, nil},
 		ClassFails: []int{0, 0},
 	}

@@ -186,13 +186,15 @@ type CornerSet struct {
 // commands, oblxd's corners= query parameter) onto the SelectCorners
 // convention: "" and "all" select every declared corner (nil), "none"
 // forces nominal-only (empty non-nil), anything else is a
-// comma-separated name list whose blank entries are dropped.
-func ParseCorners(v string) []string {
+// comma-separated name list whose blank entries are dropped. A list
+// whose every entry is blank names nothing and is an error, not a
+// selection of every corner.
+func ParseCorners(v string) ([]string, error) {
 	switch strings.ToLower(strings.TrimSpace(v)) {
 	case "", "all":
-		return nil
+		return nil, nil
 	case "none":
-		return []string{}
+		return []string{}, nil
 	}
 	var out []string
 	for _, n := range strings.Split(v, ",") {
@@ -200,7 +202,10 @@ func ParseCorners(v string) []string {
 			out = append(out, n)
 		}
 	}
-	return out
+	if out == nil {
+		return nil, fmt.Errorf("astrx: corner selection %q names no corner (use all or none)", v)
+	}
+	return out, nil
 }
 
 // SelectCorners resolves a job's corner selection against the deck:

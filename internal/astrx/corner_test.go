@@ -27,8 +27,9 @@ func parseCornered(t *testing.T) *netlist.Deck {
 
 // TestParseCorners holds the corner-selection text to the SelectCorners
 // convention: nil selects every corner, an empty non-nil list none, and
-// a list names corners, blank entries dropped. Case is left to
-// SelectCorners, which also resolves the selection on a deck here.
+// a list names corners, blank entries dropped; a list of blanks alone
+// names nothing and is an error. Case is left to SelectCorners, which
+// also resolves the selection on a deck here.
 func TestParseCorners(t *testing.T) {
 	deck := parseCornered(t)
 	for _, tc := range []struct {
@@ -43,14 +44,19 @@ func TestParseCorners(t *testing.T) {
 		{"fast, ,SLOW,", []string{"fast", "SLOW"}, []string{"slow", "fast"}},
 		{" fast ", []string{"fast"}, []string{"fast"}},
 	} {
-		got := ParseCorners(tc.in)
-		if !reflect.DeepEqual(got, tc.want) || (got == nil) != (tc.want == nil) {
-			t.Errorf("ParseCorners(%q) = %#v, want %#v", tc.in, got, tc.want)
+		got, err := ParseCorners(tc.in)
+		if err != nil || !reflect.DeepEqual(got, tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("ParseCorners(%q) = %#v, %v; want %#v", tc.in, got, err, tc.want)
 			continue
 		}
 		sel, err := SelectCorners(deck, got)
 		if err != nil || !reflect.DeepEqual(sel, tc.selected) {
 			t.Errorf("SelectCorners(ParseCorners(%q)) = %#v, %v; want %#v", tc.in, sel, err, tc.selected)
+		}
+	}
+	for _, in := range []string{",", " , ,", ",,,", " ,"} {
+		if got, err := ParseCorners(in); err == nil {
+			t.Errorf("ParseCorners(%q) = %#v, want an error: the list names no corner", in, got)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func Compile(c Circuit) (*astrx.Compiled, error) {
 // SynthOptions configures a benchmark synthesis.
 type SynthOptions struct {
 	Seed     int64
-	MaxMoves int // 0 → 120_000
+	MaxMoves int // 0 → oblx.DefaultMaxMoves
 	Runs     int // parallel seeded runs, best kept (0 → 1)
 }
 
@@ -113,26 +113,9 @@ func synthesizeDeck(ctx context.Context, c Circuit, src string, opt SynthOptions
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", c, err)
 	}
-	if opt.MaxMoves == 0 {
-		opt.MaxMoves = 120_000
-	}
-	runs := opt.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	oo := oblx.Options{Seed: opt.Seed, MaxMoves: opt.MaxMoves}
-	var best *oblx.Result
-	if runs == 1 {
-		best, err = oblx.Run(ctx, d, oo)
-	} else {
-		var errs []error
-		best, _, errs = oblx.RunBest(ctx, d, runs, oo)
-		if best == nil {
-			err = errors.Join(errs...)
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", c, err)
+	best, errs := oblx.RunBest(ctx, d, opt.Runs, oblx.Options{Seed: opt.Seed, MaxMoves: opt.MaxMoves})
+	if best == nil {
+		return nil, fmt.Errorf("bench: %s: %w", c, errors.Join(errs...))
 	}
 	rep, err := verify.Design(best.Compiled, best.X, best.State.SpecVals)
 	if err != nil {

@@ -156,12 +156,12 @@ func TestFleetPartitionFencing(t *testing.T) {
 // rather than move zero — completing the job exactly once.
 func TestFleetKillResume(t *testing.T) {
 	f := startFleet(t, server.Options{
-		StateDir: t.TempDir(),
-		Retry:    retry.Policy{Base: 10 * time.Millisecond, Multiplier: 1, MaxAttempts: 5},
-	}, Options{
-		LeaseTTL:        400 * time.Millisecond,
-		HeartbeatEvery:  40 * time.Millisecond,
+		StateDir:        t.TempDir(),
 		CheckpointEvery: 200,
+		Retry:           retry.Policy{Base: 10 * time.Millisecond, Multiplier: 1, MaxAttempts: 5},
+	}, Options{
+		LeaseTTL:       400 * time.Millisecond,
+		HeartbeatEvery: 40 * time.Millisecond,
 	})
 	victim, _ := f.startWorker(WorkerOptions{ID: "victim", Dir: t.TempDir()})
 

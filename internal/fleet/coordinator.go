@@ -37,9 +37,6 @@ type Options struct {
 	// their attempts. Zero value → the manager's own policy (whole jobs
 	// always use the manager's policy via RequeueExternal).
 	Retry retry.Policy
-	// CheckpointEvery is the local-checkpoint move interval workers are
-	// told to use for resumable jobs (0 → 5000).
-	CheckpointEvery int
 	// StateDir persists the fencing-epoch high-water mark so leases
 	// granted after a coordinator restart outfence everything granted
 	// before it. Point it at the manager's state directory. Empty is
@@ -113,9 +110,6 @@ func NewCoordinator(mgr *server.Manager, opt Options) *Coordinator {
 	}
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = opt.LeaseTTL / 3
-	}
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 5000
 	}
 	rpol := opt.Retry
 	if rpol == (retry.Policy{}) {
@@ -303,9 +297,10 @@ func (c *Coordinator) claimFresh(worker string) *ClaimResponse {
 // c.mu.
 func (c *Coordinator) claimResponseLocked(l *lease) *ClaimResponse {
 	j := l.job
-	opt := j.Options
-	// The worker runs exactly one anneal, seeded as oblx.RunBest seeds
-	// its run of the same index.
+	// The job's options as a local worker would launch them (the
+	// daemon's progress cadence included); the worker runs exactly one
+	// anneal, seeded as oblx.RunBest seeds its run of the same index.
+	opt := c.mgr.LaunchOptions(j)
 	opt.Seed = oblx.RunSeed(opt.Seed, l.key.run)
 	opt.Runs = 1
 	cr := &ClaimResponse{
@@ -321,9 +316,9 @@ func (c *Coordinator) claimResponseLocked(l *lease) *ClaimResponse {
 	}
 	if l.multi == nil {
 		// Checkpoint/resume is a single-run feature, exactly as in the
-		// standalone daemon.
+		// standalone daemon, at the manager's cadence.
 		cr.Resumable = true
-		cr.CheckpointEvery = c.opt.CheckpointEvery
+		cr.CheckpointEvery = c.mgr.CheckpointEvery()
 		cr.Checkpoint = c.mgr.ResumePayload(j)
 	}
 	return cr
@@ -484,8 +479,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // finalizeMultiLocked checks whether every run of a multi-start job is
 // terminal and, if so, removes the fan-out record and returns the best
-// result (oblx.RunBest's preference: done beats failed, dc-solved
-// beats not, lower total cost wins). Callers hold c.mu.
+// result: a done run beats a failed one, then oblx.Beats decides, as in
+// oblx.RunBest, and a tie keeps the lower run index. Callers hold c.mu.
 func (c *Coordinator) finalizeMultiLocked(mj *multiJob) *server.JobResult {
 	if len(mj.results) < mj.runs {
 		return nil
@@ -501,15 +496,13 @@ func (c *Coordinator) finalizeMultiLocked(mj *multiJob) *server.JobResult {
 			return false
 		case bv == nil:
 			return true
-		case av.DCSolved != bv.DCSolved:
-			return av.DCSolved
 		default:
-			return av.Cost.Total < bv.Cost.Total
+			return oblx.Beats(av.DCSolved, av.Cost.Total, bv.DCSolved, bv.Cost.Total)
 		}
 	}
 	var best *server.JobResult
-	for _, r := range mj.results {
-		if best == nil || better(r, best) {
+	for run := 0; run < mj.runs; run++ {
+		if r := mj.results[run]; best == nil || better(r, best) {
 			best = r
 		}
 	}

@@ -65,8 +65,10 @@ type ClaimResponse struct {
 	// subsequent message about this run.
 	Epoch uint64 `json:"epoch"`
 	Deck  string `json:"deck"`
-	// Options are the job's synthesis knobs with Runs forced to 1 and
-	// Seed already offset for this run index.
+	// Options are the job's synthesis knobs as the coordinator's manager
+	// launches them (Manager.LaunchOptions: the daemon's progress cadence
+	// when the job sets none), with Runs forced to 1 and Seed already
+	// offset for this run index.
 	Options server.JobOptions `json:"options"`
 	// Resumable marks a single-run job: the worker checkpoints locally,
 	// ships snapshots, and resumes from Checkpoint when present.

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"astrx/internal/metrics"
+	"astrx/internal/netlist"
+	"astrx/internal/oblx"
 	"astrx/internal/server"
 
 	"log/slog"
@@ -232,7 +234,8 @@ func (f *testFleet) waitState(id string, want server.State, timeout time.Duratio
 		if st.State == want {
 			return st
 		}
-		if st.State.Terminal() {
+		if st.State == server.StateDone || st.State == server.StateFailed ||
+			st.State == server.StateCancelled || st.State == server.StatePoisoned {
 			f.t.Fatalf("job %s reached %s (err %q), want %s", id, st.State, st.Error, want)
 		}
 		if time.Now().After(deadline) {
@@ -274,9 +277,37 @@ func (f *testFleet) healthz() server.Health {
 // that a healthy worker never expires by accident.
 func fastFleetOptions() Options {
 	return Options{
-		LeaseTTL:        3 * time.Second,
-		HeartbeatEvery:  50 * time.Millisecond,
-		CheckpointEvery: 500,
+		LeaseTTL:       3 * time.Second,
+		HeartbeatEvery: 50 * time.Millisecond,
+	}
+}
+
+// TestFleetRunUsesDaemonProgressCadence: a fleet run streams progress
+// at the cadence a local run of the same job would — the manager's
+// ProgressEvery for a job that sets none, the job's own otherwise —
+// because the coordinator launches from the manager's LaunchOptions.
+func TestFleetRunUsesDaemonProgressCadence(t *testing.T) {
+	got := make(chan int, 2)
+	orig := workerSynth
+	defer func() { workerSynth = orig }()
+	workerSynth = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+		got <- opt.ProgressEvery
+		return orig(ctx, deck, opt)
+	}
+
+	f := startFleet(t, server.Options{ProgressEvery: 50}, fastFleetOptions())
+	f.startWorker(WorkerOptions{ID: "w1"})
+	for _, tc := range []struct{ job, want int }{{0, 50}, {70, 70}} {
+		id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 1000, ProgressEvery: tc.job})
+		select {
+		case every := <-got:
+			if every != tc.want {
+				t.Errorf("job progress_every %d: the worker's run got %d, want %d", tc.job, every, tc.want)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("no run launched")
+		}
+		f.waitState(id, server.StateDone, 120*time.Second)
 	}
 }
 
@@ -284,7 +315,7 @@ func fastFleetOptions() Options {
 // pair over HTTP: claim, heartbeats with progress, completion — then
 // checks the operational surfaces (healthz fleet section, metrics).
 func TestFleetLifecycle(t *testing.T) {
-	f := startFleet(t, server.Options{StateDir: t.TempDir()}, fastFleetOptions())
+	f := startFleet(t, server.Options{StateDir: t.TempDir(), CheckpointEvery: 500}, fastFleetOptions())
 	f.startWorker(WorkerOptions{ID: "w1", Dir: t.TempDir()})
 
 	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 3000})
@@ -335,7 +366,7 @@ func TestFleetLifecycle(t *testing.T) {
 // declares.
 func TestFleetWorkerForwardsCorners(t *testing.T) {
 	deck := testDeck + "\n.corner slow vdd=2.4\n.corner fast vdd=2.6\n"
-	f := startFleet(t, server.Options{}, fastFleetOptions())
+	f := startFleet(t, server.Options{CheckpointEvery: 500}, fastFleetOptions())
 	f.startWorker(WorkerOptions{ID: "w1"})
 	for _, c := range []struct {
 		corners []string
@@ -372,7 +403,7 @@ func TestFleetWorkerForwardsCorners(t *testing.T) {
 // TestFleetMultiRunFanOut checks that a Runs=3 job fans out as per-run
 // leases across two workers and commits exactly one final result.
 func TestFleetMultiRunFanOut(t *testing.T) {
-	f := startFleet(t, server.Options{}, fastFleetOptions())
+	f := startFleet(t, server.Options{CheckpointEvery: 500}, fastFleetOptions())
 	f.startWorker(WorkerOptions{ID: "w1"})
 	f.startWorker(WorkerOptions{ID: "w2"})
 
@@ -388,6 +419,42 @@ func TestFleetMultiRunFanOut(t *testing.T) {
 	f.coord.mu.Unlock()
 	if nMultis != 0 || nLeases != 0 {
 		t.Errorf("leaked fan-out state: %d multis, %d leases", nMultis, nLeases)
+	}
+}
+
+// TestFinalizeMultiPicksRunBestWinner: a fanned-out job commits the run
+// oblx.RunBest would keep — a done run beats a failed one, then
+// oblx.Beats (dc-solved first, then lower cost) — and a tie keeps the
+// lower run index, as RunBest's scan in run order does.
+func TestFinalizeMultiPicksRunBestWinner(t *testing.T) {
+	done := func(id string, solved bool, cost float64) *server.JobResult {
+		return &server.JobResult{ID: id, State: server.StateDone,
+			Result: &oblx.ResultView{DCSolved: solved, Cost: oblx.CostView{Total: cost}}}
+	}
+	failed := &server.JobResult{ID: "failed", State: server.StateFailed}
+	for _, tc := range []struct {
+		results []*server.JobResult
+		want    string
+	}{
+		{[]*server.JobResult{failed, done("cheap", false, 1), done("solved", true, 5)}, "solved"},
+		{[]*server.JobResult{done("unsolved", false, 1), failed}, "unsolved"},
+		{[]*server.JobResult{done("r0", true, 3), done("r1", true, 2), done("r2", true, 2)}, "r1"},
+		{[]*server.JobResult{failed, failed}, "failed"},
+	} {
+		for range 20 { // a map-ordered scan would pick ties at random
+			mj := &multiJob{job: &server.Job{ID: "j"}, runs: len(tc.results),
+				results: make(map[int]*server.JobResult)}
+			for i, r := range tc.results {
+				mj.results[i] = r
+			}
+			c := &Coordinator{multis: map[string]*multiJob{"j": mj}}
+			if got := c.finalizeMultiLocked(mj); got == nil || got.ID != tc.want {
+				t.Fatalf("winner of %d runs = %+v, want %s", len(tc.results), got, tc.want)
+			}
+			if len(c.multis) != 0 {
+				t.Fatal("finalized fan-out record not removed")
+			}
+		}
 	}
 }
 
@@ -423,7 +490,7 @@ func TestWorkerRegistryLiveness(t *testing.T) {
 // TestFleetQueueDepthInHealth checks queue_depth surfaces jobs waiting
 // for a claim (no worker is running in this test).
 func TestFleetQueueDepthInHealth(t *testing.T) {
-	f := startFleet(t, server.Options{}, fastFleetOptions())
+	f := startFleet(t, server.Options{CheckpointEvery: 500}, fastFleetOptions())
 	f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 1000})
 	f.submit(testDeck, server.JobOptions{Seed: 2, MaxMoves: 1000})
 

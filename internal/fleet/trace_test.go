@@ -92,7 +92,7 @@ func TestFleetTraceparentPropagation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := startFleet(t, server.Options{}, fastFleetOptions())
+			f := startFleet(t, server.Options{CheckpointEvery: 500}, fastFleetOptions())
 			id := f.submitTraced(testDeck, server.JobOptions{Seed: 1, MaxMoves: 1000}, c.tp)
 
 			sum := f.getTrace(id)
@@ -172,7 +172,7 @@ func TestFleetTraceparentPropagation(t *testing.T) {
 func TestFleetStageTiming(t *testing.T) {
 	opt := fastFleetOptions()
 	opt.LeaseTTL, opt.HeartbeatEvery = 10*time.Second, 2*time.Second
-	f := startFleet(t, server.Options{}, opt)
+	f := startFleet(t, server.Options{CheckpointEvery: 500}, opt)
 	f.startWorker(WorkerOptions{ID: "w1"})
 	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 8000, NoFreeze: true})
 	f.waitState(id, server.StateDone, 120*time.Second)
@@ -213,7 +213,7 @@ func TestFleetStageTiming(t *testing.T) {
 // histogram, so after one job the two counts agree stage by stage.
 func TestFleetStageHistograms(t *testing.T) {
 	reg := metrics.New()
-	f := startFleet(t, server.Options{Registry: reg}, fastFleetOptions())
+	f := startFleet(t, server.Options{Registry: reg, CheckpointEvery: 500}, fastFleetOptions())
 	f.startWorker(WorkerOptions{ID: "w1"})
 	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 4000, NoFreeze: true})
 	f.waitState(id, server.StateDone, 120*time.Second)
@@ -243,12 +243,12 @@ func TestFleetTraceKillResume(t *testing.T) {
 		clientSpan = "00f067aa0ba902b7"
 	)
 	f := startFleet(t, server.Options{
-		StateDir: t.TempDir(),
-		Retry:    retry.Policy{Base: 10 * time.Millisecond, Multiplier: 1, MaxAttempts: 5},
-	}, Options{
-		LeaseTTL:        400 * time.Millisecond,
-		HeartbeatEvery:  40 * time.Millisecond,
+		StateDir:        t.TempDir(),
 		CheckpointEvery: 200,
+		Retry:           retry.Policy{Base: 10 * time.Millisecond, Multiplier: 1, MaxAttempts: 5},
+	}, Options{
+		LeaseTTL:       400 * time.Millisecond,
+		HeartbeatEvery: 40 * time.Millisecond,
 	})
 	victim, _ := f.startWorker(WorkerOptions{ID: "victim", Dir: t.TempDir()})
 
@@ -359,12 +359,12 @@ func rootMoveNumbers(t *testing.T, sum server.TraceSummary) []string {
 // delivered.
 func TestFleetKillKeepsHeartbeatMoves(t *testing.T) {
 	f := startFleet(t, server.Options{
-		StateDir: t.TempDir(),
-		Retry:    retry.Policy{Base: time.Hour, Max: time.Hour, Multiplier: 1, MaxAttempts: 5},
-	}, Options{
-		LeaseTTL:        400 * time.Millisecond,
-		HeartbeatEvery:  40 * time.Millisecond,
+		StateDir:        t.TempDir(),
 		CheckpointEvery: 200,
+		Retry:           retry.Policy{Base: time.Hour, Max: time.Hour, Multiplier: 1, MaxAttempts: 5},
+	}, Options{
+		LeaseTTL:       400 * time.Millisecond,
+		HeartbeatEvery: 40 * time.Millisecond,
 	})
 	victim, _ := f.startWorker(WorkerOptions{ID: "victim", Dir: t.TempDir()})
 	id := f.submit(testDeck, server.JobOptions{Seed: 1, MaxMoves: 60_000})

@@ -158,23 +158,19 @@ func (w *Worker) runLease(ctx context.Context, cr *ClaimResponse) {
 	var progMu sync.Mutex
 	var latest *oblx.ProgressEvent
 
-	// Stage timing at the daemon's cadence: the anneal span carries the
+	// The claim carries the job's options as the coordinator's manager
+	// launches them; the mapping onto oblx is the local worker's. Stage
+	// timing runs at the daemon's cadence: the anneal span carries the
 	// stage.<name>_us means, and oblx.Run records each sample as an eval
 	// span shipped with the lease's other spans, as for a local job.
-	opt := oblx.Options{
-		Seed:          cr.Options.Seed,
-		MaxMoves:      cr.Options.MaxMoves,
-		NoFreeze:      cr.Options.NoFreeze,
-		Corners:       cr.Options.Corners,
-		ProgressEvery: cr.Options.ProgressEvery,
-		StageTimer:    telemetry.NewEvalTimer(telemetry.DefaultSampleEvery),
-		Trace:         rec,
-		Progress: func(ev oblx.ProgressEvent) {
-			ev.Run = cr.Run
-			progMu.Lock()
-			latest = &ev
-			progMu.Unlock()
-		},
+	opt := cr.Options.RunOptions()
+	opt.StageTimer = telemetry.NewEvalTimer(telemetry.DefaultSampleEvery)
+	opt.Trace = rec
+	opt.Progress = func(ev oblx.ProgressEvent) {
+		ev.Run = cr.Run
+		progMu.Lock()
+		latest = &ev
+		progMu.Unlock()
 	}
 	if cr.Resumable && w.opt.Dir != "" {
 		opt.CheckpointPath = filepath.Join(w.opt.Dir, "job-"+cr.JobID+".ckpt")

@@ -42,7 +42,7 @@ import (
 // Options tunes a synthesis run.
 type Options struct {
 	Seed     int64
-	MaxMoves int // annealing move budget (0 → 150_000)
+	MaxMoves int // annealing move budget (0 → DefaultMaxMoves)
 
 	// NoFreeze disables the freezing criterion so the run consumes its
 	// whole move budget — fixed-budget experiments and fault-injection
@@ -58,8 +58,8 @@ type Options struct {
 	Corners []string
 
 	// Progress, when set, receives a ProgressEvent every ProgressEvery
-	// moves (0 → 500) — the hook behind the synthesis service's SSE feed
-	// and move events, and the samples Fig. 2 plots. Each event costs
+	// moves (0 → DefaultProgressEvery) — the hook behind the synthesis
+	// service's SSE feed and move events, and the samples Fig. 2 plots. Each event costs
 	// one extra circuit evaluation (spec values and the KCL residual are
 	// measured at the current point), so the default cadence adds ~0.2%
 	// overhead. The callback runs synchronously on the annealing
@@ -71,7 +71,7 @@ type Options struct {
 	// snapshot there every CheckpointEvery moves (atomically: tmp file
 	// + rename), and once more at the point of context cancellation.
 	CheckpointPath  string
-	CheckpointEvery int // moves between checkpoints (0 → 5000)
+	CheckpointEvery int // moves between checkpoints (0 → DefaultCheckpointEvery)
 
 	// Resume restores a run from a checkpoint previously written via
 	// CheckpointPath (load it with LoadCheckpoint). The deck must be the
@@ -105,12 +105,24 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
+// The run defaults every surface reads rather than restates: the move
+// budget of one run, and the move intervals between checkpoints and
+// between progress events.
+const (
+	DefaultMaxMoves        = 120_000
+	DefaultCheckpointEvery = 5000
+	DefaultProgressEvery   = 500
+)
+
 func (o *Options) defaults() {
 	if o.MaxMoves == 0 {
-		o.MaxMoves = 150_000
+		o.MaxMoves = DefaultMaxMoves
 	}
 	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 5000
+		o.CheckpointEvery = DefaultCheckpointEvery
+	}
+	if o.ProgressEvery <= 0 {
+		o.ProgressEvery = DefaultProgressEvery
 	}
 }
 
@@ -578,10 +590,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		BestResetAt: weightFreeze,
 	}
 	if opt.Progress != nil {
-		every := opt.ProgressEvery
-		if every <= 0 {
-			every = 500
-		}
 		// The progress hook measures the nominal lane on its own
 		// reporting workspace, never on one of the annealer's lanes:
 		// their unstable counters feed Failures.Unstable and the
@@ -592,7 +600,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			repWS  *astrx.EvalWorkspace
 			nomBuf []float64
 		)
-		annealOpt.ProgressEvery = every
+		annealOpt.ProgressEvery = opt.ProgressEvery
 		annealOpt.Progress = func(tp anneal.TracePoint) {
 			ev := ProgressEvent{
 				Move: tp.Move, MaxMoves: opt.MaxMoves, Evals: p.evals,
@@ -776,22 +784,32 @@ const reseedOffset = 104729
 // the runs a fleet fans out use the same seeds.
 func RunSeed(seed int64, i int) int64 { return seed + int64(i)*7919 }
 
-// RunBest runs n independent seeded anneals (the paper's "5-10 annealing
-// runs performed overnight") in parallel goroutines and returns the
-// lowest-cost surviving result, every successful per-run result, and a
-// per-run error slice (nil entries for successes). A failed run is
-// retried once with a reseeded stream after a short backoff; if it fails
-// again it is reported in its error slot but no longer discards its
-// successful siblings. Only when every run fails is the best result nil.
+// Beats is the one rule for the winner among a job's runs, in RunBest
+// and the fleet coordinator alike: a dc-correct design beats any cheaper
+// fiction, then the lower total cost wins.
+func Beats(aDCSolved bool, aCost float64, bDCSolved bool, bCost float64) bool {
+	if aDCSolved != bDCSolved {
+		return aDCSolved
+	}
+	return aCost < bCost
+}
+
+// RunBest is the one launcher for a synthesis request: it returns the
+// best of n seeded runs (the paper's "5-10 annealing runs performed
+// overnight") and each run's error (nil for a success). The best result
+// is nil only when every run failed. For n ≤ 1 it is exactly Run.
 //
+// For n > 1 the runs are parallel goroutines seeded by RunSeed. A failed
+// run is retried once with a reseeded stream after a short backoff; if
+// it fails again it is reported in its error slot but does not discard
+// its successful siblings. Checkpointing is a single-run feature:
+// CheckpointPath and Resume are ignored (n runs would race on one file).
 // Cancelling ctx stops all runs; each returns its best-so-far design, so
 // a deadline-bounded RunBest still yields n usable candidates.
-//
-// Checkpointing is a single-run feature: CheckpointPath/Resume are
-// ignored here (n parallel runs would race on one file).
-func RunBest(ctx context.Context, deck *netlist.Deck, n int, opt Options) (*Result, []*Result, []error) {
-	if n <= 0 {
-		n = 1
+func RunBest(ctx context.Context, deck *netlist.Deck, n int, opt Options) (*Result, []error) {
+	if n <= 1 {
+		r, err := runFn(ctx, deck, opt)
+		return r, []error{err}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -844,21 +862,13 @@ func RunBest(ctx context.Context, deck *netlist.Deck, n int, opt Options) (*Resu
 	wg.Wait()
 
 	var best *Result
-	all := make([]*Result, 0, n)
-	better := func(a, b *Result) bool { // is a better than b?
-		if a.DCSolved != b.DCSolved {
-			return a.DCSolved // a dc-correct design beats any cheaper fiction
-		}
-		return a.Cost.Total < b.Cost.Total
-	}
 	for i, r := range results {
 		if errs[i] != nil || r == nil {
 			continue
 		}
-		all = append(all, r)
-		if best == nil || better(r, best) {
+		if best == nil || Beats(r.DCSolved, r.Cost.Total, best.DCSolved, best.Cost.Total) {
 			best = r
 		}
 	}
-	return best, all, errs
+	return best, errs
 }

@@ -2,7 +2,9 @@ package oblx
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"astrx/internal/astrx"
@@ -161,22 +163,102 @@ func TestSynthesizeDiffAmp(t *testing.T) {
 
 func TestRunBestPicksLowestCost(t *testing.T) {
 	deck := parse(t, dividerDeck)
-	best, all, errs := RunBest(context.Background(), deck, 3, Options{Seed: 11, MaxMoves: 6_000})
+	all := recordRuns(t)
+	best, errs := RunBest(context.Background(), deck, 3, Options{Seed: 11, MaxMoves: 6_000})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if len(all) != 3 {
-		t.Fatalf("runs = %d", len(all))
+	if len(*all) != 3 {
+		t.Fatalf("runs = %d", len(*all))
 	}
-	for _, r := range all {
-		if r.Cost.Total < best.Cost.Total {
-			t.Error("RunBest did not return the lowest-cost run")
+	for _, r := range *all {
+		if Beats(r.DCSolved, r.Cost.Total, best.DCSolved, best.Cost.Total) {
+			t.Error("RunBest did not return the winning run")
 		}
 	}
 	if math.IsNaN(best.Cost.Total) {
 		t.Error("best cost NaN")
+	}
+}
+
+// recordRuns routes RunBest's launches through Run and records every
+// result, until the test ends.
+func recordRuns(t *testing.T) *[]*Result {
+	t.Helper()
+	var (
+		mu  sync.Mutex
+		all []*Result
+	)
+	runFn = func(ctx context.Context, deck *netlist.Deck, o Options) (*Result, error) {
+		r, err := Run(ctx, deck, o)
+		if err == nil {
+			mu.Lock()
+			all = append(all, r)
+			mu.Unlock()
+		}
+		return r, err
+	}
+	t.Cleanup(func() { runFn = Run })
+	return &all
+}
+
+// TestRunBestSingleIsRun: for n ≤ 1 RunBest is exactly Run — opt's own
+// seed, its checkpoint path and resume point passed through, and a
+// failure reported without a reseeded retry.
+func TestRunBestSingleIsRun(t *testing.T) {
+	ck := &Checkpoint{Seed: 5}
+	var calls []Options
+	runFn = func(ctx context.Context, deck *netlist.Deck, o Options) (*Result, error) {
+		calls = append(calls, o)
+		if o.Seed == 13 {
+			return nil, errors.New("synthetic failure")
+		}
+		return &Result{Seed: o.Seed}, nil
+	}
+	defer func() { runFn = Run }()
+
+	for _, n := range []int{-1, 0, 1} {
+		calls = nil
+		best, errs := RunBest(context.Background(), nil, n,
+			Options{Seed: 5, CheckpointPath: "run.ckpt", Resume: ck})
+		if len(errs) != 1 || errs[0] != nil || best == nil || best.Seed != 5 {
+			t.Fatalf("n=%d: best %+v errs %v, want the seed-5 run", n, best, errs)
+		}
+		if len(calls) != 1 || calls[0].CheckpointPath != "run.ckpt" || calls[0].Resume != ck {
+			t.Fatalf("n=%d: launches %+v, want one with the checkpoint options", n, calls)
+		}
+	}
+	calls = nil
+	best, errs := RunBest(context.Background(), nil, 1, Options{Seed: 13})
+	if best != nil || len(errs) != 1 || errs[0] == nil {
+		t.Fatalf("failed single run: best %+v errs %v", best, errs)
+	}
+	if len(calls) != 1 {
+		t.Fatalf("failed single run launched %d times, want 1 (no reseeded retry)", len(calls))
+	}
+}
+
+func TestBeats(t *testing.T) {
+	cases := []struct {
+		aSolved bool
+		aCost   float64
+		bSolved bool
+		bCost   float64
+		want    bool
+	}{
+		{true, 10, false, 1, true},  // dc-correct beats a cheaper fiction
+		{false, 1, true, 10, false}, // and loses to nothing unsolved
+		{true, 1, true, 2, true},
+		{false, 2, false, 1, false},
+		{true, 1, true, 1, false}, // a tie keeps the incumbent
+	}
+	for _, c := range cases {
+		if got := Beats(c.aSolved, c.aCost, c.bSolved, c.bCost); got != c.want {
+			t.Errorf("Beats(%v, %g, %v, %g) = %v, want %v",
+				c.aSolved, c.aCost, c.bSolved, c.bCost, got, c.want)
+		}
 	}
 }
 

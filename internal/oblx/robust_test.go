@@ -69,7 +69,8 @@ func TestRunBestTimeoutReturnsBestSoFar(t *testing.T) {
 	deck := parse(t, dividerDeck)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	best, all, errs := RunBest(ctx, deck, 2, Options{
+	all := recordRuns(t)
+	best, errs := RunBest(ctx, deck, 2, Options{
 		Seed: 7, MaxMoves: 50_000_000, NoFreeze: true,
 	})
 	for i, err := range errs {
@@ -80,10 +81,10 @@ func TestRunBestTimeoutReturnsBestSoFar(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best result from a timeout-bounded RunBest")
 	}
-	if len(all) != 2 {
-		t.Fatalf("surviving runs = %d, want 2", len(all))
+	if len(*all) != 2 {
+		t.Fatalf("surviving runs = %d, want 2", len(*all))
 	}
-	for i, r := range all {
+	for i, r := range *all {
 		if !r.Cancelled {
 			t.Errorf("run %d: Cancelled not set", i)
 		}
@@ -293,7 +294,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 // TestRunBestRetriesFailedRun exercises the degrade-gracefully path with
 // a stubbed runner: run 0 fails on its first seed, succeeds on the
-// reseeded retry; run 1 succeeds outright. Nothing may be discarded.
+// reseeded retry; run 1 succeeds outright. The retry's result is the
+// cheapest, so it wins only if it was kept.
 func TestRunBestRetriesFailedRun(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[int64]int{}
@@ -304,21 +306,18 @@ func TestRunBestRetriesFailedRun(t *testing.T) {
 		if o.Seed == 11 {
 			return nil, errors.New("synthetic failure")
 		}
-		return &Result{Seed: o.Seed, Cost: astrx.CostBreakdown{Total: float64(o.Seed)}}, nil
+		return &Result{Seed: o.Seed, Cost: astrx.CostBreakdown{Total: -float64(o.Seed)}}, nil
 	}
 	defer func() { runFn = Run }()
 
-	best, all, errs := RunBest(context.Background(), nil, 2, Options{Seed: 11})
+	best, errs := RunBest(context.Background(), nil, 2, Options{Seed: 11})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if len(all) != 2 {
-		t.Fatalf("surviving runs = %d, want 2", len(all))
-	}
-	if best == nil || best.Seed != 11+7919 {
-		t.Errorf("best = %+v, want the run-1 result (lowest cost)", best)
+	if best == nil || best.Seed != 11+reseedOffset {
+		t.Errorf("best = %+v, want run 0's reseeded retry (lowest cost)", best)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -335,9 +334,9 @@ func TestRunBestAllFailed(t *testing.T) {
 	}
 	defer func() { runFn = Run }()
 
-	best, all, errs := RunBest(context.Background(), nil, 3, Options{Seed: 1})
-	if best != nil || len(all) != 0 {
-		t.Errorf("best=%v survivors=%d, want total failure", best, len(all))
+	best, errs := RunBest(context.Background(), nil, 3, Options{Seed: 1})
+	if best != nil || len(errs) != 3 {
+		t.Errorf("best=%v errs=%d, want total failure over 3 runs", best, len(errs))
 	}
 	for i, err := range errs {
 		if err == nil {
@@ -357,12 +356,12 @@ func TestRunBestSurvivesRunPanic(t *testing.T) {
 	}
 	defer func() { runFn = Run }()
 
-	best, all, errs := RunBest(context.Background(), nil, 2, Options{Seed: 1})
+	best, errs := RunBest(context.Background(), nil, 2, Options{Seed: 1})
 	if best == nil {
 		t.Fatal("sibling result discarded after a run panic")
 	}
-	if len(all) == 0 {
-		t.Fatal("no survivors")
+	if errs[1] != nil {
+		t.Errorf("sibling run failed: %v", errs[1])
 	}
 	if errs[0] == nil {
 		t.Error("panicked run not reported in its error slot")

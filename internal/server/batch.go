@@ -76,33 +76,19 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // SubmitBatch admits every child upfront and submits them as child
 // jobs, all-or-nothing: a child that fails the checks a single submit
-// runs (its deck, corners, option limits and cache key; admit) rejects
-// the whole batch before any child exists, and a mid-batch admission
-// failure (quota, queue full, draining) rolls already-created children
-// back by cancelling them. On success every child is queued (or already
-// done via the result cache) under the tenant's lane.
-func (m *Manager) SubmitBatch(items []batchItem, requestID, tenant string) (*Batch, error) {
-	if len(items) == 0 {
-		return nil, &DeckError{Err: fmt.Errorf("server: batch has no jobs")}
+// runs rejects the whole batch before any child exists (admitBatch),
+// and a mid-batch admission failure (quota, queue full, draining) rolls
+// already-created children back by cancelling them. On success every
+// child is queued (or already done via the result cache) under the
+// tenant's lane, each with from as its origin.
+func (m *Manager) SubmitBatch(items []batchItem, from Origin) (*Batch, error) {
+	admitted, err := m.admitBatch(items)
+	if err != nil {
+		return nil, err
 	}
-	if len(items) > maxBatchJobs {
-		return nil, &DeckError{Err: fmt.Errorf("server: batch of %d jobs exceeds the limit %d",
-			len(items), maxBatchJobs)}
-	}
-	// Upfront admission — the checks SubmitAs runs — so a bad child
-	// names its index and rejects the batch before any child job exists.
-	admitted := make([]admission, len(items))
-	for i, it := range items {
-		a, err := m.admit(it.Deck, it.Options)
-		if err != nil {
-			return nil, &DeckError{Err: fmt.Errorf("server: batch job %d: %w", i, err)}
-		}
-		admitted[i] = a
-	}
-
-	b := &Batch{ID: newID(), Tenant: tenant, Created: time.Now()}
+	b := &Batch{ID: newID(), Tenant: from.Tenant, Created: time.Now()}
 	for i, a := range admitted {
-		j, err := m.submitAdmitted(a, requestID, tenant, "", time.Now())
+		j, err := m.submitAdmitted(a, from, time.Now())
 		if err != nil {
 			// Roll back: cancel the children created so far (still
 			// queued or instant cache hits; cancelling a terminal child
@@ -118,8 +104,30 @@ func (m *Manager) SubmitBatch(items []batchItem, requestID, tenant string) (*Bat
 	m.mu.Lock()
 	m.batches[b.ID] = b
 	m.mu.Unlock()
-	m.log.Info("batch queued", "batch", b.ID, "tenant", tenant, "jobs", len(b.jobs))
+	m.log.Info("batch queued", "batch", b.ID, "tenant", from.Tenant, "jobs", len(b.jobs))
 	return b, nil
+}
+
+// admitBatch runs a single submit's checks (admit) on every child of a
+// batch, so a bad child names its index and rejects the batch before any
+// child job exists. Every error it returns is a *DeckError (HTTP 400).
+func (m *Manager) admitBatch(items []batchItem) ([]admission, error) {
+	if len(items) == 0 {
+		return nil, &DeckError{Err: fmt.Errorf("server: batch has no jobs")}
+	}
+	if len(items) > maxBatchJobs {
+		return nil, &DeckError{Err: fmt.Errorf("server: batch of %d jobs exceeds the limit %d",
+			len(items), maxBatchJobs)}
+	}
+	admitted := make([]admission, len(items))
+	for i, it := range items {
+		a, err := m.admit(it.Deck, it.Options)
+		if err != nil {
+			return nil, &DeckError{Err: fmt.Errorf("server: batch job %d: %w", i, err)}
+		}
+		admitted[i] = a
+	}
+	return admitted, nil
 }
 
 // GetBatch returns a batch by ID, or nil.
@@ -155,7 +163,7 @@ func (m *Manager) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := readJSONBody(w, r, &req); err != nil {
 		return // readJSONBody wrote the error
 	}
-	b, err := m.SubmitBatch(req.Jobs, r.Header.Get("X-Request-Id"), tenantFrom(r))
+	b, err := m.SubmitBatch(req.Jobs, Origin{RequestID: r.Header.Get("X-Request-Id"), Tenant: tenantFrom(r)})
 	if err != nil {
 		m.writeSubmitErr(w, err)
 		return

@@ -56,14 +56,14 @@ func TestChaosTornWritesNeverLoseJobs(t *testing.T) {
 	// it is killed in the middle of.
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 3000})
+		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 3000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
 	}
 	for i := 0; i < 2; i++ {
-		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(10 + i), MaxMoves: 5_000_000})
+		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(10 + i), MaxMoves: 5_000_000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestChaosCorruptCheckpointRestartsFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 8_000_000, ProgressEvery: 100})
+	j1, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 8_000_000, ProgressEvery: 100}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestChaosCorruptCheckpointRestartsFromScratch(t *testing.T) {
 func TestStallSupervisionRequeuesThenPoisons(t *testing.T) {
 	orig := synthesize
 	defer func() { synthesize = orig }()
-	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+	synthesize = oneRun(func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
 		if opt.Progress != nil {
 			opt.Progress(oblx.ProgressEvent{Move: 1, MaxMoves: opt.MaxMoves})
 		}
 		<-ctx.Done() // stall: no further progress until the watchdog kills us
 		return nil, ctx.Err()
-	}
+	})
 
 	m := newTestManager(t, Options{
 		Workers:      1,
@@ -205,7 +205,7 @@ func TestStallSupervisionRequeuesThenPoisons(t *testing.T) {
 	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
 
-	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestStallSupervisionRequeuesThenPoisons(t *testing.T) {
 // recorded as a user cancellation or retried.
 func TestJobDeadlineFailsTerminally(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 1, JobDeadline: 300 * time.Millisecond})
-	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 500_000_000, ProgressEvery: 100})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 500_000_000, ProgressEvery: 100}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestDegradedModeFlipsAndHeals(t *testing.T) {
 	waitState(t, m.Get(long), StateRunning, time.Minute)
 
 	ffs.fail.Store(true)
-	if _, err := m.Submit(testDeck, JobOptions{Seed: 2, MaxMoves: 4000}); err != nil {
+	if _, err := m.Submit(testDeck, JobOptions{Seed: 2, MaxMoves: 4000}, Origin{}); err != nil {
 		t.Fatal(err) // persist failure degrades, it does not reject the job
 	}
 	if h := m.Health(); h.Status != "degraded" || h.StateDirWritable {
@@ -406,7 +406,7 @@ func TestDegradedModeFlipsAndHeals(t *testing.T) {
 	}
 
 	ffs.fail.Store(false)
-	if _, err := m.Submit(testDeck, JobOptions{Seed: 3, MaxMoves: 4000}); err != nil {
+	if _, err := m.Submit(testDeck, JobOptions{Seed: 3, MaxMoves: 4000}, Origin{}); err != nil {
 		t.Fatal(err)
 	}
 	if h := m.Health(); h.Status != "ok" || !h.StateDirWritable {
@@ -423,7 +423,7 @@ func TestDegradedModeIgnoresStaleHeal(t *testing.T) {
 	ffs := &flakyFS{FS: durable.OS}
 	// ExternalExec: no local workers, so the only writes are this test's.
 	m := newTestManager(t, Options{ExternalExec: true, StateDir: t.TempDir(), FS: ffs})
-	j, err := m.Submit(testDeck, JobOptions{Seed: 1})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestRetryAfterEstimateTracksJobDurations(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 1000}); err != nil {
+		if _, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 1000}, Origin{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -102,9 +102,7 @@ func (m *Manager) PutCheckpointPayload(j *Job, payload []byte) error {
 		return fmt.Errorf("server: shipped checkpoint for job %s: %w", j.ID, err)
 	}
 	j.mu.Lock()
-	if j.Options.Runs <= 1 {
-		j.resume = ck
-	}
+	j.resume = ck
 	j.mu.Unlock()
 	if m.opt.StateDir == "" {
 		return nil
@@ -144,10 +142,10 @@ func (m *Manager) QueueDepth() int {
 // manager applies to whole jobs.
 func (m *Manager) RetryPolicy() retry.Policy { return m.rpol }
 
-// Terminal reports whether the state is final (done, failed, or
-// cancelled) — exported for fleet code and tests that watch jobs from
-// outside the package.
-func (s State) Terminal() bool { return s.terminal() }
+// CheckpointEvery is the manager's checkpoint cadence
+// (Options.CheckpointEvery; 0 → oblx's default), which the fleet
+// coordinator hands to the workers of resumable runs.
+func (m *Manager) CheckpointEvery() int { return m.opt.CheckpointEvery }
 
 // RequestID returns the submit-time correlation ID (X-Request-Id or
 // traceparent trace ID). It is immutable once the job is published, so

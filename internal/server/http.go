@@ -239,9 +239,14 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Same convention as the oblx -corners flag: absent/"all" →
 		// every declared corner (cornered decks are robust by default),
 		// "none" → nominal-only, otherwise a comma-separated name list
-		// validated at submit.
+		// validated at submit; a list of blank names is a 400.
 		if s := q.Get("corners"); s != "" {
-			req.Options.Corners = astrx.ParseCorners(s)
+			corners, err := astrx.ParseCorners(s)
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, "query corners: %v", err)
+				return
+			}
+			req.Options.Corners = corners
 		}
 	}
 	if strings.TrimSpace(req.Deck) == "" {
@@ -249,8 +254,11 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, err := m.SubmitTraced(req.Deck, req.Options, r.Header.Get("X-Request-Id"), tenantFrom(r),
-		r.Header.Get("Traceparent"))
+	j, err := m.Submit(req.Deck, req.Options, Origin{
+		RequestID:   r.Header.Get("X-Request-Id"),
+		Tenant:      tenantFrom(r),
+		Traceparent: r.Header.Get("Traceparent"),
+	})
 	if err != nil {
 		m.writeSubmitErr(w, err)
 		return

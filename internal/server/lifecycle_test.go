@@ -20,7 +20,7 @@ const shippedCheckpoint = `{"version":1,"seed":1,"max_moves":3000,"vars":2,"anne
 // would.
 func claimWithCheckpoint(t *testing.T, m *Manager) *Job {
 	t.Helper()
-	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func checkTerminalView(t *testing.T, views <-chan terminalView, want State) {
 func TestTerminalEventFollowsBookkeeping(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		m := newTestManager(t, Options{StateDir: t.TempDir(), Workers: 1, CheckpointEvery: 200})
-		j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000})
+		j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestTerminalEventFollowsBookkeeping(t *testing.T) {
 		orig := synthesize
 		t.Cleanup(func() { synthesize = orig })
 		// A run that checkpoints, then hangs until the watchdog kills it.
-		synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+		synthesize = oneRun(func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
 			ck, err := oblx.DecodeCheckpoint([]byte(shippedCheckpoint))
 			if err == nil {
 				err = oblx.SaveCheckpoint(opt.CheckpointPath, ck)
@@ -224,14 +224,14 @@ func TestTerminalEventFollowsBookkeeping(t *testing.T) {
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		}
+		})
 		m := newTestManager(t, Options{
 			StateDir:     t.TempDir(),
 			Workers:      1,
 			StallTimeout: 60 * time.Millisecond,
 			Retry:        retry.Policy{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond, Multiplier: 2, MaxAttempts: 1},
 		})
-		j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000})
+		j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 3000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestCancelRacesClaim(t *testing.T) {
 	m := newTestManager(t, Options{ExternalExec: true})
 	cancelled, running := 0, 0
 	for i := 0; i < 20; i++ {
-		j, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 3000})
+		j, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 3000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}

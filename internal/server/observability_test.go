@@ -34,6 +34,16 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// oneRun adapts a stand-in for one anneal to the synthesize seam: it is
+// launched once whatever the job's run count, as oblx.RunBest launches
+// Run for one run, and its error fills the one error slot.
+func oneRun(run func(context.Context, *netlist.Deck, oblx.Options) (*oblx.Result, error)) func(context.Context, *netlist.Deck, int, oblx.Options) (*oblx.Result, []error) {
+	return func(ctx context.Context, deck *netlist.Deck, _ int, opt oblx.Options) (*oblx.Result, []error) {
+		r, err := run(ctx, deck, opt)
+		return r, []error{err}
+	}
+}
+
 // stallingSynth stands in for the annealer: it reports one progress
 // sample (move 17, an accepted random move) and then hangs until its
 // context is cancelled, like a run the watchdog must kill.
@@ -84,7 +94,7 @@ func checkStalledMove(t *testing.T, moves []trace.Event) {
 func TestMoveEventsSurviveRestart(t *testing.T) {
 	orig := synthesize
 	defer func() { synthesize = orig }()
-	synthesize = stallingSynth
+	synthesize = oneRun(stallingSynth)
 
 	dir := t.TempDir()
 	m1, err := New(Options{
@@ -97,7 +107,7 @@ func TestMoveEventsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m1.SubmitWithRequestID(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, "req-moves-1")
+	j, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, Origin{RequestID: "req-moves-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,7 @@ func TestRestartKeepsStalledAttemptMoves(t *testing.T) {
 	// cleanup has stopped the worker that reads it.
 	orig := synthesize
 	t.Cleanup(func() { synthesize = orig })
-	synthesize = stallingSynth
+	synthesize = oneRun(stallingSynth)
 
 	dir := t.TempDir()
 	m1, err := New(Options{
@@ -160,7 +170,7 @@ func TestRestartKeepsStalledAttemptMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000})
+	j, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +194,10 @@ func TestRestartKeepsStalledAttemptMoves(t *testing.T) {
 	}
 
 	// ---- restart: the job requeues and runs again, hanging silently ----
-	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+	synthesize = oneRun(func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}
+	})
 	m2 := newTestManager(t, Options{StateDir: dir, Workers: 1})
 	ts := httptest.NewServer(m2.Handler())
 	defer ts.Close()

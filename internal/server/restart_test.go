@@ -280,7 +280,7 @@ func TestRequeueFIFOAcrossRestart(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 1000})
+		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(i + 1), MaxMoves: 1000}, Origin{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,10 +82,11 @@ type JobFailure struct {
 // JobOptions are the per-job synthesis knobs a client may set.
 type JobOptions struct {
 	Seed     int64 `json:"seed,omitempty"`      // 0 → 1
-	MaxMoves int   `json:"max_moves,omitempty"` // 0 → 120 000
+	MaxMoves int   `json:"max_moves,omitempty"` // 0 → oblx.DefaultMaxMoves
 	// Runs is the number of independent seeded anneals (best kept).
-	// Checkpoint/resume is a single-run feature: jobs with Runs > 1
-	// restart from scratch after a daemon kill instead of resuming.
+	// Checkpoint/resume is a single-run feature (oblx.RunBest): jobs
+	// with Runs > 1 restart from scratch after a daemon kill instead of
+	// resuming.
 	Runs     int  `json:"runs,omitempty"` // 0 → 1; at most maxRuns
 	NoFreeze bool `json:"no_freeze,omitempty"`
 	// Corners selects the worst-case corner set: nil → every corner the
@@ -103,15 +104,31 @@ type JobOptions struct {
 // per run; the paper's practice is 5–10 runs.
 const maxRuns = 64
 
+// defaults resolves the options at admission: the result-cache key and
+// the max-moves limit read the resolved move budget.
 func (o *JobOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.MaxMoves <= 0 {
-		o.MaxMoves = 120_000
+		o.MaxMoves = oblx.DefaultMaxMoves
 	}
 	if o.Runs <= 0 {
 		o.Runs = 1
+	}
+}
+
+// RunOptions maps job options onto oblx's: the one mapping local and
+// fleet workers share, applied to Manager.LaunchOptions (a fleet worker:
+// to its claim's options). Callers add the telemetry sinks and the
+// checkpoint file.
+func (o JobOptions) RunOptions() oblx.Options {
+	return oblx.Options{
+		Seed:          o.Seed,
+		MaxMoves:      o.MaxMoves,
+		NoFreeze:      o.NoFreeze,
+		Corners:       o.Corners,
+		ProgressEvery: o.ProgressEvery,
 	}
 }
 
@@ -392,10 +409,12 @@ type Options struct {
 	// Registry receives service metrics (nil → a private registry).
 	Registry *metrics.Registry
 	// CheckpointEvery is the move interval between job checkpoints
-	// (0 → 5000). Only meaningful with a StateDir.
+	// (0 → oblx.DefaultCheckpointEvery). Only meaningful with a
+	// StateDir; a fleet coordinator hands it to its workers.
 	CheckpointEvery int
 	// ProgressEvery is the default move interval between progress
-	// events for jobs that don't set their own (0 → 500).
+	// events for jobs that don't set their own (0 →
+	// oblx.DefaultProgressEvery), on local and fleet workers alike.
 	ProgressEvery int
 	// MaxMovesLimit rejects jobs asking for more than this move budget
 	// (0 → no limit) — an admission-control guard for shared daemons.
@@ -428,12 +447,9 @@ type Options struct {
 	// off.
 	StallTimeout time.Duration
 	// Retry shapes the backoff between supervised attempts of a stalled
-	// job. Zero value → retry.Default(); MaxAttempts below overrides the
-	// policy's cap when set.
+	// job and caps the attempts before it is poisoned. Zero value →
+	// retry.Default() (3 attempts).
 	Retry retry.Policy
-	// MaxAttempts caps supervised execution attempts before a job is
-	// poisoned (0 → the retry policy's own cap; Default is 3).
-	MaxAttempts int
 	// JobDeadline bounds one job's wall-clock run time; a job that
 	// exceeds it fails terminally with a deadline error. 0 → no limit.
 	JobDeadline time.Duration
@@ -527,12 +543,6 @@ func New(opt Options) (*Manager, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 5000
-	}
-	if opt.ProgressEvery <= 0 {
-		opt.ProgressEvery = 500
-	}
 	lg := opt.Logger
 	if lg == nil {
 		lg = telemetry.DiscardLogger()
@@ -544,9 +554,6 @@ func New(opt Options) (*Manager, error) {
 	rpol := opt.Retry
 	if rpol == (retry.Policy{}) {
 		rpol = retry.Default()
-	}
-	if opt.MaxAttempts > 0 {
-		rpol.MaxAttempts = opt.MaxAttempts
 	}
 	fsys := opt.FS
 	if fsys == nil {
@@ -669,18 +676,20 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Submit validates a deck and enqueues a synthesis job. A deck that
-// fails to parse or validate is rejected with a *DeckError; during
-// shutdown Submit returns ErrDraining; when the bounded queue is at
-// capacity it returns ErrQueueFull.
-func (m *Manager) Submit(deckSrc string, opt JobOptions) (*Job, error) {
-	return m.SubmitAs(deckSrc, opt, "", "")
-}
-
-// SubmitWithRequestID is Submit tagged with the submitting request's
-// X-Request-Id, echoed in the job's log lines for correlation.
-func (m *Manager) SubmitWithRequestID(deckSrc string, opt JobOptions, requestID string) (*Job, error) {
-	return m.SubmitAs(deckSrc, opt, requestID, "")
+// Origin says where a submission came from. The zero value is an
+// anonymous submission in the default tenant.
+type Origin struct {
+	// RequestID is the submitting request's X-Request-Id, echoed in the
+	// job's log lines for correlation.
+	RequestID string
+	// Tenant names the submitting principal; empty → the default tenant
+	// (open mode).
+	Tenant string
+	// Traceparent, a W3C traceparent header, hangs the job's whole
+	// lifecycle (queue wait, fleet hops, anneal, per-corner evals) off
+	// the caller's trace. Absent or malformed, the trace ID derives from
+	// RequestID instead.
+	Traceparent string
 }
 
 // cacheKeyFor computes a deck's canonical content hash and the
@@ -725,30 +734,22 @@ func (m *Manager) ensureTenantMetrics(tenant string) {
 	m.reg.SetHelp("oblxd_tenant_queue_depth", "jobs waiting in each tenant's lane")
 }
 
-// SubmitAs is the tenant-aware submit path: the job lands in the
-// tenant's fair-share lane after clearing the tenant's quota (queued
-// bound and evaluation-rate budget → *QuotaError, HTTP 429) and, when
-// a result cache is configured, the cache — an identical (deck,
-// options) resubmission completes instantly from the cached result
-// without consuming a worker or a single evaluation. Empty tenant →
-// the default tenant (open mode).
-func (m *Manager) SubmitAs(deckSrc string, opt JobOptions, requestID, tenant string) (*Job, error) {
-	return m.SubmitTraced(deckSrc, opt, requestID, tenant, "")
-}
-
-// SubmitTraced is SubmitAs continuing the caller's W3C trace: a valid
-// traceparent header makes the client's trace ID the job's trace ID and
-// the client's span the remote parent of the job root span, so the
-// job's whole lifecycle — queue wait, fleet hops, anneal, per-corner
-// evals — hangs off the caller's trace. Absent or malformed, the trace
-// ID derives from the request ID instead.
-func (m *Manager) SubmitTraced(deckSrc string, opt JobOptions, requestID, tenant, traceparent string) (*Job, error) {
+// Submit validates a deck and enqueues a synthesis job in the tenant's
+// fair-share lane. A deck that fails to parse or validate, or options
+// beyond the daemon's limits, are rejected with a *DeckError; during
+// shutdown Submit returns ErrDraining; when the bounded queue is at
+// capacity it returns ErrQueueFull, and over the tenant's quota (queued
+// bound, evaluation-rate budget) a *QuotaError (HTTP 429), leaving other
+// tenants unaffected. When a result cache is configured, an identical
+// (deck, options) resubmission completes instantly from the cached
+// result without consuming a worker or a single evaluation.
+func (m *Manager) Submit(deckSrc string, opt JobOptions, from Origin) (*Job, error) {
 	submitStart := time.Now()
 	a, err := m.admit(deckSrc, opt)
 	if err != nil {
-		return nil, &DeckError{Err: err}
+		return nil, err
 	}
-	return m.submitAdmitted(a, requestID, tenant, traceparent, submitStart)
+	return m.submitAdmitted(a, from, submitStart)
 }
 
 // admission is a submission that passed the checks every submit runs
@@ -764,33 +765,34 @@ type admission struct {
 // job exists: the deck parses and validates, its corner selection names
 // declared corners, and the options are within the daemon's limits. It
 // defaults the options and builds the result-cache key. Every error it
-// returns is the submitter's (a DeckError, HTTP 400).
+// returns is the submitter's: a *DeckError (HTTP 400).
 func (m *Manager) admit(deckSrc string, opt JobOptions) (admission, error) {
+	reject := func(err error) (admission, error) { return admission{}, &DeckError{Err: err} }
 	d, err := netlist.Parse(deckSrc)
 	if err != nil {
-		return admission{}, err
+		return reject(err)
 	}
 	if err := d.Validate(); err != nil {
-		return admission{}, err
+		return reject(err)
 	}
 	// Corner selection is part of the cost function: reject unknown
 	// names at the door instead of queueing a job doomed to fail.
 	if _, err := astrx.SelectCorners(d, opt.Corners); err != nil {
-		return admission{}, err
+		return reject(err)
 	}
 	opt.defaults()
 	if m.opt.MaxMovesLimit > 0 && opt.MaxMoves > m.opt.MaxMovesLimit {
-		return admission{}, fmt.Errorf("server: max_moves %d exceeds the daemon limit %d",
-			opt.MaxMoves, m.opt.MaxMovesLimit)
+		return reject(fmt.Errorf("server: max_moves %d exceeds the daemon limit %d",
+			opt.MaxMoves, m.opt.MaxMovesLimit))
 	}
 	if opt.Runs > maxRuns {
-		return admission{}, fmt.Errorf("server: runs %d exceeds the limit %d", opt.Runs, maxRuns)
+		return reject(fmt.Errorf("server: runs %d exceeds the limit %d", opt.Runs, maxRuns))
 	}
 	// A deck that parses always canonicalizes; treat failure as a deck
 	// error rather than guessing at a key.
 	deckHash, cacheKey, err := cacheKeyFor(deckSrc, opt)
 	if err != nil {
-		return admission{}, err
+		return reject(err)
 	}
 	return admission{deck: deckSrc, opt: opt, deckHash: deckHash, cacheKey: cacheKey}, nil
 }
@@ -799,7 +801,8 @@ func (m *Manager) admit(deckSrc string, opt JobOptions) (admission, error) {
 // the result cache, or queued in the tenant's lane once the daemon is
 // not draining, the queue has room and the tenant's quota admits it.
 // submitStart is when the submission arrived, for its submit span.
-func (m *Manager) submitAdmitted(a admission, requestID, tenant, traceparent string, submitStart time.Time) (*Job, error) {
+func (m *Manager) submitAdmitted(a admission, from Origin, submitStart time.Time) (*Job, error) {
+	tenant := from.Tenant
 	if tenant == "" {
 		tenant = tenancy.DefaultTenantName
 	}
@@ -815,10 +818,10 @@ func (m *Manager) submitAdmitted(a admission, requestID, tenant, traceparent str
 		DeckHash:  a.deckHash,
 		state:     StateQueued,
 		bestCost:  math.NaN(),
-		requestID: requestID,
+		requestID: from.RequestID,
 		cacheKey:  a.cacheKey,
 	}
-	m.initJobTrace(j, traceparent)
+	m.initJobTrace(j, from.Traceparent)
 
 	// Cache lookup precedes quota admission: a hit consumes no queue
 	// slot, no worker, and no evaluation budget.
@@ -1088,12 +1091,20 @@ func (m *Manager) freeSlot(tenant string) {
 	m.mu.Unlock()
 }
 
-// synthesize and synthesizeBest are seams over the engine entry points,
-// so supervision tests can substitute a run that stalls or blocks.
-var (
-	synthesize     = oblx.Run
-	synthesizeBest = oblx.RunBest
-)
+// synthesize is the seam over the engine's one launcher, so
+// supervision tests can substitute a run that stalls or blocks.
+var synthesize = oblx.RunBest
+
+// LaunchOptions returns the options a run of j starts from, for the
+// local worker and the fleet coordinator alike: the job's own, with the
+// daemon's progress cadence (Options.ProgressEvery) if it sets none.
+func (m *Manager) LaunchOptions(j *Job) JobOptions {
+	o := j.Options
+	if o.ProgressEvery <= 0 {
+		o.ProgressEvery = m.opt.ProgressEvery
+	}
+	return o
+}
 
 // runJob executes one synthesis job end to end.
 func (m *Manager) runJob(j *Job) {
@@ -1116,38 +1127,20 @@ func (m *Manager) runJob(j *Job) {
 		return
 	}
 
-	progEvery := j.Options.ProgressEvery
-	if progEvery <= 0 {
-		progEvery = m.opt.ProgressEvery
+	opt := m.LaunchOptions(j).RunOptions()
+	opt.StageTimer = m.jobTimer(j)
+	opt.Trace = j.trace
+	opt.Progress = func(ev oblx.ProgressEvent) { m.RecordProgress(j, ev) }
+	if m.opt.StateDir != "" {
+		// RunBest honours these for a single-run job only; a multi-run
+		// job restarts from scratch after a daemon kill.
+		opt.CheckpointPath = m.checkpointPath(j.ID)
+		opt.CheckpointEvery = m.opt.CheckpointEvery
+		opt.Resume = resume
 	}
-	opt := oblx.Options{
-		Seed:          j.Options.Seed,
-		MaxMoves:      j.Options.MaxMoves,
-		NoFreeze:      j.Options.NoFreeze,
-		Corners:       j.Options.Corners,
-		ProgressEvery: progEvery,
-		StageTimer:    m.jobTimer(j),
-		Trace:         j.trace,
-		Progress:      func(ev oblx.ProgressEvent) { m.RecordProgress(j, ev) },
-	}
-
-	var res *oblx.Result
-	if j.Options.Runs <= 1 {
-		if m.opt.StateDir != "" {
-			opt.CheckpointPath = m.checkpointPath(j.ID)
-			opt.CheckpointEvery = m.opt.CheckpointEvery
-			opt.Resume = resume
-		}
-		res, err = synthesize(ctx, deck, opt)
-	} else {
-		// Checkpointing is a single-run feature (n parallel runs would
-		// race on one snapshot); multi-run jobs restart from scratch
-		// after a daemon kill.
-		var errs []error
-		res, _, errs = synthesizeBest(ctx, deck, j.Options.Runs, opt)
-		if res == nil {
-			err = errors.Join(errs...)
-		}
+	res, errs := synthesize(ctx, deck, j.Options.Runs, opt)
+	if res == nil {
+		err = errors.Join(errs...)
 	}
 	deadlineHit := m.opt.JobDeadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded)
 	m.finishJob(j, res, err, deadlineHit)
@@ -1509,8 +1502,8 @@ func (m *Manager) retryOrPoison(j *Job, cause string) {
 	j.state = StateQueued
 	j.started = time.Time{}
 	// Resume the retry from the checkpoint the killed run left behind
-	// (single-run jobs only, like restart recovery).
-	if m.opt.StateDir != "" && j.Options.Runs <= 1 {
+	// (only a single-run job writes one).
+	if m.opt.StateDir != "" {
 		if ck, err := oblx.LoadCheckpointFS(m.fsys, m.checkpointPath(j.ID)); err == nil {
 			j.resume = ck
 		}

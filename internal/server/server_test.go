@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -349,7 +350,7 @@ func TestSubmitRefusesIncludeCard(t *testing.T) {
 	if err := os.WriteFile(path, []byte(marker+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(".include "+path+"\n"+testDeck, JobOptions{Seed: 1, MaxMoves: 100})
+	j, err := m.Submit(".include "+path+"\n"+testDeck, JobOptions{Seed: 1, MaxMoves: 100}, Origin{})
 	var de *DeckError
 	if !errors.As(err, &de) {
 		t.Fatalf("submit: job %v, err %v, want a deck error", j, err)
@@ -617,5 +618,30 @@ func TestSubmitCorneredPlainText(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown corner: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSubmitBlankCornerListRejected: a corners= list whose every entry
+// is blank names no corner. It is a 400 that creates no job, not a
+// selection of every corner.
+func TestSubmitBlankCornerListRejected(t *testing.T) {
+	deck := testDeck + "\n.corner slow vdd=2.4\n.corner fast vdd=2.6\n"
+	m := newTestManager(t, Options{})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+
+	for _, q := range []string{"%20,", ",", "%20,%20,"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?seed=1&max_moves=3000&corners="+q, "text/plain", strings.NewReader(deck))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "names no corner") {
+			t.Errorf("corners=%s: status %d %s, want 400 naming the empty selection", q, resp.StatusCode, body)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("a rejected corner selection created %d jobs", len(jobs))
 	}
 }

@@ -290,12 +290,11 @@ func (m *Manager) recover() error {
 			j.events = append(j.events, Event{Type: "state", State: StateQueued})
 			ckName := "job-" + rec.ID + ".ckpt"
 			if ck, err := oblx.LoadCheckpointFS(m.fsys, m.checkpointPath(rec.ID)); err == nil {
-				if rec.Options.Runs <= 1 {
-					j.resume = ck
-					// restart tests grep for "will resume from move" —
-					// keep the phrase in the message.
-					m.jlog(j).Info("job will resume from move", "move", ck.Anneal.Move)
-				}
+				// Only a single-run job writes a checkpoint (oblx.RunBest).
+				j.resume = ck
+				// restart tests grep for "will resume from move" — keep
+				// the phrase in the message.
+				m.jlog(j).Info("job will resume from move", "move", ck.Anneal.Move)
 			} else if !errors.Is(err, fs.ErrNotExist) {
 				m.quarantine(ckName, fmt.Sprintf("unreadable checkpoint for job %s: %v", rec.ID, err))
 				m.jlog(j).Warn("checkpoint quarantined, restarting run from scratch")

@@ -58,7 +58,7 @@ func TestCacheHitSkipsEval(t *testing.T) {
 	m := newTestManager(t, Options{StateDir: t.TempDir(), Workers: 2, Registry: reg, Cache: cache})
 
 	opt := JobOptions{Seed: 1, MaxMoves: 4000, ProgressEvery: 200}
-	j1, err := m.Submit(testDeck, opt)
+	j1, err := m.Submit(testDeck, opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCacheHitSkipsEval(t *testing.T) {
 
 	// Identical resubmission — different surface formatting, same
 	// canonical deck — must hit.
-	j2, err := m.Submit(testDeck+"\n* trailing comment\n", opt)
+	j2, err := m.Submit(testDeck+"\n* trailing comment\n", opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCacheHitSkipsEval(t *testing.T) {
 	}
 
 	// A different seed is a different key: must miss and queue normally.
-	j3, err := m.Submit(testDeck, JobOptions{Seed: 99, MaxMoves: 4000, ProgressEvery: 200})
+	j3, err := m.Submit(testDeck, JobOptions{Seed: 99, MaxMoves: 4000, ProgressEvery: 200}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCacheHitSurvivesRestart(t *testing.T) {
 
 	c1 := testCache(t, cdir, rescache.RW, nil)
 	m1 := newTestManager(t, Options{Workers: 2, Cache: c1})
-	j1, err := m1.Submit(testDeck, opt)
+	j1, err := m1.Submit(testDeck, opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCacheHitSurvivesRestart(t *testing.T) {
 
 	c2 := testCache(t, cdir, rescache.RO, nil)
 	m2 := newTestManager(t, Options{Workers: 2, Cache: c2})
-	j2, err := m2.Submit(testDeck, opt)
+	j2, err := m2.Submit(testDeck, opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCacheCorruptionChaos(t *testing.T) {
 
 	c1 := testCache(t, cdir, rescache.RW, nil)
 	m1 := newTestManager(t, Options{Workers: 2, Cache: c1})
-	j1, err := m1.Submit(testDeck, opt)
+	j1, err := m1.Submit(testDeck, opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCacheCorruptionChaos(t *testing.T) {
 	// re-runs and produces a real result.
 	c2 := testCache(t, cdir, rescache.RW, nil)
 	m2 := newTestManager(t, Options{Workers: 2, Cache: c2})
-	j2, err := m2.Submit(testDeck, opt)
+	j2, err := m2.Submit(testDeck, opt, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +215,12 @@ func TestCancelQueuedReleasesQuota(t *testing.T) {
 	// ExternalExec: no local workers, so queued jobs stay queued.
 	m := newTestManager(t, Options{ExternalExec: true, Auth: auth})
 
-	j1, err := m.SubmitAs(testDeck, JobOptions{Seed: 1}, "", "acme")
+	j1, err := m.Submit(testDeck, JobOptions{Seed: 1}, Origin{Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var qe *QuotaError
-	if _, err := m.SubmitAs(testDeck, JobOptions{Seed: 2}, "", "acme"); err == nil {
+	if _, err := m.Submit(testDeck, JobOptions{Seed: 2}, Origin{Tenant: "acme"}); err == nil {
 		t.Fatal("second submit admitted past max_queued 1")
 	} else if !errors.As(err, &qe) {
 		t.Fatalf("second submit error %T %v, want *QuotaError", err, err)
@@ -230,7 +230,7 @@ func TestCancelQueuedReleasesQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The slot must be free right now — no drain, no worker involved.
-	j3, err := m.SubmitAs(testDeck, JobOptions{Seed: 3}, "", "acme")
+	j3, err := m.Submit(testDeck, JobOptions{Seed: 3}, Origin{Tenant: "acme"})
 	if err != nil {
 		t.Fatalf("submit after cancel still over quota: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestQuotaExhaustionConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			_, err := m.SubmitAs(testDeck, JobOptions{Seed: seed}, "", "acme")
+			_, err := m.Submit(testDeck, JobOptions{Seed: seed}, Origin{Tenant: "acme"})
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -288,12 +288,12 @@ func TestTwoTenantFairShare(t *testing.T) {
 	m := newTestManager(t, Options{ExternalExec: true, Auth: auth})
 
 	for i := 0; i < 60; i++ {
-		if _, err := m.SubmitAs(testDeck, JobOptions{Seed: int64(i + 1)}, "", "heavy"); err != nil {
+		if _, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1)}, Origin{Tenant: "heavy"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := m.SubmitAs(testDeck, JobOptions{Seed: int64(i + 1)}, "", "light"); err != nil {
+		if _, err := m.Submit(testDeck, JobOptions{Seed: int64(i + 1)}, Origin{Tenant: "light"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestTenantLanesRecoverInOrder(t *testing.T) {
 	}
 	submitOrder := map[string][]string{} // tenant -> job IDs in submit order
 	for i, tn := range []string{"heavy", "light", "heavy", "light", "heavy"} {
-		j, err := m1.SubmitAs(testDeck, JobOptions{Seed: int64(i + 1)}, "", tn)
+		j, err := m1.Submit(testDeck, JobOptions{Seed: int64(i + 1)}, Origin{Tenant: tn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -631,7 +631,7 @@ func TestTenantLogAttr(t *testing.T) {
 		defer cancel()
 		m.Shutdown(ctx)
 	}()
-	if _, err := m.SubmitAs(testDeck, JobOptions{Seed: 1}, "", "heavy"); err != nil {
+	if _, err := m.Submit(testDeck, JobOptions{Seed: 1}, Origin{Tenant: "heavy"}); err != nil {
 		t.Fatal(err)
 	}
 	if out := logBuf.String(); !strings.Contains(out, "tenant=heavy") {

@@ -58,7 +58,7 @@ func findSpans(nodes []*trace.Node, into map[string][]*trace.Node) {
 func TestLocalStageHistograms(t *testing.T) {
 	reg := metrics.New()
 	m := newTestManager(t, Options{Registry: reg})
-	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 4000, NoFreeze: true})
+	j, err := m.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 4000, NoFreeze: true}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +268,16 @@ func TestTraceConcurrentSnapshot(t *testing.T) {
 func TestTraceLegacyJob409(t *testing.T) {
 	orig := synthesize
 	defer func() { synthesize = orig }()
-	synthesize = func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
+	synthesize = oneRun(func(ctx context.Context, deck *netlist.Deck, opt oblx.Options) (*oblx.Result, error) {
 		return nil, context.Canceled
-	}
+	})
 
 	dir := t.TempDir()
 	m1, err := New(Options{StateDir: dir, Workers: 1, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000})
+	j, err := m1.Submit(testDeck, JobOptions{Seed: 1, MaxMoves: 1000}, Origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
